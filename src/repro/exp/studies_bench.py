@@ -1,10 +1,11 @@
 """Kernel-benchmark study: the repo's tracked perf trajectory.
 
 ``bench_kernels`` times the analog-crossbar GEMV hot path — the
-``reference`` einsum kernel against the optimized ``fast`` kernel of
-:mod:`repro.rram.kernels` — across a batch x out-features x cell-type x
-noise grid, and additionally wall-clocks the Fig. 12 smoke sweep end to
-end.  Its payload is what lands in ``BENCH_kernels.json`` (written by
+``reference`` einsum kernel (the spec) against the optimized ``fast``
+kernel of :mod:`repro.rram.kernels` — across a batch x out-features x
+cell-type x noise grid, times batched against per-row decode through the
+same fast kernel, and additionally wall-clocks the Fig. 12 smoke sweep end
+to end.  Its payload is what lands in ``BENCH_kernels.json`` (written by
 ``benchmarks/bench_kernels.py`` and by the CI smoke job), seeding the
 perf-trajectory series future PRs are gated against: CI fails if the fast
 kernel ever becomes slower than the reference kernel on the large-GEMV
@@ -94,6 +95,9 @@ def _bench_point(
         "in_features": in_features,
         "cell": cell_name,
         "noise": "calibrated" if noisy else "none",
+        # Noiseless and saturation-free: the fast kernel runs one dense
+        # matmul instead of the bit-serial pipeline.
+        "exact_shortcut": bool(matrix.is_noiseless and matrix.saturation_free),
         "reference_us": round(ref_s * 1e6, 2),
         "fast_us": round(fast_s * 1e6, 2),
         "speedup": round(ref_s / fast_s, 2),
@@ -101,10 +105,10 @@ def _bench_point(
 
 
 #: Batched-decode study grid (overridable via params).  The gate point is
-#: fused batch-32: one plane-GEMM dispatch per step must deliver >= 2x the
-#: per-row tokens/s, and fused throughput must scale superlinearly with
-#: batch (tok/s at 32 > tok/s at 1 — fixed packing/dispatch overheads
-#: amortize across the batch).
+#: batch 32: one batched fast-kernel call per stage per step must deliver
+#: >= 2x the per-row tokens/s, and batched throughput must scale
+#: superlinearly with batch (tok/s at 32 > tok/s at 1 — fixed packing and
+#: dispatch overheads amortize across the batch).
 DECODE_BATCHES = (1, 8, 32)
 DECODE_WAYS = (1, 2, 4, 8)
 DECODE_GATE_BATCH = 32
@@ -127,7 +131,7 @@ def _decode_stack(
 
     Square (``features -> features``) layers so hidden states chain like a
     decode step walking a Transformer's crossbar stages; calibration runs
-    layer by layer on the stack's own hidden states, so the fused and
+    layer by layer on the stack's own hidden states, so the batched and
     per-row replays quantize identical activation codes.
     """
     from repro.dist import DeviceMesh
@@ -162,9 +166,9 @@ def _decode_stack(
     return layers
 
 
-def _stack_fused(layers: list, x: np.ndarray) -> np.ndarray:
-    """One fused batched dispatch per layer: gemm kernel + shared PlaneCache."""
-    with kernel_policy(KernelPolicy(mode="gemm")), plane_cache_scope(PlaneCache()):
+def _stack_batched(layers: list, x: np.ndarray) -> np.ndarray:
+    """One batched fast-kernel call per stage, sharing one PlaneCache."""
+    with kernel_policy(KernelPolicy(mode="fast")), plane_cache_scope(PlaneCache()):
         h = x
         for layer in layers:
             h = layer.forward(h).data
@@ -172,7 +176,7 @@ def _stack_fused(layers: list, x: np.ndarray) -> np.ndarray:
 
 
 def _stack_per_row(layers: list, x: np.ndarray) -> np.ndarray:
-    """The pre-fusion dispatch: every row walks the stack on its own."""
+    """Unbatched dispatch: every row walks the stack on its own."""
     with kernel_policy(KernelPolicy(mode="fast")):
         rows = []
         for i in range(len(x)):
@@ -187,28 +191,27 @@ def _decode_point(
     layers: list, batch: int, features: int, reps: int, rng: np.random.Generator
 ) -> dict[str, Any]:
     x = rng.normal(size=(batch, features))
-    # Correctness rides along with the timing: the fused dispatch must
-    # reproduce the per-row stack outputs (allclose — only BLAS summation
-    # order differs inside the noisy fused matmul).
-    fused_out = _stack_fused(layers, x)
+    # Correctness rides along with the timing: the batched call must
+    # reproduce the per-row stack outputs bitwise.
+    batched_out = _stack_batched(layers, x)
     per_row_out = _stack_per_row(layers, x)
-    if not np.allclose(fused_out, per_row_out, rtol=1e-9, atol=1e-9):
+    if not np.array_equal(batched_out, per_row_out):
         raise AssertionError(
-            f"fused/per-row decode mismatch at batch={batch}: max abs diff "
-            f"{np.max(np.abs(fused_out - per_row_out))}"
+            f"batched/per-row decode mismatch at batch={batch}: max abs diff "
+            f"{np.max(np.abs(batched_out - per_row_out))}"
         )
-    fused_s = _time_call(lambda: _stack_fused(layers, x), reps)
+    batched_s = _time_call(lambda: _stack_batched(layers, x), reps)
     per_row_s = _time_call(lambda: _stack_per_row(layers, x), reps)
     return {
         "batch": batch,
-        "fused_tok_s": round(batch / fused_s, 1),
+        "batched_tok_s": round(batch / batched_s, 1),
         "per_row_tok_s": round(batch / per_row_s, 1),
-        "speedup": round(per_row_s / fused_s, 2),
+        "speedup": round(per_row_s / batched_s, 2),
     }
 
 
 def _batched_decode_study(params: dict[str, Any], seed: int) -> dict[str, Any]:
-    """Fused plane-GEMM decode vs per-row dispatch, plus the shard sweep."""
+    """Batched vs per-row decode through the fast kernel, plus the shard sweep."""
     batches = sorted(
         set(tuple(params.get("decode_batches", DECODE_BATCHES)))
         | {1, DECODE_GATE_BATCH}  # the gated points are always measured
@@ -230,9 +233,9 @@ def _batched_decode_study(params: dict[str, Any], seed: int) -> dict[str, Any]:
     for ways in ways_sweep:
         sharded = _decode_stack(num_layers, features, rank, seed, ways=ways)
         x = rng.normal(size=(DECODE_GATE_BATCH, features))
-        fused_s = _time_call(lambda: _stack_fused(sharded, x), reps)
+        batched_s = _time_call(lambda: _stack_batched(sharded, x), reps)
         shard_sweep.append(
-            {"ways": ways, "fused_tok_s": round(DECODE_GATE_BATCH / fused_s, 1)}
+            {"ways": ways, "batched_tok_s": round(DECODE_GATE_BATCH / batched_s, 1)}
         )
 
     return {

@@ -156,9 +156,11 @@ class GemvStats:
     cells_initial_programmed: int = 0
     cells_reprogrammed: int = 0
     #: Dispatch-shape counters (``compare=False``): how the work reached the
-    #: arrays, not what the arrays did — per-row and fused dispatch of the
+    #: arrays, not what the arrays did — per-row and batched calls of the
     #: same workload agree on every hardware counter above while legitimately
-    #: differing here, so equality checks ignore them.
+    #: differing here, so equality checks ignore them.  ``fused_rows`` counts
+    #: input rows the fast kernel ran bit-serially (one matmul per row tile
+    #: for the whole batch).
     planes_packed: int = field(default=0, compare=False)
     pack_reuses: int = field(default=0, compare=False)
     fused_rows: int = field(default=0, compare=False)
@@ -231,8 +233,8 @@ class ProgrammedMatrix:
         self.adc = adc or SarAdc(bits=required_adc_bits(self.config.rows, cell.bits))
         self._saturation_free: bool | None = None
         self._dense_weights_t: np.ndarray | None = None
-        self._stacked_planes: np.ndarray | None = None
-        self._stacked_epoch: int = -1
+        self._float_planes: np.ndarray | None = None
+        self._float_epoch: int = -1
 
     # -- programmed-cell views (consumed by repro.rram.kernels) ---------------
     @property
@@ -290,30 +292,21 @@ class ProgrammedMatrix:
             self._saturation_free = worst < self.adc.full_scale
         return self._saturation_free
 
-    def stacked_planes(self) -> np.ndarray:
-        """Row tiles stacked for fused GEMM: ``(num_tiles, rows, out*n_s)``.
+    def float_planes(self) -> np.ndarray:
+        """The cells as one float64 ``(in, out*n_s)`` block, cached per epoch.
 
-        Float64 (exact widening of the storage dtype), with the trailing
-        partial tile zero-padded to a full ``rows`` wordlines — padded rows
-        meet only padded zero input bits in the fused operand, so every
-        analog sum matches the per-tile slicing of ``fast_gemv`` bitwise.
-        Cached against the backend's ``epoch`` so fault backends that
-        evolve conductances (``advance()``/``reprogram()``) invalidate the
-        stack automatically.
+        An exact widening of :attr:`planes`; its row slices are the fast
+        kernel's row tiles at their exact width.  Cached against the
+        backend's ``epoch`` so fault backends that evolve conductances
+        (``advance()``/``reprogram()``) invalidate it automatically.
         """
         epoch = self.backend.epoch
-        if self._stacked_planes is None or self._stacked_epoch != epoch:
-            rows = self.config.rows
-            num_tiles = -(-self.in_features // rows)
-            out_cols = self.out_features * self.slices.num_slices
-            flat = self.planes.reshape(self.in_features, out_cols)
-            stacked = np.zeros((num_tiles * rows, out_cols), dtype=np.float64)
-            stacked[: self.in_features] = flat
-            self._stacked_planes = np.ascontiguousarray(
-                stacked.reshape(num_tiles, rows, out_cols)
+        if self._float_planes is None or self._float_epoch != epoch:
+            self._float_planes = np.ascontiguousarray(
+                self.planes.reshape(self.in_features, -1), dtype=np.float64
             )
-            self._stacked_epoch = epoch
-        return self._stacked_planes
+            self._float_epoch = epoch
+        return self._float_planes
 
     @property
     def dense_weights_t(self) -> np.ndarray:

@@ -19,12 +19,12 @@ The mechanics:
   write that costs only the appended cells' write pulses (recorded in the
   :class:`~repro.rram.endurance.WearLedger`'s dynamic channel) and bumps
   only the tile-local ``write_epoch``, leaving every *other* tile's cached
-  planes (the static weights' ``stacked_planes``, the ``PlaneCache``) valid;
+  planes (the static weights' ``float_planes``, the ``PlaneCache``) valid;
 - GEMVs run against a zero-copy *view* of the valid region ``[0, length)``,
   which exposes the full programmed-matrix duck-type surface (planes,
-  slices, ADC, saturation-freedom, stacked planes), so ``reference``,
-  ``fast`` and fused ``gemm`` kernels all apply, including the exact
-  noiseless shortcut when the valid region is provably saturation-free.
+  slices, ADC, saturation-freedom, float planes), so the ``reference``
+  and ``fast`` kernels both apply, including the exact noiseless
+  shortcut when the valid region is provably saturation-free.
 
 ``grow`` selects the physical growth axis.  ``"wordlines"`` appends input
 rows (the AV operand: attention probabilities stream over the wordlines,
@@ -52,9 +52,9 @@ class _DynamicView:
 
     Implements the duck-type surface the GEMV kernels consume from
     :class:`~repro.rram.crossbar.ProgrammedMatrix` (planes, slices, config,
-    ADC, noiselessness, saturation-freedom, dense weights, stacked planes),
+    ADC, noiselessness, saturation-freedom, dense weights, float planes),
     so a dynamic operand is kernel-compatible without forking kernel code.
-    Derived artifacts (saturation flag, dense weights, stacked planes) are
+    Derived artifacts (saturation flag, dense weights, float planes) are
     cached on the owning operand, keyed by the backend epoch, the tile's
     ``write_epoch`` and the logical length — any append, reprogram or
     clock advance invalidates them.
@@ -130,22 +130,16 @@ class _DynamicView:
         self._op._cache_set("dense_weights_t", dense)
         return dense
 
-    def stacked_planes(self) -> np.ndarray:
-        """Valid-region row tiles stacked for fused GEMM (see static twin)."""
-        cached = self._op._cache_get("stacked_planes")
+    def float_planes(self) -> np.ndarray:
+        """Valid-region cells as float64 ``(in, out*n_s)`` (see static twin)."""
+        cached = self._op._cache_get("float_planes")
         if cached is not None:
             return cached
-        rows = self.config.rows
-        num_tiles = -(-self.in_features // rows)
-        out_cols = self.out_features * self.slices.num_slices
-        flat = np.asarray(self.planes, dtype=np.float64).reshape(
-            self.in_features, out_cols
+        flat = np.ascontiguousarray(self.planes, dtype=np.float64).reshape(
+            self.in_features, -1
         )
-        stacked = np.zeros((num_tiles * rows, out_cols), dtype=np.float64)
-        stacked[: self.in_features] = flat
-        stacked = np.ascontiguousarray(stacked.reshape(num_tiles, rows, out_cols))
-        self._op._cache_set("stacked_planes", stacked)
-        return stacked
+        self._op._cache_set("float_planes", flat)
+        return flat
 
 
 class DynamicOperand:
@@ -333,9 +327,9 @@ class DynamicOperand:
         ``x`` has ``length`` columns for a wordline-grown operand and
         ``width`` columns for a bitline-grown one; the result's trailing
         dimension is the other of the two.  Runs the standard kernel stack
-        (``reference`` / ``fast`` / fused ``gemm`` by policy) against the
-        region view, so noise, ADC clipping and op counts behave exactly
-        as for static weights.
+        (``reference`` / ``fast`` by policy) against the region view, so
+        noise, ADC clipping and op counts behave exactly as for static
+        weights.
         """
         if self.length == 0:
             raise ValueError("cannot GEMV an empty dynamic operand")

@@ -1,31 +1,37 @@
-"""High-throughput kernels for the analog crossbar GEMV hot path.
+"""The analog crossbar GEMV hot path: one spec kernel, one optimized kernel.
 
 Every accuracy and energy figure in the paper funnels through the bit-serial
-analog GEMV of Figs. 3/6/7, so this module provides two interchangeable
-implementations of that pipeline plus the :class:`KernelPolicy` that selects
-between them:
+analog GEMV of Figs. 3/6/7.  This module holds two implementations of that
+pipeline plus the :class:`KernelPolicy` that selects between them:
 
 ``reference``
-    The faithful, readable formulation: one float ``einsum`` per row tile
-    producing the full ``(batch, input_bits, out, n_slices)`` analog-sum
-    intermediate, an allocating ADC conversion, and per-element statistics
-    reductions.  This is the semantic ground truth the fast kernel is tested
-    against (bitwise, including :class:`~repro.rram.crossbar.GemvStats`).
+    The executable spec: one float ``einsum`` per row tile producing the
+    full ``(batch, input_bits, out, n_slices)`` analog-sum intermediate, an
+    allocating ADC conversion, and per-element statistics reductions.  The
+    optimized kernel is tested against it bitwise, outputs and every
+    :class:`~repro.rram.crossbar.GemvStats` field.
 
-``fast``
-    The optimized formulation:
+``fast`` (:func:`fast_gemv`)
+    The optimized formulation, used for single rows and whole decode
+    batches alike:
 
-    * inputs are pre-packed into plane-major uint8 bit planes
-      (:func:`repro.quant.quantizer.int_to_bit_planes`) and each bit plane
-      hits the programmed cells as a single 2-D BLAS matmul instead of a
-      naive 4-axis ``einsum``;
-    * the SAR ADC round/clip is fused in place on the matmul output
-      (:meth:`~repro.rram.adc.SarAdc.convert_`) — no intermediate
-      allocations;
+    * the programmed cells are cached once as a float64 ``(in, out*n_s)``
+      block (:meth:`~repro.rram.crossbar.ProgrammedMatrix.float_planes`,
+      keyed on the backend epoch; dynamic operands key it on their
+      ``(epoch, write_epoch, length)`` cache), whose row slices are the
+      row tiles at their exact width — no per-call widening, no padding;
+    * inputs are packed into uint8 bit planes
+      (:func:`repro.quant.quantizer.int_to_bit_planes`), all-zero planes are
+      dropped (the zero-plane skip), and every kept plane of every batch row
+      hits a row tile in **one** BLAS matmul
+      ``(kept_bits*batch, tile_rows) @ (tile_rows, out*n_s)``;
+    * the SAR ADC round/clip runs in place on each tile's sums
+      (:meth:`~repro.rram.adc.SarAdc.convert_`), and the digital
+      shift-and-add and slice recombination are two small matmuls against
+      cached place-value vectors;
     * :class:`~repro.rram.crossbar.GemvStats` counts are computed in closed
       form (conversion, cycle and tile counts from the shapes, wordline
-      activations from input popcounts) instead of per-element reductions
-      inside the tile loop;
+      activations from input popcounts); only saturations are counted;
     * when the matrix is **noiseless** and no bitline can reach the ADC
       full-scale code (checked once per programmed matrix from the cell
       levels), the whole pipeline provably reduces to the exact integer
@@ -33,21 +39,14 @@ between them:
       short-circuited to one dense matmul while still reporting identical
       statistics.
 
-Both kernels read the same stored cell planes and accumulate analog bitline
-sums in float64, so their ADC codes — and therefore their integer outputs —
-agree bitwise; the equivalence grid in ``tests/rram/test_kernels.py``
-enforces this for every cell type, noise level and tile-spanning shape.
+Both kernels accumulate analog bitline sums in float64, where every
+intermediate is an exact integer or an exact sum of stored cell values, so
+their ADC codes — and therefore their integer outputs — agree bitwise; the
+equivalence grids in ``tests/rram/test_kernels.py`` enforce this for every
+cell type, noise level, batch size and tile-spanning shape.
 
-``gemm``
-    The batched-decode formulation: all live rows' GEMVs are fused into
-    **one** BLAS matmul per (activation bit-plane × programmed plane) pair
-    against the matrix's epoch-cached stacked tile planes
-    (:meth:`~repro.rram.crossbar.ProgrammedMatrix.stacked_planes`), with a
-    single fused :meth:`~repro.rram.adc.SarAdc.convert_` over the whole
-    analog-sum block.  Because every intermediate is an exact integer in
-    float64, the fused path is bitwise-equal to ``fast`` in noiseless mode
-    and allclose under noise (BLAS summation order inside the fused matmul
-    is the only difference).
+``gemm`` is a legacy alias of ``fast``: policies naming it stay valid and
+run :func:`fast_gemv`.
 
 Batched decode additionally amortizes the activation bit-plane *packing*
 across layers: a :class:`PlaneCache` installed via :func:`plane_cache_scope`
@@ -66,6 +65,7 @@ matrix or per call everywhere the GEMV surfaces (``ProgrammedMatrix``,
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -90,7 +90,6 @@ __all__ = [
     "resolve_policy",
     "reference_gemv",
     "fast_gemv",
-    "fast_gemm",
     "run_gemv",
 ]
 
@@ -102,15 +101,16 @@ _COMPUTE_DTYPES = ("float32", "float64")
 class KernelPolicy:
     """Which GEMV kernel to run and how programmed cell planes are stored.
 
-    ``mode`` selects the implementation (``"fast"`` is the default and is
-    bitwise-equal to ``"reference"``; ``"gemm"`` fuses batched rows into one
-    matmul per bit-plane pair and is bitwise-equal to ``"fast"`` in
-    noiseless mode, allclose under noise); ``compute_dtype`` is the storage dtype
-    of the noisy programmed planes (``"float32"`` halves programmed-weight
-    memory versus the historical float64 with no observable effect beyond
-    freezing the programming noise at float32 precision).  Analog bitline
-    sums always accumulate in float64 regardless of ``compute_dtype``, which
-    is what keeps the two modes bitwise interchangeable.
+    ``mode`` selects the implementation: ``"reference"`` is the executable
+    spec (:func:`reference_gemv`), ``"fast"`` (the default) the optimized
+    kernel (:func:`fast_gemv`), bitwise-equal to it; ``"gemm"`` is a legacy
+    alias that runs the same optimized kernel.  ``compute_dtype`` is the
+    storage dtype of the noisy programmed planes (``"float32"`` halves
+    programmed-weight memory versus the historical float64 with no
+    observable effect beyond freezing the programming noise at float32
+    precision).  Analog bitline sums always accumulate in float64
+    regardless of ``compute_dtype``, which is what keeps the two kernels
+    bitwise interchangeable.
 
     The dtype is kept as a string so policies stay JSON/pickle friendly —
     they ride inside :class:`~repro.core.hyflexpim.HyFlexPim` instances that
@@ -208,11 +208,6 @@ class PlaneCache:
     identity never survives the call boundary — which makes a cache hit
     bitwise-equivalent to packing fresh by construction.
 
-    Entries also memoize the derived fused-GEMM operand
-    (:meth:`fused_lhs`): the zero-padded ``(tiles, kept_bits*batch, rows)``
-    float64 block :func:`fast_gemm` feeds straight into BLAS, keyed by the
-    consuming matrix's tile geometry.
-
     Invalidation is driven by the continuous scheduler's
     :class:`~repro.serve.slots.RowSlotManager` generation counter: any
     admit/retire changes the batch composition, :meth:`set_generation`
@@ -227,7 +222,7 @@ class PlaneCache:
         self.capacity = capacity
         self.stats = PlaneCacheStats()
         self._generation: int | None = None
-        self._entries: OrderedDict[tuple, dict] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple[np.ndarray, int]] = OrderedDict()
         # The stage-pipelined executor consults one shared cache from
         # several worker threads; entries are content-keyed so hits stay
         # bitwise-exact, but the LRU bookkeeping needs mutual exclusion.
@@ -250,63 +245,27 @@ class PlaneCache:
         with self._lock:
             self._entries.clear()
 
-    def _entry(
-        self, input_codes: np.ndarray, input_bits: int, stats: "GemvStats | None"
-    ) -> dict:
-        key = (input_bits, input_codes.shape, input_codes.tobytes())
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.stats.pack_reuses += input_bits
-            if stats is not None:
-                stats.pack_reuses += input_bits
-            return entry
-        masked = input_codes & (2**input_bits - 1)
-        planes = int_to_bit_planes(masked, input_bits)
-        # Bitmask of bit positions set anywhere in the block: plane k is
-        # all-zero iff bit k is clear (the zero-plane skip's oracle).
-        used = int(np.bitwise_or.reduce(masked, axis=None)) if masked.size else 0
-        entry = {"u8": planes, "used": used, "lhs": {}}
-        self._entries[key] = entry
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        self.stats.planes_packed += input_bits
-        if stats is not None:
-            stats.planes_packed += input_bits
-        return entry
-
     def packed(
         self, input_codes: np.ndarray, input_bits: int, stats: "GemvStats | None" = None
     ) -> tuple[np.ndarray, int]:
         """``(uint8 planes (bits, batch, in), used-bit mask)`` for the block."""
+        key = (input_bits, input_codes.shape, input_codes.tobytes())
         with self._lock:
-            entry = self._entry(input_codes, input_bits, stats)
-            return entry["u8"], entry["used"]
-
-    def fused_lhs(
-        self,
-        input_codes: np.ndarray,
-        input_bits: int,
-        rows: int,
-        stats: "GemvStats | None" = None,
-    ) -> tuple[np.ndarray, list[int]]:
-        """Fused-GEMM left operand for a matrix with ``rows``-row tiles.
-
-        Returns ``(lhs, kept)``: the zero-padded float64 block of shape
-        ``(num_tiles, len(kept)*batch, rows)`` plus the list of non-zero
-        bit-plane indices it contains (all-zero planes are dropped — the
-        zero-plane skip).  Memoized per (activation block, tile rows), so
-        the SLC and MLC stages consuming the same activations share one
-        materialization.
-        """
-        with self._lock:
-            entry = self._entry(input_codes, input_bits, stats)
-            kept = [k for k in range(input_bits) if (entry["used"] >> k) & 1]
-            lhs = entry["lhs"].get(rows)
-            if lhs is None:
-                lhs = _build_fused_lhs(entry["u8"], kept, rows)
-                entry["lhs"][rows] = lhs
-            return lhs, kept
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.stats.pack_reuses += input_bits
+                if stats is not None:
+                    stats.pack_reuses += input_bits
+                return entry
+            entry = _pack(input_codes, input_bits)
+            self._entries[key] = entry
+            if len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+            self.stats.planes_packed += input_bits
+            if stats is not None:
+                stats.planes_packed += input_bits
+            return entry
 
 
 _active_plane_cache: PlaneCache | None = None
@@ -320,7 +279,7 @@ def get_active_plane_cache() -> PlaneCache | None:
 class plane_cache_scope:
     """Context manager installing ``cache`` as the process-wide plane cache.
 
-    The fast kernels consult the active cache for packed activation
+    The fast kernel consults the active cache for packed activation
     bit-planes; ``None`` (the default outside any scope) packs fresh on
     every call.  Scopes nest — the previous cache is restored on exit.
 
@@ -342,22 +301,16 @@ class plane_cache_scope:
         _active_plane_cache = self._previous
 
 
-def _build_fused_lhs(planes_u8: np.ndarray, kept: list[int], rows: int) -> np.ndarray:
-    """Stack ``kept`` bit-planes into the fused operand (tiles, K*batch, rows).
+def _pack(input_codes: np.ndarray, input_bits: int) -> tuple[np.ndarray, int]:
+    """uint8 bit-planes of ``input_codes`` plus the bitmask of used bits.
 
-    The trailing partial row tile is zero-padded: padded wordlines carry
-    input bit 0 and contribute exactly 0 to every analog sum, so padding
-    preserves bitwise equivalence with the per-tile slicing of
-    :func:`fast_gemv`.
+    Bit ``k`` of the mask is clear iff plane ``k`` is all-zero (the
+    zero-plane skip's oracle).
     """
-    bits_kept = planes_u8[kept] if kept else planes_u8[:0]
-    num_kept, batch, in_features = bits_kept.shape
-    num_tiles = -(-in_features // rows)
-    flat = np.zeros((num_kept * batch, num_tiles * rows), dtype=np.float64)
-    flat[:, :in_features] = bits_kept.reshape(num_kept * batch, in_features)
-    return np.ascontiguousarray(
-        flat.reshape(num_kept * batch, num_tiles, rows).transpose(1, 0, 2)
-    )
+    masked = input_codes & (2**input_bits - 1)
+    planes = int_to_bit_planes(masked, input_bits)
+    used = int(np.bitwise_or.reduce(masked, axis=None)) if masked.size else 0
+    return planes, used
 
 
 def _packed_planes(
@@ -367,12 +320,9 @@ def _packed_planes(
     cache = _active_plane_cache
     if cache is not None:
         return cache.packed(input_codes, input_bits, stats)
-    masked = input_codes & (2**input_bits - 1)
-    planes = int_to_bit_planes(masked, input_bits)
-    used = int(np.bitwise_or.reduce(masked, axis=None)) if masked.size else 0
     if stats is not None:
         stats.planes_packed += input_bits
-    return planes, used
+    return _pack(input_codes, input_bits)
 
 
 # ----------------------------------------------------------------------
@@ -393,15 +343,19 @@ def _popcount_total(values: np.ndarray, num_bits: int) -> int:
 def _fill_analytic_stats(
     stats: "GemvStats",
     matrix: "ProgrammedMatrix",
-    input_codes: np.ndarray,
+    batch: int,
     input_bits: int,
     num_tiles: int,
+    set_bits: int,
 ) -> None:
-    """Closed-form operation counts (everything except ADC saturations)."""
-    batch = input_codes.shape[0]
+    """Closed-form operation counts (everything except ADC saturations).
+
+    ``set_bits`` is the number of set input bits across the block: each one
+    activates its wordline once per weight slice.
+    """
     num_slices = matrix.slices.num_slices
     stats.adc_conversions += num_tiles * batch * input_bits * matrix.out_features * num_slices
-    stats.wordline_activations += _popcount_total(input_codes, input_bits) * num_slices
+    stats.wordline_activations += set_bits * num_slices
     stats.input_cycles += num_tiles * input_bits
     col_tiles = -(-matrix.out_features * num_slices // matrix.config.cols)
     stats.array_tiles += num_tiles * col_tiles
@@ -461,22 +415,47 @@ def reference_gemv(
 
 
 # ----------------------------------------------------------------------
-# Fast kernel — packed bit planes, BLAS matmuls, fused ADC, analytic stats
+# Fast kernel — exact-width cached tiles, one BLAS matmul per row tile
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _kept_bit_weights(input_bits: int, used: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-zero bit-plane indices of a block and their shift-and-add weights."""
+    from repro.rram.crossbar import input_bit_weights
+
+    kept = np.flatnonzero([(used >> k) & 1 for k in range(input_bits)])
+    weights = input_bit_weights(input_bits).astype(np.float64)[kept]
+    kept.flags.writeable = False
+    weights.flags.writeable = False
+    return kept, weights
+
+
+@functools.lru_cache(maxsize=None)
+def _slice_place_values(cell_bits: int, num_slices: int) -> np.ndarray:
+    """float64 ``WeightSlices.slice_factors`` for one cell geometry."""
+    factors = 2.0 ** (cell_bits * np.arange(num_slices))
+    factors.flags.writeable = False
+    return factors
+
+
 def fast_gemv(
     matrix: "ProgrammedMatrix",
     input_codes: np.ndarray,
     input_bits: int,
     stats: "GemvStats | None" = None,
 ) -> np.ndarray:
-    """Optimized bit-serial GEMV, bitwise-equal to :func:`reference_gemv`."""
-    from repro.rram.crossbar import input_bit_weights
+    """Optimized bit-serial GEMV, bitwise-equal to :func:`reference_gemv`.
 
+    Serves one row and a whole decode batch alike: each row tile of the
+    matrix's cached float64 cells meets every kept bit-plane of every row
+    in a single matmul.  With float32 cell storage (the default) every
+    analog sum is an exact float64 sum of stored cell values and every
+    later intermediate an exact integer, so outputs and
+    :class:`~repro.rram.crossbar.GemvStats` match the reference bitwise,
+    and a batched call matches per-row calls bitwise.
+    """
     batch, in_features = input_codes.shape
-    num_tiles = -(-in_features // matrix.config.rows)
-
-    if stats is not None:
-        _fill_analytic_stats(stats, matrix, input_codes, input_bits, num_tiles)
+    rows = matrix.config.rows
+    num_tiles = -(-in_features // rows)
 
     if matrix.is_noiseless and matrix.saturation_free:
         # Exact short-circuit: with noiseless integer cells and no bitline
@@ -484,132 +463,53 @@ def fast_gemv(
         # its analog sum unchanged and the shift-and-add telescopes to the
         # plain integer GEMV (the crossbar module docstring's exactness
         # argument).  Saturated-conversion count is provably zero.
+        if stats is not None:
+            set_bits = _popcount_total(input_codes, input_bits)
+            _fill_analytic_stats(stats, matrix, batch, input_bits, num_tiles, set_bits)
         dense = matrix.dense_weights_t  # (in, out) float64, exact integers
         product = input_codes.astype(np.float64) @ dense
         return np.rint(product).astype(np.int64)
 
-    planes = matrix.planes
-    num_slices = matrix.slices.num_slices
-    out_cols = matrix.out_features * num_slices
-    bit_planes, used_bits = _packed_planes(input_codes, input_bits, stats)
-    bit_w = input_bit_weights(input_bits).astype(np.float64)
-    full_scale = matrix.adc.full_scale
-
-    # Accumulate ADC codes x input-bit weights in float64: every intermediate
-    # is an exact integer well inside 2^53, so this is exact integer math on
-    # BLAS-friendly operands.
-    acc = np.zeros((batch, out_cols), dtype=np.float64)
-    saturated = 0
-    skipped = 0
-    for tile_index in range(num_tiles):
-        row_start = tile_index * matrix.config.rows
-        row_stop = min(row_start + matrix.config.rows, in_features)
-        cells = planes[row_start:row_stop].reshape(row_stop - row_start, out_cols)
-        cells = np.ascontiguousarray(cells, dtype=np.float64)
-        for k in range(input_bits):
-            if not (used_bits >> k) & 1:
-                # All-zero activation bit-plane: its analog sums are all 0,
-                # which the ADC converts to code 0 — zero contribution and
-                # provably never saturated.  Skip the pack and the matmul.
-                skipped += 1
-                continue
-            sums = bit_planes[k, :, row_start:row_stop].astype(np.float64) @ cells
-            matrix.adc.convert_(sums)  # fused round/clip, in place
-            if stats is not None:
-                saturated += int(np.count_nonzero(sums == full_scale))
-            # acc += bit_w[k] * sums without a temporary:
-            np.multiply(sums, bit_w[k], out=sums)
-            np.add(acc, sums, out=acc)
+    bit_planes, used = _packed_planes(input_codes, input_bits, stats)
+    kept, bit_w = _kept_bit_weights(input_bits, used)
     if stats is not None:
-        stats.saturated_conversions += saturated
-        stats.zero_planes_skipped += skipped
-
-    # Digital recombination over weight slices, then offset removal.
-    slice_f = matrix.slices.slice_factors.astype(np.float64)
-    combined = acc.reshape(batch, matrix.out_features, num_slices) @ slice_f
-    result = np.rint(combined).astype(np.int64)
-    row_sums = input_codes.sum(axis=1, keepdims=True)
-    return result - matrix.slices.offset * row_sums
-
-
-# ----------------------------------------------------------------------
-# Fused batched kernel — one BLAS matmul per (bit-plane x programmed-plane)
-# ----------------------------------------------------------------------
-def fast_gemm(
-    matrix: "ProgrammedMatrix",
-    input_codes: np.ndarray,
-    input_bits: int,
-    stats: "GemvStats | None" = None,
-) -> np.ndarray:
-    """Fused batched bit-serial GEMM over all rows of ``input_codes``.
-
-    Where :func:`fast_gemv` issues one matmul per (row tile × input bit),
-    this path stacks every kept bit-plane of every batch row into a single
-    zero-padded ``(tiles, kept_bits*batch, rows)`` operand and hits the
-    matrix's epoch-cached stacked planes
-    (:meth:`~repro.rram.crossbar.ProgrammedMatrix.stacked_planes`) with
-    **one** ``np.matmul``, converts the whole analog-sum block through one
-    fused :meth:`~repro.rram.adc.SarAdc.convert_`, and recombines with a
-    single einsum.  All-zero activation bit-planes are dropped from the
-    operand (the same zero-plane skip as :func:`fast_gemv`).
-
-    Every intermediate is an exact integer in float64, so the result is
-    **bitwise-equal** to :func:`fast_gemv` on the same batch in noiseless
-    mode — including every hardware counter in ``stats`` — and allclose
-    under noise, where only BLAS summation order differs.
-    """
-    batch, in_features = input_codes.shape
-    rows = matrix.config.rows
-    num_tiles = -(-in_features // rows)
-
-    if stats is not None:
-        _fill_analytic_stats(stats, matrix, input_codes, input_bits, num_tiles)
+        set_bits = int(np.count_nonzero(bit_planes))
+        _fill_analytic_stats(stats, matrix, batch, input_bits, num_tiles, set_bits)
         stats.fused_rows += batch
-
-    if matrix.is_noiseless and matrix.saturation_free:
-        # Same exact shortcut as fast_gemv (see there): the bit-serial
-        # pipeline telescopes to the plain integer GEMV.
-        dense = matrix.dense_weights_t
-        product = input_codes.astype(np.float64) @ dense
-        return np.rint(product).astype(np.int64)
-
-    cache = _active_plane_cache
-    if cache is not None:
-        lhs, kept = cache.fused_lhs(input_codes, input_bits, rows, stats)
-    else:
-        planes_u8, used = _packed_planes(input_codes, input_bits, stats)
-        kept = [k for k in range(input_bits) if (used >> k) & 1]
-        lhs = _build_fused_lhs(planes_u8, kept, rows)
-
-    num_slices = matrix.slices.num_slices
-    row_sums = input_codes.sum(axis=1, keepdims=True)
-    if stats is not None:
+        # An all-zero activation bit-plane sums to 0 on every bitline, which
+        # the ADC converts to code 0: no contribution, never saturated.
         stats.zero_planes_skipped += (input_bits - len(kept)) * num_tiles
-    if not kept:
-        # Every activation code is 0: nothing reaches the arrays, only the
-        # offset-encoding correction remains (itself 0 when row_sums is 0).
-        zeros = np.zeros((batch, matrix.out_features), dtype=np.int64)
-        return zeros - matrix.slices.offset * row_sums
+    if not kept.size:
+        # Every activation code is 0, and so is the offset correction.
+        return np.zeros((batch, matrix.out_features), dtype=np.int64)
 
-    # One fused matmul: (tiles, K*batch, rows) @ (tiles, rows, out*n_s).
-    sums = np.matmul(lhs, matrix.stacked_planes())
-    matrix.adc.convert_(sums)  # fused round/clip over the whole block
-    if stats is not None:
-        stats.saturated_conversions += int(
-            np.count_nonzero(sums == matrix.adc.full_scale)
-        )
+    # (kept*batch, in): row k*batch + b is bit kept[k] of input row b.
+    lhs = bit_planes[kept].reshape(len(kept) * batch, in_features).astype(np.float64)
+    cells = matrix.float_planes()  # (in, out*n_s); row slices are the tiles
+    full_scale = matrix.adc.full_scale
+    codes = None
+    for row_start in range(0, in_features, rows):
+        row_stop = row_start + rows
+        sums = lhs[:, row_start:row_stop] @ cells[row_start:row_stop]
+        matrix.adc.convert_(sums)  # round/clip in place
+        if stats is not None:
+            stats.saturated_conversions += int(np.count_nonzero(sums == full_scale))
+        # Shift-and-add is linear, so per-tile codes can be summed first.
+        if codes is None:
+            codes = sums
+        else:
+            codes += sums
 
-    # Digital shift & add over kept input-bit planes and row tiles, then
-    # slice recombination and offset removal — all exact integers in float64.
-    from repro.rram.crossbar import input_bit_weights
-
-    bit_w = input_bit_weights(input_bits).astype(np.float64)[kept]
-    codes = sums.reshape(num_tiles, len(kept), batch, -1)
-    acc = np.einsum("tkbc,k->bc", codes, bit_w)
-    slice_f = matrix.slices.slice_factors.astype(np.float64)
-    combined = acc.reshape(batch, matrix.out_features, num_slices) @ slice_f
-    result = np.rint(combined).astype(np.int64)
-    return result - matrix.slices.offset * row_sums
+    # Digital shift-and-add over kept bit-planes, slice recombination, then
+    # removal of the weight offset: x @ (W + 128).T = x @ W.T + 128 * sum(x).
+    slices = matrix.slices
+    acc = bit_w @ codes.reshape(len(kept), -1)  # (batch * out * n_s,)
+    combined = acc.reshape(-1, slices.num_slices) @ _slice_place_values(
+        slices.cell.bits, slices.num_slices
+    )
+    result = combined.astype(np.int64).reshape(batch, matrix.out_features)
+    row_sums = input_codes.sum(axis=1, keepdims=True)
+    return result - slices.offset * row_sums
 
 
 def run_gemv(
@@ -620,9 +520,6 @@ def run_gemv(
     policy: KernelPolicy | None = None,
 ) -> np.ndarray:
     """Dispatch one validated GEMV according to ``policy`` (or the default)."""
-    policy = resolve_policy(policy)
-    if policy.mode == "reference":
+    if resolve_policy(policy).mode == "reference":
         return reference_gemv(matrix, input_codes, input_bits, stats)
-    if policy.mode == "gemm":
-        return fast_gemm(matrix, input_codes, input_bits, stats)
     return fast_gemv(matrix, input_codes, input_bits, stats)

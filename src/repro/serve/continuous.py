@@ -141,8 +141,11 @@ class ContinuousScheduler:
         completed: list[RequestResult] = []
         self.last_decode_rows = 0
         self.last_prefill_tokens = 0
+        # Module.eval() walks the whole module tree, so skip it when the
+        # model is already in eval mode (the served steady state).
         was_training = self.model.training
-        self.model.eval()
+        if was_training:
+            self.model.eval()
         try:
             with no_grad(), plane_cache_scope(self.plane_cache):
                 self._sync_plane_cache()

@@ -122,7 +122,7 @@ class ServingStats:
     preempted: int = 0
     #: Batched-decode fast-path accounting (continuous scheduler): activation
     #: bit-planes packed fresh vs. served from the step's PlaneCache, and
-    #: rows dispatched through the fused ``fast_gemm`` kernel.
+    #: rows the fast kernel ran bit-serially (``GemvStats.fused_rows``).
     planes_packed: int = 0
     pack_reuses: int = 0
     fused_rows: int = 0

@@ -30,6 +30,15 @@ class TestBenchKernels:
             assert row["reference_us"] > 0
             assert row["fast_us"] > 0
             assert row["speedup"] > 0
+            if row["noise"] == "calibrated":
+                assert row["exact_shortcut"] is False
+        # Random SLC weights over 32 rows cannot saturate a 6-bit ADC.
+        clean = next(r for r in value["grid"] if r["noise"] == "none")
+        assert clean["exact_shortcut"] is True
+        decode = value["batched_decode"]
+        for row in decode["grid"]:
+            assert row["batched_tok_s"] > 0 and row["per_row_tok_s"] > 0
+        assert all(p["batched_tok_s"] > 0 for p in decode["shard_sweep"])
         # The gated large points are always measured, even off-grid.
         for key in ("large_noiseless", "large_noisy"):
             assert value[key]["batch"] == 64

@@ -2,12 +2,12 @@
 
 The dynamic-operand seam is only admissible if (a) a noiseless operand's
 GEMV is *exactly* the integer product of its appended codes on every
-kernel (reference / fast / fused gemm) and both growth axes, (b) every
-appended cell is accounted — initial programs vs re-programs in
+kernel (reference / fast, plus the legacy gemm alias) and both growth
+axes, (b) every appended cell is accounted — initial programs vs re-programs in
 :class:`~repro.rram.crossbar.GemvStats`, pulses in the wear ledger's
 dynamic channel — and (c) partial-region writes invalidate *only* the
 operand's own tile: static matrices sharing the backend must keep their
-cached stacked planes (object identity, not just value equality).
+cached float planes (object identity, not just value equality).
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class TestAccounting:
 
 
 class TestCacheHygiene:
-    def test_static_stacked_planes_survive_dynamic_appends(self):
+    def test_static_float_planes_survive_dynamic_appends(self):
         """Partial writes must not invalidate *other* tiles' derived planes."""
         rng = np.random.default_rng(6)
         backend = SimBackend()
@@ -151,10 +151,10 @@ class TestCacheHygiene:
             cell=MLC2,
             backend=backend,
         )
-        before = static.stacked_planes()
+        before = static.float_planes()
         op = _operand("wordlines", backend=backend)
         op.append(_codes(rng, 4))
-        assert static.stacked_planes() is before
+        assert static.float_planes() is before
 
     def test_dynamic_view_reflects_appends_immediately(self):
         """The operand's own derived cache re-keys on every append."""

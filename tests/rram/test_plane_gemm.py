@@ -1,18 +1,17 @@
-"""Fused batched plane-GEMM (ISSUE 7): fast_gemm ≡ fast_gemv, PlaneCache.
+"""Batched bit-serial GEMV: one call per batch ≡ one call per row, PlaneCache.
 
-The batched-decode contract: dispatching a live batch through
-:func:`~repro.rram.kernels.fast_gemm` (one BLAS matmul per activation-plane
-× programmed-plane pair) is **bitwise-equal** to looping
-:func:`~repro.rram.kernels.fast_gemv` over the rows in noiseless mode —
-outputs and every hardware :class:`~repro.rram.crossbar.GemvStats` counter —
-and allclose under programming noise (only BLAS summation order differs
-inside the fused matmul).  Noiseless fused traces are additionally pinned
-by sha256 so the fused data path cannot drift silently.
+The batched-decode contract: pushing a whole live batch through
+:func:`~repro.rram.kernels.fast_gemv` in one call (one BLAS matmul per row
+tile over every kept bit-plane of every row) is **bitwise-equal** to
+calling it row by row — noiseless and under programming noise, because
+every analog sum is an exact float64 sum of stored cell values.  The
+``"gemm"`` policy mode is a legacy alias of the same kernel.  Noiseless
+batched traces are additionally pinned by sha256 so the batched data path
+cannot drift silently.
 
 Also covered: the content-keyed :class:`~repro.rram.kernels.PlaneCache`
-(bitwise-transparent reuse, LRU bounds, generation invalidation), the
-all-zero bit-plane skip, and the epoch-cached
-:meth:`~repro.rram.crossbar.ProgrammedMatrix.stacked_planes`.
+(bitwise-transparent reuse, LRU bounds, generation invalidation) and the
+all-zero bit-plane skip.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.rram import (
     plane_cache_scope,
 )
 from repro.rram.cell import CELL_TYPES
-from repro.rram.kernels import fast_gemm, fast_gemv, reference_gemv
+from repro.rram.kernels import fast_gemv, reference_gemv
 
 CELLS = ["SLC", "MLC2", "MLC3", "MLC4"]
 #: (batch, in_features, out_features): single tile, tile-spanning, ragged.
@@ -44,7 +43,7 @@ SHAPES = [(1, 16, 4), (5, 70, 33), (3, 200, 7)]
 def _config_for(cell_name: str) -> CrossbarConfig:
     # >2-bit cells need small tiles to stay inside a 7-bit ADC range, and
     # small tiles also put the noiseless pipeline OUTSIDE the saturation-free
-    # shortcut — the fused path is exercised for real.
+    # shortcut — the bit-serial path is exercised for real.
     if CELL_TYPES[cell_name].bits > 2:
         return CrossbarConfig(rows=16, cols=32)
     return CrossbarConfig()
@@ -66,55 +65,24 @@ def _data(cell_name: str, shape, sigma: float, low: int = -128, high: int = 128)
     return matrix, inputs
 
 
-class TestFusedEquivalence:
+class TestBatchedEquivalence:
     @pytest.mark.parametrize("cell_name", CELLS)
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("sigma", [0.0, 0.08])
-    def test_fused_matches_per_row_loop(self, cell_name, shape, sigma):
-        """fast_gemm(batch) vs a per-row fast_gemv loop: bitwise when
-        noiseless, allclose under noise."""
+    def test_batched_call_matches_per_row_loop(self, cell_name, shape, sigma):
+        """fast_gemv(batch) vs a per-row fast_gemv loop: bitwise, noisy too."""
         matrix, inputs = _data(cell_name, shape, sigma)
-        fused = fast_gemm(matrix, inputs, 8)
+        batched = fast_gemv(matrix, inputs, 8)
         per_row = np.vstack(
             [fast_gemv(matrix, inputs[i : i + 1], 8) for i in range(shape[0])]
         )
-        if sigma == 0.0:
-            np.testing.assert_array_equal(fused, per_row)
-        else:
-            np.testing.assert_allclose(fused, per_row)
+        np.testing.assert_array_equal(batched, per_row)
 
-    @pytest.mark.parametrize("cell_name", CELLS)
-    @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("sigma", [0.0, 0.08])
-    def test_fused_stats_match_batched_fast_gemv(self, cell_name, shape, sigma):
-        """Same batched call through both kernels: identical outputs-when-
-        noiseless and identical hardware counters (dispatch-shape counters
-        are compare=False and legitimately differ)."""
-        matrix, inputs = _data(cell_name, shape, sigma)
-        fused_stats, loop_stats = GemvStats(), GemvStats()
-        fused = fast_gemm(matrix, inputs, 8, stats=fused_stats)
-        looped = fast_gemv(matrix, inputs, 8, stats=loop_stats)
-        assert fused_stats == loop_stats
-        assert fused_stats.fused_rows == shape[0]
-        assert loop_stats.fused_rows == 0
-        assert fused_stats.zero_planes_skipped == loop_stats.zero_planes_skipped
-        if sigma == 0.0:
-            np.testing.assert_array_equal(fused, looped)
-        else:
-            np.testing.assert_allclose(fused, looped)
-
-    @pytest.mark.parametrize("cell_name", CELLS)
-    def test_fused_matches_reference_noiseless(self, cell_name):
-        matrix, inputs = _data(cell_name, (4, 70, 9), 0.0)
-        np.testing.assert_array_equal(
-            fast_gemm(matrix, inputs, 8), reference_gemv(matrix, inputs, 8)
-        )
-
-    def test_gemm_policy_mode_dispatches(self):
+    def test_gemm_alias_runs_the_fast_kernel(self):
         matrix, inputs = _data("MLC3", (3, 70, 9), 0.05)
         stats = GemvStats()
         via_policy = matrix.gemv(inputs, stats=stats, policy=KernelPolicy(mode="gemm"))
-        np.testing.assert_array_equal(via_policy, fast_gemm(matrix, inputs, 8))
+        np.testing.assert_array_equal(via_policy, fast_gemv(matrix, inputs, 8))
         assert stats.fused_rows == 3
         with kernel_policy(KernelPolicy(mode="gemm")):
             np.testing.assert_array_equal(matrix.gemv(inputs), via_policy)
@@ -124,9 +92,9 @@ class TestFusedEquivalence:
             KernelPolicy(mode="fused")
 
 
-#: sha256 of the noiseless fused int64 outputs — exact integers, so the
-#: hash is platform-stable.  Any drift in the fused data path (packing,
-#: stacked planes, fused ADC, shift-and-add) breaks these.
+#: sha256 of the noiseless batched int64 outputs — exact integers, so the
+#: hash is platform-stable.  Any drift in the batched data path (packing,
+#: float planes, ADC, shift-and-add) breaks these.
 GOLDEN_FUSED_SHA256 = {
     "SLC": "f68e7c76a46b03fd09099ce84e548f80649bf5b9ee32301d603c59f505dc5401",
     "MLC2": "245636c824dc796e1814d4d0736adc755f5c2800c61993d8a424b075d3a2fb93",
@@ -139,10 +107,10 @@ class TestGoldenTraces:
     @pytest.mark.parametrize("cell_name", CELLS)
     def test_pinned_noiseless_fused_trace(self, cell_name):
         matrix, inputs = _data(cell_name, (5, 70, 33), 0.0)
-        fused = fast_gemm(matrix, inputs, 8)
-        digest = hashlib.sha256(np.ascontiguousarray(fused).tobytes()).hexdigest()
+        batched = fast_gemv(matrix, inputs, 8)
+        digest = hashlib.sha256(np.ascontiguousarray(batched).tobytes()).hexdigest()
         assert digest == GOLDEN_FUSED_SHA256[cell_name], (
-            f"fused {cell_name} trace drifted: {digest}"
+            f"batched {cell_name} trace drifted: {digest}"
         )
 
 
@@ -151,23 +119,21 @@ class TestZeroPlaneSkip:
         matrix, _ = _data("MLC2", (3, 40, 16), 0.05)
         rng = np.random.default_rng(9)
         inputs = rng.integers(0, 4, size=(3, 40))  # bits 2..7 all-zero
-        s_fast, s_gemm, s_ref = GemvStats(), GemvStats(), GemvStats()
+        s_fast, s_ref = GemvStats(), GemvStats()
         out_fast = fast_gemv(matrix, inputs, 8, stats=s_fast)
-        out_gemm = fast_gemm(matrix, inputs, 8, stats=s_gemm)
         out_ref = reference_gemv(matrix, inputs, 8, stats=s_ref)
         np.testing.assert_array_equal(out_fast, out_ref)
-        np.testing.assert_allclose(out_gemm, out_ref)
         num_tiles = -(-40 // matrix.config.rows)
         assert s_fast.zero_planes_skipped == 6 * num_tiles
-        assert s_gemm.zero_planes_skipped == s_fast.zero_planes_skipped
         assert s_ref.zero_planes_skipped == 0  # reference never skips
 
     def test_all_zero_inputs(self):
         matrix, _ = _data("MLC3", (2, 70, 9), 0.05)
         zeros = np.zeros((2, 70), dtype=np.int64)
         expected = reference_gemv(matrix, zeros, 8)
-        np.testing.assert_array_equal(fast_gemv(matrix, zeros, 8), expected)
-        np.testing.assert_array_equal(fast_gemm(matrix, zeros, 8), expected)
+        stats = GemvStats()
+        np.testing.assert_array_equal(fast_gemv(matrix, zeros, 8, stats=stats), expected)
+        assert stats.zero_planes_skipped == 8 * -(-70 // matrix.config.rows)
 
     def test_hardware_counters_unaffected_by_skip(self):
         """Skipping a zero plane changes no hardware counter: the analytic
@@ -185,25 +151,23 @@ class TestZeroPlaneSkip:
 class TestPlaneCache:
     def test_content_keyed_reuse_is_bitwise_transparent(self):
         matrix, inputs = _data("MLC3", (4, 70, 9), 0.05)
-        bare = fast_gemm(matrix, inputs, 8)
+        bare = fast_gemv(matrix, inputs, 8)
         cache = PlaneCache()
         with plane_cache_scope(cache):
-            first = fast_gemm(matrix, inputs, 8)
+            first = fast_gemv(matrix, inputs, 8)
             # A distinct array with equal content must hit, not re-pack.
-            second = fast_gemm(matrix, inputs.copy(), 8)
-            from_gemv = fast_gemv(matrix, inputs, 8)
+            second = fast_gemv(matrix, inputs.copy(), 8)
         np.testing.assert_array_equal(first, bare)
         np.testing.assert_array_equal(second, bare)
-        np.testing.assert_array_equal(from_gemv, fast_gemv(matrix, inputs, 8))
         assert cache.stats.planes_packed == 8
-        assert cache.stats.pack_reuses == 16
+        assert cache.stats.pack_reuses == 8
 
     def test_gemv_stats_carry_pack_counters(self):
         matrix, inputs = _data("MLC3", (2, 70, 9), 0.05)
         stats = GemvStats()
         with plane_cache_scope(PlaneCache()):
-            fast_gemm(matrix, inputs, 8, stats=stats)
-            fast_gemm(matrix, inputs, 8, stats=stats)
+            fast_gemv(matrix, inputs, 8, stats=stats)
+            fast_gemv(matrix, inputs, 8, stats=stats)
         assert stats.planes_packed == 8
         assert stats.pack_reuses == 8
         merged = GemvStats()
@@ -216,14 +180,14 @@ class TestPlaneCache:
         cache = PlaneCache()
         with plane_cache_scope(cache):
             cache.set_generation(1)
-            fast_gemm(matrix, inputs, 8)
+            fast_gemv(matrix, inputs, 8)
             assert len(cache) == 1
             cache.set_generation(1)  # same generation: entries survive
             assert len(cache) == 1
             cache.set_generation(2)  # composition changed: dropped
             assert len(cache) == 0
             assert cache.stats.invalidations == 1
-            fast_gemm(matrix, inputs, 8)  # re-packs fresh
+            fast_gemv(matrix, inputs, 8)  # re-packs fresh
         assert cache.stats.planes_packed == 16
 
     def test_lru_capacity_bound(self):
@@ -232,7 +196,7 @@ class TestPlaneCache:
         rng = np.random.default_rng(5)
         with plane_cache_scope(cache):
             for _ in range(5):
-                fast_gemm(matrix, rng.integers(-128, 128, size=(1, 40)), 8)
+                fast_gemv(matrix, rng.integers(-128, 128, size=(1, 40)), 8)
         assert len(cache) == 2
 
     def test_scope_nesting_and_restoration(self):
@@ -247,46 +211,6 @@ class TestPlaneCache:
             assert get_active_plane_cache() is outer
         assert get_active_plane_cache() is None
 
-    def test_fused_lhs_memoized_per_tile_geometry(self):
-        cache = PlaneCache()
-        rng = np.random.default_rng(6)
-        inputs = rng.integers(-128, 128, size=(3, 40))
-        lhs_a, kept_a = cache.fused_lhs(inputs, 8, rows=32)
-        lhs_b, kept_b = cache.fused_lhs(inputs, 8, rows=32)
-        assert lhs_a is lhs_b and kept_a == kept_b  # one materialization
-        lhs_c, _ = cache.fused_lhs(inputs, 8, rows=16)
-        assert lhs_c is not lhs_a  # different tile geometry, new operand
-        assert lhs_a.shape == (2, len(kept_a) * 3, 32)
-        assert lhs_c.shape == (3, len(kept_a) * 3, 16)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PlaneCache(capacity=0)
-
-
-class TestStackedPlanes:
-    def test_zero_padded_geometry_and_epoch_cache(self):
-        matrix, _ = _data("MLC3", (1, 70, 9), 0.05)
-        stacked = matrix.stacked_planes()
-        num_tiles = -(-70 // matrix.config.rows)
-        out_cols = matrix.out_features * matrix.slices.num_slices
-        assert stacked.shape == (num_tiles, matrix.config.rows, out_cols)
-        assert stacked.dtype == np.float64
-        # Padding rows of the trailing partial tile are exactly zero.
-        pad = 70 - (num_tiles - 1) * matrix.config.rows
-        assert np.all(stacked[-1, pad:] == 0.0)
-        assert matrix.stacked_planes() is stacked  # cached per epoch
-
-    def test_reprogram_invalidates_stack(self):
-        matrix, inputs = _data("MLC2", (2, 40, 16), 0.08)
-        before = matrix.stacked_planes()
-        out_before = fast_gemm(matrix, inputs, 8)
-        matrix.reprogram()  # fresh noise draw, epoch bump
-        after = matrix.stacked_planes()
-        assert after is not before
-        # The fused kernel tracks the reprogrammed cells exactly as the
-        # per-row kernel does.
-        np.testing.assert_allclose(
-            fast_gemm(matrix, inputs, 8), fast_gemv(matrix, inputs, 8)
-        )
-        assert not np.array_equal(out_before, fast_gemm(matrix, inputs, 8))

@@ -398,3 +398,55 @@ class TestSlotPoolIntegration:
         [result] = engine.serve([rng.integers(0, 16, size=3)], max_new_tokens=2)
         assert result.tokens.size == 2
         assert engine.gemv_stats().adc_conversions > 0
+
+
+class TestEvalModeToggle:
+    """step() walks the module tree for eval()/train() only when it must."""
+
+    @staticmethod
+    def _count_mode_calls(monkeypatch) -> dict[str, int]:
+        from repro.nn.modules import Module
+
+        calls = {"eval": 0, "train": 0}
+        real_eval, real_train = Module.eval, Module.train
+
+        def eval_spy(self):
+            calls["eval"] += 1
+            return real_eval(self)
+
+        def train_spy(self, mode=True):
+            calls["train"] += 1
+            return real_train(self, mode)
+
+        monkeypatch.setattr(Module, "eval", eval_spy)
+        monkeypatch.setattr(Module, "train", train_spy)
+        return calls
+
+    def test_eval_mode_model_is_not_toggled(self, model, rng, monkeypatch):
+        model.eval()
+        engine = ServingEngine(model, max_batch_size=2)
+        engine.submit(rng.integers(0, 40, size=4), 3)
+        calls = self._count_mode_calls(monkeypatch)
+        engine.step(force=True)
+        assert calls == {"eval": 0, "train": 0}
+        assert not model.training
+
+    def test_training_model_decodes_in_eval_and_is_restored(
+        self, model, rng, monkeypatch
+    ):
+        model.train()
+        modes = []
+        real_prefill = model.prefill
+
+        def prefill_spy(*args, **kwargs):
+            modes.append(model.training)
+            return real_prefill(*args, **kwargs)
+
+        monkeypatch.setattr(model, "prefill", prefill_spy)
+        engine = ServingEngine(model, max_batch_size=2)
+        engine.submit(rng.integers(0, 40, size=4), 3)
+        calls = self._count_mode_calls(monkeypatch)
+        engine.step(force=True)
+        assert modes == [False]  # admission prefill ran in eval mode
+        assert calls["eval"] == 1
+        assert model.training  # restored after the step

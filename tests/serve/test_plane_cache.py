@@ -10,9 +10,9 @@ every layer call.  A hypothesis harness interleaves submit / step
 operations on two identically-seeded crossbar engines — ``plane_cache=True``
 vs the pack-every-step control — and demands identical per-request tokens.
 
-Also covered: the new :class:`~repro.serve.engine.ServingStats` dispatch
+Also covered: the :class:`~repro.serve.engine.ServingStats` dispatch
 counters (``planes_packed`` / ``pack_reuses`` / ``fused_rows``) and the
-gemm-policy ≡ fast-policy serving equivalence.
+legacy ``"gemm"`` policy alias serving exactly what ``"fast"`` serves.
 """
 
 from __future__ import annotations
@@ -106,26 +106,23 @@ class TestNoStalePlanes:
     @given(ops=_OPS)
     def test_cached_serving_matches_pack_every_step(self, ops):
         """Golden equivalence vs the pack-every-step control, under noise
-        and the fused gemm dispatch, for arbitrary admit/retire/decode
+        and batched bit-serial dispatch, for arbitrary admit/retire/decode
         interleavings."""
-        with kernel_policy(KernelPolicy(mode="gemm")):
-            cached = _engine(plane_cache=True)
-            control = _engine(plane_cache=False)
-            traces = []
-            for engine in (cached, control):
-                submitted, finished = [], {}
-                for op in ops:
-                    if op == "step":
-                        for result in engine.step(force=True):
-                            finished[result.request_id] = result
-                    else:
-                        length, budget, seed = op
-                        submitted.append(
-                            engine.submit(_prompt(seed, length), budget)
-                        )
-                for result in engine.run_until_idle():
-                    finished[result.request_id] = result
-                traces.append([finished[rid].tokens.tolist() for rid in submitted])
+        cached = _engine(plane_cache=True)
+        control = _engine(plane_cache=False)
+        traces = []
+        for engine in (cached, control):
+            submitted, finished = [], {}
+            for op in ops:
+                if op == "step":
+                    for result in engine.step(force=True):
+                        finished[result.request_id] = result
+                else:
+                    length, budget, seed = op
+                    submitted.append(engine.submit(_prompt(seed, length), budget))
+            for result in engine.run_until_idle():
+                finished[result.request_id] = result
+            traces.append([finished[rid].tokens.tolist() for rid in submitted])
         assert traces[0] == traces[1]
 
     def test_admissions_and_retirements_invalidate(self):
@@ -141,10 +138,8 @@ class TestNoStalePlanes:
 
 
 class TestServingStatsCounters:
-    def test_gemm_policy_reports_dispatch_counters(self):
-        engine = _engine(
-            plane_cache=True, policy=KernelPolicy(mode="gemm"), max_wait_s=0.0
-        )
+    def test_fast_kernel_reports_dispatch_counters(self):
+        engine = _engine(plane_cache=True, max_wait_s=0.0)
         for i in range(3):
             engine.submit(_prompt(i, 3 + i), 4)
         engine.run_until_idle()
@@ -160,30 +155,25 @@ class TestServingStatsCounters:
         codes: the first shard packs, the rest must hit the cache."""
         from repro.dist import DeviceMesh
 
-        engine = _engine(
-            plane_cache=True,
-            policy=KernelPolicy(mode="gemm"),
-            mesh=DeviceMesh(),
-            tensor_parallel=2,
-        )
+        engine = _engine(plane_cache=True, mesh=DeviceMesh(), tensor_parallel=2)
         engine.submit(_prompt(5, 4), 4)
         engine.run_until_idle()
         assert engine.stats.planes_packed > 0
         assert engine.stats.pack_reuses > 0
 
-    def test_cache_disabled_packs_fresh_but_still_fuses(self):
-        engine = _engine(plane_cache=False, policy=KernelPolicy(mode="gemm"))
+    def test_cache_disabled_packs_fresh_but_still_counts_rows(self):
+        engine = _engine(plane_cache=False)
         engine.submit(_prompt(2, 4), 4)
         engine.run_until_idle()
         assert engine.stats.planes_packed == 0
         assert engine.stats.pack_reuses == 0
-        assert engine.stats.fused_rows > 0  # fused dispatch, fresh packing
+        assert engine.stats.fused_rows > 0  # bit-serial rows, fresh packing
 
 
 class TestGemmPolicyEquivalence:
     def test_gemm_serving_matches_fast_serving(self):
-        """Continuous serving under the fused gemm dispatch emits the same
-        tokens as the per-row fast kernel (noiseless => bitwise logits)."""
+        """The legacy ``"gemm"`` alias stays constructible and serves the
+        same tokens as the fast kernel it now names."""
         trace = [(_prompt(i, 2 + i % 4), 3 + i % 3) for i in range(5)]
         outputs = {}
         for mode in ("fast", "gemm"):
