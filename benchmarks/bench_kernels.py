@@ -8,7 +8,7 @@ per-row decode through the fast kernel, and wall-clocks the Fig. 12 smoke
 sweep.  The payload is written to
 ``BENCH_kernels.json`` at the repo root — the perf-trajectory file CI
 uploads as an artifact and gates on (fast must never be slower than
-reference on the large-GEMV point).
+reference on the large-GEMV and prefill-shaped points).
 """
 
 from __future__ import annotations
@@ -42,6 +42,15 @@ def test_bench_kernels(benchmark, print_header, fresh_runner):
             f"{row['reference_us']:>10.0f}µ {row['fast_us']:>10.0f}µ "
             f"{row['speedup']:>7.1f}x {'yes' if row['exact_shortcut'] else 'no':>8}"
         )
+    print_header(f"Prefill-shaped points — calibrated noise, batch {value['prefill'][0]['batch']}")
+    print(f"{'cell':>5} {'out':>4} {'in':>4} {'reference':>11} {'fast':>11} "
+          f"{'speedup':>8} {'clip-free':>9} {'table':>6}")
+    for row in value["prefill"]:
+        print(
+            f"{row['cell']:>5} {row['out_features']:>4} {row['in_features']:>4} "
+            f"{row['reference_us']:>10.0f}µ {row['fast_us']:>10.0f}µ "
+            f"{row['speedup']:>7.1f}x {row['clip_free_tiles']:>9} {row['table_tiles']:>6}"
+        )
     decode = value["batched_decode"]
     print_header("Batched decode — one fast-kernel call per batch vs per row (tokens/s)")
     print(f"{'batch':>5} {'per-row':>9} {'batched':>9} {'speedup':>8}")
@@ -70,6 +79,9 @@ def test_bench_kernels(benchmark, print_header, fresh_runner):
     large_noisy = value["large_noisy"]
     assert large_clean["speedup"] >= 5.0, large_clean
     assert large_noisy["speedup"] >= 2.0, large_noisy
+    # The fast kernel must never lose to the reference on a prefill shape.
+    for row in value["prefill"]:
+        assert row["fast_us"] <= row["reference_us"], row
     # Batched-decode gates (ISSUE 7): one batched call per stage must
     # deliver >= 2x per-row tokens/s at batch 32 and scale superlinearly
     # with batch (fixed packing/dispatch overheads amortize).

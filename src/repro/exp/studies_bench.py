@@ -9,7 +9,7 @@ to end.  Its payload is what lands in ``BENCH_kernels.json`` (written by
 ``benchmarks/bench_kernels.py`` and by the CI smoke job), seeding the
 perf-trajectory series future PRs are gated against: CI fails if the fast
 kernel ever becomes slower than the reference kernel on the large-GEMV
-point.
+points or the prefill-shaped points.
 
 Timings are wall-clock, so cached replays of this experiment report the
 machine state of the original run; benchmark jobs run it with caching
@@ -44,6 +44,15 @@ DEFAULT_BATCHES = (1, 8, 64)
 DEFAULT_OUT_FEATURES = (64, 256)
 DEFAULT_CELLS = ("SLC", "MLC2")
 LARGE_POINT = {"batch": 64, "out_features": 256, "in_features": 512, "cell": "SLC"}
+#: Prefill-shaped points (calibrated noise, batch 54 like a served long
+#: prompt), also gated in CI: a 4-wordline SLC tile, narrow enough for the
+#: fast kernel's pattern table, and a 38-wordline MLC2 tile converted row
+#: by row.
+PREFILL_BATCH = 54
+PREFILL_POINTS = (
+    {"out_features": 128, "in_features": 4, "cell": "SLC"},
+    {"out_features": 128, "in_features": 38, "cell": "MLC2"},
+)
 
 
 def _time_gemv(
@@ -101,6 +110,9 @@ def _bench_point(
         "reference_us": round(ref_s * 1e6, 2),
         "fast_us": round(fast_s * 1e6, 2),
         "speedup": round(ref_s / fast_s, 2),
+        # How the fast kernel converted the row tiles of one call.
+        "clip_free_tiles": fast_stats.clip_free_tiles,
+        "table_tiles": fast_stats.table_tiles,
     }
 
 
@@ -311,6 +323,18 @@ def bench_kernels(params: dict[str, Any], seed: int) -> dict[str, Any]:
         "grid": grid,
         "large_noiseless": _large(False),
         "large_noisy": _large(True),
+        "prefill": [
+            _bench_point(
+                PREFILL_BATCH,
+                point["out_features"],
+                point["in_features"],
+                point["cell"],
+                True,
+                reps,
+                rng,
+            )
+            for point in PREFILL_POINTS
+        ],
         "batched_decode": _batched_decode_study(params, seed),
     }
     if include_fig12:

@@ -22,7 +22,11 @@ exactly this property: when a matrix is noiseless and no bitline can reach
 the ADC full-scale code it short-circuits the whole bit-serial pipeline to
 one dense matmul (with identical outputs and statistics); the einsum
 formulation survives as the ``reference`` kernel both are tested against.
-Which kernel runs is governed by :class:`~repro.rram.kernels.KernelPolicy`.
+With noise it uses the same argument per row tile:
+:meth:`ProgrammedMatrix.clip_free_tiles` marks the tiles whose effective
+cells cannot reach full scale for any input, and those tiles skip the
+ADC's clip.  Which kernel runs is governed by
+:class:`~repro.rram.kernels.KernelPolicy`.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.quant.quantizer import int_to_bits
 from repro.rram.adc import SarAdc, required_adc_bits
 from repro.rram.backend import CrossbarBackend, resolve_backend
 from repro.rram.cell import CellType
-from repro.rram.kernels import KernelPolicy, resolve_policy, run_gemv
+from repro.rram.kernels import KernelPolicy, clip_free_flags, resolve_policy, run_gemv
 
 __all__ = [
     "CrossbarConfig",
@@ -160,11 +164,15 @@ class GemvStats:
     #: same workload agree on every hardware counter above while legitimately
     #: differing here, so equality checks ignore them.  ``fused_rows`` counts
     #: input rows the fast kernel ran bit-serially (one matmul per row tile
-    #: for the whole batch).
+    #: for the whole batch); ``clip_free_tiles`` the row tiles it converted
+    #: with the round alone (the cells prove no clip), ``table_tiles`` the
+    #: narrow row tiles it converted once per wordline pattern.
     planes_packed: int = field(default=0, compare=False)
     pack_reuses: int = field(default=0, compare=False)
     fused_rows: int = field(default=0, compare=False)
     zero_planes_skipped: int = field(default=0, compare=False)
+    clip_free_tiles: int = field(default=0, compare=False)
+    table_tiles: int = field(default=0, compare=False)
 
     def merge(self, other: "GemvStats") -> None:
         """Accumulate ``other``'s counters into this instance (in place)."""
@@ -180,6 +188,8 @@ class GemvStats:
         self.pack_reuses += other.pack_reuses
         self.fused_rows += other.fused_rows
         self.zero_planes_skipped += other.zero_planes_skipped
+        self.clip_free_tiles += other.clip_free_tiles
+        self.table_tiles += other.table_tiles
 
 
 class ProgrammedMatrix:
@@ -231,10 +241,9 @@ class ProgrammedMatrix:
             resolve_policy(policy).storage_dtype,
         )
         self.adc = adc or SarAdc(bits=required_adc_bits(self.config.rows, cell.bits))
-        self._saturation_free: bool | None = None
         self._dense_weights_t: np.ndarray | None = None
-        self._float_planes: np.ndarray | None = None
-        self._float_epoch: int = -1
+        self._epoch_cache: dict = {}
+        self._epoch_cache_key: int | None = None
 
     # -- programmed-cell views (consumed by repro.rram.kernels) ---------------
     @property
@@ -276,21 +285,36 @@ class ProgrammedMatrix:
     def saturation_free(self) -> bool:
         """True when no bitline of any row tile can reach the ADC full scale.
 
-        Checked against the worst case (every wordline bit set): if even the
-        largest possible per-column level sum stays *strictly below* the
-        full-scale code, no conversion can clip or report saturation for any
-        input, which licenses the fast kernel's exact noiseless shortcut.
-        Computed once per programmed matrix and cached.
+        Every row tile is clip-free (:meth:`clip_free_tiles`): even the
+        largest possible per-column level sum (every wordline bit set)
+        rounds *strictly below* the full-scale code, so no conversion can
+        clip or report saturation for any input.  On noiseless cells this
+        licenses the fast kernel's exact shortcut.
         """
-        if self._saturation_free is None:
-            worst = 0
-            rows = self.config.rows
-            values = self.slices.values
-            for row_start in range(0, self.in_features, rows):
-                tile = values[row_start : row_start + rows]
-                worst = max(worst, int(tile.sum(axis=0).max()))
-            self._saturation_free = worst < self.adc.full_scale
-        return self._saturation_free
+        return all(self.clip_free_tiles())
+
+    def _epoch_cached(self, name: str, build):
+        """``build()``, cached until the backend epoch moves."""
+        epoch = self.backend.epoch
+        if self._epoch_cache_key != epoch:
+            self._epoch_cache = {}
+            self._epoch_cache_key = epoch
+        if name not in self._epoch_cache:
+            self._epoch_cache[name] = build()
+        return self._epoch_cache[name]
+
+    def clip_free_tiles(self) -> tuple[bool, ...]:
+        """Per-row-tile clip-freedom of the effective cells, cached per epoch.
+
+        See :func:`~repro.rram.kernels.clip_free_flags`; derived from
+        :attr:`planes`, so fault backends that evolve conductances
+        (``advance()``/``reprogram()``) re-derive it like
+        :meth:`float_planes`.
+        """
+        return self._epoch_cached(
+            "clip_free",
+            lambda: clip_free_flags(self.planes, self.config.rows, self.adc.full_scale),
+        )
 
     def float_planes(self) -> np.ndarray:
         """The cells as one float64 ``(in, out*n_s)`` block, cached per epoch.
@@ -300,13 +324,12 @@ class ProgrammedMatrix:
         backend's ``epoch`` so fault backends that evolve conductances
         (``advance()``/``reprogram()``) invalidate it automatically.
         """
-        epoch = self.backend.epoch
-        if self._float_planes is None or self._float_epoch != epoch:
-            self._float_planes = np.ascontiguousarray(
+        return self._epoch_cached(
+            "float_planes",
+            lambda: np.ascontiguousarray(
                 self.planes.reshape(self.in_features, -1), dtype=np.float64
-            )
-            self._float_epoch = epoch
-        return self._float_planes
+            ),
+        )
 
     @property
     def dense_weights_t(self) -> np.ndarray:
@@ -334,23 +357,34 @@ class ProgrammedMatrix:
         ``policy`` overrides the matrix-level policy for this call; both fall
         back to the process-wide default (:mod:`repro.rram.kernels`).
         """
-        input_codes = np.atleast_2d(np.asarray(input_codes, dtype=np.int64))
-        _, in_features = input_codes.shape
-        if in_features != self.in_features:
-            raise ValueError(
-                f"shape mismatch: inputs {input_codes.shape}, "
-                f"weights ({self.out_features}, {self.in_features})"
-            )
-        offset_inputs = input_codes + 2 ** (input_bits - 1)
-        if offset_inputs.min() < 0 or offset_inputs.max() >= 2**input_bits:
-            raise ValueError(f"input codes exceed the signed {input_bits}-bit range")
         return run_gemv(
             self,
-            input_codes,
+            checked_gemv_inputs(input_codes, input_bits, self),
             input_bits,
             stats=stats,
             policy=policy if policy is not None else self.policy,
         )
+
+
+def checked_gemv_inputs(
+    input_codes: np.ndarray, input_bits: int, matrix, operand: str = "weights"
+) -> np.ndarray:
+    """``input_codes`` as 2-D int64, checked against ``matrix``'s inputs.
+
+    Raises ``ValueError`` when the column count is not
+    ``matrix.in_features`` (the message names the ``operand``) or a code
+    falls outside the signed ``input_bits`` range.
+    """
+    input_codes = np.atleast_2d(np.asarray(input_codes, dtype=np.int64))
+    if input_codes.shape[1] != matrix.in_features:
+        raise ValueError(
+            f"shape mismatch: inputs {input_codes.shape}, "
+            f"{operand} ({matrix.out_features}, {matrix.in_features})"
+        )
+    offset_inputs = input_codes + 2 ** (input_bits - 1)
+    if offset_inputs.min() < 0 or offset_inputs.max() >= 2**input_bits:
+        raise ValueError(f"input codes exceed the signed {input_bits}-bit range")
+    return input_codes
 
 
 def bit_serial_gemv(

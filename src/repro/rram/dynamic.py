@@ -22,9 +22,9 @@ The mechanics:
   planes (the static weights' ``float_planes``, the ``PlaneCache``) valid;
 - GEMVs run against a zero-copy *view* of the valid region ``[0, length)``,
   which exposes the full programmed-matrix duck-type surface (planes,
-  slices, ADC, saturation-freedom, float planes), so the ``reference``
-  and ``fast`` kernels both apply, including the exact noiseless
-  shortcut when the valid region is provably saturation-free.
+  slices, ADC, clip-free tiles, float planes), so the ``reference`` and
+  ``fast`` kernels both apply, including the exact noiseless shortcut
+  when every tile of the valid region is provably clip-free.
 
 ``grow`` selects the physical growth axis.  ``"wordlines"`` appends input
 rows (the AV operand: attention probabilities stream over the wordlines,
@@ -39,8 +39,14 @@ import numpy as np
 from repro.rram.adc import SarAdc, required_adc_bits
 from repro.rram.backend import CrossbarBackend, resolve_backend
 from repro.rram.cell import MLC2, CellType
-from repro.rram.crossbar import CrossbarConfig, GemvStats, WeightSlices, slice_weights
-from repro.rram.kernels import KernelPolicy, resolve_policy, run_gemv
+from repro.rram.crossbar import (
+    CrossbarConfig,
+    GemvStats,
+    WeightSlices,
+    checked_gemv_inputs,
+    slice_weights,
+)
+from repro.rram.kernels import KernelPolicy, clip_free_flags, resolve_policy, run_gemv
 
 __all__ = ["DynamicOperand"]
 
@@ -52,9 +58,9 @@ class _DynamicView:
 
     Implements the duck-type surface the GEMV kernels consume from
     :class:`~repro.rram.crossbar.ProgrammedMatrix` (planes, slices, config,
-    ADC, noiselessness, saturation-freedom, dense weights, float planes),
-    so a dynamic operand is kernel-compatible without forking kernel code.
-    Derived artifacts (saturation flag, dense weights, float planes) are
+    ADC, noiselessness, clip-free tiles, dense weights, float planes), so
+    a dynamic operand is kernel-compatible without forking kernel code.
+    Derived artifacts (clip-free flags, dense weights, float planes) are
     cached on the owning operand, keyed by the backend epoch, the tile's
     ``write_epoch`` and the logical length — any append, reprogram or
     clock advance invalidates them.
@@ -92,26 +98,23 @@ class _DynamicView:
         """True when reads return the exact integer levels (ideal backend)."""
         return self._op.backend.is_ideal(self._op._tile)
 
-    @property
-    def saturation_free(self) -> bool:
-        """True when no bitline of the valid region can reach ADC full scale.
+    def clip_free_tiles(self) -> tuple[bool, ...]:
+        """Per-row-tile clip-freedom of the valid region (see static twin).
 
-        Computed over the *valid* cells only — appended rows change the
-        worst-case column sums, so the flag is re-derived whenever the
-        operand's cache key moves.
+        Derived only for noiseless cells, over the *valid* levels, and
+        re-derived whenever the operand's cache key moves.  Noisy cells
+        report every tile as unproven: an operand is read about once per
+        append, too rarely for the re-check to pay, so its tiles keep the
+        ADC's clip.
         """
-        cached = self._op._cache_get("saturation_free")
+        if not self.is_noiseless:
+            return (False,) * -(-self.in_features // self.config.rows)
+        cached = self._op._cache_get("clip_free")
         if cached is not None:
             return cached
-        worst = 0
-        rows = self.config.rows
-        values = self._op._valid_levels()
-        for row_start in range(0, self.in_features, rows):
-            tile = values[row_start : row_start + rows]
-            worst = max(worst, int(tile.sum(axis=0).max(initial=0)))
-        free = worst < self.adc.full_scale
-        self._op._cache_set("saturation_free", free)
-        return free
+        flags = clip_free_flags(self._op._valid_levels(), self.config.rows, self.adc.full_scale)
+        self._op._cache_set("clip_free", flags)
+        return flags
 
     @property
     def dense_weights_t(self) -> np.ndarray:
@@ -334,18 +337,9 @@ class DynamicOperand:
         if self.length == 0:
             raise ValueError("cannot GEMV an empty dynamic operand")
         view = _DynamicView(self)
-        input_codes = np.atleast_2d(np.asarray(input_codes, dtype=np.int64))
-        if input_codes.shape[1] != view.in_features:
-            raise ValueError(
-                f"shape mismatch: inputs {input_codes.shape}, "
-                f"operand ({view.out_features}, {view.in_features})"
-            )
-        offset_inputs = input_codes + 2 ** (input_bits - 1)
-        if offset_inputs.min() < 0 or offset_inputs.max() >= 2**input_bits:
-            raise ValueError(f"input codes exceed the signed {input_bits}-bit range")
         return run_gemv(
             view,
-            input_codes,
+            checked_gemv_inputs(input_codes, input_bits, view, operand="operand"),
             input_bits,
             stats=stats if stats is not None else self.stats,
             policy=policy if policy is not None else self.policy,

@@ -29,13 +29,26 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
       (:meth:`~repro.rram.adc.SarAdc.convert_`), and the digital
       shift-and-add and slice recombination are two small matmuls against
       cached place-value vectors;
+    * only ADC work that can change a code runs.  A row tile whose
+      effective cells are all non-negative and whose rounded column sums
+      stay below the full-scale code (:func:`clip_free_flags`, cached per
+      matrix next to the float64 cells) is **clip-free**: no 0/1 input can
+      push a bitline past that column sum, so its conversion is the round
+      alone, with no clip and no saturation count.  A **narrow** tile,
+      ``w`` wordlines wide with fewer than half as many input patterns as
+      bit-rows (``2 * 2**w < kept_bits*batch``), converts its ``2**w``
+      possible input patterns once, and its shift-and-add becomes
+      one ``(batch, 2**w) @ (2**w, out*n_s)`` matmul whose weights sum
+      each bit-row's shift weight onto its pattern; saturations are
+      counted per pattern and weighted by how often it occurs.  Noisy
+      dynamic operands, read about once per append, derive no flags and
+      keep the clip;
     * :class:`~repro.rram.crossbar.GemvStats` counts are computed in closed
       form (conversion, cycle and tile counts from the shapes, wordline
       activations from input popcounts); only saturations are counted;
-    * when the matrix is **noiseless** and no bitline can reach the ADC
-      full-scale code (checked once per programmed matrix from the cell
-      levels), the whole pipeline provably reduces to the exact integer
-      GEMV ``x @ W.T`` (see the :mod:`repro.rram.crossbar` docstring) and is
+    * when the matrix is **noiseless** and every row tile is clip-free, the
+      whole pipeline provably reduces to the exact integer GEMV
+      ``x @ W.T`` (see the :mod:`repro.rram.crossbar` docstring) and is
       short-circuited to one dense matmul while still reporting identical
       statistics.
 
@@ -76,7 +89,7 @@ import numpy as np
 from repro.quant.quantizer import int_to_bit_planes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.rram.crossbar import GemvStats, ProgrammedMatrix
+    from repro.rram.crossbar import GemvStats, ProgrammedMatrix, WeightSlices
 
 __all__ = [
     "KernelPolicy",
@@ -88,6 +101,7 @@ __all__ = [
     "kernel_policy",
     "plane_cache_scope",
     "resolve_policy",
+    "clip_free_flags",
     "reference_gemv",
     "fast_gemv",
     "run_gemv",
@@ -343,6 +357,7 @@ def _popcount_total(values: np.ndarray, num_bits: int) -> int:
 def _fill_analytic_stats(
     stats: "GemvStats",
     matrix: "ProgrammedMatrix",
+    slices: "WeightSlices",
     batch: int,
     input_bits: int,
     num_tiles: int,
@@ -350,16 +365,40 @@ def _fill_analytic_stats(
 ) -> None:
     """Closed-form operation counts (everything except ADC saturations).
 
-    ``set_bits`` is the number of set input bits across the block: each one
-    activates its wordline once per weight slice.
+    ``slices`` is ``matrix.slices``, read once by the caller (a dynamic
+    operand's view builds it afresh on every access).  ``set_bits`` is the
+    number of set input bits across the block: each one activates its
+    wordline once per weight slice.
     """
-    num_slices = matrix.slices.num_slices
+    num_slices = slices.num_slices
     stats.adc_conversions += num_tiles * batch * input_bits * matrix.out_features * num_slices
     stats.wordline_activations += set_bits * num_slices
     stats.input_cycles += num_tiles * input_bits
     col_tiles = -(-matrix.out_features * num_slices // matrix.config.cols)
     stats.array_tiles += num_tiles * col_tiles
-    stats.cells_programmed += matrix.slices.values.size
+    stats.cells_programmed += slices.values.size
+
+
+def clip_free_flags(cells: np.ndarray, rows: int, full_scale: int) -> tuple[bool, ...]:
+    """Per-row-tile flags: True when no conversion of that tile can clip.
+
+    ``cells`` are the effective cells, ``(in, ...)``; each run of ``rows``
+    wordlines is one row tile.  Inputs reach a tile as 0/1 bit-planes, so
+    when every cell is non-negative every reachable bitline sum lies
+    between 0 and the full column sum, exactly in float64.  ``rint`` is
+    monotone, so if the rounded column sum stays below ``full_scale`` the
+    ADC's round-and-clip reduces to the round and no conversion can
+    report saturation.  On integer (noiseless) cells the flags are the
+    per-tile form of ``saturation_free``.
+    """
+    flags = []
+    for row_start in range(0, cells.shape[0], rows):
+        tile = cells[row_start : row_start + rows]
+        column_sums = tile.sum(axis=0, dtype=np.float64)
+        flags.append(
+            bool(tile.min() >= 0 and np.rint(column_sums).max(initial=0) < full_scale)
+        )
+    return tuple(flags)
 
 
 # ----------------------------------------------------------------------
@@ -437,6 +476,22 @@ def _slice_place_values(cell_bits: int, num_slices: int) -> np.ndarray:
     return factors
 
 
+@functools.lru_cache(maxsize=None)
+def _wordline_patterns(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """All ``2**width`` 0/1 wordline patterns of a tile and their indices.
+
+    Row ``p`` of the ``(2**width, width)`` float64 table sets wordline ``j``
+    iff bit ``j`` of ``p`` is set; a bit-row's pattern index is its
+    product with the returned place values ``2**j``.
+    """
+    index = np.arange(1 << width)
+    patterns = ((index[:, None] >> np.arange(width)) & 1).astype(np.float64)
+    place = 2.0 ** np.arange(width)
+    patterns.flags.writeable = False
+    place.flags.writeable = False
+    return patterns, place
+
+
 def fast_gemv(
     matrix: "ProgrammedMatrix",
     input_codes: np.ndarray,
@@ -452,12 +507,20 @@ def fast_gemv(
     later intermediate an exact integer, so outputs and
     :class:`~repro.rram.crossbar.GemvStats` match the reference bitwise,
     and a batched call matches per-row calls bitwise.
+
+    Only ADC work that can change a code runs: a tile whose cells prove
+    it clip-free (:func:`clip_free_flags`) is only rounded, and a tile
+    ``w`` wordlines wide with fewer than half as many input patterns
+    (``2**w``) as bit-rows (``kept_bits*batch``) converts each pattern
+    once.
     """
     batch, in_features = input_codes.shape
     rows = matrix.config.rows
     num_tiles = -(-in_features // rows)
+    slices = matrix.slices
+    clip_free = matrix.clip_free_tiles()
 
-    if matrix.is_noiseless and matrix.saturation_free:
+    if matrix.is_noiseless and all(clip_free):
         # Exact short-circuit: with noiseless integer cells and no bitline
         # able to reach the ADC full-scale code, every conversion returns
         # its analog sum unchanged and the shift-and-add telescopes to the
@@ -465,7 +528,7 @@ def fast_gemv(
         # argument).  Saturated-conversion count is provably zero.
         if stats is not None:
             set_bits = _popcount_total(input_codes, input_bits)
-            _fill_analytic_stats(stats, matrix, batch, input_bits, num_tiles, set_bits)
+            _fill_analytic_stats(stats, matrix, slices, batch, input_bits, num_tiles, set_bits)
         dense = matrix.dense_weights_t  # (in, out) float64, exact integers
         product = input_codes.astype(np.float64) @ dense
         return np.rint(product).astype(np.int64)
@@ -474,7 +537,7 @@ def fast_gemv(
     kept, bit_w = _kept_bit_weights(input_bits, used)
     if stats is not None:
         set_bits = int(np.count_nonzero(bit_planes))
-        _fill_analytic_stats(stats, matrix, batch, input_bits, num_tiles, set_bits)
+        _fill_analytic_stats(stats, matrix, slices, batch, input_bits, num_tiles, set_bits)
         stats.fused_rows += batch
         # An all-zero activation bit-plane sums to 0 on every bitline, which
         # the ADC converts to code 0: no contribution, never saturated.
@@ -484,26 +547,63 @@ def fast_gemv(
         return np.zeros((batch, matrix.out_features), dtype=np.int64)
 
     # (kept*batch, in): row k*batch + b is bit kept[k] of input row b.
-    lhs = bit_planes[kept].reshape(len(kept) * batch, in_features).astype(np.float64)
+    bit_rows = len(kept) * batch
+    lhs = bit_planes[kept].reshape(bit_rows, in_features).astype(np.float64)
     cells = matrix.float_planes()  # (in, out*n_s); row slices are the tiles
     full_scale = matrix.adc.full_scale
-    codes = None
-    for row_start in range(0, in_features, rows):
-        row_stop = row_start + rows
-        sums = lhs[:, row_start:row_stop] @ cells[row_start:row_stop]
-        matrix.adc.convert_(sums)  # round/clip in place
+    codes = None  # summed codes of the tiles converted bit-row by bit-row
+    acc = np.zeros((batch, cells.shape[1]))  # shift-and-added codes
+    for tile_index, row_start in enumerate(range(0, in_features, rows)):
+        row_stop = min(row_start + rows, in_features)
+        width = row_stop - row_start
+        tile_lhs = lhs[:, row_start:row_stop]
+        # Nearer parity the (batch, 2**w) @ (2**w, out*n_s) weighting
+        # matmul costs more than the conversions it saves.
+        table = (2 << width) < bit_rows
+        if table:
+            # Few wordlines, many bit-rows: convert every input pattern
+            # once, then weight each pattern by the shift-and-add weights
+            # of the bit-rows that carry it.
+            patterns, place = _wordline_patterns(width)
+            sums = patterns @ cells[row_start:row_stop]  # (2**w, out*n_s)
+            index = (tile_lhs @ place).astype(np.intp)
+        else:
+            sums = tile_lhs @ cells[row_start:row_stop]  # (bit_rows, out*n_s)
+        if clip_free[tile_index]:
+            np.rint(sums, out=sums)  # the clip and saturation count are no-ops
+        else:
+            matrix.adc.convert_(sums)  # round/clip in place
         if stats is not None:
-            stats.saturated_conversions += int(np.count_nonzero(sums == full_scale))
+            stats.table_tiles += table
+            stats.clip_free_tiles += clip_free[tile_index]
+            if not clip_free[tile_index]:
+                saturated = sums == full_scale
+                if table:
+                    occurrences = np.bincount(index, minlength=len(sums))
+                    stats.saturated_conversions += int(
+                        occurrences @ np.count_nonzero(saturated, axis=1)
+                    )
+                else:
+                    stats.saturated_conversions += int(np.count_nonzero(saturated))
+        if table:
+            # (batch, 2**w) weights: row b, column p sums bit_w[k] over the
+            # kept planes k whose bit-row of input row b has pattern p.
+            weights = np.bincount(
+                np.tile(np.arange(batch) * len(sums), len(kept)) + index,
+                weights=np.repeat(bit_w, batch),
+                minlength=batch * len(sums),
+            ).reshape(batch, len(sums))
+            acc += weights @ sums
         # Shift-and-add is linear, so per-tile codes can be summed first.
-        if codes is None:
+        elif codes is None:
             codes = sums
         else:
             codes += sums
 
     # Digital shift-and-add over kept bit-planes, slice recombination, then
     # removal of the weight offset: x @ (W + 128).T = x @ W.T + 128 * sum(x).
-    slices = matrix.slices
-    acc = bit_w @ codes.reshape(len(kept), -1)  # (batch * out * n_s,)
+    if codes is not None:
+        acc += (bit_w @ codes.reshape(len(kept), -1)).reshape(batch, -1)
     combined = acc.reshape(-1, slices.num_slices) @ _slice_place_values(
         slices.cell.bits, slices.num_slices
     )

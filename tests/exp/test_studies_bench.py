@@ -43,6 +43,13 @@ class TestBenchKernels:
         for key in ("large_noiseless", "large_noisy"):
             assert value[key]["batch"] == 64
             assert value[key]["out_features"] == 256
+        # So are the prefill-shaped points: the 4-wordline SLC tile runs
+        # the pattern table, and both are clip-free under calibrated noise.
+        slc, mlc2 = value["prefill"]
+        assert (slc["cell"], slc["in_features"], slc["batch"]) == ("SLC", 4, 54)
+        assert (mlc2["cell"], mlc2["in_features"], mlc2["batch"]) == ("MLC2", 38, 54)
+        assert (slc["table_tiles"], mlc2["table_tiles"]) == (1, 0)
+        assert slc["clip_free_tiles"] == mlc2["clip_free_tiles"] == 1
         assert "fig12_smoke_wall_s" not in value
 
 

@@ -4,9 +4,11 @@ The fast kernel is only allowed to exist because it is *indistinguishable*
 from the reference pipeline: the grids below check bitwise-equal outputs and
 identical :class:`GemvStats` over every cell type, noise level, batch size
 and tile-spanning shape, including the noiseless shortcut and its saturation
-fallback, saturating inputs and the zero-plane skip.  The fast kernel's
-cached float64 cells are checked to follow every way the programmed cells
-can change (clock advance, re-program, dynamic append and truncate).
+fallback, saturating inputs and the zero-plane skip, the pattern-table
+conversion of narrow tiles and the clip-free-tile proof at its threshold.
+The fast kernel's cached float64 cells and clip-free flags are checked to
+follow every way the programmed cells can change (clock advance,
+re-program, dynamic append and truncate).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.rram import (
     kernel_policy,
     set_default_kernel_policy,
 )
+from repro.rram.kernels import clip_free_flags
 
 REFERENCE = KernelPolicy(mode="reference")
 FAST = KernelPolicy(mode="fast")
@@ -217,6 +220,114 @@ class TestExactWidthGrid:
             assert stats.saturated_conversions > 0
 
 
+class TestNarrowTiles:
+    """A 4-row array (3-b MLC2 ADC, 2-b SLC ADC) saturates on its full
+    tiles, and its 4-wordline tiles have 16 patterns: the batch-1 call converts
+    its 8 bit-rows one by one, larger batches through the pattern table."""
+
+    @pytest.mark.parametrize("cell_name", ["SLC", "MLC2"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "calibrated"])
+    @pytest.mark.parametrize("batch", GRID_BATCHES)
+    def test_saturating_narrow_tiles_match_reference(self, cell_name, noisy, batch):
+        import zlib
+
+        cell = CELL_TYPES[cell_name]
+        rng = np.random.default_rng(zlib.crc32(repr((cell_name, noisy, batch)).encode()))
+        in_features = 10  # tiles of 4, 4 and 2 wordlines
+        w = rng.integers(64, 128, size=(6, in_features))
+        x = rng.integers(-128, 0, size=(batch, in_features))
+        matrix = ProgrammedMatrix(
+            w,
+            cell,
+            noise_sigma=DEFAULT_NOISE.sigma(cell) if noisy else 0.0,
+            rng=np.random.default_rng(3),
+            config=CrossbarConfig(rows=4),
+        )
+        assert matrix.adc.bits == cell.bits + 1
+        stats = _assert_matches_reference(matrix, x)
+        assert stats.saturated_conversions > 0
+        flags = matrix.clip_free_tiles()
+        assert flags[:2] == (False, False)  # 4 high-level cells exceed full scale
+        assert stats.clip_free_tiles == sum(flags)
+        # Table when 2 * 2**w < kept_bits*batch: 8 bit-rows per input row.
+        widths = [4, 4, 2]
+        assert stats.table_tiles == sum((2 << w_) < 8 * batch for w_ in widths)
+
+
+def _with_cells(cells: np.ndarray, rows: int = 64) -> ProgrammedMatrix:
+    """An SLC matrix whose effective cells are exactly ``cells`` (in, out, 8)."""
+    in_features, out_features, _ = cells.shape
+    matrix = ProgrammedMatrix(
+        np.zeros((out_features, in_features), dtype=np.int64),
+        SLC,
+        noise_sigma=0.01,
+        config=CrossbarConfig(rows=rows),
+        policy=KernelPolicy(compute_dtype="float64"),
+    )
+    matrix._tile.base_planes = cells.astype(np.float64)
+    return matrix
+
+
+class TestClipFreeTiles:
+    """A tile is clip-free iff every cell is >= 0 and its rounded largest
+    column sum stays below full scale (63 for the 6-b SLC ADC).  Round
+    half to even sends 62.5 to 62, so the threshold sum itself is clip-free."""
+
+    @pytest.mark.parametrize(
+        ("offset", "clip_free"),
+        [(-(2.0**-20), True), (0.0, True), (2.0**-20, False)],
+        ids=["below", "at", "above"],
+    )
+    def test_largest_column_sum_around_threshold(self, offset, clip_free):
+        cells = np.zeros((64, 2, 8))
+        cells[:62, 0, 0] = 1.0
+        cells[62, 0, 0] = 0.5 + offset  # column sum 62.5 + offset
+        cells[:40, 1, 3] = 1.0
+        matrix = _with_cells(cells)
+        assert matrix.adc.full_scale - 0.5 == cells[:, 0, 0].sum() - offset
+        assert matrix.clip_free_tiles() == (clip_free,)
+        x = np.full((3, 64), -1, dtype=np.int64)  # every wordline, every plane
+        x[1] = np.random.default_rng(0).integers(-128, 128, size=64)
+        stats = _assert_matches_reference(matrix, x)
+        assert stats.clip_free_tiles == int(clip_free)
+        assert (stats.saturated_conversions > 0) == (not clip_free)
+
+    def test_negative_cell_needs_the_clip(self):
+        """A negative cell can round a sum below code 0, which the ADC clips."""
+        cells = np.zeros((64, 1, 8))
+        cells[5, 0, 2] = -0.7
+        cells[6, 0, 2] = 0.1
+        matrix = _with_cells(cells)
+        assert matrix.clip_free_tiles() == (False,)
+        x = np.zeros((2, 64), dtype=np.int64)
+        x[:, 5] = [1, 3]
+        stats = _assert_matches_reference(matrix, x)
+        assert stats.clip_free_tiles == 0
+
+    def test_flags_per_tile(self):
+        cells = np.zeros((130, 1, 8))
+        cells[64:128, 0, 4] = 1.0  # only the middle tile can reach 64 > 63
+        matrix = _with_cells(cells)
+        assert matrix.clip_free_tiles() == (True, False, True)
+        assert not matrix.saturation_free
+        stats = _assert_matches_reference(matrix, np.full((8, 130), -1, dtype=np.int64))
+        assert stats.clip_free_tiles == 2
+        assert stats.table_tiles == 1  # the 2-wordline tail: 2 * 4 < 64 bit-rows
+        assert stats.saturated_conversions > 0
+
+    @pytest.mark.parametrize("cell_name", ["SLC", "MLC2"])
+    def test_noiseless_flags_are_saturation_freedom(self, cell_name, rng):
+        cell = CELL_TYPES[cell_name]
+        for w in (rng.integers(-128, 128, size=(9, 100)), np.full((9, 100), 127)):
+            matrix = ProgrammedMatrix(w, cell, noise_sigma=0.0)
+            worst = [
+                matrix.slices.values[r : r + 64].sum(axis=0).max() for r in range(0, 100, 64)
+            ]
+            assert matrix.clip_free_tiles() == tuple(
+                bool(v < matrix.adc.full_scale) for v in worst
+            )
+
+
 def _assert_matches_reference_output(matrix, x: np.ndarray) -> np.ndarray:
     fast = matrix.gemv(x, policy=FAST)
     np.testing.assert_array_equal(fast, matrix.gemv(x, policy=REFERENCE))
@@ -251,6 +362,64 @@ class TestTileCacheInvalidation:
         assert matrix.float_planes() is not cached
         after = _assert_matches_reference_output(matrix, x)
         assert not np.array_equal(before, after)
+
+    def test_clip_free_flags_follow_advance_and_reprogram(self):
+        """All-max SLC columns sum to ~64 > 63: drift over 30 days lowers
+        them to ~45 (every tile clip-free), and re-programming resets the
+        drift clock so they saturate again — a stale True flag would skip
+        that clip and diverge from the reference."""
+        from repro.rram import FaultModel, FaultySimBackend
+
+        backend = FaultySimBackend(FaultModel(drift_nu=0.1), seed=2)
+        w = np.full((6, 128), 127, dtype=np.int64)
+        x = np.full((8, 128), -1, dtype=np.int64)
+        matrix = ProgrammedMatrix(
+            w, SLC, noise_sigma=DEFAULT_NOISE.sigma(SLC), backend=backend
+        )
+
+        def check(clip_free: bool) -> None:
+            assert matrix.clip_free_tiles() == (clip_free, clip_free)
+            assert matrix.clip_free_tiles() == clip_free_flags(
+                matrix.planes, 64, matrix.adc.full_scale
+            )
+            stats = _assert_matches_reference(matrix, x)
+            assert stats.clip_free_tiles == 2 * clip_free
+            assert (stats.saturated_conversions > 0) == (not clip_free)
+
+        check(False)
+        backend.advance(seconds=30 * 86_400.0)
+        check(True)
+        matrix.reprogram()
+        check(False)
+
+    def test_noisy_dynamic_operand_keeps_the_clip(self, monkeypatch):
+        """Noisy operands derive no flags: every tile runs the clip path."""
+        from repro.rram import DynamicOperand
+        from repro.rram import dynamic
+
+        def not_derived(*args):
+            raise AssertionError("noisy dynamic operand derived clip-free flags")
+
+        monkeypatch.setattr(dynamic, "clip_free_flags", not_derived)
+        rng = np.random.default_rng(9)
+        op = DynamicOperand(
+            80,
+            16,
+            cell=MLC2,
+            noise_sigma=DEFAULT_NOISE.sigma(MLC2),
+            rng=np.random.default_rng(1),
+        )
+        op.append(rng.integers(64, 128, size=(70, 16)))
+        x = rng.integers(-128, 0, size=(17, 70))
+        ref_stats, fast_stats = GemvStats(), GemvStats()
+        np.testing.assert_array_equal(
+            op.gemv(x, stats=fast_stats, policy=FAST),
+            op.gemv(x, stats=ref_stats, policy=REFERENCE),
+        )
+        assert fast_stats == ref_stats
+        assert fast_stats.saturated_conversions > 0
+        assert fast_stats.clip_free_tiles == 0
+        assert fast_stats.table_tiles == 1  # the 6-wordline tail: 2 * 64 < 136 bit-rows
 
     @pytest.mark.parametrize("grow", ["wordlines", "bitlines"])
     def test_dynamic_append_and_truncate(self, grow):
