@@ -959,7 +959,7 @@ def _attention_point(
 
 @experiment(
     "bench_attention",
-    smoke={"attention_batches": (1, 2), "attention_new_tokens": 6, "reps": 1},
+    smoke={"attention_batches": (1, 2), "attention_new_tokens": 6, "reps": 3},
 )
 def bench_attention(params: dict[str, Any], seed: int) -> dict[str, Any]:
     """Host vs analog (dynamic-operand crossbar) attention serving.

@@ -154,10 +154,13 @@ class AnalogAttention(MultiHeadAttention):
     path: when the per-layer cache slot exposes crossbar dynamic operands
     (a :class:`~repro.pim.kv_cache.CrossbarKVCache` slot), ``Q·Kᵀ`` runs as
     a GEMV against the bitline-grown key operand and ``S·V`` against the
-    wordline-grown value operand — per row, per head, with INT8 activation
-    quantization and host-side dequantization by the cached per-token
-    scales.  Softmax (and masking) stays on the host, mirroring the
-    paper's SFU placement.  Every other call shape — no cache, a plain
+    wordline-grown value operand, with INT8 activation quantization (one
+    scale per row and head) and host-side dequantization by the cached
+    per-token scales.  Every ``(row, head)`` tile of a forward runs in one
+    stacked crossbar call per product, as all heads and streams of a
+    step fire in the same wave on the hardware.  Softmax (and masking)
+    stays on the host, per row, mirroring the paper's SFU placement.
+    Every other call shape — no cache, a plain
     :class:`~repro.nn.kv_cache.KVCache`, calibration forwards, non-causal
     use — falls back to the inherited host path, so the module is a
     drop-in replacement installed by
@@ -232,38 +235,47 @@ class AnalogAttention(MultiHeadAttention):
         cache.append(k.data, v.data)  # host mirror + operand columns/rows
 
         ex = handles.executor
-        inv_sqrt_d = 1.0 / math.sqrt(self.d_head)
-        context = np.zeros((batch, self.num_heads, seq, self.d_head))
+        heads = self.num_heads
+        totals = lengths + seq
+        width = int(totals.max())
+        # One stacked crossbar call per product over every (row, head)
+        # tile: queries stream over each key operand's wordlines.
+        q_codes, q_scales = ex.quantize_blocks(q.data)
+        scores_int = ex.gemv(
+            [op for ops in handles.k_ops for op in ops],
+            q_codes.reshape(batch * heads, seq, self.d_head),
+        ).reshape(batch, heads, seq, width)
+        scores = (
+            np.asarray(scores_int, dtype=np.float64)
+            * (q_scales * (1.0 / math.sqrt(self.d_head)))[:, :, None, None]
+            * handles.k_scales[:, :, None, :width]
+        )
+        v_scales = handles.v_scales
+        # Per-token value scales folded into the streamed operand, so one
+        # block scale dequantizes the AV product exactly; zero past each
+        # row's valid prefix, which the value operands never see.
+        weighted = np.zeros((batch, heads, seq, width))
         for r in range(batch):
-            total = int(lengths[r]) + seq
+            total = int(totals[r])
             # Query t of this pass may attend keys j <= lengths[r] + t: the
             # causal and ragged-validity constraints collapse into one
-            # per-row comparison against the committed length.
+            # per-row comparison against the committed length.  Softmax
+            # reduces over exactly the valid prefix (padding the reduction
+            # would change numpy's pairwise-sum blocking).
             blocked = (
                 np.arange(total)[None, :]
                 > (int(lengths[r]) + np.arange(seq))[:, None]
             )
-            for h in range(self.num_heads):
-                q_codes, q_scale = ex.quantize_block(q.data[r, h])
-                scores_int = handles.k_op(r, h).gemv(
-                    q_codes, input_bits=ex.activation_bits
-                )
-                k_scales = handles.k_scales(r, h)[:total]
-                scores = (
-                    np.asarray(scores_int, dtype=np.float64)
-                    * (q_scale * inv_sqrt_d)
-                    * k_scales[None, :]
-                )
-                scores[blocked] = -1e9
-                shifted = np.exp(scores - scores.max(axis=-1, keepdims=True))
-                probs = shifted / shifted.sum(axis=-1, keepdims=True)
-                # Fold the per-token value scales into the streamed operand
-                # so one block scale dequantizes the AV product exactly.
-                weighted = probs * handles.v_scales(r, h)[:total][None, :]
-                p_codes, p_scale = ex.quantize_block(weighted)
-                ctx_int = handles.v_op(r, h).gemv(
-                    p_codes, input_bits=ex.activation_bits
-                )
-                context[r, h] = np.asarray(ctx_int, dtype=np.float64) * p_scale
+            row = scores[r, :, :, :total]
+            row[:, blocked] = -1e9
+            shifted = np.exp(row - row.max(axis=-1, keepdims=True))
+            probs = shifted / shifted.sum(axis=-1, keepdims=True)
+            weighted[r, :, :, :total] = probs * v_scales[r, :, None, :total]
+        p_codes, p_scales = ex.quantize_blocks(weighted)
+        ctx_int = ex.gemv(
+            [op for ops in handles.v_ops for op in ops],
+            p_codes.reshape(batch * heads, seq, width),
+        ).reshape(batch, heads, seq, self.d_head)
+        context = np.asarray(ctx_int, dtype=np.float64) * p_scales[:, :, None, None]
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
         return self.w_proj(Tensor(merged.astype(x.data.dtype)))

@@ -34,7 +34,7 @@ from repro.nn.tensor import Tensor
 from repro.rram.backend import CrossbarBackend, resolve_backend
 from repro.rram.cell import MLC2, CellType
 from repro.rram.crossbar import CrossbarConfig, GemvStats
-from repro.rram.dynamic import DynamicOperand
+from repro.rram.dynamic import DynamicOperand, stacked_gemv
 from repro.rram.kernels import KernelPolicy
 
 __all__ = ["CrossbarAttentionExecutor", "ReferenceQuantizedAttention"]
@@ -151,21 +151,37 @@ class CrossbarAttentionExecutor:
     def _qmax(self) -> int:
         return 2 ** (self.activation_bits - 1) - 1
 
-    def quantize_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row symmetric quantization of ``(t, d)`` → codes + scales."""
+    def _quantize(self, x: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
+        """Symmetric quantization with one scale per reduction over ``axis``."""
         x = np.asarray(x, dtype=np.float64)
-        absmax = np.maximum(np.abs(x).max(axis=-1), 1e-12)
+        absmax = np.maximum(np.abs(x).max(axis=axis, keepdims=True, initial=0.0), 1e-12)
         scales = absmax / self._qmax
-        codes = np.clip(np.rint(x / scales[:, None]), -self._qmax, self._qmax)
-        return codes.astype(np.int64), scales
+        codes = np.clip(np.rint(x / scales), -self._qmax, self._qmax)
+        return codes.astype(np.int64), np.squeeze(scales, axis)
+
+    def quantize_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row symmetric quantization of ``(..., d)`` → codes + ``(...)`` scales."""
+        return self._quantize(x, -1)
+
+    def quantize_blocks(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One scale per trailing 2-D block of ``(..., m, n)`` → codes + ``(...)`` scales."""
+        return self._quantize(x, (-2, -1))
 
     def quantize_block(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """One-scale symmetric quantization of a whole block → codes + scale."""
-        x = np.asarray(x, dtype=np.float64)
-        absmax = max(float(np.abs(x).max(initial=0.0)), 1e-12)
-        scale = absmax / self._qmax
-        codes = np.clip(np.rint(x / scale), -self._qmax, self._qmax)
-        return codes.astype(np.int64), scale
+        """One-scale quantization of one 2-D block → codes + scale.
+
+        The one-block case of :meth:`quantize_blocks`, and the form the
+        :class:`ReferenceQuantizedAttention` specification calls.
+        """
+        codes, scale = self.quantize_blocks(x)
+        return codes, float(scale)
+
+    # ------------------------------------------------------------------
+    # Stacked crossbar reads
+    # ------------------------------------------------------------------
+    def gemv(self, operands: list[DynamicOperand], input_codes: np.ndarray) -> np.ndarray:
+        """All ``operands``' GEMVs as one stacked call (:func:`stacked_gemv`)."""
+        return stacked_gemv(operands, input_codes, self.activation_bits)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -39,6 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.kv_cache import KVCache, _LayerSlot
+from repro.rram.crossbar import offset_slices
 
 __all__ = ["CrossbarKVCache"]
 
@@ -78,7 +79,7 @@ class _OperandStore:
 class _CrossbarLayerSlot(_LayerSlot):
     """Per-layer cache handle that additionally exposes the analog operands.
 
-    The extra surface (``analog``/``executor``/``lengths``/``k_op``...)
+    The extra surface (``analog``/``executor``/``lengths``/``k_ops``...)
     is what :class:`~repro.nn.attention.AnalogAttention` duck-checks to
     select the crossbar execution path; plain hosts see only the
     inherited :class:`~repro.nn.kv_cache._LayerSlot` contract.
@@ -101,21 +102,29 @@ class _CrossbarLayerSlot(_LayerSlot):
         """Committed per-row valid lengths (this view's rows)."""
         return self.cache.lengths
 
-    def k_op(self, row: int, head: int):
-        """Key operand (bitline-grown) for a local row/head."""
-        return self.cache._store.k_ops[self.index][self.cache._row0 + row][head]
+    @property
+    def _rows(self) -> slice:
+        return slice(self.cache._row0, self.cache._row0 + self.cache.batch)
 
-    def v_op(self, row: int, head: int):
-        """Value operand (wordline-grown) for a local row/head."""
-        return self.cache._store.v_ops[self.index][self.cache._row0 + row][head]
+    @property
+    def k_ops(self) -> list:
+        """Key operands (bitline-grown) of this view's rows, ``[row][head]``."""
+        return self.cache._store.k_ops[self.index][self._rows]
 
-    def k_scales(self, row: int, head: int) -> np.ndarray:
-        """Per-token key dequantization scales for a local row/head."""
-        return self.cache._store.k_scales[self.index][self.cache._row0 + row, head]
+    @property
+    def v_ops(self) -> list:
+        """Value operands (wordline-grown) of this view's rows, ``[row][head]``."""
+        return self.cache._store.v_ops[self.index][self._rows]
 
-    def v_scales(self, row: int, head: int) -> np.ndarray:
-        """Per-token value dequantization scales for a local row/head."""
-        return self.cache._store.v_scales[self.index][self.cache._row0 + row, head]
+    @property
+    def k_scales(self) -> np.ndarray:
+        """Per-token key dequantization scales, ``(rows, heads, capacity)``."""
+        return self.cache._store.k_scales[self.index][self._rows]
+
+    @property
+    def v_scales(self) -> np.ndarray:
+        """Per-token value dequantization scales, ``(rows, heads, capacity)``."""
+        return self.cache._store.v_scales[self.index][self._rows]
 
 
 class CrossbarKVCache(KVCache):
@@ -174,29 +183,34 @@ class CrossbarKVCache(KVCache):
     def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray):
         """Append to the host mirror, then write the tokens into the operands.
 
-        Each row/head's ``t`` new tokens are quantized per-token to signed
-        INT8, appended as ``t`` columns of the key operand and ``t`` rows
-        of the value operand (both at the row's committed length — the
-        same positions the host mirror writes), and their dequantization
-        scales stored.  Write wear and initial-vs-reprogram cell counts
-        accrue to the executor's shared stats; KV-write bytes are reported
-        for interconnect accounting.
+        The whole ``(rows, heads, t, d)`` K and V blocks are quantized
+        per token to signed INT8 and bit-sliced once; each row/head's
+        ``t`` new tokens are then written as ``t`` columns of its key
+        operand and ``t`` rows of its value operand (both at the row's
+        committed length — the same positions the host mirror writes), and
+        their dequantization scales stored.  Operands are written row by
+        row, head by head, key before value: every operand draws its
+        programming noise from the executor's one generator, so this order
+        fixes the noisy cells.  Write wear and initial-vs-reprogram cell
+        counts accrue to the executor's shared stats; KV-write bytes are
+        reported for interconnect accounting.
         """
         start_lengths = self.lengths.copy()
         out = super().append(layer, k_new, v_new)
-        store = self._store
-        ex = store.executor
+        ex = self._store.executor
         t = k_new.shape[2]
-        for r in range(self.batch):
-            g = self._row0 + r
+        k_codes, k_s = ex.quantize_rows(k_new)
+        v_codes, v_s = ex.quantize_rows(v_new)
+        k_levels = offset_slices(k_codes, ex.cell, ex.weight_bits)
+        v_levels = offset_slices(v_codes, ex.cell, ex.weight_bits)
+        slot = self.layer(layer)
+        for r, (k_ops, v_ops) in enumerate(zip(slot.k_ops, slot.v_ops)):
+            for h, (k_op, v_op) in enumerate(zip(k_ops, v_ops)):
+                k_op.write(k_levels[r, h])
+                v_op.write(v_levels[r, h])
             pos = int(start_lengths[r])
-            for h in range(self.num_heads):
-                k_codes, k_s = ex.quantize_rows(np.asarray(k_new[r, h], dtype=np.float64))
-                v_codes, v_s = ex.quantize_rows(np.asarray(v_new[r, h], dtype=np.float64))
-                store.k_ops[layer][g][h].append(k_codes)
-                store.v_ops[layer][g][h].append(v_codes)
-                store.k_scales[layer][g, h, pos : pos + t] = k_s
-                store.v_scales[layer][g, h, pos : pos + t] = v_s
+            slot.k_scales[r, :, pos : pos + t] = k_s[r]
+            slot.v_scales[r, :, pos : pos + t] = v_s[r]
         ex.record_kv_write(layer, self.batch, t, self.head_dim, self.num_heads)
         return out
 

@@ -44,6 +44,7 @@ from repro.rram.kernels import KernelPolicy, clip_free_flags, resolve_policy, ru
 __all__ = [
     "CrossbarConfig",
     "WeightSlices",
+    "offset_slices",
     "slice_weights",
     "input_bit_weights",
     "bit_serial_gemv",
@@ -95,6 +96,31 @@ class WeightSlices:
         return self.num_slices
 
 
+def offset_slices(codes: np.ndarray, cell: CellType, weight_bits: int = 8) -> np.ndarray:
+    """Offset-encode signed codes of any shape and split each into cell levels.
+
+    Returns ``codes.shape + (num_slices,)`` levels; slice ``s`` holds bits
+    ``[s*cell_bits, (s+1)*cell_bits)`` of ``code + 2^(weight_bits-1)``.
+    Raises ``ValueError`` when a code is outside the signed
+    ``weight_bits`` range.
+    """
+    offset = 2 ** (weight_bits - 1)
+    unsigned = np.asarray(codes).astype(np.int64) + offset
+    if unsigned.min(initial=0) < 0 or unsigned.max(initial=0) >= 2**weight_bits:
+        raise ValueError(f"weight codes exceed the signed {weight_bits}-bit range")
+    bits = int_to_bits(unsigned, weight_bits)  # codes.shape + (weight_bits,)
+    num_slices = -(-weight_bits // cell.bits)
+    padded = weight_bits % cell.bits
+    if padded:
+        pad = np.zeros(bits.shape[:-1] + (cell.bits - padded,), dtype=bits.dtype)
+        bits = np.concatenate([bits, pad], axis=-1)
+    grouped = bits.reshape(bits.shape[:-1] + (num_slices, cell.bits))
+    bit_weights = 1 << np.arange(cell.bits)
+    values = (grouped * bit_weights).sum(axis=-1)
+    cell.validate_levels(values)
+    return values
+
+
 def slice_weights(
     weight_codes: np.ndarray, cell: CellType, weight_bits: int = 8
 ) -> WeightSlices:
@@ -106,21 +132,12 @@ def slice_weights(
     weight_codes = np.asarray(weight_codes)
     if weight_codes.ndim != 2:
         raise ValueError(f"expected 2-D weights, got shape {weight_codes.shape}")
-    offset = 2 ** (weight_bits - 1)
-    unsigned = weight_codes.astype(np.int64) + offset
-    if unsigned.min(initial=0) < 0 or unsigned.max(initial=0) >= 2**weight_bits:
-        raise ValueError(f"weight codes exceed the signed {weight_bits}-bit range")
-    bits = int_to_bits(unsigned.T, weight_bits)  # (in, out, weight_bits)
-    num_slices = -(-weight_bits // cell.bits)
-    padded = weight_bits % cell.bits
-    if padded:
-        pad = np.zeros(bits.shape[:-1] + (cell.bits - padded,), dtype=bits.dtype)
-        bits = np.concatenate([bits, pad], axis=-1)
-    grouped = bits.reshape(bits.shape[0], bits.shape[1], num_slices, cell.bits)
-    bit_weights = 1 << np.arange(cell.bits)
-    values = (grouped * bit_weights).sum(axis=-1)
-    cell.validate_levels(values)
-    return WeightSlices(values=values, cell=cell, weight_bits=weight_bits, offset=offset)
+    return WeightSlices(
+        values=offset_slices(weight_codes.T, cell, weight_bits),
+        cell=cell,
+        weight_bits=weight_bits,
+        offset=2 ** (weight_bits - 1),
+    )
 
 
 def input_bit_weights(input_bits: int) -> np.ndarray:

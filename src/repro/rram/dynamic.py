@@ -14,7 +14,8 @@ The mechanics:
 - the operand allocates one full-capacity tile up front (all cells at
   level 0) through :meth:`~repro.rram.backend.CrossbarBackend.program`;
 - :meth:`DynamicOperand.append` bit-slices the incoming signed codes with
-  the same offset encoding as static weights and writes them through
+  the same offset encoding as static weights and :meth:`DynamicOperand.write`
+  writes those levels through
   :meth:`~repro.rram.backend.CrossbarBackend.program_region` — a partial
   write that costs only the appended cells' write pulses (recorded in the
   :class:`~repro.rram.endurance.WearLedger`'s dynamic channel) and bumps
@@ -24,7 +25,10 @@ The mechanics:
   which exposes the full programmed-matrix duck-type surface (planes,
   slices, ADC, clip-free tiles, float planes), so the ``reference`` and
   ``fast`` kernels both apply, including the exact noiseless shortcut
-  when every tile of the valid region is provably clip-free.
+  when every tile of the valid region is provably clip-free;
+- :func:`stacked_gemv` reads many operands in one kernel call (analog
+  attention's every ``(row, head)`` tile of a step), each member exactly
+  as its own :meth:`DynamicOperand.gemv` would.
 
 ``grow`` selects the physical growth axis.  ``"wordlines"`` appends input
 rows (the AV operand: attention probabilities stream over the wordlines,
@@ -44,11 +48,17 @@ from repro.rram.crossbar import (
     GemvStats,
     WeightSlices,
     checked_gemv_inputs,
-    slice_weights,
+    offset_slices,
 )
-from repro.rram.kernels import KernelPolicy, clip_free_flags, resolve_policy, run_gemv
+from repro.rram.kernels import (
+    KernelPolicy,
+    clip_free_flags,
+    resolve_policy,
+    run_gemv,
+    run_gemv_stack,
+)
 
-__all__ = ["DynamicOperand"]
+__all__ = ["DynamicOperand", "stacked_gemv"]
 
 _GROW_AXES = ("wordlines", "bitlines")
 
@@ -261,21 +271,38 @@ class DynamicOperand:
     def append(self, codes: np.ndarray, stats: GemvStats | None = None) -> int:
         """Append ``codes`` (``(t, width)`` signed ints) as ``t`` new rows.
 
-        Rows land at logical positions ``[length, length + t)``: bit-sliced
-        with the static-weight offset encoding, written through
-        :meth:`~repro.rram.backend.CrossbarBackend.program_region` (wear
-        ledger's dynamic channel, tile-local invalidation only), and
-        accounted in ``stats`` — rows above the high watermark as
-        ``cells_initial_programmed``, recycled rows (re-writes after a
-        :meth:`truncate`) as ``cells_reprogrammed``.  Returns the new
-        logical length.
+        Bit-slices the codes with the static-weight offset encoding
+        (:func:`~repro.rram.crossbar.offset_slices`) and writes them with
+        :meth:`write`.  Returns the new logical length.
         """
         codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
         if codes.ndim != 2 or codes.shape[1] != self.width:
             raise ValueError(
                 f"expected (t, {self.width}) codes, got shape {codes.shape}"
             )
-        t = codes.shape[0]
+        return self.write(offset_slices(codes, self.cell, self.weight_bits), stats)
+
+    def write(self, levels: np.ndarray, stats: GemvStats | None = None) -> int:
+        """Write ``levels`` (``(t, width, n_s)`` cell levels) as ``t`` new rows.
+
+        ``levels`` are already bit-sliced codes (:meth:`append` slices one
+        block; a caller writing many operands slices all of them at once).
+        Rows land at logical positions ``[length, length + t)``: written
+        through :meth:`~repro.rram.backend.CrossbarBackend.program_region`
+        (which checks every level against the cell's range; wear ledger's
+        dynamic channel, tile-local invalidation only), and accounted in
+        ``stats`` — rows above the high watermark as
+        ``cells_initial_programmed``, recycled rows (re-writes after a
+        :meth:`truncate`) as ``cells_reprogrammed``.  Returns the new
+        logical length.
+        """
+        levels = np.asarray(levels)
+        if levels.ndim != 3 or levels.shape[1:] != (self.width, self.num_slices):
+            raise ValueError(
+                f"expected (t, {self.width}, {self.num_slices}) levels, "
+                f"got shape {levels.shape}"
+            )
+        t = levels.shape[0]
         if t == 0:
             return self.length
         if self.length + t > self.capacity:
@@ -284,16 +311,15 @@ class DynamicOperand:
                 f"{self.capacity} (length {self.length})"
             )
         if self.grow == "wordlines":
-            # New input rows: values region is (t, width, n_s) = (in, out, n_s).
-            values = slice_weights(codes.T, self.cell, self.weight_bits).values
+            # New input rows: the region is (t, width, n_s) = (in, out, n_s).
             row_slice = slice(self.length, self.length + t)
             col_slice = slice(0, self.width)
         else:
-            # New output columns: values region is (width, t, n_s).
-            values = slice_weights(codes, self.cell, self.weight_bits).values
+            # New output columns: the region is (width, t, n_s).
+            levels = levels.transpose(1, 0, 2)
             row_slice = slice(0, self.width)
             col_slice = slice(self.length, self.length + t)
-        self.backend.program_region(self._tile, row_slice, col_slice, values)
+        self.backend.program_region(self._tile, row_slice, col_slice, levels)
         cells_per_row = self.width * self.num_slices
         initial_rows = max(0, (self.length + t) - self.written)
         target = stats if stats is not None else self.stats
@@ -354,3 +380,43 @@ class DynamicOperand:
     def wear_fraction(self) -> float:
         """Fraction of the operand tile's write endurance consumed so far."""
         return self.backend.wear_fraction(self._tile)
+
+
+def stacked_gemv(
+    operands: list[DynamicOperand], input_codes: np.ndarray, input_bits: int = 8
+) -> np.ndarray:
+    """Every operand's GEMV in one stacked kernel call.
+
+    ``input_codes`` is ``(n, batch, in)``: member ``i`` feeds
+    ``operands[i]`` its first ``in_i`` columns (the operand's GEMV input
+    width) and must be zero past them; ``in`` is the widest ``in_i``.
+    Returns ``(n, batch, out)`` int64, member ``i`` equal to
+    ``operands[i].gemv(input_codes[i, :, :in_i])`` in its first ``out_i``
+    columns and zero past them.  The operands must share cell type,
+    geometry and weight width; the first one's kernel policy applies, and
+    each operand's own ``stats`` sink collects its counts.
+    """
+    if not operands:
+        raise ValueError("stacked_gemv needs at least one operand")
+    first = operands[0]
+    shared = (first.cell, first.config, first.weight_bits)
+    if any((op.cell, op.config, op.weight_bits) != shared for op in operands):
+        raise ValueError("stacked operands must share cell, config and weight_bits")
+    if not all(op.length for op in operands):
+        raise ValueError("cannot GEMV an empty dynamic operand")
+    views = [_DynamicView(op) for op in operands]
+    codes = np.asarray(input_codes, dtype=np.int64)
+    widths = np.array([view.in_features for view in views])
+    if codes.ndim != 3 or codes.shape[0] != len(views) or codes.shape[2] != widths.max():
+        raise ValueError(
+            f"shape mismatch: inputs {codes.shape}, expected "
+            f"({len(views)}, batch, {widths.max()})"
+        )
+    if np.any(codes * (np.arange(codes.shape[2]) >= widths[:, None])[:, None, :]):
+        raise ValueError("inputs past an operand's width must be zero")
+    offset_inputs = codes + 2 ** (input_bits - 1)
+    if offset_inputs.min(initial=0) < 0 or offset_inputs.max(initial=0) >= 2**input_bits:
+        raise ValueError(f"input codes exceed the signed {input_bits}-bit range")
+    return run_gemv_stack(
+        views, codes, input_bits, [op.stats for op in operands], first.policy
+    )

@@ -12,19 +12,23 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
     :class:`~repro.rram.crossbar.GemvStats` field.
 
 ``fast`` (:func:`fast_gemv`)
-    The optimized formulation, used for single rows and whole decode
-    batches alike:
+    The optimized formulation, used for single rows, whole decode batches
+    and stacks of matrices alike (a single matrix is a one-member stack):
 
     * the programmed cells are cached once as a float64 ``(in, out*n_s)``
       block (:meth:`~repro.rram.crossbar.ProgrammedMatrix.float_planes`,
       keyed on the backend epoch; dynamic operands key it on their
       ``(epoch, write_epoch, length)`` cache), whose row slices are the
       row tiles at their exact width — no per-call widening, no padding;
-    * inputs are packed into uint8 bit planes
-      (:func:`repro.quant.quantizer.int_to_bit_planes`), all-zero planes are
+    * inputs are packed into uint8 bit planes (the layout of
+      :func:`repro.quant.quantizer.int_to_bit_planes`), all-zero planes are
       dropped (the zero-plane skip), and every kept plane of every batch row
-      hits a row tile in **one** BLAS matmul
-      ``(kept_bits*batch, tile_rows) @ (tile_rows, out*n_s)``;
+      of every member hits a row tile in **one** batched BLAS matmul
+      ``(n, kept_bits*batch, tile_rows) @ (n, tile_rows, out*n_s)``;
+    * members of a stack share cell type, geometry and ADC and are
+      zero-padded, exactly, to the widest member; stats stay per member
+      (:func:`run_gemv_stack` dispatches a stack; analog attention runs
+      every ``(row, head)`` KV tile of a step as one);
     * the SAR ADC round/clip runs in place on each tile's sums
       (:meth:`~repro.rram.adc.SarAdc.convert_`), and the digital
       shift-and-add and slice recombination are two small matmuls against
@@ -79,6 +83,7 @@ matrix or per call everywhere the GEMV surfaces (``ProgrammedMatrix``,
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -86,9 +91,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.quant.quantizer import int_to_bit_planes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from collections.abc import Sequence
+
     from repro.rram.crossbar import GemvStats, ProgrammedMatrix, WeightSlices
 
 __all__ = [
@@ -105,6 +111,7 @@ __all__ = [
     "reference_gemv",
     "fast_gemv",
     "run_gemv",
+    "run_gemv_stack",
 ]
 
 _MODES = ("fast", "reference", "gemm")
@@ -236,7 +243,7 @@ class PlaneCache:
         self.capacity = capacity
         self.stats = PlaneCacheStats()
         self._generation: int | None = None
-        self._entries: OrderedDict[tuple, tuple[np.ndarray, int]] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple[np.ndarray, tuple[int, ...]]] = OrderedDict()
         # The stage-pipelined executor consults one shared cache from
         # several worker threads; entries are content-keyed so hits stay
         # bitwise-exact, but the LRU bookkeeping needs mutual exclusion.
@@ -261,8 +268,8 @@ class PlaneCache:
 
     def packed(
         self, input_codes: np.ndarray, input_bits: int, stats: "GemvStats | None" = None
-    ) -> tuple[np.ndarray, int]:
-        """``(uint8 planes (bits, batch, in), used-bit mask)`` for the block."""
+    ) -> tuple[np.ndarray, tuple[int, ...]]:
+        """``(uint8 planes (bits, n, batch, in), used-bit masks)`` of a stack."""
         key = (input_bits, input_codes.shape, input_codes.tobytes())
         with self._lock:
             entry = self._entries.get(key)
@@ -315,22 +322,32 @@ class plane_cache_scope:
         _active_plane_cache = self._previous
 
 
-def _pack(input_codes: np.ndarray, input_bits: int) -> tuple[np.ndarray, int]:
-    """uint8 bit-planes of ``input_codes`` plus the bitmask of used bits.
+def _pack(input_codes: np.ndarray, input_bits: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """uint8 bit-planes of an ``(n, batch, in)`` stack plus used-bit masks.
 
-    Bit ``k`` of the mask is clear iff plane ``k`` is all-zero (the
-    zero-plane skip's oracle).
+    One mask per member: bit ``k`` is clear iff plane ``k`` is all-zero
+    in that member (the zero-plane skip's oracle).
     """
     masked = input_codes & (2**input_bits - 1)
-    planes = int_to_bit_planes(masked, input_bits)
-    used = int(np.bitwise_or.reduce(masked, axis=None)) if masked.size else 0
-    return planes, used
+    # Masked codes lie in [0, 2**input_bits) by construction, so the
+    # range checks of int_to_bit_planes would never fire.
+    planes = ((masked >> _plane_shifts(input_bits)) & 1).astype(np.uint8)
+    used = np.bitwise_or.reduce(masked, axis=(1, 2))
+    return planes, tuple(used.tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def _plane_shifts(input_bits: int) -> np.ndarray:
+    """``(bits, 1, 1, 1)`` shifts splitting a stack into plane-major bits."""
+    shifts = np.arange(input_bits).reshape(input_bits, 1, 1, 1)
+    shifts.flags.writeable = False
+    return shifts
 
 
 def _packed_planes(
     input_codes: np.ndarray, input_bits: int, stats: "GemvStats | None"
-) -> tuple[np.ndarray, int]:
-    """Packed uint8 planes + used-bit mask, via the active cache if any."""
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Packed uint8 planes + per-member used-bit masks, via the active cache."""
     cache = _active_plane_cache
     if cache is not None:
         return cache.packed(input_codes, input_bits, stats)
@@ -350,7 +367,8 @@ def _popcount_total(values: np.ndarray, num_bits: int) -> int:
     masked = np.asarray(values, dtype=np.int64) & ((1 << num_bits) - 1)
     total = 0
     for shift in range(0, num_bits, 8):
-        total += int(_POPCOUNT_TABLE[(masked >> shift) & 0xFF].sum(dtype=np.int64))
+        byte = masked if num_bits <= 8 else (masked >> shift) & 0xFF
+        total += int(_POPCOUNT_TABLE[byte].sum(dtype=np.int64))
     return total
 
 
@@ -492,71 +510,136 @@ def _wordline_patterns(width: int) -> tuple[np.ndarray, np.ndarray]:
     return patterns, place
 
 
+@functools.lru_cache(maxsize=1024)
+def _table_layout(
+    input_bits: int, used: int, n: int, batch: int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bincount slots and weights of a narrow tile's pattern weighting.
+
+    Bit-row ``k*batch + b`` of member ``i`` adds the shift-and-add weight
+    of kept plane ``k`` to slot ``(i*batch + b) * 2**width`` plus its
+    pattern index.
+    """
+    _, bit_w = _kept_bit_weights(input_bits, used)
+    rows = np.arange(n * batch).reshape(n, 1, batch) << width
+    slots = np.broadcast_to(rows, (n, len(bit_w), batch)).reshape(n, -1)
+    weights = np.tile(np.repeat(bit_w, batch), n)
+    slots.flags.writeable = False
+    weights.flags.writeable = False
+    return slots, weights
+
+
+def _stacked(blocks: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
+    """``(n,) + shape`` stack of 2-D blocks, each zero-padded to ``shape``.
+
+    A lone block that already has ``shape`` is returned as a view.
+    """
+    if len(blocks) == 1 and blocks[0].shape == shape:
+        return blocks[0][None]
+    stack = np.zeros((len(blocks),) + shape)
+    for member, block in zip(stack, blocks):
+        member[: block.shape[0], : block.shape[1]] = block
+    return stack
+
+
 def fast_gemv(
-    matrix: "ProgrammedMatrix",
+    matrices: "Sequence[ProgrammedMatrix]",
     input_codes: np.ndarray,
     input_bits: int,
-    stats: "GemvStats | None" = None,
+    stats: "Sequence[GemvStats | None] | None" = None,
 ) -> np.ndarray:
-    """Optimized bit-serial GEMV, bitwise-equal to :func:`reference_gemv`.
+    """Optimized bit-serial GEMV over a stack of matrices.
 
-    Serves one row and a whole decode batch alike: each row tile of the
-    matrix's cached float64 cells meets every kept bit-plane of every row
-    in a single matmul.  With float32 cell storage (the default) every
-    analog sum is an exact float64 sum of stored cell values and every
-    later intermediate an exact integer, so outputs and
-    :class:`~repro.rram.crossbar.GemvStats` match the reference bitwise,
-    and a batched call matches per-row calls bitwise.
+    ``matrices`` share cell type, crossbar geometry and ADC;
+    ``input_codes`` is ``(n, batch, in)`` with ``in`` the widest member's
+    ``in_features`` and zeros past each member's own.  Returns
+    ``(n, batch, out)`` int64 with ``out`` the widest member's
+    ``out_features`` and zeros past each member's own.  ``stats`` holds
+    one (possibly shared, possibly ``None``) sink per member.  A single
+    matrix is a one-member stack.
 
-    Only ADC work that can change a code runs: a tile whose cells prove
-    it clip-free (:func:`clip_free_flags`) is only rounded, and a tile
-    ``w`` wordlines wide with fewer than half as many input patterns
+    Member ``i`` of the result is bitwise-equal to
+    :func:`reference_gemv` on member ``i`` alone, outputs and
+    :class:`~repro.rram.crossbar.GemvStats`.  Each row tile of the
+    stacked float64 cells meets every kept bit-plane of every row of every
+    member in one batched matmul ``(n, kept*batch, w) @ (n, w, out*n_s)``.
+    Zero padding changes no member: padded cells and padded inputs add
+    exactly 0 to a bitline sum, an all-zero sum converts to code 0 (never
+    full scale), and a bit-plane kept for another member but all-zero in
+    this one contributes only such sums.  With float32 cell storage (the
+    default) every analog sum is an exact float64 sum of stored cell
+    values and every later intermediate an exact integer, so stacking and
+    batching change no bit.  :class:`GemvStats` stay per member and
+    analytic, from each member's own shape, used bit-planes and set bits.
+
+    Only ADC work that can change a code runs: a tile that every member's
+    cells prove clip-free (:func:`clip_free_flags`) is only rounded, and a
+    tile ``w`` wordlines wide with fewer than half as many input patterns
     (``2**w``) as bit-rows (``kept_bits*batch``) converts each pattern
     once.
     """
-    batch, in_features = input_codes.shape
-    rows = matrix.config.rows
-    num_tiles = -(-in_features // rows)
-    slices = matrix.slices
-    clip_free = matrix.clip_free_tiles()
+    n, batch, in_width = input_codes.shape
+    first = matrices[0]
+    rows = first.config.rows
+    sinks = stats or (None,) * n
+    flags = [m.clip_free_tiles() for m in matrices]  # one flag per row tile
+    tiles = [len(f) for f in flags]
+    out_features = [m.out_features for m in matrices]
+    out_width = max(out_features)
 
-    if matrix.is_noiseless and all(clip_free):
+    if all(map(all, flags)) and all([m.is_noiseless for m in matrices]):
         # Exact short-circuit: with noiseless integer cells and no bitline
         # able to reach the ADC full-scale code, every conversion returns
         # its analog sum unchanged and the shift-and-add telescopes to the
         # plain integer GEMV (the crossbar module docstring's exactness
         # argument).  Saturated-conversion count is provably zero.
-        if stats is not None:
-            set_bits = _popcount_total(input_codes, input_bits)
-            _fill_analytic_stats(stats, matrix, slices, batch, input_bits, num_tiles, set_bits)
-        dense = matrix.dense_weights_t  # (in, out) float64, exact integers
-        product = input_codes.astype(np.float64) @ dense
+        for i, sink in enumerate(sinks):
+            if sink is not None:
+                set_bits = _popcount_total(input_codes[i], input_bits)
+                _fill_analytic_stats(
+                    sink, matrices[i], matrices[i].slices, batch, input_bits, tiles[i], set_bits
+                )
+        dense = _stacked([m.dense_weights_t for m in matrices], (in_width, out_width))
+        product = input_codes.astype(np.float64) @ dense  # exact integers
         return np.rint(product).astype(np.int64)
 
-    bit_planes, used = _packed_planes(input_codes, input_bits, stats)
-    kept, bit_w = _kept_bit_weights(input_bits, used)
-    if stats is not None:
-        set_bits = int(np.count_nonzero(bit_planes))
-        _fill_analytic_stats(stats, matrix, slices, batch, input_bits, num_tiles, set_bits)
-        stats.fused_rows += batch
-        # An all-zero activation bit-plane sums to 0 on every bitline, which
-        # the ADC converts to code 0: no contribution, never saturated.
-        stats.zero_planes_skipped += (input_bits - len(kept)) * num_tiles
+    slices = [m.slices for m in matrices]
+    num_slices = slices[0].num_slices
+    bit_planes, used = _packed_planes(input_codes, input_bits, sinks[0])
+    union = functools.reduce(operator.or_, used)
+    kept, bit_w = _kept_bit_weights(input_bits, union)
+    for i, sink in enumerate(sinks):
+        if sink is not None:
+            set_bits = int(np.count_nonzero(bit_planes[:, i]))
+            _fill_analytic_stats(
+                sink, matrices[i], slices[i], batch, input_bits, tiles[i], set_bits
+            )
+            sink.fused_rows += batch
+            # An all-zero activation bit-plane sums to 0 on every bitline,
+            # which the ADC converts to code 0: no contribution, never
+            # saturated.  Each member skips the planes it leaves unused.
+            sink.zero_planes_skipped += (input_bits - used[i].bit_count()) * tiles[i]
     if not kept.size:
         # Every activation code is 0, and so is the offset correction.
-        return np.zeros((batch, matrix.out_features), dtype=np.int64)
+        return np.zeros((n, batch, out_width), dtype=np.int64)
 
-    # (kept*batch, in): row k*batch + b is bit kept[k] of input row b.
+    # (n, kept*batch, in): row k*batch + b is bit kept[k] of input row b.
+    # A plane kept for another member is all-zero in this one.
     bit_rows = len(kept) * batch
-    lhs = bit_planes[kept].reshape(bit_rows, in_features).astype(np.float64)
-    cells = matrix.float_planes()  # (in, out*n_s); row slices are the tiles
-    full_scale = matrix.adc.full_scale
+    if len(kept) < input_bits:
+        bit_planes = bit_planes[kept]
+    lhs = bit_planes.swapaxes(0, 1).reshape(n, bit_rows, in_width).astype(np.float64)
+    # (n, in, out*n_s); row slices are the tiles.
+    cells = _stacked([m.float_planes() for m in matrices], (in_width, out_width * num_slices))
+    full_scale = first.adc.full_scale
     codes = None  # summed codes of the tiles converted bit-row by bit-row
-    acc = np.zeros((batch, cells.shape[1]))  # shift-and-added codes
-    for tile_index, row_start in enumerate(range(0, in_features, rows)):
-        row_stop = min(row_start + rows, in_features)
+    acc = np.zeros((n, batch, cells.shape[2]))  # shift-and-added codes
+    for tile_index, row_start in enumerate(range(0, in_width, rows)):
+        row_stop = min(row_start + rows, in_width)
         width = row_stop - row_start
-        tile_lhs = lhs[:, row_start:row_stop]
+        tile_lhs = lhs[:, :, row_start:row_stop]
+        # A member without this tile has zero cells and inputs there.
+        clip_free = [tile_index >= t or f[tile_index] for t, f in zip(tiles, flags)]
         # Nearer parity the (batch, 2**w) @ (2**w, out*n_s) weighting
         # matmul costs more than the conversions it saves.
         table = (2 << width) < bit_rows
@@ -565,34 +648,36 @@ def fast_gemv(
             # once, then weight each pattern by the shift-and-add weights
             # of the bit-rows that carry it.
             patterns, place = _wordline_patterns(width)
-            sums = patterns @ cells[row_start:row_stop]  # (2**w, out*n_s)
-            index = (tile_lhs @ place).astype(np.intp)
+            sums = patterns @ cells[:, row_start:row_stop]  # (n, 2**w, out*n_s)
+            index = (tile_lhs @ place).astype(np.intp)  # (n, bit_rows)
         else:
-            sums = tile_lhs @ cells[row_start:row_stop]  # (bit_rows, out*n_s)
-        if clip_free[tile_index]:
+            sums = tile_lhs @ cells[:, row_start:row_stop]  # (n, bit_rows, out*n_s)
+        if all(clip_free):
             np.rint(sums, out=sums)  # the clip and saturation count are no-ops
         else:
-            matrix.adc.convert_(sums)  # round/clip in place
-        if stats is not None:
-            stats.table_tiles += table
-            stats.clip_free_tiles += clip_free[tile_index]
-            if not clip_free[tile_index]:
-                saturated = sums == full_scale
+            first.adc.convert_(sums)  # round/clip in place
+        for i, sink in enumerate(sinks):
+            if sink is None or tile_index >= tiles[i]:
+                continue
+            sink.table_tiles += table
+            sink.clip_free_tiles += clip_free[i]
+            if not clip_free[i]:
+                saturated = sums[i] == full_scale
                 if table:
-                    occurrences = np.bincount(index, minlength=len(sums))
-                    stats.saturated_conversions += int(
+                    occurrences = np.bincount(index[i], minlength=len(patterns))
+                    sink.saturated_conversions += int(
                         occurrences @ np.count_nonzero(saturated, axis=1)
                     )
                 else:
-                    stats.saturated_conversions += int(np.count_nonzero(saturated))
+                    sink.saturated_conversions += int(np.count_nonzero(saturated))
         if table:
-            # (batch, 2**w) weights: row b, column p sums bit_w[k] over the
-            # kept planes k whose bit-row of input row b has pattern p.
+            # (n, batch, 2**w) weights: member i, row b, column p sums
+            # bit_w[k] over the kept planes k whose bit-row of input row b
+            # has pattern p.
+            slots, row_weights = _table_layout(input_bits, union, n, batch, width)
             weights = np.bincount(
-                np.tile(np.arange(batch) * len(sums), len(kept)) + index,
-                weights=np.repeat(bit_w, batch),
-                minlength=batch * len(sums),
-            ).reshape(batch, len(sums))
+                (slots + index).ravel(), weights=row_weights, minlength=n * batch << width
+            ).reshape(n, batch, -1)
             acc += weights @ sums
         # Shift-and-add is linear, so per-tile codes can be summed first.
         elif codes is None:
@@ -603,13 +688,40 @@ def fast_gemv(
     # Digital shift-and-add over kept bit-planes, slice recombination, then
     # removal of the weight offset: x @ (W + 128).T = x @ W.T + 128 * sum(x).
     if codes is not None:
-        acc += (bit_w @ codes.reshape(len(kept), -1)).reshape(batch, -1)
-    combined = acc.reshape(-1, slices.num_slices) @ _slice_place_values(
-        slices.cell.bits, slices.num_slices
+        acc += (bit_w @ codes.reshape(n, len(kept), -1)).reshape(n, batch, -1)
+    combined = acc.reshape(-1, num_slices) @ _slice_place_values(
+        slices[0].cell.bits, num_slices
     )
-    result = combined.astype(np.int64).reshape(batch, matrix.out_features)
-    row_sums = input_codes.sum(axis=1, keepdims=True)
-    return result - slices.offset * row_sums
+    result = combined.astype(np.int64).reshape(n, batch, out_width)
+    correction = slices[0].offset * input_codes.sum(axis=2, keepdims=True)
+    if min(out_features) < out_width:
+        # Padded columns summed only zero cells; keep them at 0.
+        correction = correction * (np.arange(out_width) < np.array(out_features)[:, None, None])
+    return result - correction
+
+
+def run_gemv_stack(
+    matrices: "Sequence[ProgrammedMatrix]",
+    input_codes: np.ndarray,
+    input_bits: int,
+    stats: "Sequence[GemvStats | None] | None" = None,
+    policy: KernelPolicy | None = None,
+) -> np.ndarray:
+    """Dispatch one validated stacked GEMV according to ``policy``.
+
+    Shapes as :func:`fast_gemv`.  ``"reference"`` runs
+    :func:`reference_gemv` on each member's own inputs, the spec the
+    stacked fast kernel is tested against.
+    """
+    if resolve_policy(policy).mode != "reference":
+        return fast_gemv(matrices, input_codes, input_bits, stats)
+    n, batch, _ = input_codes.shape
+    out = np.zeros((n, batch, max(m.out_features for m in matrices)), dtype=np.int64)
+    for i, (matrix, sink) in enumerate(zip(matrices, stats or (None,) * n)):
+        out[i, :, : matrix.out_features] = reference_gemv(
+            matrix, input_codes[i, :, : matrix.in_features], input_bits, sink
+        )
+    return out
 
 
 def run_gemv(
@@ -619,7 +731,5 @@ def run_gemv(
     stats: "GemvStats | None" = None,
     policy: KernelPolicy | None = None,
 ) -> np.ndarray:
-    """Dispatch one validated GEMV according to ``policy`` (or the default)."""
-    if resolve_policy(policy).mode == "reference":
-        return reference_gemv(matrix, input_codes, input_bits, stats)
-    return fast_gemv(matrix, input_codes, input_bits, stats)
+    """Dispatch one validated GEMV: a one-member :func:`run_gemv_stack`."""
+    return run_gemv_stack((matrix,), input_codes[None], input_bits, (stats,), policy)[0]

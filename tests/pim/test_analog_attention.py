@@ -131,21 +131,21 @@ class TestCacheContract:
         for h in range(HEADS):
             k_codes, k_scales = ex.quantize_rows(k[0, h])
             eye_w = np.eye(HEAD_DIM, dtype=np.int64)
-            got_k = np.asarray(slot.k_op(0, h).gemv(eye_w), dtype=np.int64)
+            got_k = np.asarray(slot.k_ops[0][h].gemv(eye_w), dtype=np.int64)
             np.testing.assert_array_equal(got_k.T, k_codes)
-            np.testing.assert_allclose(slot.k_scales(0, h)[:5], k_scales)
+            np.testing.assert_allclose(slot.k_scales[0, h, :5], k_scales)
             v_codes, v_scales = ex.quantize_rows(v[0, h])
             eye_t = np.eye(5, dtype=np.int64)
-            got_v = np.asarray(slot.v_op(0, h).gemv(eye_t), dtype=np.int64)
+            got_v = np.asarray(slot.v_ops[0][h].gemv(eye_t), dtype=np.int64)
             np.testing.assert_array_equal(got_v, v_codes)
-            np.testing.assert_allclose(slot.v_scales(0, h)[:5], v_scales)
+            np.testing.assert_allclose(slot.v_scales[0, h, :5], v_scales)
 
     def test_rows_view_shares_operands_with_parent(self):
         ex = CrossbarAttentionExecutor(backend=SimBackend())
         cache = ex.make_cache(LAYERS, 3, HEADS, HEAD_DIM, CAPACITY)
         view = cache.rows_view(1, 3)
-        assert view.layer(0).k_op(0, 0) is cache.layer(0).k_op(1, 0)
-        assert view.layer(1).v_op(1, 1) is cache.layer(1).v_op(2, 1)
+        assert view.layer(0).k_ops[0][0] is cache.layer(0).k_ops[1][0]
+        assert view.layer(1).v_ops[1][1] is cache.layer(1).v_ops[2][1]
 
     def test_set_lengths_reset_and_recycling(self):
         rng = np.random.default_rng(5)
@@ -155,9 +155,9 @@ class TestCacheContract:
         cache.append(0, kv, kv)
         cache.advance(6)
         cache.set_lengths(np.array([4]))
-        assert cache.layer(0).k_op(0, 0).length == 4
+        assert cache.layer(0).k_ops[0][0].length == 4
         cache.reset()
-        assert cache.layer(0).v_op(0, 0).length == 0
+        assert cache.layer(0).v_ops[0][0].length == 0
         before = ex.stats.cells_reprogrammed
         cache.append(0, kv[:, :, :2], kv[:, :, :2])
         assert ex.stats.cells_reprogrammed > before

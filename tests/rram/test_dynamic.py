@@ -8,6 +8,13 @@ axes, (b) every appended cell is accounted — initial programs vs re-programs i
 dynamic channel — and (c) partial-region writes invalidate *only* the
 operand's own tile: static matrices sharing the backend must keep their
 cached float planes (object identity, not just value equality).
+
+The stacked read (:func:`~repro.rram.dynamic.stacked_gemv`, one kernel call
+over many operands) is held to the per-member spec: every member of a
+stacked call must equal :func:`~repro.rram.kernels.reference_gemv` on that
+member alone, outputs and every compared ``GemvStats`` field, across both
+growth axes, ragged lengths, noise, ADC saturation, all-zero inputs and
+every way the operands' cached planes go stale.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from repro.rram import (
     ProgrammedMatrix,
     SimBackend,
 )
+from repro.rram.dynamic import stacked_gemv
+from repro.rram.noise import DEFAULT_NOISE
 
 WIDTH = 8
 CAPACITY = 20
@@ -224,3 +233,195 @@ class TestFaultyBackend:
         clean = _operand("wordlines")
         clean.append(codes)
         assert np.any(outs[0] != np.asarray(clean.gemv(x)))
+
+
+# ----------------------------------------------------------------------
+# Stacked reads: one kernel call over many operands
+# ----------------------------------------------------------------------
+#: Ragged member lengths; 130 straddles a row tile on the wordline axis.
+STACK_LENGTHS = (1, 5, 36, 128, 130)
+STACK_WIDTH = 16
+STACK_CAPACITY = 136
+REFERENCE = KernelPolicy(mode="reference")
+
+
+def _stack(grow, lengths=STACK_LENGTHS, backend=None, sigma=0.0, config=None, seed=0):
+    """Operands sharing one backend and noise generator, appended in chunks."""
+    rng = np.random.default_rng(seed)
+    backend = backend if backend is not None else SimBackend()
+    noise_rng = np.random.default_rng(seed + 1)
+    ops = []
+    for length in lengths:
+        op = DynamicOperand(
+            STACK_CAPACITY,
+            STACK_WIDTH,
+            cell=MLC2,
+            grow=grow,
+            noise_sigma=sigma,
+            rng=noise_rng,
+            config=config,
+            backend=backend,
+        )
+        first = length // 2
+        for chunk in (first, length - first):
+            op.append(rng.integers(-128, 128, size=(chunk, STACK_WIDTH)))
+        ops.append(op)
+    return ops
+
+
+def _in_out(op):
+    """``(in_features, out_features)`` of an operand's GEMV."""
+    if op.grow == "wordlines":
+        return op.length, op.width
+    return op.width, op.length
+
+
+def _stack_inputs(ops, seq, seed=0):
+    """Padded ``(n, seq, in)`` inputs: member 1 all zero, member 2 small."""
+    rng = np.random.default_rng(seed)
+    widths = [_in_out(op)[0] for op in ops]
+    x = np.zeros((len(ops), seq, max(widths)), dtype=np.int64)
+    for i, width in enumerate(widths):
+        if i == 1:
+            continue  # an all-zero member: every bit-plane skipped
+        high = 4 if i == 2 else 128  # few used bit-planes, no sign plane
+        x[i, :, :width] = rng.integers(-128 if i != 2 else 0, high, size=(seq, width))
+    return x
+
+
+def _assert_stack_matches_reference(ops, x):
+    """Stacked fast call == reference_gemv per member, outputs and stats."""
+    for op in ops:
+        op.stats = GemvStats()
+    out = stacked_gemv(ops, x)
+    assert out.shape == (len(ops), x.shape[1], max(_in_out(op)[1] for op in ops))
+    for i, op in enumerate(ops):
+        in_f, out_f = _in_out(op)
+        ref_stats = GemvStats()
+        ref = op.gemv(x[i, :, :in_f], stats=ref_stats, policy=REFERENCE)
+        np.testing.assert_array_equal(out[i, :, :out_f], ref)
+        assert not out[i, :, out_f:].any()
+        assert op.stats == ref_stats, (i, op.stats, ref_stats)
+        if op.stats.fused_rows:  # bit-serial: the zero-plane skip is per member
+            used = int(np.bitwise_or.reduce(x[i] & 0xFF, axis=None))
+            tiles = -(-in_f // op.config.rows)
+            assert op.stats.zero_planes_skipped == (8 - bin(used).count("1")) * tiles
+    return out
+
+
+class TestStackedEquivalence:
+    @pytest.mark.parametrize("sigma", [0.0, DEFAULT_NOISE.sigma(MLC2)])
+    @pytest.mark.parametrize("seq", [1, 16])
+    @pytest.mark.parametrize("grow", ["wordlines", "bitlines"])
+    def test_ragged_stack_equals_reference_per_member(self, grow, seq, sigma):
+        ops = _stack(grow, sigma=sigma)
+        _assert_stack_matches_reference(ops, _stack_inputs(ops, seq))
+
+    @pytest.mark.parametrize("seq", [1, 16])
+    @pytest.mark.parametrize("grow", ["wordlines", "bitlines"])
+    def test_saturating_stack_counts_saturations_per_member(self, grow, seq):
+        """4-row arrays clip: saturation counts stay per member."""
+        ops = _stack(grow, config=CrossbarConfig(rows=4), sigma=DEFAULT_NOISE.sigma(MLC2))
+        for op in ops:
+            op.append(np.full((1, STACK_WIDTH), 127))  # drive bitlines high
+        x = _stack_inputs(ops, seq)
+        x[x != 0] = -1  # every bit set: the largest bitline sums
+        _assert_stack_matches_reference(ops, x)
+        assert sum(op.stats.saturated_conversions for op in ops) > 0
+
+    def test_noiseless_saturating_stack_skips_the_shortcut(self):
+        ops = _stack("wordlines", config=CrossbarConfig(rows=4))
+        x = _stack_inputs(ops, 3)
+        x[x != 0] = -1
+        _assert_stack_matches_reference(ops, x)
+        assert sum(op.stats.saturated_conversions for op in ops) > 0
+
+    @pytest.mark.parametrize("grow", ["wordlines", "bitlines"])
+    def test_fault_clock_advance_invalidates_stacked_planes(self, grow):
+        backend = FaultySimBackend(
+            fault=FaultModel(stuck_off_rate=0.01, drift_nu=0.05), seed=3
+        )
+        ops = _stack(grow, backend=backend, sigma=DEFAULT_NOISE.sigma(MLC2))
+        x = _stack_inputs(ops, 4)
+        before = _assert_stack_matches_reference(ops, x)
+        backend.advance(30 * 86_400.0)
+        after = _assert_stack_matches_reference(ops, x)
+        assert np.any(before != after)
+
+    @pytest.mark.parametrize("grow", ["wordlines", "bitlines"])
+    def test_truncate_and_reappend_invalidates_stacked_planes(self, grow):
+        rng = np.random.default_rng(5)
+        ops = _stack(grow, sigma=DEFAULT_NOISE.sigma(MLC2))
+        _assert_stack_matches_reference(ops, _stack_inputs(ops, 2))
+        for op in ops[::2]:
+            op.truncate(op.length // 2)
+            op.append(rng.integers(-128, 128, size=(3, STACK_WIDTH)))
+        _assert_stack_matches_reference(ops, _stack_inputs(ops, 2, seed=1))
+
+    def test_reference_policy_loops_reference_gemv(self):
+        """A stack whose operands carry the reference policy runs the spec."""
+        ops = _stack("wordlines", sigma=DEFAULT_NOISE.sigma(MLC2))
+        x = _stack_inputs(ops, 2)
+        fast = _assert_stack_matches_reference(ops, x)
+        for op in ops:
+            op.policy = REFERENCE
+        np.testing.assert_array_equal(stacked_gemv(ops, x), fast)
+
+    def test_one_member_stack_is_the_single_read(self):
+        ops = _stack("bitlines", lengths=(7,), sigma=DEFAULT_NOISE.sigma(MLC2))
+        x = _stack_inputs(ops, 3)
+        np.testing.assert_array_equal(stacked_gemv(ops, x)[0], ops[0].gemv(x[0]))
+
+
+class TestStackedValidation:
+    def test_rejects_bad_stacks(self):
+        ops = _stack("wordlines", lengths=(3, 5))
+        x = _stack_inputs(ops, 1)
+        with pytest.raises(ValueError, match="at least one"):
+            stacked_gemv([], x)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            stacked_gemv(ops, x[:, :, :4])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            stacked_gemv(ops[:1], x)
+        padded = x.copy()
+        padded[0, 0, 4] = 1  # past member 0's 3 wordlines
+        with pytest.raises(ValueError, match="must be zero"):
+            stacked_gemv(ops, padded)
+        wide = x.copy()
+        wide[1, 0, 0] = 200
+        with pytest.raises(ValueError, match="signed"):
+            stacked_gemv(ops, wide)
+        ops[0].truncate(0)
+        with pytest.raises(ValueError, match="empty"):
+            stacked_gemv(ops, x)
+
+    def test_rejects_mixed_geometry(self):
+        ops = _stack("wordlines", lengths=(3,)) + _stack(
+            "wordlines", lengths=(3,), config=CrossbarConfig(rows=4)
+        )
+        with pytest.raises(ValueError, match="share"):
+            stacked_gemv(ops, np.zeros((2, 1, 3), dtype=np.int64))
+
+
+class TestWrite:
+    def test_write_levels_equals_append(self):
+        """Pre-sliced levels land exactly like appended codes."""
+        from repro.rram.crossbar import offset_slices
+
+        rng = np.random.default_rng(11)
+        codes = _codes(rng, 4)
+        for grow in ("wordlines", "bitlines"):
+            a, b = _operand(grow), _operand(grow)
+            a.append(codes)
+            b.write(offset_slices(codes, MLC2))
+            x = np.eye(a.length if grow == "wordlines" else WIDTH, dtype=np.int64)
+            np.testing.assert_array_equal(a.gemv(x), b.gemv(x))
+            assert a.stats == b.stats
+
+    def test_write_checks_shape_and_levels(self):
+        op = _operand("bitlines")
+        with pytest.raises(ValueError, match="levels"):
+            op.write(np.zeros((2, WIDTH), dtype=np.int64))
+        with pytest.raises(ValueError, match="out of range"):
+            op.write(np.full((1, WIDTH, op.num_slices), 9, dtype=np.int64))
+        assert op.write(np.zeros((0, WIDTH, op.num_slices), dtype=np.int64)) == 0

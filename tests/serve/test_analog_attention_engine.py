@@ -180,3 +180,86 @@ class TestShardedAnalog:
         lm = _lm()
         with pytest.raises(ValueError, match="attention"):
             ServingEngine.deploy(lm, _plans(lm), attention="quantum")
+
+
+class TestNoisyShardedGoldenTrace:
+    """Pins a noisy, TP-2, 2-chip analog serving run end to end.
+
+    Every K/V operand draws its programming noise from the executor's one
+    shared generator, so the order in which a step writes operands (row,
+    then head, then K before V) decides every noisy read.  The digest
+    covers the served tokens, every ``compare=True`` ``GemvStats`` field,
+    the mesh traffic ledger and the wear-ledger totals, so a change to
+    that order, to a noise draw or to any counted crossbar operation
+    trips it.
+    """
+
+    GOLDEN_SHA256 = "3e49417ad78a6da755e67e8b2efcd5b2df092ae56e4c1da8165c3a32be3947a8"
+
+    @staticmethod
+    def _run() -> dict:
+        import dataclasses
+
+        from repro.dist import DeviceMesh
+        from repro.rram.noise import DEFAULT_NOISE
+
+        lm = _lm()
+        calib = np.random.default_rng(7).integers(0, VOCAB, size=(2, 6))
+        mesh = DeviceMesh(num_chips=2)
+        engine = ServingEngine.deploy(
+            lm,
+            _plans(lm),
+            calibration_prompts=calib,
+            noise=DEFAULT_NOISE,
+            mode="crossbar",
+            backend=SimBackend(),
+            attention="analog",
+            max_batch_size=3,
+            mesh=mesh,
+            tensor_parallel=2,
+        )
+        prompts = _prompts(29, (5, 3, 7, 4, 6, 2))
+        budgets = (6, 3, 8, 2, 5, 4)  # staggered retirements force compaction
+        ids = [engine.submit(p, n) for p, n in zip(prompts, budgets)]
+        engine.run_until_idle()
+        tokens = [engine.pop_result(i).tokens.tolist() for i in ids]
+        stats = engine.gemv_stats()
+        ex = engine.attention_executor
+        backend = ex.backend.health_report()
+        return {
+            "tokens": tokens,
+            "gemv": {
+                f.name: getattr(stats, f.name)
+                for f in dataclasses.fields(stats)
+                if f.compare
+            },
+            "mesh": {
+                name: [link.transfers, link.num_bytes]
+                for name, link in sorted(mesh.traffic.items())
+            },
+            "wear": {
+                key: backend[key]
+                for key in (
+                    "programs",
+                    "reprograms",
+                    "dynamic_writes",
+                    "total_write_pulses",
+                    "max_wear_fraction",
+                    "mean_wear_fraction",
+                )
+            },
+            "attention_wear": ex.wear_report(),
+            "compaction_moves": engine._continuous.slots.stats.compaction_moves,
+        }
+
+    def test_noisy_tp2_analog_serving_is_pinned(self):
+        import hashlib
+        import json
+
+        payload = self._run()
+        assert payload["compaction_moves"] > 0  # rows were compacted
+        assert max(len(t) for t in payload["tokens"]) == 8
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.GOLDEN_SHA256, payload
