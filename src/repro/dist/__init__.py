@@ -41,13 +41,13 @@ __all__ = [
 ]
 
 
-def deploy_sharded(layers, plan: ShardPlan, parallel: bool = False) -> ShardPlan:
+def deploy_sharded(layers, plan: ShardPlan) -> ShardPlan:
     """Deploy every :class:`~repro.pim.hybrid.HybridLinear` per ``plan``.
 
     ``layers`` is the name -> layer mapping returned by
     :func:`repro.pim.attach_hybrid_layers`; each layer is partitioned into
     the plan's rank slices on the plan's mesh.  Layers the plan does not
-    cover are left unsharded.  Returns ``plan`` for chaining.
+    cover keep their 1-way plan.  Returns ``plan`` for chaining.
     """
     for name, layer in dict(layers).items():
         assignment = plan.layers.get(name)
@@ -57,6 +57,5 @@ def deploy_sharded(layers, plan: ShardPlan, parallel: bool = False) -> ShardPlan
             plan.mesh,
             rank_slices=assignment.rank_slices,
             chip=assignment.chip,
-            parallel=parallel,
         )
     return plan

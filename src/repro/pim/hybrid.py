@@ -9,6 +9,12 @@ with both GEMVs running through INT8 quantization and noisy analog RRAM.
 Each rank is assigned to SLC (protected) or MLC (efficient); the two
 partial GEMVs recombine digitally.
 
+Every layer runs as a tensor-parallel shard plan (Section 3.1, cases
+1-2): contiguous rank slices on their own arrays, stage-2 partial sums
+added over the OCI.  A new layer is the 1-way plan ``[(0, rank)]``;
+:meth:`HybridLinear.deploy` swaps in an N-way one.  One forward per mode
+runs the shards in turn; :mod:`repro.dist` models parallelism, not threads.
+
 Two execution modes trade fidelity for speed:
 
 - ``"crossbar"`` — full bit-serial simulation (bit-sliced cells, frozen
@@ -34,7 +40,6 @@ from repro.rram.kernels import KernelPolicy
 from repro.rram.mapping import HybridSplit, array_footprint, partition_rank, split_by_rank
 from repro.rram.noise import DEFAULT_NOISE, NoiseSpec, apply_multiplicative_noise
 from repro.svd.pipeline import LayerPlan
-from repro.utils.parallel import map_with_threads
 
 __all__ = [
     "HybridLinear",
@@ -137,12 +142,11 @@ class HybridLinear(Module):
         self._calibrating = False
         self._x_absmax = 0.0
         self._h_absmax = 0.0
-        # Sharded (tensor-parallel) deployment state — see :meth:`deploy`.
+        # Shard plan — the 1-way plan until :meth:`deploy` replaces it.
         self._mesh = None
         self._chip = 0
-        self._rank_slices: list[tuple[int, int]] | None = None
-        self._shard_splits: list[HybridSplit] | None = None
-        self._shard_parallel = False
+        self._rank_slices: list[tuple[int, int]] = [(0, self.rank)]
+        self._splits: list[HybridSplit] = []
 
         # INT8 weight quantization (per-tensor, symmetric) for both factors.
         self._a_codes, self._a_params = quantize(plan.a_matrix, num_bits=8)
@@ -150,21 +154,22 @@ class HybridLinear(Module):
 
         rng = np.random.default_rng(seed)
         if mode == "crossbar":
-            self._split: HybridSplit | None = split_by_rank(
-                self._a_codes,
-                self._b_codes,
-                plan.protected_ranks,
-                noise=self.noise,
-                config=self.config,
-                mlc_cell=mlc_cell,
-                seed=seed,
-                policy=policy,
-                backend=backend,
-            )
+            self._splits = [
+                split_by_rank(
+                    self._a_codes,
+                    self._b_codes,
+                    plan.protected_ranks,
+                    noise=self.noise,
+                    config=self.config,
+                    mlc_cell=mlc_cell,
+                    seed=seed,
+                    policy=policy,
+                    backend=backend,
+                )
+            ]
             self._noisy_a = None
             self._noisy_b = None
         else:
-            self._split = None
             # Weight-level Eq. (5) noise, applied once (static weights are
             # programmed once); protected ranks get SLC sigma, rest MLC sigma.
             sigma_slc = self.noise.sigma(SLC)
@@ -191,13 +196,7 @@ class HybridLinear(Module):
         data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=get_default_dtype())
         original_shape = data.shape
         flat = data.reshape(-1, original_shape[-1])
-        if self._rank_slices is not None:
-            out = (
-                self._forward_fast_sharded(flat)
-                if self.mode == "fast"
-                else self._forward_crossbar_sharded(flat)
-            )
-        elif self.mode == "fast":
+        if self.mode == "fast":
             out = self._forward_fast(flat)
         else:
             out = self._forward_crossbar(flat)
@@ -206,42 +205,70 @@ class HybridLinear(Module):
         return Tensor(out.reshape(original_shape[:-1] + (self.out_features,)))
 
     def _forward_fast(self, flat: np.ndarray) -> np.ndarray:
-        hidden = flat @ self._noisy_a.T
-        return hidden @ self._noisy_b.T
+        """Eq. (5) forward; shard partial sums add in float, so N-way equals
+        1-way up to summation order."""
+        out = None
+        for start, stop in self._rank_slices:
+            hidden = flat @ self._noisy_a[start:stop].T
+            part = hidden @ self._noisy_b[:, start:stop].T
+            out = part if out is None else out + part
+        self._record_shard_traffic(flat.shape[0], calibrated=True)
+        return out
 
     def _forward_crossbar(self, flat: np.ndarray) -> np.ndarray:
-        split = self._split
-        # Intermediate buffers follow the process-wide tensor dtype policy
-        # (float32 under set_default_dtype("float32")) rather than a
-        # hardcoded float64 — forward() wraps the result in a Tensor, which
-        # would down-cast anyway, so wider buffers were pure waste.
-        dtype = get_default_dtype()
-        # Stage 1: x (INT8) @ A^T on SLC/MLC arrays.  Frozen calibration
-        # scales (if present) replace the per-call rescaling.
+        """Bit-serial forward over the programmed shards.
+
+        Noiseless, an N-way plan is bitwise-equal to the 1-way plan under
+        the fast kernel: stage-2 partial sums add in int64 before the one
+        float scaling, and activations quantize with global scales (a
+        scalar absmax synced over the OCI, charged to the traffic ledger).
+        """
+        dtype = get_default_dtype()  # buffers follow the tensor dtype policy
+        shards = list(zip(self._rank_slices, self._splits))
+        protected = self.plan.protected_ranks
+
+        # Stage 1: x (INT8) @ A^T; each shard fills its own column slice of
+        # the hidden vector.  Frozen calibration scales (if present)
+        # replace the per-call rescaling.
         x_codes, x_params = quantize(
             flat, num_bits=_ACTIVATION_BITS, params=self._active_params("x")
         )
-        hidden = np.zeros((flat.shape[0], self.rank), dtype=dtype)
-        protected = self.plan.protected_ranks
         scale_in = np.asarray(x_params.scale) * np.asarray(self._a_params.scale)
-        if split.slc_a is not None:
-            hidden[:, protected] = split.slc_a.gemv(x_codes) * scale_in
-        if split.mlc_a is not None:
-            hidden[:, ~protected] = split.mlc_a.gemv(x_codes) * scale_in
+        hidden = np.zeros((flat.shape[0], self.rank), dtype=dtype)
+        for (start, stop), split in shards:
+            local_protected = protected[start:stop]
+            view = hidden[:, start:stop]
+            if split.slc_a is not None:
+                view[:, local_protected] = split.slc_a.gemv(x_codes) * scale_in
+            if split.mlc_a is not None:
+                view[:, ~local_protected] = split.mlc_a.gemv(x_codes) * scale_in
 
-        # Stage 2: h (requantized INT8) @ B^T.
+        # Stage 2: each shard turns its hidden slice (requantized INT8)
+        # into a partial sum of the full output; SLC and MLC partials each
+        # reduce in int64 across shards.
         h_codes, h_params = quantize(
             hidden, num_bits=_ACTIVATION_BITS, params=self._active_params("h")
         )
         scale_out = np.asarray(h_params.scale) * np.asarray(self._b_params.scale)
+        sums: list[np.ndarray | None] = [None, None]  # SLC, then MLC
+        for (start, stop), split in shards:
+            local_protected = protected[start:stop]
+            h_local = h_codes[:, start:stop]
+            for slot, mapped, columns in (
+                (0, split.slc_b, local_protected),
+                (1, split.mlc_b, ~local_protected),
+            ):
+                if mapped is not None:
+                    part = mapped.gemv(h_local[:, columns])
+                    sums[slot] = part if sums[slot] is None else sums[slot] + part
         out = np.zeros((flat.shape[0], self.out_features), dtype=dtype)
-        if split.slc_b is not None:
-            out += split.slc_b.gemv(h_codes[:, protected]) * scale_out
-        if split.mlc_b is not None:
-            out += split.mlc_b.gemv(h_codes[:, ~protected]) * scale_out
+        for partial in sums:
+            if partial is not None:
+                out += partial * scale_out
         if self._calibrating:
             self._x_absmax = max(self._x_absmax, float(np.abs(flat).max(initial=0.0)))
             self._h_absmax = max(self._h_absmax, float(np.abs(hidden).max(initial=0.0)))
+        self._record_shard_traffic(flat.shape[0], self._active_params("h") is not None)
         return out
 
     def _active_params(self, which: str) -> QuantParams | None:
@@ -260,24 +287,21 @@ class HybridLinear(Module):
         *,
         tensor_parallel: int | None = None,
         chip: int = 0,
-        parallel: bool = False,
     ) -> list[tuple[int, int]]:
-        """Partition this layer's mapped arrays into tensor-parallel shards.
+        """Replace the layer's shard plan with a tensor-parallel one.
 
         ``mesh`` is a :class:`~repro.dist.DeviceMesh` (its traffic ledger
-        receives the OCI partial-sum aggregation every sharded forward
+        receives the OCI partial-sum aggregation every multi-shard forward
         performs).  ``rank_slices`` gives explicit contiguous shard ranges
         (from a :class:`~repro.dist.ShardPlan`); alternatively
-        ``tensor_parallel`` derives a balanced partition.  ``parallel``
-        fans the per-shard GEMVs out over threads
-        (:func:`repro.utils.parallel.map_with_threads`) — the fast kernel's
-        BLAS matmuls release the GIL.
+        ``tensor_parallel`` derives a balanced partition.
 
         Crossbar mode programs one :class:`~repro.rram.mapping.HybridSplit`
         per shard (per-shard seeded noise draws; a 1-way deployment
-        reproduces the unsharded programming bit-for-bit).  Fast mode
-        slices the already-noised Eq. (5) factors.  Returns the shard
-        ranges deployed.
+        reproduces the constructed layer's programming bit-for-bit).  Fast
+        mode slices the already-noised Eq. (5) factors.  Both modes keep
+        their single forward; only the slice list changes.  Returns the
+        shard ranges deployed.
         """
         if rank_slices is None:
             rank_slices = partition_rank(
@@ -305,7 +329,7 @@ class HybridLinear(Module):
             splits = []
             for index, (start, stop) in enumerate(rank_slices):
                 # A 1-way deployment reuses the layer seed, so its noise
-                # draws — and therefore its outputs — match the unsharded
+                # draws — and therefore its outputs — match the constructed
                 # split exactly.  Multi-way shards get decorrelated seeds.
                 seed = self.seed if num_shards == 1 else self.seed + 104729 * (index + 1)
                 splits.append(
@@ -324,36 +348,21 @@ class HybridLinear(Module):
                         backend=self.backend,
                     )
                 )
-            self._shard_splits = splits
-        else:
-            self._shard_splits = None
+            self._splits = splits
         self._mesh = mesh
         self._chip = chip
         self._rank_slices = rank_slices
-        self._shard_parallel = parallel
         self._arrays_used = None  # footprint now counts per-shard tiling
         return rank_slices
 
-    def undeploy(self) -> None:
-        """Drop the sharded deployment (back to the single-device forward)."""
-        self._mesh = None
-        self._chip = 0
-        self._rank_slices = None
-        self._shard_splits = None
-        self._shard_parallel = False
-        self._arrays_used = None
-
     @property
     def is_sharded(self) -> bool:
-        return self._rank_slices is not None
+        """Whether :meth:`deploy` placed this layer on a mesh."""
+        return self._mesh is not None
 
     @property
     def num_shards(self) -> int:
-        return len(self._rank_slices) if self._rank_slices is not None else 1
-
-    def _shard_map(self, fn, items):
-        workers = len(items) if self._shard_parallel else 1
-        return map_with_threads(fn, items, workers)
+        return len(self._rank_slices)
 
     def _record_shard_traffic(self, batch: int, calibrated: bool) -> None:
         """OCI cost of one sharded forward: stage-2 partial-sum aggregation
@@ -368,110 +377,6 @@ class HybridLinear(Module):
         )
         if not calibrated:
             self._mesh.record("oci", (shards - 1) * 8.0, transfers=shards - 1)
-
-    def _forward_crossbar_sharded(self, flat: np.ndarray) -> np.ndarray:
-        """Tensor-parallel crossbar forward over the deployed shards.
-
-        Noiseless, this is bitwise-equal to :meth:`_forward_crossbar` under
-        the fast kernel: stage-1 shards compute disjoint column slices of
-        the same integer hidden vector; stage-2 partial sums accumulate in
-        int64 before the one float scaling the unsharded path also applies.
-        Activation quantization uses the same global scales (derived from
-        the full hidden vector — hardware syncs a scalar absmax over the
-        OCI, accounted in the traffic ledger).
-        """
-        dtype = get_default_dtype()
-        splits = self._shard_splits
-        slices = self._rank_slices
-        protected = self.plan.protected_ranks
-
-        x_codes, x_params = quantize(
-            flat, num_bits=_ACTIVATION_BITS, params=self._active_params("x")
-        )
-        scale_in = np.asarray(x_params.scale) * np.asarray(self._a_params.scale)
-
-        # Stage 1: every shard computes its own column slice of the hidden
-        # vector from the broadcast input codes (no partial sums yet).
-        def stage1(item):
-            split = item
-            parts = {}
-            if split.slc_a is not None:
-                parts["slc"] = split.slc_a.gemv(x_codes)
-            if split.mlc_a is not None:
-                parts["mlc"] = split.mlc_a.gemv(x_codes)
-            return parts
-
-        stage1_parts = self._shard_map(stage1, list(splits))
-        hidden = np.zeros((flat.shape[0], self.rank), dtype=dtype)
-        for (start, stop), parts in zip(slices, stage1_parts):
-            local_protected = protected[start:stop]
-            view = hidden[:, start:stop]
-            if "slc" in parts:
-                view[:, local_protected] = parts["slc"] * scale_in
-            if "mlc" in parts:
-                view[:, ~local_protected] = parts["mlc"] * scale_in
-
-        # Stage 2: shard s consumes its own hidden slice (requantized with
-        # the *global* scale) and produces an additive partial sum of the
-        # full output; partials reduce in int64 over the OCI.
-        h_codes, h_params = quantize(
-            hidden, num_bits=_ACTIVATION_BITS, params=self._active_params("h")
-        )
-        scale_out = np.asarray(h_params.scale) * np.asarray(self._b_params.scale)
-
-        def stage2(item):
-            (start, stop), split = item
-            local_protected = protected[start:stop]
-            h_local = h_codes[:, start:stop]
-            slc = mlc = None
-            if split.slc_b is not None:
-                slc = split.slc_b.gemv(h_local[:, local_protected])
-            if split.mlc_b is not None:
-                mlc = split.mlc_b.gemv(h_local[:, ~local_protected])
-            return slc, mlc
-
-        stage2_parts = self._shard_map(stage2, list(zip(slices, splits)))
-        slc_acc = np.zeros((flat.shape[0], self.out_features), dtype=np.int64)
-        mlc_acc = np.zeros_like(slc_acc)
-        have_slc = have_mlc = False
-        for slc, mlc in stage2_parts:
-            if slc is not None:
-                slc_acc += slc
-                have_slc = True
-            if mlc is not None:
-                mlc_acc += mlc
-                have_mlc = True
-
-        out = np.zeros((flat.shape[0], self.out_features), dtype=dtype)
-        if have_slc:
-            out += slc_acc * scale_out
-        if have_mlc:
-            out += mlc_acc * scale_out
-        if self._calibrating:
-            self._x_absmax = max(self._x_absmax, float(np.abs(flat).max(initial=0.0)))
-            self._h_absmax = max(self._h_absmax, float(np.abs(hidden).max(initial=0.0)))
-        self._record_shard_traffic(flat.shape[0], self._active_params("h") is not None)
-        return out
-
-    def _forward_fast_sharded(self, flat: np.ndarray) -> np.ndarray:
-        """Sharded Eq. (5) fast path over slices of the noised factors.
-
-        Stage-1 hidden slices are exact column slices of the unsharded
-        product; stage-2 partial sums recombine additively (float — equal
-        to the unsharded matmul up to summation order)."""
-        slices = self._rank_slices
-
-        def shard_out(item):
-            start, stop = item
-            hidden = flat @ self._noisy_a[start:stop].T
-            return hidden @ self._noisy_b[:, start:stop].T
-
-        parts = self._shard_map(shard_out, list(slices))
-        out = parts[0]
-        for part in parts[1:]:
-            out = out + part
-        self._record_shard_traffic(flat.shape[0], calibrated=True)
-        return out
 
     # ------------------------------------------------------------------
     # Activation-scale calibration (serving deployment path)
@@ -512,29 +417,20 @@ class HybridLinear(Module):
 
     # ------------------------------------------------------------------
     def arrays_used(self) -> int:
-        """Physical array footprint of the SLC/MLC placement.
+        """Physical array footprint of the shards' SLC/MLC placement.
 
-        The footprint is a pure function of the layer geometry and the
-        protection mask, so it is computed once and cached.  Fast mode used
-        to re-run the full :func:`split_by_rank` crossbar programming (noise
-        draws included) on *every* call just to read the placement counts;
-        now it sums the same :func:`array_footprint` terms analytically.
+        Cached per shard plan; fast mode, which programs no arrays, sums
+        the same :func:`array_footprint` terms analytically.
         """
         if self._arrays_used is None:
-            if self._shard_splits is not None:
-                self._arrays_used = sum(s.arrays_used for s in self._shard_splits)
-            elif self._rank_slices is not None:
-                # Sharded fast mode: per-shard tiling, computed analytically.
+            if self._splits:
+                self._arrays_used = sum(s.arrays_used for s in self._splits)
+            else:
                 total = 0
                 for start, stop in self._rank_slices:
                     local = self.plan.protected_ranks[start:stop]
                     total += self._analytic_footprint(int(local.sum()), stop - start)
                 self._arrays_used = total
-            elif self._split is not None:
-                self._arrays_used = self._split.arrays_used
-            else:
-                n_protected = int(self.plan.protected_ranks.sum())
-                self._arrays_used = self._analytic_footprint(n_protected, self.rank)
         return self._arrays_used
 
     def _analytic_footprint(self, n_protected: int, rank: int) -> int:
@@ -551,7 +447,7 @@ class HybridLinear(Module):
 
     def merged_stats(self) -> GemvStats:
         total = GemvStats()
-        for split in self._active_splits():
+        for split in self._splits:
             total.merge(split.merged_stats())
         return total
 
@@ -562,12 +458,7 @@ class HybridLinear(Module):
         serving engine threads these through to per-shard energy/latency
         accounting.
         """
-        return [split.merged_stats() for split in self._active_splits()]
-
-    def _active_splits(self) -> list[HybridSplit]:
-        if self._shard_splits is not None:
-            return self._shard_splits
-        return [self._split] if self._split is not None else []
+        return [split.merged_stats() for split in self._splits]
 
     def reset_stats(self) -> None:
         """Zero the accumulated GEMV operation counts (crossbar mode).
@@ -575,7 +466,7 @@ class HybridLinear(Module):
         Used after deploy-time calibration so served-traffic accounting does
         not include the calibration forward.
         """
-        for split in self._active_splits():
+        for split in self._splits:
             for mapped in (split.slc_a, split.mlc_a, split.slc_b, split.mlc_b):
                 if mapped is not None:
                     mapped.stats = GemvStats()
@@ -591,7 +482,7 @@ class HybridLinear(Module):
         are omitted; the top-level ``max_wear_fraction`` is 0.0 then.
         """
         members: dict[str, dict] = {}
-        for split in self._active_splits():
+        for split in self._splits:
             mapped_members = (
                 ("slc_a", split.slc_a),
                 ("mlc_a", split.mlc_a),
@@ -631,7 +522,7 @@ class HybridLinear(Module):
         worst = 0.0
         rng = np.random.default_rng((int(probe_seed), self.seed, 0x9B0B))
         probe = rng.integers(-128, 128, size=(1, self.in_features))
-        for split in self._active_splits():
+        for split in self._splits:
             for mapped in (split.slc_a, split.mlc_a):
                 if mapped is None:
                     continue
@@ -651,7 +542,7 @@ class HybridLinear(Module):
         matrices re-written (0 in ``fast`` mode).
         """
         count = 0
-        for split in self._active_splits():
+        for split in self._splits:
             for mapped in (split.slc_a, split.mlc_a, split.slc_b, split.mlc_b):
                 if mapped is not None:
                     mapped.reprogram()

@@ -57,6 +57,10 @@ import numpy as np
 
 __all__ = ["AdmissionPolicy", "ApiServer", "api_request", "stream_generate"]
 
+#: Largest request body the server reads; a longer ``Content-Length`` is
+#: answered 413 without reading the body.
+MAX_BODY_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
@@ -96,7 +100,7 @@ class AdmissionPolicy:
 def _json_response(status: int, payload: dict) -> bytes:
     body = json.dumps(payload).encode()
     reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-              503: "Service Unavailable"}.get(status, "OK")
+              413: "Content Too Large", 503: "Service Unavailable"}.get(status, "OK")
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
         f"Content-Type: application/json\r\n"
@@ -239,10 +243,21 @@ class ApiServer:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            body = b""
-            length = int(headers.get("content-length", 0))
-            if length:
-                body = await reader.readexactly(length)
+            try:
+                length = int(headers.get("content-length", 0))
+            except ValueError:
+                length = -1
+            if length < 0:
+                writer.write(_json_response(400, {"error": "malformed Content-Length"}))
+                await writer.drain()
+                return
+            if length > MAX_BODY_BYTES:
+                writer.write(_json_response(
+                    413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
+                ))
+                await writer.drain()
+                return
+            body = await reader.readexactly(length) if length else b""
             await self._route(method, path, body, writer)
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass

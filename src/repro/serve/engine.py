@@ -460,7 +460,6 @@ class ServingEngine:
         policy=None,
         mesh=None,
         tensor_parallel: int = 1,
-        shard_parallel: bool = False,
         backend=None,
         attention: str = "host",
         **engine_kwargs,
@@ -476,10 +475,10 @@ class ServingEngine:
         ``mesh`` (a :class:`~repro.dist.DeviceMesh`) enables sharded
         multi-chip execution: a :class:`~repro.dist.ShardPlan` is derived
         from the HyFlexPIM chip mapper, every attached layer is partitioned
-        into ``tensor_parallel`` rank shards (``shard_parallel=True`` fans
-        the shard GEMVs over threads), and the engine reports
-        hardware-projected latency per request plus the interconnect
-        traffic actually exercised.  Calibration runs *after* sharding so
+        into ``tensor_parallel`` rank shards (without a mesh each layer
+        keeps its 1-way plan), and the engine reports hardware-projected
+        latency per request plus the interconnect traffic actually
+        exercised.  Calibration runs *after* sharding so
         frozen scales observe the serving-path activations.
 
         ``backend`` (a :class:`~repro.rram.backend.CrossbarBackend`) selects
@@ -518,7 +517,7 @@ class ServingEngine:
             plan = ShardPlan.build(
                 plans, mesh, tensor_parallel=tensor_parallel, noise=noise, seed=seed
             )
-            deploy_sharded(attached, plan, parallel=shard_parallel)
+            deploy_sharded(attached, plan)
             engine_kwargs.setdefault("shard_plan", plan)
         if calibration_prompts is not None and mode == "crossbar":
             prompts = np.atleast_2d(np.asarray(calibration_prompts))

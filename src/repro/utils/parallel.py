@@ -1,16 +1,14 @@
-"""Process/thread fan-out shared by the experiment runner, core sweeps and
-the sharded crossbar executor, plus the stage-pipeline used by the
-pipelined block executor."""
+"""Process fan-out shared by the experiment runner and core sweeps, plus
+the stage-pipeline used by the pipelined block executor."""
 
 from __future__ import annotations
 
 import multiprocessing
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
-__all__ = ["StagePipeline", "map_with_pool", "map_with_threads"]
+__all__ = ["StagePipeline", "map_with_pool"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -31,22 +29,6 @@ def map_with_pool(fn: Callable[[T], R], items: Iterable[T], workers: int) -> lis
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     with ctx.Pool(processes=min(workers, len(items))) as pool:
         return pool.map(fn, items)
-
-
-def map_with_threads(fn: Callable[[T], R], items: Iterable[T], workers: int) -> list[R]:
-    """``[fn(item) for item in items]``, fanned out over ``workers`` threads.
-
-    The thread variant exists for work that (a) releases the GIL — BLAS
-    matmuls inside the fast crossbar kernel — and (b) mutates shared
-    per-item state (each shard's :class:`~repro.rram.crossbar.GemvStats`)
-    that a process pool could not send back cheaply.  ``workers <= 1`` (or
-    a single item) stays serial in-process, preserving call order exactly.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 class StagePipeline:

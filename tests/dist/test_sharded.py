@@ -87,7 +87,7 @@ class TestBitwiseEquivalenceGrid:
         np.testing.assert_array_equal(sharded.forward(x).data, reference)
         # Every mapped shard knows its slice of the logical rank dimension.
         if ways > 1:
-            specs = [s.shard for s in sharded._shard_splits]
+            specs = [s.shard for s in sharded._splits]
             assert all(spec is not None for spec in specs)
             assert [spec.index for spec in specs] == list(range(len(specs)))
             assert specs[0].start == 0
@@ -177,34 +177,12 @@ class TestFastModeSharding:
         reference = layer.forward(x).data.copy()
         layer.deploy(DeviceMesh(), tensor_parallel=ways)
         got = layer.forward(x).data
+        if ways == 1:
+            # The constructed layer already is the 1-way plan.
+            np.testing.assert_array_equal(got, reference)
         # Same noised factors, partial sums recombined additively — equal
         # up to float summation order.
         np.testing.assert_allclose(got, reference, rtol=1e-10, atol=1e-12)
-
-    def test_parallel_threads_match_serial(self, rng):
-        plan = make_layer_plan(rng)
-        x = rng.normal(size=(5, 40))
-        serial = HybridLinear(plan, mode="fast", seed=7)
-        serial.deploy(DeviceMesh(), tensor_parallel=4, parallel=False)
-        threaded = HybridLinear(plan, mode="fast", seed=7)
-        threaded.deploy(DeviceMesh(), tensor_parallel=4, parallel=True)
-        np.testing.assert_array_equal(
-            serial.forward(x).data, threaded.forward(x).data
-        )
-
-
-class TestCrossbarParallelThreads:
-    def test_threaded_crossbar_matches_serial(self, rng):
-        plan = make_layer_plan(rng)
-        x = rng.normal(size=(5, 40))
-        kwargs = dict(noise=NoiseSpec.noiseless(), mode="crossbar", seed=3)
-        serial = HybridLinear(plan, **kwargs)
-        serial.deploy(DeviceMesh(), tensor_parallel=4, parallel=False)
-        threaded = HybridLinear(plan, **kwargs)
-        threaded.deploy(DeviceMesh(), tensor_parallel=4, parallel=True)
-        np.testing.assert_array_equal(
-            serial.forward(x).data, threaded.forward(x).data
-        )
 
 
 class TestDeployLifecycle:
@@ -221,26 +199,42 @@ class TestDeployLifecycle:
         with pytest.raises(ValueError):
             layer.deploy(mesh, rank_slices=[(0, 10), (10, 10), (10, 24)])  # empty
 
-    def test_undeploy_restores_unsharded_forward(self, rng):
+    @pytest.mark.parametrize("mode", ["fast", "crossbar"])
+    def test_one_way_redeploy_restores_unsharded_forward(self, rng, mode):
         plan = make_layer_plan(rng)
         x = rng.normal(size=(3, 40))
-        kwargs = dict(noise=NoiseSpec.noiseless(), mode="crossbar", seed=3)
+        kwargs = dict(noise=DEFAULT_NOISE, mode=mode, seed=3)
+        reference = HybridLinear(plan, **kwargs).forward(x).data
         layer = HybridLinear(plan, **kwargs)
-        reference = layer.forward(x).data.copy()
         layer.deploy(DeviceMesh(), tensor_parallel=4)
-        assert layer.is_sharded
-        layer.undeploy()
-        assert not layer.is_sharded and layer.num_shards == 1
+        assert layer.num_shards > 1
+        # Going back to one shard re-deploys the plan the layer was built
+        # with, noise draws included.
+        layer.deploy(DeviceMesh(), tensor_parallel=1)
+        assert layer.num_shards == 1
         np.testing.assert_array_equal(layer.forward(x).data, reference)
 
     def test_arrays_used_recomputed_per_shard_tiling(self, rng):
         plan = make_layer_plan(rng)
-        layer = HybridLinear(plan, noise=NoiseSpec.noiseless(), mode="crossbar")
+        kwargs = dict(noise=NoiseSpec.noiseless(), mode="crossbar")
+        layer = HybridLinear(plan, **kwargs)
         unsharded = layer.arrays_used()
         layer.deploy(DeviceMesh(), tensor_parallel=8)
         assert layer.arrays_used() >= unsharded  # per-shard tiling rounds up
-        layer.undeploy()
-        assert layer.arrays_used() == unsharded
+
+        # A fresh layer is its own 1-way plan: deploying that plan
+        # explicitly changes neither the footprint nor the tile layout.
+        fresh = HybridLinear(plan, **kwargs)
+        one_way = HybridLinear(plan, **kwargs)
+        one_way.deploy(DeviceMesh(), tensor_parallel=1)
+        assert fresh.arrays_used() == one_way.arrays_used() == unsharded
+        assert len(fresh.shard_stats()) == len(one_way.shard_stats()) == 1
+
+        def tiles(report):
+            return {name: entry["tiles"] for name, entry in report["members"].items()}
+
+        assert tiles(fresh.wear_report()) == tiles(one_way.wear_report())
+        assert tiles(fresh.wear_report())
 
     def test_fast_mode_arrays_used_matches_crossbar(self, rng):
         plan = make_layer_plan(rng)

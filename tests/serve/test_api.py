@@ -12,6 +12,7 @@ scheduler (a 0-deadline request comes back preempted).
 
 from __future__ import annotations
 
+import socket
 import threading
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ import pytest
 
 from repro.nn import DecoderLM, TransformerConfig
 from repro.serve import AdmissionPolicy, ApiServer, ReplicaPool, ServingEngine
-from repro.serve.api import api_request, stream_generate
+from repro.serve.api import MAX_BODY_BYTES, api_request, stream_generate
 
 VOCAB = 48
 
@@ -100,6 +101,47 @@ class TestRoutes:
         assert status == 200
         assert stats["requests_completed"] >= 1
         assert {"pending", "in_flight", "rejected"} <= stats.keys()
+
+
+def _raw_post_status_line(server, content_length: str) -> bytes:
+    """POST headers only (no body, write side closed); the reply's first
+    line, empty when the server answers with nothing at all."""
+    head = (
+        f"POST /v1/generate HTTP/1.1\r\nHost: {server.host}\r\n"
+        f"Content-Length: {content_length}\r\nConnection: close\r\n\r\n"
+    )
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(head.encode())
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply.split(b"\r\n", 1)[0]
+
+
+def _raw_post_status(server, content_length: str) -> int | None:
+    """The status of :func:`_raw_post_status_line`'s reply, or None when
+    the server answers with no HTTP status line at all."""
+    parts = _raw_post_status_line(server, content_length).split()
+    return int(parts[1]) if len(parts) >= 2 else None
+
+
+class TestBodyLength:
+    @pytest.mark.parametrize(
+        "content_length, expected",
+        [("abc", 400), ("-5", 400), (str(MAX_BODY_BYTES + 1), 413)],
+        ids=["malformed", "negative", "oversize"],
+    )
+    def test_bad_content_length_gets_status_and_server_survives(
+        self, server, content_length, expected
+    ):
+        assert _raw_post_status(server, content_length) == expected
+        status, body = api_request(server.host, server.port, "/healthz")
+        assert status == 200 and body == {"ok": True}
+
+    def test_oversize_reply_names_its_status(self, server):
+        line = _raw_post_status_line(server, str(MAX_BODY_BYTES + 1))
+        assert line == b"HTTP/1.1 413 Content Too Large"
 
 
 class TestGenerate:

@@ -185,13 +185,3 @@ class TestPerShardStats:
         per_shard = engine.shard_gemv_stats()
         assert len(per_shard) == 1
         assert per_shard[0].adc_conversions == engine.gemv_stats().adc_conversions
-
-    def test_shard_parallel_serving_matches_serial(self, model, plans, rng):
-        calib = rng.integers(0, 40, size=(2, 6))
-        prompts = [rng.integers(0, 40, size=5) for _ in range(2)]
-        serial = deploy(model, plans, calib, ways=4)
-        threaded = deploy(model, plans, calib, ways=4, shard_parallel=True)
-        a = serial.serve(prompts, max_new_tokens=4)
-        b = threaded.serve(prompts, max_new_tokens=4)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.tokens, y.tokens)
