@@ -4,11 +4,13 @@ Times the bit-serial analog GEMV hot path under both kernels of
 :mod:`repro.rram.kernels` (the ``reference`` spec and the optimized
 ``fast`` kernel) across the batch / out-features / cell-type / noise grid,
 cross-checking bitwise equivalence at every point, times batched against
-per-row decode through the fast kernel, and wall-clocks the Fig. 12 smoke
-sweep.  The payload is written to
+per-row decode through the fast kernel, times a Q/K/V level as one call
+per programmed matrix against its sibling group's stacked calls, and
+wall-clocks the Fig. 12 smoke sweep.  The payload is written to
 ``BENCH_kernels.json`` at the repo root — the perf-trajectory file CI
 uploads as an artifact and gates on (fast must never be slower than
-reference on the large-GEMV and prefill-shaped points).
+reference on the large-GEMV and prefill-shaped points, nor the sibling
+group slower than per-matrix calls).
 """
 
 from __future__ import annotations
@@ -64,6 +66,16 @@ def test_bench_kernels(benchmark, print_header, fresh_runner):
     )
     print(f"shard sweep (batched, batch {decode['gate']['batch']}): {sweep} tok/s")
 
+    print_header("Fused level — Q/K/V per-matrix calls vs the sibling group's stacked calls (µs)")
+    print(f"{'TP':>3} {'matrices':>8} {'calls':>5} {'level':>19} {'stage 1':>19}")
+    for row in value["fused_level"]:
+        print(
+            f"{row['tensor_parallel']:>3} {row['matrices']:>8} {row['group_calls']:>5} "
+            f"{row['level_per_matrix_us']:>7.0f} -> {row['level_group_us']:>5.0f} "
+            f"({row['level_speedup']:>3.1f}x) {row['stage1_per_matrix_us']:>7.0f} -> "
+            f"{row['stage1_group_us']:>5.0f} ({row['stage1_speedup']:>3.1f}x)"
+        )
+
     if "fig12_smoke_wall_s" in value:
         print(f"\nfig12 --smoke end-to-end wall-clock: {value['fig12_smoke_wall_s']:.1f}s")
 
@@ -88,3 +100,8 @@ def test_bench_kernels(benchmark, print_header, fresh_runner):
     gate, batch1 = decode["gate"], decode["batch1"]
     assert gate["speedup"] >= 2.0, gate
     assert gate["batched_tok_s"] > batch1["batched_tok_s"], decode
+    # The sibling group's stacked calls must never lose to one call per
+    # programmed matrix, for the level or its stage 1.
+    for row in value["fused_level"]:
+        assert row["level_group_us"] <= row["level_per_matrix_us"], row
+        assert row["stage1_group_us"] <= row["stage1_per_matrix_us"], row

@@ -4,12 +4,15 @@
 ``reference`` einsum kernel (the spec) against the optimized ``fast``
 kernel of :mod:`repro.rram.kernels` — across a batch x out-features x
 cell-type x noise grid, times batched against per-row decode through the
-same fast kernel, and additionally wall-clocks the Fig. 12 smoke sweep end
-to end.  Its payload is what lands in ``BENCH_kernels.json`` (written by
+same fast kernel, times a Q/K/V level as one call per programmed matrix
+against its :class:`~repro.pim.hybrid.SiblingGroup`'s stacked calls, and
+additionally wall-clocks the Fig. 12 smoke sweep end to end.  Its payload
+is what lands in ``BENCH_kernels.json`` (written by
 ``benchmarks/bench_kernels.py`` and by the CI smoke job), seeding the
 perf-trajectory series future PRs are gated against: CI fails if the fast
 kernel ever becomes slower than the reference kernel on the large-GEMV
-points or the prefill-shaped points.
+points or the prefill-shaped points, or the sibling group slower than
+per-matrix calls.
 
 Timings are wall-clock, so cached replays of this experiment report the
 machine state of the original run; benchmark jobs run it with caching
@@ -259,6 +262,90 @@ def _batched_decode_study(params: dict[str, Any], seed: int) -> dict[str, Any]:
     }
 
 
+#: The sibling-group point: a Q/K/V level in perfbench's served geometry
+#: (d_model 64, rank 32, ~10% of ranks on SLC, calibrated noise) at
+#: decode batch 8, unsharded and at tensor parallelism 2.
+FUSED_LEVEL = {"features": 64, "rank": 32, "protected": 3, "batch": 8, "ways": (1, 2)}
+
+
+def _fused_level_point(ways: int, reps: int, seed: int) -> dict[str, Any]:
+    """One kernel call per programmed matrix vs the level's stacked calls.
+
+    Both run the same codes through every matrix of a calibrated Q/K/V
+    level (stage 1: every A-factor; stage 2: every B-factor on its hidden
+    slice), each under a fresh :class:`PlaneCache` as in a served step.
+    Bitwise agreement rides along with the timing.
+    """
+    from repro.dist import DeviceMesh
+    from repro.pim.hybrid import HybridLinear, SiblingGroup
+    from repro.rram.kernels import run_gemv_stack
+    from repro.svd.pipeline import LayerPlan
+
+    features, rank, batch = FUSED_LEVEL["features"], FUSED_LEVEL["rank"], FUSED_LEVEL["batch"]
+    rng = np.random.default_rng(seed + 29)
+    layers = []
+    for i in range(3):
+        mask = np.zeros(rank, dtype=bool)
+        mask[rng.permutation(rank)[: FUSED_LEVEL["protected"]]] = True
+        plan = LayerPlan(
+            name=f"blocks.0.qkv{i}",
+            a_matrix=rng.normal(size=(rank, features)) / np.sqrt(features),
+            b_matrix=rng.normal(size=(features, rank)) / np.sqrt(rank),
+            bias=None,
+            protected_ranks=mask,
+            sigma_gradients=rng.random(rank),
+        )
+        layer = HybridLinear(plan, noise=DEFAULT_NOISE, mode="crossbar", seed=seed + i)
+        if ways > 1:
+            layer.deploy(DeviceMesh(), tensor_parallel=ways)
+        layers.append(layer)
+    level = SiblingGroup(layers).level()
+    stage1 = level.stage1
+    x_codes = rng.integers(-128, 128, size=(batch, features))
+    h_codes = np.zeros((batch, level.total_rank + 1), dtype=np.int64)
+    h_codes[:, :-1] = rng.integers(-128, 128, size=(batch, level.total_rank))
+    stage2 = [(op, h_codes[:, op.gather].transpose(1, 0, 2)) for op in level.stage2]
+
+    def per_matrix(stage: int) -> list[np.ndarray]:
+        """Every matrix's own call; ``stage`` 0 is the whole level."""
+        with plane_cache_scope(PlaneCache()):
+            outs = [a.gemv(x_codes) for a in stage1.mapped]
+            if stage == 0:
+                for op, inputs in stage2:
+                    outs += [b.gemv(x[:, : b.in_features]) for b, x in zip(op.mapped, inputs)]
+        return outs
+
+    def grouped(stage: int) -> list[np.ndarray]:
+        """The level's stacked calls, split back into per-matrix outputs."""
+        with plane_cache_scope(PlaneCache()):
+            first = run_gemv_stack(stage1.stack, x_codes[None], 8)[0]
+            bounds = np.cumsum([0] + [a.out_features for a in stage1.mapped])
+            outs = [first[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+            if stage == 0:
+                for op, inputs in stage2:
+                    stacked = run_gemv_stack(op.stack, inputs, 8)
+                    outs += [out[:, : b.out_features] for b, out in zip(op.mapped, stacked)]
+        return outs
+
+    # Correctness rides along: the stacked calls reproduce every matrix.
+    if not all(np.array_equal(a, b) for a, b in zip(grouped(0), per_matrix(0), strict=True)):
+        raise AssertionError(f"stacked/per-matrix level mismatch at tensor_parallel={ways}")
+
+    row: dict[str, Any] = {
+        "tensor_parallel": ways,
+        "batch": batch,
+        "matrices": len(stage1.mapped) + sum(len(op.mapped) for op, _ in stage2),
+        "group_calls": 1 + len(stage2),
+    }
+    for name, stage in (("level", 0), ("stage1", 1)):
+        per_s = _time_call(lambda: per_matrix(stage), reps)
+        group_s = _time_call(lambda: grouped(stage), reps)
+        row[f"{name}_per_matrix_us"] = round(per_s * 1e6, 2)
+        row[f"{name}_group_us"] = round(group_s * 1e6, 2)
+        row[f"{name}_speedup"] = round(per_s / group_s, 2)
+    return row
+
+
 def _fig12_smoke_wall_s(seed: int) -> float:
     """End-to-end wall-clock of the Fig. 12 smoke point (uncached)."""
     from repro.exp.registry import get_experiment
@@ -336,6 +423,9 @@ def bench_kernels(params: dict[str, Any], seed: int) -> dict[str, Any]:
             for point in PREFILL_POINTS
         ],
         "batched_decode": _batched_decode_study(params, seed),
+        "fused_level": [
+            _fused_level_point(ways, max(reps, 20), seed) for ways in FUSED_LEVEL["ways"]
+        ],
     }
     if include_fig12:
         payload["fig12_smoke_wall_s"] = round(_fig12_smoke_wall_s(seed), 3)

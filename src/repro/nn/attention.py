@@ -102,9 +102,7 @@ class MultiHeadAttention(Module):
         sharing it across all layers instead of rebuilding it per block).
         """
         batch, seq, _ = x.shape
-        q = self._split_heads(self.w_q(x), batch, seq)
-        k = self._split_heads(self.w_k(x), batch, seq)
-        v = self._split_heads(self.w_v(x), batch, seq)
+        q, k, v = (self._split_heads(t, batch, seq) for t in self._project_qkv(x))
 
         kv_len = seq
         if cache is not None:
@@ -125,6 +123,20 @@ class MultiHeadAttention(Module):
         context = probs @ v  # (B, H, seq, d_head)
         context = context.transpose((0, 2, 1, 3)).reshape(batch, seq, self.d_model)
         return self.w_proj(context)
+
+    def _project_qkv(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """Q, K and V projections of ``x``.
+
+        Projections that read their shared input as one group expose it as
+        ``siblings`` (a deployed crossbar layer's
+        :class:`~repro.pim.hybrid.SiblingGroup`); then one call runs all
+        three.  Otherwise each projection runs on its own.
+        """
+        projections = (self.w_q, self.w_k, self.w_v)
+        group = getattr(self.w_q, "siblings", None)
+        if group is not None and group.layers == projections:
+            return group(x)
+        return self.w_q(x), self.w_k(x), self.w_v(x)
 
     def _combined_mask(
         self,
@@ -227,9 +239,7 @@ class AnalogAttention(MultiHeadAttention):
             return super().forward(x, attention_mask=attention_mask, cache=cache)
 
         batch, seq, _ = x.shape
-        q = self._split_heads(self.w_q(x), batch, seq)
-        k = self._split_heads(self.w_k(x), batch, seq)
-        v = self._split_heads(self.w_v(x), batch, seq)
+        q, k, v = (self._split_heads(t, batch, seq) for t in self._project_qkv(x))
         # Committed per-row lengths (append does not advance them).
         lengths = np.asarray(handles.lengths, dtype=np.int64).copy()
         cache.append(k.data, v.data)  # host mirror + operand columns/rows

@@ -28,6 +28,8 @@ Two execution modes trade fidelity for speed:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.nn.modules import Module
@@ -36,14 +38,21 @@ from repro.quant.quantizer import QuantParams, dequantize, quantize
 from repro.rram.backend import CrossbarBackend
 from repro.rram.cell import CellType, MLC2, SLC
 from repro.rram.crossbar import CrossbarConfig, GemvStats
-from repro.rram.kernels import KernelPolicy
-from repro.rram.mapping import HybridSplit, array_footprint, partition_rank, split_by_rank
+from repro.rram.kernels import GemvStack, KernelPolicy, run_gemv_stack
+from repro.rram.mapping import (
+    HybridSplit,
+    MappedMatrix,
+    array_footprint,
+    partition_rank,
+    split_by_rank,
+)
 from repro.rram.noise import DEFAULT_NOISE, NoiseSpec, apply_multiplicative_noise
 from repro.svd.pipeline import LayerPlan
 
 __all__ = [
     "HybridLinear",
     "MagnitudeProtectedLinear",
+    "SiblingGroup",
     "attach_hybrid_layers",
     "calibrate_activations",
 ]
@@ -52,6 +61,16 @@ _MODES = ("fast", "crossbar")
 
 #: Bit width of the INT8 activation quantizers in the crossbar path.
 _ACTIVATION_BITS = 8
+
+#: Static linears, by the last part of their dotted name, that read one
+#: input: a block's Q/K/V projections, run as one :class:`SiblingGroup`.
+_SHARED_INPUT = ("w_q", "w_k", "w_v")
+
+
+def _int8_codes(values: np.ndarray, scale) -> np.ndarray:
+    """Signed activation codes of float64 ``values``, as :func:`quantize` rounds and clips."""
+    qmax = 2 ** (_ACTIVATION_BITS - 1) - 1
+    return np.clip(np.round(values / scale), -qmax - 1, qmax).astype(np.int64)
 
 
 class MagnitudeProtectedLinear(Module):
@@ -105,12 +124,17 @@ class MagnitudeProtectedLinear(Module):
 
 
 class HybridLinear(Module):
-    """Inference-only linear layer executed on hybrid SLC/MLC analog PIM."""
+    """Inference-only linear layer executed on hybrid SLC/MLC analog PIM.
+
+    ``noise`` defaults to the BER-calibrated ``DEFAULT_NOISE``.  Only
+    ``NoiseSpec.noiseless()`` is noiseless: ``noise=None`` also means
+    ``DEFAULT_NOISE``.
+    """
 
     def __init__(
         self,
         plan: LayerPlan,
-        noise: NoiseSpec | None = None,
+        noise: NoiseSpec = DEFAULT_NOISE,
         mode: str = "fast",
         mlc_cell: CellType = MLC2,
         config: CrossbarConfig | None = None,
@@ -147,6 +171,11 @@ class HybridLinear(Module):
         self._chip = 0
         self._rank_slices: list[tuple[int, int]] = [(0, self.rank)]
         self._splits: list[HybridSplit] = []
+        # Crossbar forwards run as a one-layer sibling group; layers that
+        # read one input (a block's Q/K/V) also share ``siblings``, the
+        # group that runs them together (set by attach_hybrid_layers).
+        self._group = SiblingGroup((self,)) if mode == "crossbar" else None
+        self.siblings: SiblingGroup | None = None
 
         # INT8 weight quantization (per-tensor, symmetric) for both factors.
         self._a_codes, self._a_params = quantize(plan.a_matrix, num_bits=8)
@@ -192,17 +221,22 @@ class HybridLinear(Module):
 
     # ------------------------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:
-        """Inference pass; gradients do not flow through PIM hardware."""
+        """Inference pass; gradients do not flow through PIM hardware.
+
+        Crossbar mode runs the layer as its own one-layer
+        :class:`SiblingGroup`.
+        """
+        if self.mode == "crossbar":
+            return self._group(x)[0]
         data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=get_default_dtype())
-        original_shape = data.shape
-        flat = data.reshape(-1, original_shape[-1])
-        if self.mode == "fast":
-            out = self._forward_fast(flat)
-        else:
-            out = self._forward_crossbar(flat)
+        out = self._forward_fast(data.reshape(-1, data.shape[-1]))
+        return self._output(out, data.shape)
+
+    def _output(self, out: np.ndarray, shape: tuple[int, ...]) -> Tensor:
+        """Bias-added output of a flattened forward, in the input's leading shape."""
         if self.plan.bias is not None:
             out = out + self.plan.bias
-        return Tensor(out.reshape(original_shape[:-1] + (self.out_features,)))
+        return Tensor(out.reshape(shape[:-1] + (self.out_features,)))
 
     def _forward_fast(self, flat: np.ndarray) -> np.ndarray:
         """Eq. (5) forward; shard partial sums add in float, so N-way equals
@@ -213,62 +247,6 @@ class HybridLinear(Module):
             part = hidden @ self._noisy_b[:, start:stop].T
             out = part if out is None else out + part
         self._record_shard_traffic(flat.shape[0], calibrated=True)
-        return out
-
-    def _forward_crossbar(self, flat: np.ndarray) -> np.ndarray:
-        """Bit-serial forward over the programmed shards.
-
-        Noiseless, an N-way plan is bitwise-equal to the 1-way plan under
-        the fast kernel: stage-2 partial sums add in int64 before the one
-        float scaling, and activations quantize with global scales (a
-        scalar absmax synced over the OCI, charged to the traffic ledger).
-        """
-        dtype = get_default_dtype()  # buffers follow the tensor dtype policy
-        shards = list(zip(self._rank_slices, self._splits))
-        protected = self.plan.protected_ranks
-
-        # Stage 1: x (INT8) @ A^T; each shard fills its own column slice of
-        # the hidden vector.  Frozen calibration scales (if present)
-        # replace the per-call rescaling.
-        x_codes, x_params = quantize(
-            flat, num_bits=_ACTIVATION_BITS, params=self._active_params("x")
-        )
-        scale_in = np.asarray(x_params.scale) * np.asarray(self._a_params.scale)
-        hidden = np.zeros((flat.shape[0], self.rank), dtype=dtype)
-        for (start, stop), split in shards:
-            local_protected = protected[start:stop]
-            view = hidden[:, start:stop]
-            if split.slc_a is not None:
-                view[:, local_protected] = split.slc_a.gemv(x_codes) * scale_in
-            if split.mlc_a is not None:
-                view[:, ~local_protected] = split.mlc_a.gemv(x_codes) * scale_in
-
-        # Stage 2: each shard turns its hidden slice (requantized INT8)
-        # into a partial sum of the full output; SLC and MLC partials each
-        # reduce in int64 across shards.
-        h_codes, h_params = quantize(
-            hidden, num_bits=_ACTIVATION_BITS, params=self._active_params("h")
-        )
-        scale_out = np.asarray(h_params.scale) * np.asarray(self._b_params.scale)
-        sums: list[np.ndarray | None] = [None, None]  # SLC, then MLC
-        for (start, stop), split in shards:
-            local_protected = protected[start:stop]
-            h_local = h_codes[:, start:stop]
-            for slot, mapped, columns in (
-                (0, split.slc_b, local_protected),
-                (1, split.mlc_b, ~local_protected),
-            ):
-                if mapped is not None:
-                    part = mapped.gemv(h_local[:, columns])
-                    sums[slot] = part if sums[slot] is None else sums[slot] + part
-        out = np.zeros((flat.shape[0], self.out_features), dtype=dtype)
-        for partial in sums:
-            if partial is not None:
-                out += partial * scale_out
-        if self._calibrating:
-            self._x_absmax = max(self._x_absmax, float(np.abs(flat).max(initial=0.0)))
-            self._h_absmax = max(self._h_absmax, float(np.abs(hidden).max(initial=0.0)))
-        self._record_shard_traffic(flat.shape[0], self._active_params("h") is not None)
         return out
 
     def _active_params(self, which: str) -> QuantParams | None:
@@ -557,6 +535,229 @@ class HybridLinear(Module):
         )
 
 
+@dataclass(frozen=True)
+class _Stage1:
+    """The A-factors reading one quantized input, as one column stack."""
+
+    stack: GemvStack  # one member: the A-factors side by side
+    mapped: tuple[MappedMatrix, ...]  # the constituents' owners (stats sinks)
+    columns: np.ndarray  # hidden column of each stack output
+    a_scales: np.ndarray  # A-factor scale of each stack output's layer
+
+
+@dataclass(frozen=True)
+class _Stage2:
+    """The SLC or the MLC B-factors, one member per (layer, shard)."""
+
+    stack: GemvStack  # one member per B-factor
+    mapped: tuple[MappedMatrix, ...]
+    gather: np.ndarray  # (members, width) hidden columns; padding reads a zero column
+    layers: np.ndarray  # layer of each run of members, runs in layer order
+    starts: np.ndarray | None  # first member of each run; None when every run is one member
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The compiled op list of one sibling group's current shard plans."""
+
+    splits: tuple[list, ...]  # the layers' ``_splits`` it was compiled from
+    stage1: _Stage1
+    stage2: tuple[_Stage2, ...]  # the protected (SLC) B-factors, then the MLC ones
+    offsets: tuple[int, ...]  # each layer's first hidden column
+    ranks: np.ndarray  # each layer's rank
+    total_rank: int  # hidden columns of every layer together
+    out_width: int  # the widest layer output
+
+
+class SiblingGroup:
+    """Crossbar :class:`HybridLinear` layers that read one input: one dependency level.
+
+    A block's Q/K/V projections read the same activations, and so do a
+    layer's tensor-parallel shards and its SLC and MLC arrays; on the
+    hardware they all convert in the same analog wave.  The group runs
+    the level in three kernel calls, whatever its layer count or
+    tensor-parallel degree:
+
+    1. the input is quantized once, and every A-factor reading it (each
+       layer x shard x SLC/MLC) runs as one
+       :class:`~repro.rram.kernels.GemvStack` member;
+    2. each layer requantizes its hidden vector, and the B-factors run
+       member-stacked, one call for the SLC and one for the MLC ones
+       (member inputs are each shard's hidden slice);
+    3. per layer, SLC then MLC partial sums add across shards in int64
+       before the one float scaling.
+
+    The op list is compiled from the layers' shard plans on first use and
+    again whenever :meth:`HybridLinear.deploy` replaces one.  Precomputed
+    int index arrays scatter stage-1 outputs into the hidden vectors and
+    gather each stage-2 member's inputs.  Outputs, every
+    :class:`~repro.rram.crossbar.GemvStats` and the mesh ledger are
+    bitwise-equal to one GEMV per programmed matrix, layer by layer, with
+    the same calibration, kernel policy and plane cache.  Siblings that
+    froze different input scales (calibrated apart) run one by one.
+    """
+
+    def __init__(self, layers) -> None:
+        self.layers = tuple(layers)
+        first = self.layers[0]
+        shared = (first.in_features, first.config, first.policy)
+        if any(
+            layer.mode != "crossbar" or (layer.in_features, layer.config, layer.policy) != shared
+            for layer in self.layers
+        ):
+            raise ValueError(
+                "sibling layers must be crossbar-mode and share in_features, config and policy"
+            )
+        self._level: _Level | None = None
+
+    def __call__(self, x) -> tuple[Tensor, ...]:
+        """Every layer's forward of ``x``, in layer order."""
+        data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=get_default_dtype())
+        outs = self._forward(data.reshape(-1, data.shape[-1]))
+        return tuple(layer._output(out, data.shape) for layer, out in zip(self.layers, outs))
+
+    def level(self) -> _Level:
+        """The op list of the layers' current shard plans.
+
+        Compiled on first use and again whenever :meth:`HybridLinear.deploy`
+        replaced a layer's shard plan.
+        """
+        level = self._level
+        if level is not None and all(
+            a is layer._splits for a, layer in zip(level.splits, self.layers)
+        ):
+            return level
+        offsets = np.cumsum([0] + [layer.rank for layer in self.layers])
+        entries = []
+        stage2: tuple[list, list] = ([], [])  # SLC (protected) then MLC B-factors
+        for index, layer in enumerate(self.layers):
+            protected = layer.plan.protected_ranks
+            for (start, stop), split in zip(layer._rank_slices, layer._splits):
+                local = protected[start:stop]
+                ranks = offsets[index] + np.arange(start, stop)
+                for a, b, columns, role in (
+                    (split.slc_a, split.slc_b, ranks[local], 0),
+                    (split.mlc_a, split.mlc_b, ranks[~local], 1),
+                ):
+                    if a is not None:
+                        entries.append((index, a, columns))
+                    if b is not None:
+                        stage2[role].append((index, b, columns))
+        # Same-cell A-factors side by side recombine as one segment.
+        entries.sort(key=lambda entry: entry[1].cell.bits)
+        a_scales = [float(layer._a_params.scale) for layer in self.layers]
+        stage1 = _Stage1(
+            stack=GemvStack([[a._programmed for _, a, _ in entries]]),
+            mapped=tuple(a for _, a, _ in entries),
+            columns=np.concatenate([columns for _, _, columns in entries]),
+            a_scales=np.concatenate(
+                [np.full(len(columns), a_scales[index]) for index, _, columns in entries]
+            ),
+        )
+        stacks = []
+        for members in filter(None, stage2):
+            gather = np.full((len(members), max(len(c) for _, _, c in members)), offsets[-1])
+            for row, (_, _, columns) in enumerate(members):
+                gather[row, : len(columns)] = columns
+            owners = [index for index, _, _ in members]
+            starts = [i for i, index in enumerate(owners) if i == 0 or owners[i - 1] != index]
+            stacks.append(
+                _Stage2(
+                    stack=GemvStack([(b._programmed,) for _, b, _ in members]),
+                    mapped=tuple(b for _, b, _ in members),
+                    gather=gather,
+                    layers=np.array([owners[i] for i in starts]),
+                    starts=np.array(starts) if len(starts) < len(owners) else None,
+                )
+            )
+        self._level = _Level(
+            splits=tuple(layer._splits for layer in self.layers),
+            stage1=stage1,
+            stage2=tuple(stacks),
+            offsets=tuple(int(o) for o in offsets[:-1]),
+            ranks=np.diff(offsets),
+            total_rank=int(offsets[-1]),
+            out_width=max(layer.out_features for layer in self.layers),
+        )
+        return self._level
+
+    def _forward(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Flattened outputs of every layer (before bias)."""
+        level = self.level()
+        layers = self.layers
+        policy = layers[0].policy
+        batch = flat.shape[0]
+        dtype = get_default_dtype()  # buffers follow the tensor dtype policy
+
+        # Stage 1: x (INT8) @ A^T.  Activations quantize as quantize() does:
+        # float64 values over the frozen calibration scale or, per call (and
+        # while calibrating), over their absmax.
+        wide = np.asarray(flat, dtype=np.float64)
+        x_absmax = float(np.abs(wide).max(initial=0.0))
+        scales = {
+            (layer._active_params("x") or HybridLinear._params_from_absmax(x_absmax)).scale
+            for layer in layers
+        }
+        if len(scales) > 1:
+            # Siblings froze different input scales, so their inputs differ.
+            return [out for layer in layers for out in layer._group._forward(flat)]
+        (scale,) = scales
+        op = level.stage1
+        out = run_gemv_stack(
+            op.stack,
+            _int8_codes(wide, scale)[None],
+            _ACTIVATION_BITS,
+            [a.stats for a in op.mapped],
+            policy,
+        )[0]
+        hidden = np.zeros((batch, level.total_rank), dtype=dtype)
+        hidden[:, op.columns] = out * (np.asarray(scale) * op.a_scales)
+
+        # Stage 2: each layer requantizes its hidden vector (INT8) with its
+        # own scale; column ``total_rank`` of the codes is the zero padding
+        # stage-2 gathers read.
+        wide = np.asarray(hidden, dtype=np.float64)
+        peaks, h_scales = [], []
+        for layer, start in zip(layers, level.offsets):
+            params = layer._active_params("h")  # None while calibrating
+            peak = None
+            if params is None:
+                peak = float(np.abs(wide[:, start : start + layer.rank]).max(initial=0.0))
+                params = HybridLinear._params_from_absmax(peak)
+            peaks.append(peak)
+            h_scales.append(params.scale)
+        h_codes = np.zeros((batch, level.total_rank + 1), dtype=np.int64)
+        h_codes[:, :-1] = _int8_codes(wide, np.repeat(h_scales, level.ranks))
+
+        # Each shard turns its hidden slice into a partial sum of its
+        # layer's output.  Per layer, the SLC and then the MLC partials add
+        # across shards in int64 before the one float scaling.
+        scale_out = np.array(h_scales) * np.array([float(l._b_params.scale) for l in layers])
+        out_all = np.zeros((len(layers), batch, level.out_width), dtype=dtype)
+        for op in level.stage2:
+            out = run_gemv_stack(
+                op.stack,
+                h_codes[:, op.gather].transpose(1, 0, 2),
+                _ACTIVATION_BITS,
+                [b.stats for b in op.mapped],
+                policy,
+            )
+            if op.starts is not None:
+                out = np.add.reduceat(out, op.starts, axis=0)
+            scaled = out * scale_out[op.layers, None, None]
+            if len(op.layers) == len(layers):
+                out_all += scaled
+            else:
+                out_all[op.layers] += scaled
+
+        for layer, peak in zip(layers, peaks):
+            if layer._calibrating:
+                layer._x_absmax = max(layer._x_absmax, x_absmax)
+                layer._h_absmax = max(layer._h_absmax, peak)
+            layer._record_shard_traffic(batch, layer._active_params("h") is not None)
+        return [out[:, : layer.out_features] for out, layer in zip(out_all, layers)]
+
+
 def calibrate_activations(layers, forward_fn) -> int:
     """Calibrate activation quant scales for deployed :class:`HybridLinear`\\ s.
 
@@ -587,7 +788,7 @@ def calibrate_activations(layers, forward_fn) -> int:
 def attach_hybrid_layers(
     model: Module,
     plans: dict[str, LayerPlan],
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec = DEFAULT_NOISE,
     mode: str = "fast",
     mlc_cell: CellType = MLC2,
     seed: int = 0,
@@ -598,11 +799,16 @@ def attach_hybrid_layers(
 
     ``model`` must expose ``replace_static_linear`` (all Transformer variants
     do); ``plans`` comes from the gradient-redistribution pipeline.
-    ``backend`` (crossbar mode) selects the execution target every layer
-    programs onto — ``None`` uses the process-wide default
-    (:func:`repro.rram.backend.get_default_backend`).
+    ``noise`` defaults to ``DEFAULT_NOISE``; only ``NoiseSpec.noiseless()``
+    is noiseless (``None`` also means ``DEFAULT_NOISE``).  ``backend``
+    (crossbar mode) selects the execution target every layer programs
+    onto — ``None`` uses the process-wide default
+    (:func:`repro.rram.backend.get_default_backend`).  In crossbar mode
+    each block's Q/K/V layers are linked as one :class:`SiblingGroup`
+    (their ``siblings``), which attention runs as one call.
     """
     attached: dict[str, HybridLinear] = {}
+    shared: dict[str, dict[str, HybridLinear]] = {}
     for name, plan in plans.items():
         layer = HybridLinear(
             plan,
@@ -615,4 +821,12 @@ def attach_hybrid_layers(
         )
         model.replace_static_linear(name, layer)
         attached[name] = layer
+        prefix, _, leaf = name.rpartition(".")
+        if mode == "crossbar" and leaf in _SHARED_INPUT:
+            shared.setdefault(prefix, {})[leaf] = layer
+    for siblings in shared.values():
+        if len(siblings) == len(_SHARED_INPUT):
+            group = SiblingGroup([siblings[leaf] for leaf in _SHARED_INPUT])
+            for layer in group.layers:
+                layer.siblings = group
     return attached

@@ -29,6 +29,11 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
       zero-padded, exactly, to the widest member; stats stay per member
       (:func:`run_gemv_stack` dispatches a stack; analog attention runs
       every ``(row, head)`` KV tile of a step as one);
+    * a member may also hold several matrices that read its input side
+      by side along the outputs (a :class:`GemvStack` column axis, e.g.
+      every A-factor of a block's Q/K/V shards, SLC beside MLC): each
+      column converts at its own matrix's ADC full scale and the stats
+      stay per matrix;
     * the SAR ADC round/clip runs in place on each tile's sums
       (:meth:`~repro.rram.adc.SarAdc.convert_`), and the digital
       shift-and-add and slice recombination are two small matmuls against
@@ -38,7 +43,8 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
       stay below the full-scale code (:func:`clip_free_flags`, cached per
       matrix next to the float64 cells) is **clip-free**: no 0/1 input can
       push a bitline past that column sum, so its conversion is the round
-      alone, with no clip and no saturation count.  A **narrow** tile,
+      alone, with no clip and no saturation count (in a stack, per
+      matrix's columns).  A **narrow** tile,
       ``w`` wordlines wide with fewer than half as many input patterns as
       bit-rows (``2 * 2**w < kept_bits*batch``), converts its ``2**w``
       possible input patterns once, and its shift-and-add becomes
@@ -65,12 +71,11 @@ cell type, noise level, batch size and tile-spanning shape.
 ``gemm`` is a legacy alias of ``fast``: policies naming it stay valid and
 run :func:`fast_gemv`.
 
-Batched decode additionally amortizes the activation bit-plane *packing*
-across layers: a :class:`PlaneCache` installed via :func:`plane_cache_scope`
-memoizes the packed uint8 planes of each distinct activation block, keyed by
-content, so the N crossbar matrices of one decode step (SLC + MLC stages of
-every ``HybridLinear``, times shards) pack each activation block once.  The
-cache is invalidated on batch-composition changes through
+A :class:`PlaneCache` installed via :func:`plane_cache_scope` memoizes the
+packed bit-planes of each distinct activation block, keyed by content, so
+calls that read the same codes pack them once.  (A served decode step reads
+each activation block in one stacked call, so there it only counts packs.)
+The cache is invalidated on batch-composition changes through
 :class:`~repro.serve.slots.RowSlotManager` generation counters
 (:meth:`PlaneCache.set_generation`).
 
@@ -95,9 +100,10 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from collections.abc import Sequence
 
-    from repro.rram.crossbar import GemvStats, ProgrammedMatrix, WeightSlices
+    from repro.rram.crossbar import GemvStats, ProgrammedMatrix
 
 __all__ = [
+    "GemvStack",
     "KernelPolicy",
     "PlaneCache",
     "PlaneCacheStats",
@@ -219,11 +225,12 @@ class PlaneCacheStats:
 class PlaneCache:
     """Memoized activation bit-plane packing for one decode step.
 
-    One decode step pushes the *same* quantized activation block through
-    many programmed matrices (the SLC and MLC stages of every
-    ``HybridLinear``, times tensor-parallel shards), and each of them would
-    re-run :func:`~repro.quant.quantizer.int_to_bit_planes` on identical
-    codes.  The cache keys packed planes by **content**
+    Calls that push the *same* quantized activation block through
+    different programmed matrices would each pack identical codes.  (A
+    served decode step runs every matrix that reads a block in one stacked
+    call — :class:`~repro.pim.hybrid.SiblingGroup` — so there each pack
+    is a miss; the stage-pipelined executor still reuses packs.)  The
+    cache keys packed planes by **content**
     (``input_codes.tobytes()`` plus shape and bit width) rather than array
     identity — the GEMV entry points copy/validate their inputs, so
     identity never survives the call boundary — which makes a cache hit
@@ -268,8 +275,9 @@ class PlaneCache:
 
     def packed(
         self, input_codes: np.ndarray, input_bits: int, stats: "GemvStats | None" = None
-    ) -> tuple[np.ndarray, tuple[int, ...]]:
-        """``(uint8 planes (bits, n, batch, in), used-bit masks)`` of a stack."""
+    ) -> "_Packed":
+        """``(float64 planes (n, bits, batch, in), used-bit masks, set bits)``
+        of a stack (see :func:`_pack`)."""
         key = (input_bits, input_codes.shape, input_codes.tobytes())
         with self._lock:
             entry = self._entries.get(key)
@@ -322,32 +330,44 @@ class plane_cache_scope:
         _active_plane_cache = self._previous
 
 
-def _pack(input_codes: np.ndarray, input_bits: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """uint8 bit-planes of an ``(n, batch, in)`` stack plus used-bit masks.
+#: ``(planes, used, set_bits)``: float64 bit-planes ``(n, bits, batch, in)``,
+#: one used-bit mask and one set-bit count per member.
+_Packed = tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]
 
-    One mask per member: bit ``k`` is clear iff plane ``k`` is all-zero
-    in that member (the zero-plane skip's oracle).
+
+def _pack(input_codes: np.ndarray, input_bits: int) -> _Packed:
+    """Plane-major float64 bit-planes of an ``(n, batch, in)`` stack.
+
+    Each member's planes ``(bits, batch, in)`` are the fast kernel's
+    matmul operand as is.  One mask per member: bit ``k`` is clear iff
+    plane ``k`` is all-zero in that member (the zero-plane skip's oracle);
+    and one count of set input bits per member (the wordline activations).
     """
     masked = input_codes & (2**input_bits - 1)
     # Masked codes lie in [0, 2**input_bits) by construction, so the
     # range checks of int_to_bit_planes would never fire.
-    planes = ((masked >> _plane_shifts(input_bits)) & 1).astype(np.uint8)
+    if input_bits <= 8:
+        planes = np.take(_bit_table(input_bits), masked, axis=1).swapaxes(0, 1)
+    else:
+        shifts = np.arange(input_bits).reshape(input_bits, 1, 1)
+        planes = ((masked[:, None] >> shifts) & 1).astype(np.float64)
     used = np.bitwise_or.reduce(masked, axis=(1, 2))
-    return planes, tuple(used.tolist())
+    set_bits = planes.sum(axis=(1, 2, 3)).astype(np.int64)
+    return planes, tuple(used.tolist()), tuple(set_bits.tolist())
 
 
 @functools.lru_cache(maxsize=None)
-def _plane_shifts(input_bits: int) -> np.ndarray:
-    """``(bits, 1, 1, 1)`` shifts splitting a stack into plane-major bits."""
-    shifts = np.arange(input_bits).reshape(input_bits, 1, 1, 1)
-    shifts.flags.writeable = False
-    return shifts
+def _bit_table(input_bits: int) -> np.ndarray:
+    """``(bits, 2**bits)`` float64: entry ``[k, v]`` is bit ``k`` of ``v``."""
+    table = ((np.arange(1 << input_bits) >> np.arange(input_bits)[:, None]) & 1).astype(
+        np.float64
+    )
+    table.flags.writeable = False
+    return table
 
 
-def _packed_planes(
-    input_codes: np.ndarray, input_bits: int, stats: "GemvStats | None"
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Packed uint8 planes + per-member used-bit masks, via the active cache."""
+def _packed_planes(input_codes: np.ndarray, input_bits: int, stats: "GemvStats | None") -> _Packed:
+    """Packed planes, used-bit masks and set-bit counts, via the active cache."""
     cache = _active_plane_cache
     if cache is not None:
         return cache.packed(input_codes, input_bits, stats)
@@ -373,28 +393,21 @@ def _popcount_total(values: np.ndarray, num_bits: int) -> int:
 
 
 def _fill_analytic_stats(
-    stats: "GemvStats",
-    matrix: "ProgrammedMatrix",
-    slices: "WeightSlices",
-    batch: int,
-    input_bits: int,
-    num_tiles: int,
-    set_bits: int,
+    stats: "GemvStats", shape: tuple[int, ...], batch: int, input_bits: int, set_bits: int
 ) -> None:
     """Closed-form operation counts (everything except ADC saturations).
 
-    ``slices`` is ``matrix.slices``, read once by the caller (a dynamic
-    operand's view builds it afresh on every access).  ``set_bits`` is the
+    ``shape`` is a matrix's ``(row tiles, cell columns, slices, array
+    tiles, cells)`` (:attr:`GemvStack.shapes`).  ``set_bits`` is the
     number of set input bits across the block: each one activates its
     wordline once per weight slice.
     """
-    num_slices = slices.num_slices
-    stats.adc_conversions += num_tiles * batch * input_bits * matrix.out_features * num_slices
+    num_tiles, columns, num_slices, array_tiles, cells = shape
+    stats.adc_conversions += num_tiles * batch * input_bits * columns
     stats.wordline_activations += set_bits * num_slices
     stats.input_cycles += num_tiles * input_bits
-    col_tiles = -(-matrix.out_features * num_slices // matrix.config.cols)
-    stats.array_tiles += num_tiles * col_tiles
-    stats.cells_programmed += slices.values.size
+    stats.array_tiles += array_tiles
+    stats.cells_programmed += cells
 
 
 def clip_free_flags(cells: np.ndarray, rows: int, full_scale: int) -> tuple[bool, ...]:
@@ -542,166 +555,328 @@ def _stacked(blocks: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
     return stack
 
 
+class GemvStack:
+    """Programmed matrices arranged for one :func:`fast_gemv` call.
+
+    ``members`` stack along a leading axis, and each reads its own input.
+    A member is a sequence of constituent matrices that read the member's
+    input side by side along the outputs (the column axis).  On the
+    hardware, every array a wordline input is broadcast to converts in the
+    same analog wave: a block's Q/K/V A-factors, their tensor-parallel
+    shards and their SLC and MLC arrays.  Constituents of one member share
+    ``in_features``.  Constituent ``j`` of every member shares cell
+    geometry and ADC, and all share the row-tile height.  Lone-matrix
+    members may differ in shape and are zero-padded to the widest;
+    constituents of multi-matrix members must also match in width.  Output
+    ``o`` of constituent ``j`` is column ``o`` plus the widths of
+    constituents ``0..j-1``.
+
+    The layout (widths, slice segments, weight offsets) is derived once.
+    The :meth:`plan` (stacked float64 cells or the dense weights of the
+    noiseless shortcut, plus the per-tile ADC work) is cached against
+    every constituent's backend epoch, so an ``advance()`` or
+    ``reprogram()`` that reaches any constituent rebuilds it.  With
+    ``cache=False`` it is derived on every call, for views whose cells
+    change by other means (dynamic operands).
+    """
+
+    def __init__(self, members, cache: bool = True) -> None:
+        self.members = tuple(tuple(member) for member in members)
+        if not self.members or not all(self.members):
+            raise ValueError("a GemvStack needs at least one non-empty member")
+        per = self.per_member = len(self.members[0])
+        self.matrices = tuple(c for member in self.members for c in member)
+        self.slices = [c.slices for c in self.matrices]  # built afresh by dynamic views
+        self.rows = self.matrices[0].config.rows
+
+        def geometry(k: int) -> tuple[int, int, int]:
+            return (
+                self.slices[k].num_slices,
+                self.slices[k].cell.bits,
+                self.matrices[k].adc.full_scale,
+            )
+
+        if any(len(member) != per for member in self.members) or any(
+            geometry(k) != geometry(k % per)
+            or c.config.rows != self.rows
+            or c.in_features != self.members[k // per][0].in_features
+            for k, c in enumerate(self.matrices)
+        ):
+            raise ValueError(
+                "stack members must line up constituent by constituent, and a "
+                "member's constituents must share in_features"
+            )
+        self.widths = [max(member[j].out_features for member in self.members) for j in range(per)]
+        padded = any(c.out_features != self.widths[k % per] for k, c in enumerate(self.matrices))
+        if padded and per > 1:
+            raise ValueError("constituents of multi-matrix members must match in width")
+        self.in_width = max(member[0].in_features for member in self.members)
+        self.out_width = sum(self.widths)
+        self.tiles = [-(-c.in_features // self.rows) for c in self.matrices]
+        #: Per constituent: row tiles, cell columns, slices, array tiles
+        #: and cells, the inputs of its closed-form GemvStats.
+        self.shapes = [
+            (
+                tiles,
+                c.out_features * s.num_slices,
+                s.num_slices,
+                tiles * -(-c.out_features * s.num_slices // c.config.cols),
+                s.values.size,
+            )
+            for c, s, tiles in zip(self.matrices, self.slices, self.tiles)
+        ]
+        spans = [width * self.slices[j].num_slices for j, width in enumerate(self.widths)]
+        bounds = np.cumsum([0] + spans).tolist()
+        self.columns = bounds[-1]
+        #: Per slot: its cell columns and its ADC full scale.
+        self.slots = [
+            (bounds[j], bounds[j + 1], self.matrices[j].adc.full_scale) for j in range(per)
+        ]
+        # Slice recombination runs once per run of slots with one slice
+        # geometry: (first column, last column, num_slices, place values).
+        runs: list[list[int]] = []
+        for j in range(per):
+            num_slices, cell_bits, _ = geometry(j)
+            if runs and runs[-1][2:] == [num_slices, cell_bits]:
+                runs[-1][1] = bounds[j + 1]
+            else:
+                runs.append([bounds[j], bounds[j + 1], num_slices, cell_bits])
+        self.segments = [
+            (first, last, num_slices, _slice_place_values(cell_bits, num_slices))
+            for first, last, num_slices, cell_bits in runs
+        ]
+        offsets = {s.offset for s in self.slices}
+        if not padded and len(offsets) == 1:
+            self.offsets: int | np.ndarray = offsets.pop()
+        else:
+            # Padded columns summed only zero cells; keep them at 0.
+            self.offsets = np.zeros((len(self.members), 1, self.out_width), dtype=np.int64)
+            out_starts = np.cumsum([0] + self.widths[:-1])
+            for k, c in enumerate(self.matrices):
+                start = out_starts[k % per]
+                self.offsets[k // per, 0, start : start + c.out_features] = self.slices[k].offset
+        self._cache = cache
+        self._cache_key: tuple[int, ...] | None = None
+        self._plan: tuple = ()
+
+    def plan(self) -> tuple:
+        """``(exact, clips, counts, clip_free_counts, operand)`` of the current cells.
+
+        Cached until any constituent's backend epoch moves.  ``exact``:
+        every tile of every constituent is clip-free and every cell
+        noiseless, so the dense shortcut applies and ``operand`` is the
+        stacked ``W.T`` ``(n, in, out)``; otherwise ``operand`` is the
+        stacked float64 cells ``(n, in, columns)``, whose row slices are the
+        tiles.  Per row tile, ``clips`` lists merged ``(first, last,
+        full_scale)`` column ranges of slots some constituent cannot prove
+        clip-free (:func:`clip_free_flags`), and ``counts`` lists
+        ``(constituent, member, first, last, full_scale)`` for each such
+        constituent, whose saturations are counted over its own columns.
+        A clip-free column never reaches full scale, so clipping it is a
+        no-op and its count is provably 0.  ``clip_free_counts`` holds each
+        constituent's number of clip-free tiles.
+        """
+        if not self._cache:
+            return self._build_plan()
+        key = tuple([m.backend.epoch for m in self.matrices])
+        if key != self._cache_key:
+            self._plan = self._build_plan()
+            self._cache_key = key
+        return self._plan
+
+    def _blocks(self, block) -> list[np.ndarray]:
+        """Per member, its constituents' ``block(matrix)`` side by side."""
+        return [
+            np.concatenate([block(c) for c in member], axis=1) if len(member) > 1 else block(member[0])
+            for member in self.members
+        ]
+
+    def _build_plan(self) -> tuple:
+        flags = [c.clip_free_tiles() for c in self.matrices]
+        exact = all(map(all, flags)) and all([c.is_noiseless for c in self.matrices])
+        if exact:
+            blocks = self._blocks(lambda c: c.dense_weights_t)
+            operand = _stacked(blocks, (self.in_width, self.out_width))
+        else:
+            blocks = self._blocks(lambda c: c.float_planes())
+            operand = _stacked(blocks, (self.in_width, self.columns))
+        per = self.per_member
+        clips, counts = [], []
+        for tile in range(max(self.tiles)):
+            unproven = [k for k, f in enumerate(flags) if tile < len(f) and not f[tile]]
+            ranges: list[list[int]] = []
+            for j in sorted({k % per for k in unproven}):
+                first, last, full_scale = self.slots[j]
+                if ranges and ranges[-1][1:] == [first, full_scale]:
+                    ranges[-1][1] = last
+                else:
+                    ranges.append([first, last, full_scale])
+            clips.append(tuple(tuple(r) for r in ranges))
+            counts.append(tuple((k, k // per) + self.slots[k % per] for k in unproven))
+        return exact, tuple(clips), tuple(counts), tuple(sum(f) for f in flags), operand
+
+
 def fast_gemv(
-    matrices: "Sequence[ProgrammedMatrix]",
+    matrices: "GemvStack | Sequence[ProgrammedMatrix]",
     input_codes: np.ndarray,
     input_bits: int,
     stats: "Sequence[GemvStats | None] | None" = None,
 ) -> np.ndarray:
-    """Optimized bit-serial GEMV over a stack of matrices.
+    """Optimized bit-serial GEMV over a :class:`GemvStack`.
 
-    ``matrices`` share cell type, crossbar geometry and ADC;
-    ``input_codes`` is ``(n, batch, in)`` with ``in`` the widest member's
-    ``in_features`` and zeros past each member's own.  Returns
-    ``(n, batch, out)`` int64 with ``out`` the widest member's
-    ``out_features`` and zeros past each member's own.  ``stats`` holds
-    one (possibly shared, possibly ``None``) sink per member.  A single
+    ``matrices`` is a stack, or a sequence of matrices each forming a
+    one-matrix member.  ``input_codes`` is ``(n, batch, in)`` with ``in``
+    the widest member's ``in_features`` and zeros past each member's own.
+    Returns ``(n, batch, out)`` int64, each constituent's outputs in its
+    columns, zeros past its own.  ``stats`` holds one (possibly shared,
+    possibly ``None``) sink per constituent, member by member.  A single
     matrix is a one-member stack.
 
-    Member ``i`` of the result is bitwise-equal to
-    :func:`reference_gemv` on member ``i`` alone, outputs and
+    Constituent ``c`` of member ``i`` is bitwise-equal to
+    :func:`reference_gemv` on that matrix alone, outputs and
     :class:`~repro.rram.crossbar.GemvStats`.  Each row tile of the
     stacked float64 cells meets every kept bit-plane of every row of every
-    member in one batched matmul ``(n, kept*batch, w) @ (n, w, out*n_s)``.
-    Zero padding changes no member: padded cells and padded inputs add
-    exactly 0 to a bitline sum, an all-zero sum converts to code 0 (never
-    full scale), and a bit-plane kept for another member but all-zero in
-    this one contributes only such sums.  With float32 cell storage (the
-    default) every analog sum is an exact float64 sum of stored cell
-    values and every later intermediate an exact integer, so stacking and
-    batching change no bit.  :class:`GemvStats` stay per member and
-    analytic, from each member's own shape, used bit-planes and set bits.
+    member in one batched matmul ``(n, kept*batch, w) @ (n, w, columns)``.
+    Stacking changes no bitline sum: side-by-side constituents only add
+    columns, and zero padding adds exactly 0 (an all-zero sum converts to
+    code 0, never full scale; a bit-plane kept for another member but
+    all-zero in this one contributes only such sums).  Each column is
+    clipped at its own constituent's ADC full scale.  With float32 cell
+    storage (the default) every analog sum is an exact float64 sum of
+    stored cell values and every later intermediate an exact integer
+    below 2**53, so stacking and batching change no bit.
+    :class:`GemvStats` stay per constituent and analytic, from its own
+    shape, used bit-planes and set bits; saturations are counted over its
+    own columns.
 
-    Only ADC work that can change a code runs: a tile that every member's
-    cells prove clip-free (:func:`clip_free_flags`) is only rounded, and a
-    tile ``w`` wordlines wide with fewer than half as many input patterns
-    (``2**w``) as bit-rows (``kept_bits*batch``) converts each pattern
-    once.
+    Only ADC work that can change a code runs: a constituent's columns on
+    a tile its cells prove clip-free (:func:`clip_free_flags`) are only
+    rounded, and a tile ``w`` wordlines wide with fewer than half as many
+    input patterns (``2**w``) as bit-rows (``kept_bits*batch``) converts
+    each pattern once.
     """
+    stack = matrices if isinstance(matrices, GemvStack) else _one_per_member(matrices)
     n, batch, in_width = input_codes.shape
-    first = matrices[0]
-    rows = first.config.rows
-    sinks = stats or (None,) * n
-    flags = [m.clip_free_tiles() for m in matrices]  # one flag per row tile
-    tiles = [len(f) for f in flags]
-    out_features = [m.out_features for m in matrices]
-    out_width = max(out_features)
+    per = stack.per_member
+    sinks = stats or (None,) * len(stack.matrices)
+    exact, clips, counts, clip_free_counts, operand = stack.plan()
 
-    if all(map(all, flags)) and all([m.is_noiseless for m in matrices]):
+    if exact:
         # Exact short-circuit: with noiseless integer cells and no bitline
         # able to reach the ADC full-scale code, every conversion returns
         # its analog sum unchanged and the shift-and-add telescopes to the
         # plain integer GEMV (the crossbar module docstring's exactness
         # argument).  Saturated-conversion count is provably zero.
-        for i, sink in enumerate(sinks):
+        set_bits = [_popcount_total(codes, input_bits) for codes in input_codes]
+        for k, sink in enumerate(sinks):
             if sink is not None:
-                set_bits = _popcount_total(input_codes[i], input_bits)
-                _fill_analytic_stats(
-                    sink, matrices[i], matrices[i].slices, batch, input_bits, tiles[i], set_bits
-                )
-        dense = _stacked([m.dense_weights_t for m in matrices], (in_width, out_width))
-        product = input_codes.astype(np.float64) @ dense  # exact integers
+                _fill_analytic_stats(sink, stack.shapes[k], batch, input_bits, set_bits[k // per])
+        product = input_codes.astype(np.float64) @ operand  # exact integers
         return np.rint(product).astype(np.int64)
 
-    slices = [m.slices for m in matrices]
-    num_slices = slices[0].num_slices
-    bit_planes, used = _packed_planes(input_codes, input_bits, sinks[0])
+    bit_planes, used, set_bits = _packed_planes(input_codes, input_bits, sinks[0])
     union = functools.reduce(operator.or_, used)
     kept, bit_w = _kept_bit_weights(input_bits, union)
-    for i, sink in enumerate(sinks):
+    if len(kept) < input_bits:
+        bit_planes = bit_planes[:, kept]
+    # (n, kept*batch, in): row k*batch + b is bit kept[k] of input row b.
+    # A plane kept for another member is all-zero in this one.
+    bit_rows = len(kept) * batch
+    lhs = bit_planes.reshape(n, bit_rows, in_width)
+    starts = range(0, in_width, stack.rows)
+    # Few wordlines, many bit-rows: a tile ``w`` wordlines wide converts
+    # each of its 2**w input patterns once.  Nearer parity the
+    # (batch, 2**w) @ (2**w, columns) weighting matmul costs more than the
+    # conversions it saves.
+    tables = [(2 << min(stack.rows, in_width - start)) < bit_rows for start in starts]
+    for k, sink in enumerate(sinks):
         if sink is not None:
-            set_bits = int(np.count_nonzero(bit_planes[:, i]))
-            _fill_analytic_stats(
-                sink, matrices[i], slices[i], batch, input_bits, tiles[i], set_bits
-            )
+            i = k // per
+            _fill_analytic_stats(sink, stack.shapes[k], batch, input_bits, set_bits[i])
             sink.fused_rows += batch
             # An all-zero activation bit-plane sums to 0 on every bitline,
             # which the ADC converts to code 0: no contribution, never
             # saturated.  Each member skips the planes it leaves unused.
-            sink.zero_planes_skipped += (input_bits - used[i].bit_count()) * tiles[i]
+            sink.zero_planes_skipped += (input_bits - used[i].bit_count()) * stack.tiles[k]
+            if kept.size:
+                sink.table_tiles += sum(tables[: stack.tiles[k]])
+                sink.clip_free_tiles += clip_free_counts[k]
     if not kept.size:
         # Every activation code is 0, and so is the offset correction.
-        return np.zeros((n, batch, out_width), dtype=np.int64)
+        return np.zeros((n, batch, stack.out_width), dtype=np.int64)
 
-    # (n, kept*batch, in): row k*batch + b is bit kept[k] of input row b.
-    # A plane kept for another member is all-zero in this one.
-    bit_rows = len(kept) * batch
-    if len(kept) < input_bits:
-        bit_planes = bit_planes[kept]
-    lhs = bit_planes.swapaxes(0, 1).reshape(n, bit_rows, in_width).astype(np.float64)
-    # (n, in, out*n_s); row slices are the tiles.
-    cells = _stacked([m.float_planes() for m in matrices], (in_width, out_width * num_slices))
-    full_scale = first.adc.full_scale
     codes = None  # summed codes of the tiles converted bit-row by bit-row
-    acc = np.zeros((n, batch, cells.shape[2]))  # shift-and-added codes
-    for tile_index, row_start in enumerate(range(0, in_width, rows)):
-        row_stop = min(row_start + rows, in_width)
-        width = row_stop - row_start
+    acc = None  # shift-and-added codes of the tiles converted per pattern
+    for tile_index, (row_start, table) in enumerate(zip(starts, tables)):
+        row_stop = min(row_start + stack.rows, in_width)
         tile_lhs = lhs[:, :, row_start:row_stop]
-        # A member without this tile has zero cells and inputs there.
-        clip_free = [tile_index >= t or f[tile_index] for t, f in zip(tiles, flags)]
-        # Nearer parity the (batch, 2**w) @ (2**w, out*n_s) weighting
-        # matmul costs more than the conversions it saves.
-        table = (2 << width) < bit_rows
+        tile_cells = operand[:, row_start:row_stop]  # (n, w, columns)
         if table:
-            # Few wordlines, many bit-rows: convert every input pattern
-            # once, then weight each pattern by the shift-and-add weights
-            # of the bit-rows that carry it.
-            patterns, place = _wordline_patterns(width)
-            sums = patterns @ cells[:, row_start:row_stop]  # (n, 2**w, out*n_s)
+            patterns, place = _wordline_patterns(row_stop - row_start)
+            sums = patterns @ tile_cells  # (n, 2**w, columns)
             index = (tile_lhs @ place).astype(np.intp)  # (n, bit_rows)
         else:
-            sums = tile_lhs @ cells[:, row_start:row_stop]  # (n, bit_rows, out*n_s)
-        if all(clip_free):
-            np.rint(sums, out=sums)  # the clip and saturation count are no-ops
-        else:
-            first.adc.convert_(sums)  # round/clip in place
-        for i, sink in enumerate(sinks):
-            if sink is None or tile_index >= tiles[i]:
+            sums = tile_lhs @ tile_cells  # (n, bit_rows, columns)
+        # The ADC's round; its clip only where a constituent's cells cannot
+        # rule it out, at that constituent's full scale.
+        np.rint(sums, out=sums)
+        for first, last, full_scale in clips[tile_index]:
+            view = sums[:, :, first:last]
+            np.clip(view, 0, full_scale, out=view)
+        occurrences: dict[int, np.ndarray] = {}
+        for k, i, first, last, full_scale in counts[tile_index]:
+            if sinks[k] is None:
                 continue
-            sink.table_tiles += table
-            sink.clip_free_tiles += clip_free[i]
-            if not clip_free[i]:
-                saturated = sums[i] == full_scale
-                if table:
-                    occurrences = np.bincount(index[i], minlength=len(patterns))
-                    sink.saturated_conversions += int(
-                        occurrences @ np.count_nonzero(saturated, axis=1)
-                    )
-                else:
-                    sink.saturated_conversions += int(np.count_nonzero(saturated))
+            saturated = sums[i, :, first:last] == full_scale
+            if table:
+                if i not in occurrences:
+                    occurrences[i] = np.bincount(index[i], minlength=len(patterns))
+                count = occurrences[i] @ np.count_nonzero(saturated, axis=1)
+            else:
+                count = np.count_nonzero(saturated)
+            sinks[k].saturated_conversions += int(count)
         if table:
             # (n, batch, 2**w) weights: member i, row b, column p sums
             # bit_w[k] over the kept planes k whose bit-row of input row b
             # has pattern p.
-            slots, row_weights = _table_layout(input_bits, union, n, batch, width)
+            slots, row_weights = _table_layout(input_bits, union, n, batch, row_stop - row_start)
             weights = np.bincount(
-                (slots + index).ravel(), weights=row_weights, minlength=n * batch << width
+                (slots + index).ravel(), weights=row_weights, minlength=n * batch * len(patterns)
             ).reshape(n, batch, -1)
-            acc += weights @ sums
+            weighted = weights @ sums
+            acc = weighted if acc is None else acc + weighted
         # Shift-and-add is linear, so per-tile codes can be summed first.
         elif codes is None:
             codes = sums
         else:
             codes += sums
 
-    # Digital shift-and-add over kept bit-planes, slice recombination, then
-    # removal of the weight offset: x @ (W + 128).T = x @ W.T + 128 * sum(x).
+    # Digital shift-and-add over kept bit-planes, then slice recombination:
+    # each output sums its slices' codes times their place values.
     if codes is not None:
-        acc += (bit_w @ codes.reshape(n, len(kept), -1)).reshape(n, batch, -1)
-    combined = acc.reshape(-1, num_slices) @ _slice_place_values(
-        slices[0].cell.bits, num_slices
-    )
-    result = combined.astype(np.int64).reshape(n, batch, out_width)
-    correction = slices[0].offset * input_codes.sum(axis=2, keepdims=True)
-    if min(out_features) < out_width:
-        # Padded columns summed only zero cells; keep them at 0.
-        correction = correction * (np.arange(out_width) < np.array(out_features)[:, None, None])
-    return result - correction
+        shifted = (bit_w @ codes.reshape(n, len(kept), -1)).reshape(n, batch, -1)
+        acc = shifted if acc is None else acc + shifted
+    if len(stack.segments) == 1:
+        num_slices, place = stack.segments[0][2:]
+        combined = (acc.reshape(-1, num_slices) @ place).reshape(n, batch, -1)
+    else:
+        combined = np.concatenate(
+            [
+                acc[:, :, first:last].reshape(n, batch, -1, num_slices) @ place
+                for first, last, num_slices, place in stack.segments
+            ],
+            axis=2,
+        )
+    # Removal of the weight offset: x @ (W + 128).T = x @ W.T + 128 * sum(x).
+    return combined.astype(np.int64) - stack.offsets * input_codes.sum(axis=2, keepdims=True)
 
+
+def _one_per_member(matrices: "Sequence[ProgrammedMatrix]") -> GemvStack:
+    """An uncached stack with one matrix per member."""
+    return GemvStack([(m,) for m in matrices], cache=False)
 
 def run_gemv_stack(
-    matrices: "Sequence[ProgrammedMatrix]",
+    matrices: "GemvStack | Sequence[ProgrammedMatrix]",
     input_codes: np.ndarray,
     input_bits: int,
     stats: "Sequence[GemvStats | None] | None" = None,
@@ -710,16 +885,21 @@ def run_gemv_stack(
     """Dispatch one validated stacked GEMV according to ``policy``.
 
     Shapes as :func:`fast_gemv`.  ``"reference"`` runs
-    :func:`reference_gemv` on each member's own inputs, the spec the
-    stacked fast kernel is tested against.
+    :func:`reference_gemv` on each constituent of each member with the
+    member's own inputs, the spec the stacked fast kernel is tested
+    against.
     """
+    stack = matrices if isinstance(matrices, GemvStack) else _one_per_member(matrices)
     if resolve_policy(policy).mode != "reference":
-        return fast_gemv(matrices, input_codes, input_bits, stats)
+        return fast_gemv(stack, input_codes, input_bits, stats)
     n, batch, _ = input_codes.shape
-    out = np.zeros((n, batch, max(m.out_features for m in matrices)), dtype=np.int64)
-    for i, (matrix, sink) in enumerate(zip(matrices, stats or (None,) * n)):
-        out[i, :, : matrix.out_features] = reference_gemv(
-            matrix, input_codes[i, :, : matrix.in_features], input_bits, sink
+    out = np.zeros((n, batch, stack.out_width), dtype=np.int64)
+    sinks = stats or (None,) * len(stack.matrices)
+    starts = np.cumsum([0] + stack.widths[:-1])
+    for k, matrix in enumerate(stack.matrices):
+        i, start = k // stack.per_member, starts[k % stack.per_member]
+        out[i, :, start : start + matrix.out_features] = reference_gemv(
+            matrix, input_codes[i, :, : matrix.in_features], input_bits, sinks[k]
         )
     return out
 

@@ -65,6 +65,7 @@ from repro.nn.tensor import no_grad
 from repro.nn.transformer import DecoderLM
 from repro.pim.hybrid import HybridLinear, attach_hybrid_layers, calibrate_activations
 from repro.rram.crossbar import GemvStats
+from repro.rram.noise import DEFAULT_NOISE, NoiseSpec
 from repro.serve.continuous import ContinuousScheduler
 from repro.serve.requests import GenerationRequest, RequestResult, TokenCallback
 from repro.serve.slots import CacheSlotPool
@@ -454,7 +455,7 @@ class ServingEngine:
         model: DecoderLM,
         plans: dict,
         calibration_prompts: np.ndarray | None = None,
-        noise=None,
+        noise: NoiseSpec = DEFAULT_NOISE,
         mode: str = "fast",
         seed: int = 0,
         policy=None,
@@ -470,7 +471,10 @@ class ServingEngine:
         ``calibration_prompts`` (B, L) are pushed through the deployed model
         once to freeze activation quantization scales (meaningful for
         ``mode="crossbar"``; a no-op for the fast Eq. 5 path, which does not
-        quantize activations).
+        quantize activations).  ``noise`` is the programming-noise spec of
+        every crossbar; it defaults to the BER-calibrated ``DEFAULT_NOISE``,
+        and only ``NoiseSpec.noiseless()`` is noiseless (``None`` also
+        means ``DEFAULT_NOISE``).
 
         ``mesh`` (a :class:`~repro.dist.DeviceMesh`) enables sharded
         multi-chip execution: a :class:`~repro.dist.ShardPlan` is derived
@@ -542,7 +546,7 @@ class ServingEngine:
         if attention == "analog":
             from repro.nn.attention import AnalogAttention
             from repro.pim.attention import CrossbarAttentionExecutor
-            from repro.rram import DEFAULT_NOISE, MLC2
+            from repro.rram import MLC2
 
             spec = noise if noise is not None else DEFAULT_NOISE
             placement = None

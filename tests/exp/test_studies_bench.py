@@ -50,6 +50,12 @@ class TestBenchKernels:
         assert (mlc2["cell"], mlc2["in_features"], mlc2["batch"]) == ("MLC2", 38, 54)
         assert (slc["table_tiles"], mlc2["table_tiles"]) == (1, 0)
         assert slc["clip_free_tiles"] == mlc2["clip_free_tiles"] == 1
+        # The fused Q/K/V level runs in three stacked calls at TP 1 and 2,
+        # against one call per programmed matrix.
+        assert [row["tensor_parallel"] for row in value["fused_level"]] == [1, 2]
+        for row in value["fused_level"]:
+            assert row["group_calls"] == 3 and row["matrices"] >= 12
+            assert row["level_group_us"] > 0 and row["stage1_per_matrix_us"] > 0
         assert "fig12_smoke_wall_s" not in value
 
 

@@ -73,6 +73,28 @@ class TestNoiselessAgreement:
         assert rel < 0.05
 
 
+class TestNoiseDefault:
+    def test_signatures_spell_the_default(self):
+        import inspect
+
+        from repro.rram import DEFAULT_NOISE
+        from repro.serve import ServingEngine
+
+        for fn in (HybridLinear, attach_hybrid_layers, ServingEngine.deploy):
+            assert inspect.signature(fn).parameters["noise"].default is DEFAULT_NOISE
+
+    @pytest.mark.parametrize("mode", ["fast", "crossbar"])
+    def test_explicit_none_still_means_the_default(self, rng, mode):
+        from repro.rram import DEFAULT_NOISE
+
+        plan = make_plan(8, 16, 12, 2, rng)
+        x = Tensor(rng.normal(size=(3, 16)))
+        default = HybridLinear(plan, mode=mode, seed=4)
+        explicit_none = HybridLinear(plan, noise=None, mode=mode, seed=4)
+        assert explicit_none.noise is DEFAULT_NOISE
+        np.testing.assert_array_equal(explicit_none(x).data, default(x).data)
+
+
 class TestNoiseBehaviour:
     def test_protection_improves_fidelity(self, rng):
         """More SLC-protected ranks => smaller deviation from the reference.

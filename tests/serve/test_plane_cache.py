@@ -150,16 +150,37 @@ class TestServingStatsCounters:
         for key in ("planes_packed", "pack_reuses", "fused_rows"):
             assert snapshot[key] == getattr(stats, key)
 
-    def test_sharded_steps_reuse_packed_planes(self):
-        """Tensor-parallel stage-1 shards consume identical activation
-        codes: the first shard packs, the rest must hit the cache."""
+    def test_tp2_decode_step_packs_each_level_input_once(self, monkeypatch):
+        """At TP 2 both shards' SLC and MLC stage-1 arrays of a dependency
+        level read one packed input: a decode step packs each level's
+        shared input exactly once, packs no codes twice and reuses none,
+        and every pack is counted in ``ServingStats``."""
+        import repro.rram.kernels as kernels
         from repro.dist import DeviceMesh
 
         engine = _engine(plane_cache=True, mesh=DeviceMesh(), tensor_parallel=2)
         engine.submit(_prompt(5, 4), 4)
-        engine.run_until_idle()
-        assert engine.stats.planes_packed > 0
-        assert engine.stats.pack_reuses > 0
+        engine.submit(_prompt(6, 2), 4)
+        engine.step()  # admit and prefill both requests
+        packed = []
+        original = kernels._pack
+        monkeypatch.setattr(
+            kernels,
+            "_pack",
+            lambda codes, bits: packed.append(codes.copy()) or original(codes, bits),
+        )
+        before = (engine.stats.planes_packed, engine.stats.pack_reuses)
+        engine.step()  # one pure decode step over both rows
+        config = engine.model.config
+        # Stage-1 inputs are the levels' activations: QKV, proj and ffn1
+        # read d_model codes, ffn2 reads d_ff codes; stage-2 inputs are
+        # narrower shard-local hidden slices.
+        level_inputs = [c for c in packed if len(c) == 1 and c.shape[2] >= config.d_model]
+        assert sorted(c.shape[2] for c in level_inputs) == [config.d_model] * 3 + [config.d_ff]
+        assert all(c.shape[1] == 2 for c in packed)  # both rows, one pack
+        assert len({(c.shape, c.tobytes()) for c in packed}) == len(packed)
+        assert engine.stats.planes_packed - before[0] == 8 * len(packed)
+        assert engine.stats.pack_reuses == before[1]
 
     def test_cache_disabled_packs_fresh_but_still_counts_rows(self):
         engine = _engine(plane_cache=False)
