@@ -1,18 +1,16 @@
-"""Scale-out serving benchmark: replica pool, streaming API, pipelined decode.
+"""Scale-out serving benchmark: replica pool, streaming API, projection.
 
 Measures the PR-10 serving tier end to end: ``ReplicaPool`` tokens/s at
 1/2/4 worker processes, client-observed p50/p99 TTFT and end-to-end
 latency of the ``ApiServer`` SSE endpoint under open-loop Poisson load
-(arrival rates calibrated to measured capacity), the stage-pipelined
-executor vs the sequential decode path (token-equality checked inside the
-study), and measured-vs-``HardwareProjection`` replica-scaling agreement.
+(arrival rates calibrated to measured capacity), and
+measured-vs-``HardwareProjection`` replica-scaling agreement.
 
 The payload is written to ``BENCH_api.json`` at the repo root — uploaded
 as a CI artifact and gated.  All perf gates are **capacity-aware**: the
 payload records the host's scheduler-affinity CPU count, and the full
-thresholds (4-replica pool >= 2.5x one replica; pipelined >= 1.2x
-sequential) only apply when the host has enough cores to express the
-parallelism.  Constrained hosts (the 1-CPU container this repo grows in)
+threshold (4-replica pool >= 2.5x one replica) only applies when the
+host has enough cores to express the parallelism.  Constrained hosts (the 1-CPU container this repo grows in)
 get no-collapse bounds instead — scale-out must never lose badly to the
 single-engine baseline just because the host can't run it concurrently.
 """
@@ -28,7 +26,7 @@ from repro.exp import ExperimentSpec
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_api.json"
 
 
-def _gates(value: dict, smoke: bool) -> dict:
+def _gates(value: dict) -> dict:
     """Capacity-aware gate thresholds, recorded alongside the assertions."""
     cpus = int(value["cpus"])
     grid = value["replica_scaling"]["grid"]
@@ -37,16 +35,10 @@ def _gates(value: dict, smoke: bool) -> dict:
     # 2.5x at the 4-replica point when the host can actually run 4 workers;
     # scaled pro-rata for a shrunken (smoke) grid; no-collapse otherwise.
     pool_min = 0.625 * replicas if cpus >= replicas else 0.45
-    # The pipelined executor needs >= 2 cores for real overlap; on fewer it
-    # degrades to interleaved sequential execution plus queue overhead, and
-    # in smoke mode the per-step work is too small to amortize the queues
-    # anywhere.  0.2 is the no-collapse floor.
-    pipe_min = 1.2 if (cpus >= 2 and not smoke) else 0.2
     return {
         "cpus": cpus,
         "replicas_gated": replicas,
         "pool_speedup_min": round(pool_min, 3),
-        "pipelined_speedup_min": pipe_min,
         "p99_ttft_max_s": 1.0,
         "projection_headroom": 1.1,
     }
@@ -59,7 +51,6 @@ def test_bench_api(benchmark, print_header, fresh_runner):
             "replicas": (1, 2),
             "pool_requests": 6,
             "api_requests": 6,
-            "pipeline_requests": 6,
             "utilizations": (0.5,),
             "new_tokens": 8,
         }
@@ -71,7 +62,7 @@ def test_bench_api(benchmark, print_header, fresh_runner):
     result = benchmark.pedantic(lambda: fresh_runner.run(spec), rounds=1, iterations=1)
     value = result.value
 
-    print_header("Scale-out serving benchmark — replica pool, streaming API, pipelined decode")
+    print_header("Scale-out serving benchmark — replica pool, streaming API, projection")
     print(f"host cpus: {value['cpus']}")
     scaling = value["replica_scaling"]
     print(
@@ -98,12 +89,6 @@ def test_bench_api(benchmark, print_header, fresh_runner):
             f"{row['p50_latency_s'] * 1e3:>8.1f}ms {row['p99_latency_s'] * 1e3:>8.1f}ms"
         )
 
-    pipe = value["pipelined"]
-    print(
-        f"\npipelined ({pipe['stages']} stages) vs sequential: "
-        f"{pipe['pipelined']['tok_s']:.0f} vs {pipe['sequential']['tok_s']:.0f} tok/s "
-        f"({pipe['speedup']}x, bitwise_equal={pipe['bitwise_equal']})"
-    )
     projection = value["projection"]
     print("\nmeasured vs projected replica scaling (replication case 2):")
     for row in projection["scaling"]:
@@ -112,7 +97,7 @@ def test_bench_api(benchmark, print_header, fresh_runner):
             f"projected {row['projected_speedup']}x, efficiency {row['efficiency']}"
         )
 
-    gates = _gates(value, smoke)
+    gates = _gates(value)
     value["gates"] = gates
     print(f"\ngates: {gates}")
 
@@ -126,8 +111,6 @@ def test_bench_api(benchmark, print_header, fresh_runner):
     # Capacity-aware perf gates (PR-10 acceptance criteria).
     top = scaling["grid"][-1]
     assert top["speedup"] >= gates["pool_speedup_min"], (top, gates)
-    assert pipe["bitwise_equal"], pipe
-    assert pipe["speedup"] >= gates["pipelined_speedup_min"], (pipe, gates)
     # Bounded p99 TTFT in the under-capacity (0.5 utilization) regime, and
     # nothing rejected there (queue depth never approaches the bound).
     low = api["sweep"][0]

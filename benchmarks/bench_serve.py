@@ -1,14 +1,15 @@
-"""Serving benchmark: decode paths and scheduling policies.
+"""Serving benchmark: decode paths and batching policies.
 
 Times ``DecoderLM.generate`` under the KV-cached and naive O(L²) paths
 across a batch grid (cross-checking token-for-token greedy equality at
 every point), measures end-to-end ``ServingEngine`` throughput over a
-ragged request stream, and replays a mixed-length trace under static vs
+ragged request stream, and replays a mixed-length trace under static
+batching (one batched ``generate`` per FIFO batch) vs the engine's
 continuous (iteration-level) scheduling.  The payload is written to
 ``BENCH_serve.json`` at the repo root — the decode-path perf-trajectory
 file CI uploads as an artifact and gates on: cached decode must never be
 slower than the naive recompute on the large point, and continuous
-scheduling must achieve >= 1.3x the static engine's tokens/s with
+scheduling must achieve >= 1.3x the static baseline's tokens/s with
 strictly lower mean TTFT on the mixed trace.
 """
 
@@ -53,7 +54,7 @@ def test_bench_serve(benchmark, print_header, fresh_runner):
         )
     engine = value["engine"]
     print(
-        f"\nengine ({engine['scheduler']} scheduling, max_batch={engine['max_batch_size']}): "
+        f"\nengine (continuous scheduling, max_batch={engine['max_batch_size']}): "
         f"{engine['tokens_per_s']:.0f} tok/s over {engine['requests_completed']} requests, "
         f"mean batch {engine['mean_batch_size']:.1f}, "
         f"p95 latency {engine['p95_latency_s'] * 1e3:.1f}ms"
@@ -83,7 +84,7 @@ def test_bench_serve(benchmark, print_header, fresh_runner):
 
     # Perf-trajectory gates (ISSUE 3/4 acceptance criteria): cached decode
     # must never lose to naive recompute (>= 5x on the large point), and
-    # continuous scheduling must beat the static engine by >= 1.3x tokens/s
+    # continuous scheduling must beat static batching by >= 1.3x tokens/s
     # with strictly lower mean TTFT on the mixed-length trace.
     large = value["large"]
     assert large["cached_tok_s"] >= large["naive_tok_s"], large

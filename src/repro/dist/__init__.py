@@ -17,7 +17,6 @@ throughput.
 
 from repro.dist.attention import AttentionPlacement, place_attention_heads
 from repro.dist.mesh import DeviceMesh, LinkTraffic
-from repro.dist.pipeline import PipelinedBlockExecutor
 from repro.dist.plan import (
     LayerShardAssignment,
     ShardPlan,
@@ -32,7 +31,6 @@ __all__ = [
     "HardwareProjection",
     "LayerShardAssignment",
     "LinkTraffic",
-    "PipelinedBlockExecutor",
     "ShardPlan",
     "compacted_tile_aligned",
     "deploy_sharded",

@@ -1,4 +1,4 @@
-"""Scale-out serving benchmark: replica throughput, API SLOs, pipelined decode.
+"""Scale-out serving benchmark: replica throughput, API SLOs, projection.
 
 The ``bench_api`` study measures the PR-10 serving tier end to end:
 
@@ -10,8 +10,6 @@ The ``bench_api`` study measures the PR-10 serving tier end to end:
   :class:`~repro.serve.ApiServer` SSE endpoint; recorded TTFT and
   end-to-end latency are *client-observed* (socket send to first event on
   the wire), swept over arrival rates calibrated to measured capacity.
-- **pipelined** — the stage-pipelined block executor vs the sequential
-  decode path on the same trace, with a token-for-token equality check.
 - **projection** — measured replica scaling against the
   :class:`~repro.dist.HardwareProjection` replication model (N data-parallel
   replicas project N x one replica's rate; no cross-replica coupling).
@@ -217,50 +215,6 @@ def _api_streaming(config, params: dict[str, Any], rng: np.random.Generator) -> 
 
 
 # ----------------------------------------------------------------------
-# Stage-pipelined vs sequential decode
-# ----------------------------------------------------------------------
-def _run_engine(config, requests, pipeline) -> tuple[dict[str, Any], list]:
-    from repro.nn import DecoderLM
-    from repro.serve import ServingEngine
-
-    engine = ServingEngine(DecoderLM(config), max_batch_size=8, max_wait_s=0.0, pipeline=pipeline)
-    ids = [engine.submit(prompt, budget) for prompt, budget in requests]
-    start = time.perf_counter()
-    results = {r.request_id: r for r in engine.run_until_idle()}
-    wall_s = time.perf_counter() - start
-    if engine.executor is not None:
-        engine.executor.close()
-    ordered = [results[rid] for rid in ids]
-    tokens = sum(int(r.tokens.size) for r in ordered)
-    return {
-        "tokens": tokens,
-        "wall_s": round(wall_s, 4),
-        "tok_s": round(tokens / wall_s, 1),
-    }, ordered
-
-
-def _pipelined_comparison(config, params: dict[str, Any], rng: np.random.Generator) -> dict[str, Any]:
-    num_requests = int(params.get("pipeline_requests", 12))
-    prompt_len = int(params.get("prompt_len", 8))
-    new_tokens = int(params.get("new_tokens", 16))
-    stages = int(params.get("pipeline_stages", 2))
-    requests = _make_requests(config, num_requests, prompt_len, new_tokens, rng)
-    sequential, seq_results = _run_engine(config, requests, None)
-    pipelined, pipe_results = _run_engine(config, requests, stages)
-    for i, (seq, pipe) in enumerate(zip(seq_results, pipe_results)):
-        if not np.array_equal(seq.tokens, pipe.tokens):
-            raise AssertionError(f"pipelined decode diverged from sequential on request {i}")
-    return {
-        "num_requests": num_requests,
-        "stages": stages,
-        "sequential": sequential,
-        "pipelined": pipelined,
-        "speedup": round(pipelined["tok_s"] / sequential["tok_s"], 2),
-        "bitwise_equal": True,
-    }
-
-
-# ----------------------------------------------------------------------
 # Measured vs projected replica scaling
 # ----------------------------------------------------------------------
 def _projection_agreement(config, scaling: dict[str, Any], seed: int) -> dict[str, Any]:
@@ -309,7 +263,6 @@ def _projection_agreement(config, scaling: dict[str, Any], seed: int) -> dict[st
         "replicas": (1, 2),
         "pool_requests": 6,
         "api_requests": 6,
-        "pipeline_requests": 6,
         "utilizations": (0.5,),
         "new_tokens": 8,
     },
@@ -320,10 +273,8 @@ def bench_api(params: dict[str, Any], seed: int) -> dict[str, Any]:
     Measures :class:`~repro.serve.ReplicaPool` tokens/s at 1/2/4 worker
     processes, client-observed p50/p99 TTFT and end-to-end latency of the
     :class:`~repro.serve.ApiServer` SSE endpoint under open-loop Poisson
-    load (rates calibrated to measured capacity), the stage-pipelined
-    executor against the sequential decode path (token-equality checked),
-    and agreement with the :class:`~repro.dist.HardwareProjection`
-    replication model.  Lands in ``BENCH_api.json``; the driver's gates
+    load (rates calibrated to measured capacity), and agreement with the
+    :class:`~repro.dist.HardwareProjection` replication model.  Lands in ``BENCH_api.json``; the driver's gates
     are capacity-aware via the recorded ``cpus``.
     """
     config = _api_model_config(params, seed)
@@ -340,6 +291,5 @@ def bench_api(params: dict[str, Any], seed: int) -> dict[str, Any]:
         },
         "replica_scaling": scaling,
         "api_streaming": _api_streaming(config, params, rng),
-        "pipelined": _pipelined_comparison(config, params, rng),
         "projection": _projection_agreement(config, scaling, seed),
     }

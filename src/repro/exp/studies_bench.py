@@ -32,10 +32,8 @@ from repro.rram import (
     DEFAULT_NOISE,
     GemvStats,
     KernelPolicy,
-    PlaneCache,
     ProgrammedMatrix,
     kernel_policy,
-    plane_cache_scope,
 )
 
 __all__ = ["bench_attention", "bench_faults", "bench_kernels", "bench_serve"]
@@ -182,8 +180,8 @@ def _decode_stack(
 
 
 def _stack_batched(layers: list, x: np.ndarray) -> np.ndarray:
-    """One batched fast-kernel call per stage, sharing one PlaneCache."""
-    with kernel_policy(KernelPolicy(mode="fast")), plane_cache_scope(PlaneCache()):
+    """One batched fast-kernel call per stage."""
+    with kernel_policy(KernelPolicy(mode="fast")):
         h = x
         for layer in layers:
             h = layer.forward(h).data
@@ -273,8 +271,8 @@ def _fused_level_point(ways: int, reps: int, seed: int) -> dict[str, Any]:
 
     Both run the same codes through every matrix of a calibrated Q/K/V
     level (stage 1: every A-factor; stage 2: every B-factor on its hidden
-    slice), each under a fresh :class:`PlaneCache` as in a served step.
-    Bitwise agreement rides along with the timing.
+    slice); every call packs its own input bit-planes, as in a served
+    step.  Bitwise agreement rides along with the timing.
     """
     from repro.dist import DeviceMesh
     from repro.pim.hybrid import HybridLinear, SiblingGroup
@@ -308,23 +306,21 @@ def _fused_level_point(ways: int, reps: int, seed: int) -> dict[str, Any]:
 
     def per_matrix(stage: int) -> list[np.ndarray]:
         """Every matrix's own call; ``stage`` 0 is the whole level."""
-        with plane_cache_scope(PlaneCache()):
-            outs = [a.gemv(x_codes) for a in stage1.mapped]
-            if stage == 0:
-                for op, inputs in stage2:
-                    outs += [b.gemv(x[:, : b.in_features]) for b, x in zip(op.mapped, inputs)]
+        outs = [a.gemv(x_codes) for a in stage1.mapped]
+        if stage == 0:
+            for op, inputs in stage2:
+                outs += [b.gemv(x[:, : b.in_features]) for b, x in zip(op.mapped, inputs)]
         return outs
 
     def grouped(stage: int) -> list[np.ndarray]:
         """The level's stacked calls, split back into per-matrix outputs."""
-        with plane_cache_scope(PlaneCache()):
-            first = run_gemv_stack(stage1.stack, x_codes[None], 8)[0]
-            bounds = np.cumsum([0] + [a.out_features for a in stage1.mapped])
-            outs = [first[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-            if stage == 0:
-                for op, inputs in stage2:
-                    stacked = run_gemv_stack(op.stack, inputs, 8)
-                    outs += [out[:, : b.out_features] for b, out in zip(op.mapped, stacked)]
+        first = run_gemv_stack(stage1.stack, x_codes[None], 8)[0]
+        bounds = np.cumsum([0] + [a.out_features for a in stage1.mapped])
+        outs = [first[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        if stage == 0:
+            for op, inputs in stage2:
+                stacked = run_gemv_stack(op.stack, inputs, 8)
+                outs += [out[:, : b.out_features] for b, out in zip(op.mapped, stacked)]
         return outs
 
     # Correctness rides along: the stacked calls reproduce every matrix.
@@ -511,7 +507,6 @@ def _engine_throughput(model, params: dict[str, Any], rng: np.random.Generator) 
     payload = engine.stats.as_dict()
     payload["slot_pool"] = engine.slot_pool.stats.as_dict()
     payload["max_batch_size"] = max_batch
-    payload["scheduler"] = engine.scheduler
     return payload
 
 
@@ -521,7 +516,7 @@ def _mixed_trace(
     """A production-shaped request mix: mostly short, every 4th one long.
 
     Deterministic skew (position, not chance, decides which requests are
-    long) so static scheduling reliably pays the head-of-line cost the
+    long) so static batching reliably pays the head-of-line cost the
     continuous scheduler is built to avoid.  Geometry scales with the
     model so shrunken custom configs (tiny test models) stay admissible.
     """
@@ -546,52 +541,130 @@ def _mixed_trace(
     return trace
 
 
-def _run_trace(
-    model, trace, scheduler: str, max_batch: int, reps: int
-) -> tuple[dict[str, Any], list]:
+def _trace_payload(
+    scheduler: str, tokens: int, wall_s: float, ttfts, tpots, latencies, batch_sizes
+) -> dict[str, Any]:
+    return {
+        "scheduler": scheduler,
+        "tokens": tokens,
+        "wall_s": round(wall_s, 4),
+        "tok_s": round(tokens / wall_s, 1),
+        "mean_ttft_s": round(float(np.mean(ttfts)), 6),
+        "p95_ttft_s": round(float(np.percentile(ttfts, 95)), 6),
+        "mean_tpot_s": round(float(np.mean(tpots)), 6),
+        "mean_latency_s": round(float(np.mean(latencies)), 6),
+        "mean_batch_size": round(float(np.mean(batch_sizes)), 2),
+    }
+
+
+def _run_continuous_trace(
+    model, trace, max_batch: int, reps: int
+) -> tuple[dict[str, Any], list[np.ndarray]]:
     """Submit the whole trace up front and drain; wall-clocked end to end.
 
     Best-of-``reps`` (fresh engine per rep) so the CI gate compares the
-    schedulers' structural behaviour, not one noisy run on a shared runner.
+    two batching policies' structural behaviour, not one noisy run on a
+    shared runner.
     """
     from repro.serve import ServingEngine
 
     best_payload: dict[str, Any] | None = None
-    ordered: list = []
+    ordered: list[np.ndarray] = []
     for rep in range(max(1, reps)):
-        engine = ServingEngine(
-            model, max_batch_size=max_batch, max_wait_s=0.0, scheduler=scheduler
-        )
+        engine = ServingEngine(model, max_batch_size=max_batch, max_wait_s=0.0)
         ids = [engine.submit(prompt, budget) for prompt, budget in trace]
         start = time.perf_counter()
         results = {r.request_id: r for r in engine.run_until_idle()}
         wall_s = time.perf_counter() - start
-        tokens = sum(int(results[rid].tokens.size) for rid in ids)
-        stats = engine.stats
-        payload = {
-            "scheduler": scheduler,
-            "tokens": tokens,
-            "wall_s": round(wall_s, 4),
-            "tok_s": round(tokens / wall_s, 1),
-            "mean_ttft_s": round(stats.mean_ttft_s, 6),
-            "p95_ttft_s": round(stats.p95_ttft_s, 6),
-            "mean_tpot_s": round(stats.mean_tpot_s, 6),
-            "mean_latency_s": round(stats.mean_latency_s, 6),
-            "mean_batch_size": round(stats.mean_batch_size, 2),
-        }
+        done = [results[rid] for rid in ids]
+        payload = _trace_payload(
+            "continuous",
+            sum(int(r.tokens.size) for r in done),
+            wall_s,
+            [r.ttft_s for r in done],
+            [r.tpot_s for r in done],
+            [r.latency_s for r in done],
+            [r.batch_size for r in done],
+        )
         if best_payload is None or payload["tok_s"] > best_payload["tok_s"]:
             best_payload = payload
         if rep == 0:
-            ordered = [results[rid] for rid in ids]  # parity-checked by caller
+            ordered = [r.tokens for r in done]  # parity-checked by caller
+    return best_payload, ordered
+
+
+def _static_batches(model, trace, max_batch: int) -> list[list[int]]:
+    """FIFO batches of at most ``max_batch`` trace indices.
+
+    A batch decodes over ``max(prompt_len) + max(budget)`` positions, so a
+    batch is cut before the first request that would push that joint
+    geometry past ``max_seq_len``.
+    """
+    capacity = model.config.max_seq_len
+    batches: list[list[int]] = []
+    width = budget = 0
+    for i, (prompt, new_tokens) in enumerate(trace):
+        joint = max(width, len(prompt)) + max(budget, new_tokens)
+        if not batches or len(batches[-1]) == max_batch or joint > capacity:
+            batches.append([])
+            width = budget = 0
+        batches[-1].append(i)
+        width, budget = max(width, len(prompt)), max(budget, new_tokens)
+    return batches
+
+
+def _run_static_trace(
+    model, trace, max_batch: int, reps: int
+) -> tuple[dict[str, Any], list[np.ndarray]]:
+    """Static-batching baseline: one batched ``generate`` per FIFO batch.
+
+    Each batch decodes to completion (per-row budgets, ragged prompts,
+    KV cache) before the next starts, so a request's tokens reach the
+    caller only when its whole batch finishes: its TTFT and latency are
+    both batch completion minus trace start.  Best-of-``reps`` like the
+    continuous run.
+    """
+    batches = _static_batches(model, trace, max_batch)
+    best_payload: dict[str, Any] | None = None
+    ordered: list[np.ndarray] = []
+    for rep in range(max(1, reps)):
+        outputs: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(trace)
+        ttfts, tpots, sizes = [], [], []
+        start = time.perf_counter()
+        for batch in batches:
+            lengths = np.array([len(trace[i][0]) for i in batch], dtype=np.int64)
+            budgets = np.array([trace[i][1] for i in batch], dtype=np.int64)
+            prompts = np.zeros((len(batch), int(lengths.max())), dtype=np.int64)
+            for row, i in enumerate(batch):
+                prompts[row, : lengths[row]] = trace[i][0]
+            began = time.perf_counter()
+            out = model.generate(
+                prompts, budgets, prompt_lengths=lengths, use_cache=True
+            )
+            finished = time.perf_counter()
+            for row, i in enumerate(batch):
+                outputs[i] = out[row, lengths[row] : lengths[row] + budgets[row]]
+                ttfts.append(finished - start)
+                tpots.append((finished - began) / max(1, int(budgets[row])))
+                sizes.append(len(batch))
+        wall_s = time.perf_counter() - start
+        payload = _trace_payload(
+            "static", sum(int(o.size) for o in outputs), wall_s, ttfts, tpots, ttfts, sizes
+        )
+        if best_payload is None or payload["tok_s"] > best_payload["tok_s"]:
+            best_payload = payload
+        if rep == 0:
+            ordered = outputs
     return best_payload, ordered
 
 
 def _trace_comparison(model, params: dict[str, Any], seed: int) -> dict[str, Any]:
-    """Static vs continuous scheduling on the same mixed-length trace.
+    """Static batching vs continuous scheduling on one mixed-length trace.
 
-    Correctness rides along: both schedulers must emit, per request,
-    exactly what a one-shot ``DecoderLM.generate`` emits for that prompt
-    and budget.
+    The static row is the study-local baseline of
+    :func:`_run_static_trace`; the continuous row is the serving engine.
+    Correctness rides along: both must emit, per request, exactly what a
+    one-shot ``DecoderLM.generate`` emits for that prompt and budget.
     """
     num_requests = int(params.get("trace_requests", 24))
     max_batch = int(params.get("trace_max_batch", 8))
@@ -599,13 +672,13 @@ def _trace_comparison(model, params: dict[str, Any], seed: int) -> dict[str, Any
     rng = np.random.default_rng(seed + 1)
     trace = _mixed_trace(model, num_requests, rng)
 
-    static, static_results = _run_trace(model, trace, "static", max_batch, reps)
-    continuous, continuous_results = _run_trace(model, trace, "continuous", max_batch, reps)
+    static, static_tokens = _run_static_trace(model, trace, max_batch, reps)
+    continuous, continuous_tokens = _run_continuous_trace(model, trace, max_batch, reps)
 
     for i, (prompt, budget) in enumerate(trace):
         solo = model.generate(prompt, budget)[len(prompt) :]
-        for label, result in (("static", static_results[i]), ("continuous", continuous_results[i])):
-            if not np.array_equal(result.tokens, solo):
+        for label, tokens in (("static", static_tokens[i]), ("continuous", continuous_tokens[i])):
+            if not np.array_equal(tokens, solo):
                 raise AssertionError(
                     f"{label} scheduling diverged from one-shot generate on "
                     f"trace request {i} (prompt_len={len(prompt)}, budget={budget})"
@@ -642,13 +715,14 @@ def bench_serve(params: dict[str, Any], seed: int) -> dict[str, Any]:
     Times ``DecoderLM.generate`` under both paths over a batch grid (greedy,
     correctness cross-checked at every point), measures end-to-end
     :class:`~repro.serve.ServingEngine` throughput over a ragged request
-    stream, and replays a mixed-length trace under static vs continuous
-    scheduling (per-request outputs cross-checked against one-shot
-    generation).  The payload lands in ``BENCH_serve.json`` (written by
+    stream, and replays a mixed-length trace under static batching
+    (one batched ``generate`` per FIFO batch) vs the continuous engine
+    (per-request outputs cross-checked against one-shot generation).  The
+    payload lands in ``BENCH_serve.json`` (written by
     ``benchmarks/bench_serve.py`` and the CI smoke job), which gates:
     cached decode must never be slower than naive recompute at the large
-    point, and continuous scheduling must beat static by >= 1.3x tokens/s
-    with strictly lower mean TTFT on the trace.
+    point, and continuous scheduling must beat static batching by >= 1.3x
+    tokens/s with strictly lower mean TTFT on the trace.
     """
     batches = tuple(params.get("batches", SERVE_BATCHES))
     prompt_len = int(params.get("prompt_len", SERVE_LARGE_POINT["prompt_len"]))

@@ -593,7 +593,7 @@ class SiblingGroup:
     gather each stage-2 member's inputs.  Outputs, every
     :class:`~repro.rram.crossbar.GemvStats` and the mesh ledger are
     bitwise-equal to one GEMV per programmed matrix, layer by layer, with
-    the same calibration, kernel policy and plane cache.  Siblings that
+    the same calibration and kernel policy.  Siblings that
     froze different input scales (calibrated apart) run one by one.
     """
 

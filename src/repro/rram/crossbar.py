@@ -179,13 +179,13 @@ class GemvStats:
     #: Dispatch-shape counters (``compare=False``): how the work reached the
     #: arrays, not what the arrays did — per-row and batched calls of the
     #: same workload agree on every hardware counter above while legitimately
-    #: differing here, so equality checks ignore them.  ``fused_rows`` counts
+    #: differing here, so equality checks ignore them.  ``planes_packed``
+    #: counts activation bit-planes the fast kernel packed, ``fused_rows``
     #: input rows the fast kernel ran bit-serially (one matmul per row tile
     #: for the whole batch); ``clip_free_tiles`` the row tiles it converted
     #: with the round alone (the cells prove no clip), ``table_tiles`` the
     #: narrow row tiles it converted once per wordline pattern.
     planes_packed: int = field(default=0, compare=False)
-    pack_reuses: int = field(default=0, compare=False)
     fused_rows: int = field(default=0, compare=False)
     zero_planes_skipped: int = field(default=0, compare=False)
     clip_free_tiles: int = field(default=0, compare=False)
@@ -202,7 +202,6 @@ class GemvStats:
         self.cells_initial_programmed += other.cells_initial_programmed
         self.cells_reprogrammed += other.cells_reprogrammed
         self.planes_packed += other.planes_packed
-        self.pack_reuses += other.pack_reuses
         self.fused_rows += other.fused_rows
         self.zero_planes_skipped += other.zero_planes_skipped
         self.clip_free_tiles += other.clip_free_tiles

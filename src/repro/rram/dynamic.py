@@ -20,7 +20,7 @@ The mechanics:
   write that costs only the appended cells' write pulses (recorded in the
   :class:`~repro.rram.endurance.WearLedger`'s dynamic channel) and bumps
   only the tile-local ``write_epoch``, leaving every *other* tile's cached
-  planes (the static weights' ``float_planes``, the ``PlaneCache``) valid;
+  planes (the static weights' ``float_planes``) valid;
 - GEMVs run against a zero-copy *view* of the valid region ``[0, length)``,
   which exposes the full programmed-matrix duck-type surface (planes,
   slices, ADC, clip-free tiles, float planes), so the ``reference`` and

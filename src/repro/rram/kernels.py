@@ -71,13 +71,9 @@ cell type, noise level, batch size and tile-spanning shape.
 ``gemm`` is a legacy alias of ``fast``: policies naming it stay valid and
 run :func:`fast_gemv`.
 
-A :class:`PlaneCache` installed via :func:`plane_cache_scope` memoizes the
-packed bit-planes of each distinct activation block, keyed by content, so
-calls that read the same codes pack them once.  (A served decode step reads
-each activation block in one stacked call, so there it only counts packs.)
-The cache is invalidated on batch-composition changes through
-:class:`~repro.serve.slots.RowSlotManager` generation counters
-(:meth:`PlaneCache.set_generation`).
+A bit-serial fast-kernel call packs its activation bit-planes once and
+counts them in ``GemvStats.planes_packed``; a served decode step reads
+each activation block in one stacked call, so no block is packed twice.
 
 The active policy is process-wide by default (:func:`set_default_kernel_policy`
 or the :func:`kernel_policy` context manager) and can be overridden per
@@ -89,8 +85,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -105,13 +99,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "GemvStack",
     "KernelPolicy",
-    "PlaneCache",
-    "PlaneCacheStats",
-    "get_active_plane_cache",
     "get_default_kernel_policy",
     "set_default_kernel_policy",
     "kernel_policy",
-    "plane_cache_scope",
     "resolve_policy",
     "clip_free_flags",
     "reference_gemv",
@@ -203,146 +193,24 @@ def resolve_policy(policy: KernelPolicy | None) -> KernelPolicy:
 
 
 # ----------------------------------------------------------------------
-# Persistent bit-plane packing (batched-decode operand reuse)
+# Bit-plane packing
 # ----------------------------------------------------------------------
-@dataclass
-class PlaneCacheStats:
-    """Reuse accounting for one :class:`PlaneCache`."""
-
-    planes_packed: int = 0  # bit-planes packed fresh (cache misses)
-    pack_reuses: int = 0  # bit-planes served from the cache (hits)
-    invalidations: int = 0  # generation bumps that dropped live entries
-
-    def as_dict(self) -> dict[str, int]:
-        """JSON-friendly counter snapshot."""
-        return {
-            "planes_packed": self.planes_packed,
-            "pack_reuses": self.pack_reuses,
-            "invalidations": self.invalidations,
-        }
-
-
-class PlaneCache:
-    """Memoized activation bit-plane packing for one decode step.
-
-    Calls that push the *same* quantized activation block through
-    different programmed matrices would each pack identical codes.  (A
-    served decode step runs every matrix that reads a block in one stacked
-    call — :class:`~repro.pim.hybrid.SiblingGroup` — so there each pack
-    is a miss; the stage-pipelined executor still reuses packs.)  The
-    cache keys packed planes by **content**
-    (``input_codes.tobytes()`` plus shape and bit width) rather than array
-    identity — the GEMV entry points copy/validate their inputs, so
-    identity never survives the call boundary — which makes a cache hit
-    bitwise-equivalent to packing fresh by construction.
-
-    Invalidation is driven by the continuous scheduler's
-    :class:`~repro.serve.slots.RowSlotManager` generation counter: any
-    admit/retire changes the batch composition, :meth:`set_generation`
-    observes the bump and drops every entry, so stale packed planes can
-    never be served across a composition change.  A bounded LRU keeps the
-    footprint flat for long-lived schedulers.
-    """
-
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.stats = PlaneCacheStats()
-        self._generation: int | None = None
-        self._entries: OrderedDict[tuple, tuple[np.ndarray, tuple[int, ...]]] = OrderedDict()
-        # The stage-pipelined executor consults one shared cache from
-        # several worker threads; entries are content-keyed so hits stay
-        # bitwise-exact, but the LRU bookkeeping needs mutual exclusion.
-        self._lock = threading.RLock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def set_generation(self, generation: int) -> None:
-        """Drop every entry when the batch-composition generation changed."""
-        with self._lock:
-            if generation != self._generation:
-                if self._entries:
-                    self.stats.invalidations += 1
-                    self._entries.clear()
-                self._generation = generation
-
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
-        with self._lock:
-            self._entries.clear()
-
-    def packed(
-        self, input_codes: np.ndarray, input_bits: int, stats: "GemvStats | None" = None
-    ) -> "_Packed":
-        """``(float64 planes (n, bits, batch, in), used-bit masks, set bits)``
-        of a stack (see :func:`_pack`)."""
-        key = (input_bits, input_codes.shape, input_codes.tobytes())
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.pack_reuses += input_bits
-                if stats is not None:
-                    stats.pack_reuses += input_bits
-                return entry
-            entry = _pack(input_codes, input_bits)
-            self._entries[key] = entry
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-            self.stats.planes_packed += input_bits
-            if stats is not None:
-                stats.planes_packed += input_bits
-            return entry
-
-
-_active_plane_cache: PlaneCache | None = None
-
-
-def get_active_plane_cache() -> PlaneCache | None:
-    """The :class:`PlaneCache` installed by the innermost scope, if any."""
-    return _active_plane_cache
-
-
-class plane_cache_scope:
-    """Context manager installing ``cache`` as the process-wide plane cache.
-
-    The fast kernel consults the active cache for packed activation
-    bit-planes; ``None`` (the default outside any scope) packs fresh on
-    every call.  Scopes nest — the previous cache is restored on exit.
-
-    >>> with plane_cache_scope(PlaneCache()):
-    ...     layer(x)  # every crossbar stage packs x's planes once
-    """
-
-    def __init__(self, cache: PlaneCache | None) -> None:
-        self._cache = cache
-
-    def __enter__(self) -> PlaneCache | None:
-        global _active_plane_cache
-        self._previous = _active_plane_cache
-        _active_plane_cache = self._cache
-        return self._cache
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        global _active_plane_cache
-        _active_plane_cache = self._previous
-
-
 #: ``(planes, used, set_bits)``: float64 bit-planes ``(n, bits, batch, in)``,
 #: one used-bit mask and one set-bit count per member.
 _Packed = tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]
 
 
-def _pack(input_codes: np.ndarray, input_bits: int) -> _Packed:
+def _pack(input_codes: np.ndarray, input_bits: int, stats: "GemvStats | None") -> _Packed:
     """Plane-major float64 bit-planes of an ``(n, batch, in)`` stack.
 
     Each member's planes ``(bits, batch, in)`` are the fast kernel's
     matmul operand as is.  One mask per member: bit ``k`` is clear iff
     plane ``k`` is all-zero in that member (the zero-plane skip's oracle);
     and one count of set input bits per member (the wordline activations).
+    The ``input_bits`` packed planes are counted in ``stats.planes_packed``.
     """
+    if stats is not None:
+        stats.planes_packed += input_bits
     masked = input_codes & (2**input_bits - 1)
     # Masked codes lie in [0, 2**input_bits) by construction, so the
     # range checks of int_to_bit_planes would never fire.
@@ -364,16 +232,6 @@ def _bit_table(input_bits: int) -> np.ndarray:
     )
     table.flags.writeable = False
     return table
-
-
-def _packed_planes(input_codes: np.ndarray, input_bits: int, stats: "GemvStats | None") -> _Packed:
-    """Packed planes, used-bit masks and set-bit counts, via the active cache."""
-    cache = _active_plane_cache
-    if cache is not None:
-        return cache.packed(input_codes, input_bits, stats)
-    if stats is not None:
-        stats.planes_packed += input_bits
-    return _pack(input_codes, input_bits)
 
 
 # ----------------------------------------------------------------------
@@ -774,7 +632,7 @@ def fast_gemv(
         product = input_codes.astype(np.float64) @ operand  # exact integers
         return np.rint(product).astype(np.int64)
 
-    bit_planes, used, set_bits = _packed_planes(input_codes, input_bits, sinks[0])
+    bit_planes, used, set_bits = _pack(input_codes, input_bits, sinks[0])
     union = functools.reduce(operator.or_, used)
     kept, bit_w = _kept_bit_weights(input_bits, union)
     if len(kept) < input_bits:

@@ -1,7 +1,7 @@
 """Batched serving over KV-cached decoder inference (`repro.serve`).
 
 The deployment-facing layer of the reproduction: request queue +
-continuous (iteration-level) or static batching + KV-cache slot pooling
+continuous (iteration-level) batching + KV-cache slot pooling
 over a PIM-deployed :class:`~repro.nn.transformer.DecoderLM`.  See
 :mod:`repro.serve.engine` for the hardware correspondence (analog
 crossbars for static GEMVs, cached K/V as the digital-PIM dynamic-GEMM
@@ -11,12 +11,7 @@ scheduler.
 
 from repro.serve.api import AdmissionPolicy, ApiServer
 from repro.serve.continuous import ContinuousScheduler
-from repro.serve.engine import (
-    SCHEDULERS,
-    RecalibrationPolicy,
-    ServingEngine,
-    ServingStats,
-)
+from repro.serve.engine import RecalibrationPolicy, ServingEngine, ServingStats
 from repro.serve.replica import (
     LeastOutstandingTokensRouter,
     PoolResult,
@@ -42,7 +37,6 @@ __all__ = [
     "RoundRobinRouter",
     "RowSlotManager",
     "RowSlotStats",
-    "SCHEDULERS",
     "ServingEngine",
     "ServingStats",
     "SessionAffinityRouter",

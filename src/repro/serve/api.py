@@ -9,7 +9,8 @@ back SSE-style as the continuous scheduler emits them.
 Routes
 ------
 ``GET /healthz``
-    Liveness probe: ``{"ok": true}``.
+    Liveness probe: ``{"ok": true}``, or **503** once the driver has
+    failed (see below).
 ``GET /v1/stats``
     The engine's :meth:`~repro.serve.ServingStats.as_dict` snapshot (or
     the pool's outstanding/requeue counters).
@@ -20,6 +21,12 @@ Routes
     ``text/event-stream`` with one ``data: {"token": t}`` event per
     emitted token and a final ``data: {"done": ...}`` event carrying the
     full result; otherwise a single JSON body.
+
+Driver supervision: an exception escaping the target's ``step``/``poll``
+stops the driver thread and fails every in-flight request — **500** JSON,
+or an SSE ``event: error`` on a stream already under way.  From then on
+``/healthz`` and ``/v1/generate`` answer **503**.  A client that stalls
+mid-header is answered **408** after ``HEADER_TIMEOUT_S``.
 
 Admission control (:class:`AdmissionPolicy`): a queue-depth bound that
 returns **503** the moment queued + in-flight work passes the limit (the
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
 import threading
 import time
@@ -60,6 +68,9 @@ __all__ = ["AdmissionPolicy", "ApiServer", "api_request", "stream_generate"]
 #: Largest request body the server reads; a longer ``Content-Length`` is
 #: answered 413 without reading the body.
 MAX_BODY_BYTES = 1 << 20
+#: Seconds a client gets to send the request line and headers; a slower
+#: one is answered 408 and its connection closed.
+HEADER_TIMEOUT_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -99,8 +110,9 @@ class AdmissionPolicy:
 
 def _json_response(status: int, payload: dict) -> bytes:
     body = json.dumps(payload).encode()
-    reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-              413: "Content Too Large", 503: "Service Unavailable"}.get(status, "OK")
+    reason = {200: "OK", 400: "Bad Request", 404: "Not Found", 408: "Request Timeout",
+              413: "Content Too Large", 500: "Internal Server Error",
+              503: "Service Unavailable"}.get(status, "OK")
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
         f"Content-Type: application/json\r\n"
@@ -115,8 +127,9 @@ _SSE_HEAD = (
 )
 
 
-def _sse_event(payload: dict) -> bytes:
-    return b"data: " + json.dumps(payload).encode() + b"\n\n"
+def _sse_event(payload: dict, event: str | None = None) -> bytes:
+    head = b"" if event is None else f"event: {event}\n".encode()
+    return head + b"data: " + json.dumps(payload).encode() + b"\n\n"
 
 
 class ApiServer:
@@ -138,6 +151,9 @@ class ApiServer:
         self.port = port
         self.is_pool = hasattr(target, "poll")
         self.rejected = 0  # 503s issued by the queue-depth bound
+        # Set (under _waiters_lock) when the driver thread died: the error
+        # every in-flight and later request is failed with.
+        self._failure: str | None = None
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._waiters: dict[int, asyncio.Queue] = {}
@@ -197,17 +213,30 @@ class ApiServer:
     # into the owning request's asyncio queue via the loop.
     # ------------------------------------------------------------------
     def _drive(self) -> None:
-        while self._running.is_set():
-            worked = False
-            if self.is_pool:
-                worked = bool(self.target.poll())
-                self._collect_done()
-            elif self.target.busy:
-                self.target.step(force=True)
-                self._collect_done()
-                worked = True
-            if not worked:
-                time.sleep(0.0005)
+        try:
+            while self._running.is_set():
+                worked = False
+                if self.is_pool:
+                    worked = bool(self.target.poll())
+                    self._collect_done()
+                elif self.target.busy:
+                    self.target.step(force=True)
+                    self._collect_done()
+                    worked = True
+                if not worked:
+                    time.sleep(0.0005)
+        except Exception as exc:  # noqa: BLE001 - any target failure ends serving
+            logging.getLogger(__name__).exception("API driver stopped")
+            self._fail(f"{type(exc).__name__}: {exc}")
+
+    def _fail(self, message: str) -> None:
+        """Record the driver's death and fail every in-flight waiter."""
+        with self._waiters_lock:
+            self._failure = message
+            waiters = list(self._waiters.values())
+            self._waiters.clear()
+        for queue in waiters:
+            self._loop.call_soon_threadsafe(queue.put_nowait, ("error", message))
 
     def _collect_done(self) -> None:
         with self._waiters_lock:
@@ -228,21 +257,35 @@ class ApiServer:
     # ------------------------------------------------------------------
     # HTTP handling
     # ------------------------------------------------------------------
+    @staticmethod
+    async def _read_head(reader: asyncio.StreamReader) -> tuple[list[str], dict]:
+        """The request line's fields and the lower-cased header dict."""
+        parts = (await reader.readline()).decode("latin-1").split()
+        headers = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        return parts, headers
+
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
+            try:
+                parts, headers = await asyncio.wait_for(
+                    self._read_head(reader), HEADER_TIMEOUT_S
+                )
+            except asyncio.TimeoutError:
+                writer.write(_json_response(
+                    408, {"error": f"headers not received within {HEADER_TIMEOUT_S}s"}
+                ))
+                await writer.drain()
+                return
             if len(parts) < 2:
                 return
             method, path = parts[0], parts[1]
-            headers = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
             try:
                 length = int(headers.get("content-length", 0))
             except ValueError:
@@ -271,7 +314,10 @@ class ApiServer:
     async def _route(self, method: str, path: str, body: bytes,
                      writer: asyncio.StreamWriter) -> None:
         if method == "GET" and path == "/healthz":
-            writer.write(_json_response(200, {"ok": True}))
+            if self._failure is not None:
+                writer.write(_json_response(503, {"ok": False, "error": self._failure}))
+            else:
+                writer.write(_json_response(200, {"ok": True}))
             await writer.drain()
             return
         if method == "GET" and path == "/v1/stats":
@@ -304,6 +350,10 @@ class ApiServer:
         return self.target.pending + self.target.in_flight
 
     async def _generate(self, body: bytes, writer: asyncio.StreamWriter) -> None:
+        if self._failure is not None:
+            writer.write(_json_response(503, {"error": self._failure}))
+            await writer.drain()
+            return
         try:
             payload = json.loads(body.decode() or "{}")
             prompt = np.asarray(payload["prompt"], dtype=np.int64)
@@ -353,9 +403,14 @@ class ApiServer:
         # finds registered, so a result that lands in this gap is simply
         # delivered on the driver thread's next sweep.  Holding the lock
         # across submit instead would deadlock when pool back-pressure
-        # re-enters via on_token on this same thread.
+        # re-enters via on_token on this same thread.  A driver that died
+        # since the check above never sees this waiter, so fail it here.
         with self._waiters_lock:
-            self._waiters[request_id] = queue
+            failure = self._failure
+            if failure is None:
+                self._waiters[request_id] = queue
+        if failure is not None:
+            queue.put_nowait(("error", failure))
 
         if stream:
             writer.write(_SSE_HEAD)
@@ -369,6 +424,13 @@ class ApiServer:
                     writer.write(_sse_event({"token": int(value)}))
                     await writer.drain()
                 continue
+            if kind == "error":
+                if stream:
+                    writer.write(_sse_event({"error": value}, event="error"))
+                else:
+                    writer.write(_json_response(500, {"error": value}))
+                await writer.drain()
+                return
             result = value  # "done"
             summary = {
                 "done": True,
@@ -429,7 +491,10 @@ def stream_generate(host: str, port: int, payload: dict,
     Returns the final ``done`` summary plus *client-observed* timing:
     ``client_ttft_s`` (send -> first token event on the wire) and
     ``client_latency_s`` (send -> done event) — the measured numbers the
-    open-loop benchmark records, as opposed to the engine's own view.
+    open-loop benchmark records, as opposed to the engine's own view.  A
+    non-200 reply returns its status and JSON body; a stream that ends in
+    an SSE ``error`` event returns status 500, its ``error`` and the
+    tokens received before it.
     """
     payload = dict(payload)
     payload["stream"] = True
@@ -467,9 +532,15 @@ def stream_generate(host: str, port: int, payload: dict,
                 header_seen = True
             while b"\n\n" in buffer:
                 event, _, buffer = buffer.partition(b"\n\n")
+                kind = b"message"
+                if event.startswith(b"event: "):
+                    line, _, event = event.partition(b"\n")
+                    kind = line[len(b"event: "):]
                 if not event.startswith(b"data: "):
                     continue
                 data = json.loads(event[len(b"data: "):].decode())
+                if kind == b"error":
+                    return {"status": 500, "tokens": tokens, **data}
                 if "token" in data:
                     if first_token_at is None:
                         first_token_at = time.perf_counter()

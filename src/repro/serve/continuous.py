@@ -1,10 +1,9 @@
 """Iteration-level (continuous) batching over one shared KV cache.
 
-The static scheduler of :mod:`repro.serve.engine` cuts a batch, decodes it
-to completion, and only then looks at the queue again — one long
-generation stalls the whole chip while short requests queue behind it.
-:class:`ContinuousScheduler` instead re-forms the in-flight batch on
-*every decode step*:
+A static batcher cuts a batch, decodes it to completion, and only then
+looks at the queue again — one long generation stalls the whole chip while
+short requests queue behind it.  :class:`ContinuousScheduler` instead
+re-forms the in-flight batch on *every decode step*:
 
 - newly-submitted requests are admitted the moment a row is free, paying
   only a prefill (the paper's deploy-once hybrid SLC/MLC mapping means
@@ -46,7 +45,6 @@ import numpy as np
 from repro.nn.kv_cache import KVCache
 from repro.nn.tensor import no_grad
 from repro.nn.transformer import DecoderLM
-from repro.rram.kernels import PlaneCache, plane_cache_scope
 from repro.serve.requests import GenerationRequest, RequestResult
 from repro.serve.slots import CacheSlotPool, RowSlotManager
 
@@ -86,8 +84,6 @@ class ContinuousScheduler:
         rng: np.random.Generator | None = None,
         eos_id: int | None = None,
         max_tokens: int | None = None,
-        plane_cache: bool = True,
-        executor=None,
     ) -> None:
         if max_tokens is not None and max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
@@ -98,23 +94,10 @@ class ContinuousScheduler:
         self.rng = rng
         self.eos_id = eos_id
         self.max_tokens = max_tokens
-        # Optional stage-pipelined decode executor (duck-typed — see
-        # :class:`repro.dist.PipelinedBlockExecutor`): when set, the batch
-        # decode forward runs ``executor.forward(feeds, view)`` instead of
-        # ``model.forward``, overlapping pipeline stages across micro-
-        # batches of rows.  Prefill (single-request admission) always stays
-        # on the model.
-        self.executor = executor
         self.slots = RowSlotManager(max_batch_size)
         self._rows: list[_RowState | None] = [None] * max_batch_size
         self._cache: KVCache | None = None
         self._reserved_tokens = 0  # sum of token_need over live rows
-        # Packed-activation reuse across the crossbar stages of one decode
-        # step (see repro.rram.kernels.PlaneCache): installed around every
-        # step() and invalidated whenever the batch composition changes via
-        # the RowSlotManager generation counter.  plane_cache=False packs
-        # fresh on every layer call (the golden-equivalence control).
-        self.plane_cache: PlaneCache | None = PlaneCache() if plane_cache else None
         self.last_decode_rows = 0  # rows advanced by the latest step()
         self.last_prefill_tokens = 0  # prompt tokens prefilled by the latest step()
 
@@ -147,8 +130,7 @@ class ContinuousScheduler:
         if was_training:
             self.model.eval()
         try:
-            with no_grad(), plane_cache_scope(self.plane_cache):
-                self._sync_plane_cache()
+            with no_grad():
                 self._preempt_overdue(completed)  # frees rows before admission
                 self._admit(queue, completed)
                 self._sweep_finished(completed)  # budget-1 / instant-EOS rows
@@ -158,23 +140,12 @@ class ContinuousScheduler:
             if was_training:
                 self.model.train()
         if self.live == 0 and self._cache is not None:
-            # Drained: hand the shared cache back so other engines (or the
-            # static path) can reuse the buffers; re-acquired on the next
+            # Drained: hand the shared cache back so other engines can
+            # reuse the buffers; re-acquired on the next
             # admission (a pool hit).
             self.slot_pool.release(self._cache)
             self._cache = None
         return completed
-
-    # ------------------------------------------------------------------
-    def _sync_plane_cache(self) -> None:
-        """Invalidate packed planes when the batch composition changed.
-
-        Called before every model forward and after every checkout/retire:
-        the cache compares the slot manager's generation counter, so stale
-        packed activations can never survive an admit or retirement.
-        """
-        if self.plane_cache is not None:
-            self.plane_cache.set_generation(self.slots.generation)
 
     # ------------------------------------------------------------------
     # Deadline enforcement (SLO preemption)
@@ -242,7 +213,6 @@ class ContinuousScheduler:
                 self._cache = self.slot_pool.acquire(self.max_batch_size)
                 self._cache.reset()
             row = self.slots.checkout()
-            self._sync_plane_cache()
             self._reserved_tokens += request.token_need
             state = _RowState(
                 request=request,
@@ -295,14 +265,10 @@ class ContinuousScheduler:
         n = self.live
         if n == 0:
             return
-        self._sync_plane_cache()
         self.last_decode_rows = n
         feeds = np.array([[self._rows[i].feed] for i in range(n)], dtype=np.int64)
         view = self._cache.rows_view(0, n)
-        if self.executor is not None:
-            logits = self.executor.forward(feeds, view)
-        else:
-            logits = self.model.forward(feeds, cache=view).data[:, -1]
+        logits = self.model.forward(feeds, cache=view).data[:, -1]
         tokens = self.model.select_tokens(logits, self.rng)
         for i in range(n):
             self._emit(self._rows[i], int(tokens[i]))
@@ -342,7 +308,6 @@ class ContinuousScheduler:
         row = state.row
         self._reserved_tokens -= state.request.token_need
         moved_src = self.slots.retire(row)
-        self._sync_plane_cache()
         if moved_src is None:
             self._rows[row] = None
             self._cache.clear_row(row)

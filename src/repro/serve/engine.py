@@ -3,22 +3,12 @@
 This is the ROADMAP's "serve heavy traffic" layer: a :class:`ServingEngine`
 owns one PIM-deployed :class:`~repro.nn.transformer.DecoderLM` and turns a
 stream of generation requests into decode batches through the KV cache
-(O(L) per token — see :mod:`repro.nn.kv_cache`), under one of two
-scheduling policies:
-
-``continuous`` (default)
-    Iteration-level batching (:class:`~repro.serve.continuous.ContinuousScheduler`):
-    the in-flight batch grows and shrinks token-by-token — new requests
-    join mid-flight with a prefill into a free cache row, finished rows
-    retire and are compacted immediately.  One long generation no longer
-    stalls short requests queued behind it.
-
-``static``
-    The historical all-or-nothing path: a batch is cut from the queue,
-    decoded to completion via one ``DecoderLM.generate`` call, and only
-    then is the queue consulted again.  Kept as a policy option (and as
-    the baseline the serving benchmark measures continuous batching
-    against).
+(O(L) per token — see :mod:`repro.nn.kv_cache`) by iteration-level
+batching (:class:`~repro.serve.continuous.ContinuousScheduler`): the
+in-flight batch grows and shrinks token-by-token — new requests join
+mid-flight with a prefill into a free cache row, finished rows retire and
+are compacted immediately — so one long generation never stalls short
+requests queued behind it.
 
 Hardware correspondence: the static Q/K/V/proj and FFN projections of the
 served model run through analog SLC/MLC crossbars (``HybridLinear``), while
@@ -34,13 +24,13 @@ Design notes
 ------------
 - Requests enter a FIFO queue via :meth:`ServingEngine.submit`; work starts
   when ``max_batch_size`` requests are waiting, when the oldest request has
-  waited ``max_wait_s``, or when the caller forces a drain.  Under the
-  continuous policy, once rows are live any queued request is admitted the
-  moment a row frees up (subject to the optional ``max_tokens`` budget).
+  waited ``max_wait_s``, or when the caller forces a drain.  Once rows are
+  live any queued request is admitted the moment a row frees up (subject
+  to the optional ``max_tokens`` budget).
 - Prompts of different lengths decode together via the ragged KV-cache
   path; each request stops at its own budget (or ``eos_id``).
 - KV-cache buffers come from a :class:`~repro.serve.slots.CacheSlotPool`
-  and are recycled across batches / busy periods.
+  and are recycled across busy periods.
 - All timing — including ``GenerationRequest.submitted_at`` and every
   TTFT/TPOT sample — goes through the injectable ``clock``, so scheduler
   tests are fully deterministic.
@@ -76,13 +66,9 @@ __all__ = [
     "RequestResult",
     "ServingStats",
     "ServingEngine",
-    "SCHEDULERS",
 ]
 
-#: Valid scheduling policies for :class:`ServingEngine`.
-SCHEDULERS = ("continuous", "static")
-
-#: Rolling-window length for per-request/per-batch samples (latency
+#: Rolling-window length for per-request/per-step samples (latency
 #: percentiles, TTFT/TPOT, batch-size mix).  Counters stay exact forever;
 #: only the sample windows are bounded so a long-lived engine cannot grow
 #: without bound.
@@ -101,17 +87,15 @@ def _window_p95(samples: deque) -> float:
 class ServingStats:
     """Aggregate accounting across everything the engine has decoded.
 
-    Scalar counters (requests, tokens, wall-clock, batches/iterations) are
-    exact over the engine's lifetime; the ``*_s`` / ``batch_sizes`` deques
-    are rolling windows of the most recent ``STATS_WINDOW`` samples.
-    ``batches`` counts static batch runs; ``iterations`` counts continuous
-    scheduler steps.  TTFT/TPOT definitions are documented on
-    :class:`~repro.serve.requests.RequestResult`.
+    Scalar counters (requests, tokens, wall-clock, iterations) are exact
+    over the engine's lifetime; the ``*_s`` / ``batch_sizes`` deques are
+    rolling windows of the most recent ``STATS_WINDOW`` samples.
+    ``iterations`` counts scheduler steps.  TTFT/TPOT definitions are
+    documented on :class:`~repro.serve.requests.RequestResult`.
     """
 
     requests_completed: int = 0
     tokens_generated: int = 0
-    batches: int = 0
     iterations: int = 0
     #: Online-recalibration accounting: drift probes issued, recovery
     #: actions taken, and layers re-programmed by those recoveries.
@@ -121,10 +105,12 @@ class ServingStats:
     #: Requests cut short by their SLO deadline (queued expiry or decode
     #: preemption) — see :class:`~repro.serve.requests.GenerationRequest`.
     preempted: int = 0
-    #: Batched-decode fast-path accounting (continuous scheduler): activation
-    #: bit-planes packed fresh vs. served from the step's PlaneCache, and
-    #: rows the fast kernel ran bit-serially (``GemvStats.fused_rows``).
+    #: Batched-decode fast-path accounting, read off :meth:`ServingEngine.gemv_stats`:
+    #: activation bit-planes the fast kernel packed (``GemvStats.planes_packed``)
+    #: and rows it ran bit-serially (``GemvStats.fused_rows``).
     planes_packed: int = 0
+    #: Always 0: nothing reuses packed planes.  Kept until the next
+    #: benchmark change, whose harness still reads it.
     pack_reuses: int = 0
     fused_rows: int = 0
     decode_wall_s: float = 0.0  # time spent inside model forwards
@@ -209,7 +195,6 @@ class ServingStats:
         return {
             "requests_completed": self.requests_completed,
             "tokens_generated": self.tokens_generated,
-            "batches": self.batches,
             "iterations": self.iterations,
             "drift_probes": self.drift_probes,
             "recalibrations": self.recalibrations,
@@ -253,8 +238,8 @@ class RecalibrationPolicy:
     Parameters
     ----------
     interval_steps:
-        Probe every N engine steps that performed work (static batches or
-        continuous iterations).  ``0`` disables automatic probing —
+        Probe every N engine steps that performed work (scheduler
+        iterations).  ``0`` disables automatic probing —
         :meth:`ServingEngine.recalibrate` can still be called manually.
     drift_threshold:
         Worst-layer *increase* in L1-relative probe error over the
@@ -300,36 +285,27 @@ class ServingEngine:
         :meth:`ServingEngine.deploy` (hybrid SLC/MLC layers attached), but
         any :class:`DecoderLM` works (useful for host-only baselines).
     max_batch_size:
-        Upper bound on requests decoded together (cache rows for the
-        continuous scheduler).
+        Upper bound on requests decoded together (cache rows of the
+        scheduler).
     max_wait_s:
         Batching knob: an idle engine starts work once its oldest request
         has waited this long (or ``max_batch_size`` are queued).  ``0``
         serves whatever is queued immediately (latency-optimal); larger
-        values trade queueing latency for fuller batches.  Under the
-        continuous policy this only gates *starting from idle* — once rows
-        are live, new requests join the moment a row frees up.
-    scheduler:
-        ``"continuous"`` (default, iteration-level batching) or
-        ``"static"`` (all-or-nothing batches; the historical path).
+        values trade queueing latency for fuller batches.  This only gates
+        *starting from idle* — once rows are live, new requests join the
+        moment a row frees up.
     max_tokens:
-        Optional admission token budget (continuous only): total KV
-        positions (prompt + full budget) reserved by in-flight requests
-        never exceeds this.  ``None`` = bounded by ``max_batch_size`` and
-        the model's ``max_seq_len`` alone.
-    plane_cache:
-        Continuous only: memoize packed activation bit-planes across the
-        crossbar stages of each decode step
-        (:class:`~repro.rram.kernels.PlaneCache`; default on).  ``False``
-        packs fresh on every layer call — the bitwise-identical control
-        the plane-cache equivalence tests compare against.
+        Optional admission token budget: total KV positions (prompt + full
+        budget) reserved by in-flight requests never exceeds this.
+        ``None`` = bounded by ``max_batch_size`` and the model's
+        ``max_seq_len`` alone.
     cache_slots:
-        Size of the KV-cache slot pool (free slots retained across
-        batches / busy periods).
+        Size of the KV-cache slot pool (free slots retained across busy
+        periods).
     rng:
         Optional sampling Generator shared by all requests; None = greedy.
-    eos_id / pad_id:
-        Per-row stop token and padding filler for ragged batches.
+    eos_id:
+        Per-row stop token.
     clock:
         Injectable time source (tests); defaults to ``time.perf_counter``.
         Every timestamp the engine records — ``submitted_at``, queueing,
@@ -344,47 +320,34 @@ class ServingEngine:
         cache_slots: int = 4,
         rng: np.random.Generator | None = None,
         eos_id: int | None = None,
-        pad_id: int = 0,
         clock: Callable[[], float] = time.perf_counter,
-        scheduler: str = "continuous",
         max_tokens: int | None = None,
-        plane_cache: bool = True,
         shard_plan=None,
         recalibration: RecalibrationPolicy | None = None,
         calibration_prompts: np.ndarray | None = None,
-        pipeline: int | bool | None = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if max_wait_s < 0:
             raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
         self.model = model
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_s
         self.rng = rng
         self.eos_id = eos_id
-        self.pad_id = pad_id
         self.clock = clock
-        self.scheduler = scheduler
         self.max_tokens = max_tokens
         self.slot_pool = CacheSlotPool(model, max_slots=cache_slots)
         self.stats = ServingStats()
-        self._continuous: ContinuousScheduler | None = None
-        if scheduler == "continuous":
-            self._continuous = ContinuousScheduler(
-                model,
-                self.slot_pool,
-                max_batch_size,
-                clock=clock,
-                rng=rng,
-                eos_id=eos_id,
-                max_tokens=max_tokens,
-                plane_cache=plane_cache,
-            )
-        elif max_tokens is not None:
-            raise ValueError("max_tokens is an admission budget of the continuous scheduler")
+        self._continuous = ContinuousScheduler(
+            model,
+            self.slot_pool,
+            max_batch_size,
+            clock=clock,
+            rng=rng,
+            eos_id=eos_id,
+            max_tokens=max_tokens,
+        )
         self._queue: list[GenerationRequest] = []
         # Completed-but-unclaimed results, bounded FIFO: oldest unclaimed
         # results are dropped once the buffer is full (dict preserves
@@ -423,22 +386,6 @@ class ServingEngine:
             self._projection = HardwareProjection(
                 shard_plan, hidden_dim=model.config.d_model
             )
-        # Stage-pipelined decode executor (continuous only): overlap stage i
-        # of token t with stage i-1 of token t+1 across the ShardPlan's
-        # pipeline assignment (or an even `pipeline`-way block split when no
-        # plan is present).  Noiseless outputs stay bitwise-equal to the
-        # sequential path — see repro.dist.pipeline.
-        self.executor = None
-        if pipeline:
-            if self._continuous is None:
-                raise ValueError("pipeline execution requires the continuous scheduler")
-            from repro.dist.pipeline import PipelinedBlockExecutor
-
-            num_stages = None if pipeline is True else int(pipeline)
-            self.executor = PipelinedBlockExecutor(
-                model, shard_plan=shard_plan, num_stages=num_stages
-            )
-            self._continuous.executor = self.executor
         # Cross-thread serving support: submit()/pop_result() may run on an
         # asyncio event-loop thread while step() runs on a driver thread.
         # The lock guards the ingress queue, the result retention dict and
@@ -589,15 +536,13 @@ class ServingEngine:
         """Enqueue one prompt; returns its request id.
 
         ``on_token`` is an optional streaming callback ``(request_id,
-        token)``: under continuous scheduling it fires the moment each
-        token is emitted; under static scheduling it fires per token once
-        the request's batch completes.
+        token)``: it fires the moment each token is emitted.
 
         ``priority`` ranks admission (higher first, FIFO within a class);
         ``deadline_s`` is a relative SLO budget — the request must finish
         within this many clock seconds of submission or it expires in the
-        queue / is preempted mid-decode (continuous scheduler only; the
-        result carries ``preempted=True`` and the tokens emitted so far).
+        queue / is preempted mid-decode (the result carries
+        ``preempted=True`` and the tokens emitted so far).
 
         Thread-safe: may be called from any thread while another thread
         drives :meth:`step` — requests land in a locked ingress queue that
@@ -666,9 +611,8 @@ class ServingEngine:
 
     @property
     def in_flight(self) -> int:
-        """Requests currently decoding (continuous scheduler rows; the
-        static path never holds work between ``step`` calls)."""
-        return self._continuous.live if self._continuous is not None else 0
+        """Requests currently decoding (scheduler rows)."""
+        return self._continuous.live
 
     def _batch_ready(self) -> bool:
         if not self._queue:
@@ -677,65 +621,18 @@ class ServingEngine:
             return True
         return (self.clock() - self._queue[0].submitted_at) >= self.max_wait_s
 
-    def _cut_batch(self) -> list[GenerationRequest]:
-        """Take a FIFO prefix of the queue that fits one KV-cache geometry.
-
-        (Static path.)  A batch decodes over ``max(prompt_len) +
-        max(budget)`` positions, so two individually-valid requests (long
-        prompt + short budget, short prompt + long budget) can jointly
-        exceed ``max_seq_len``.  The cut stops *before* the first request
-        that would overflow the joint geometry — it simply starts the next
-        batch — preserving FIFO order.  (The continuous scheduler has no
-        joint geometry: every row decodes at its own length.)
-        """
-        capacity = self.model.config.max_seq_len
-        batch: list[GenerationRequest] = []
-        width = budget = 0
-        for request in self._queue:
-            if len(batch) >= self.max_batch_size:
-                break
-            new_width = max(width, request.prompt_len)
-            new_budget = max(budget, request.max_new_tokens)
-            if batch and new_width + new_budget > capacity:
-                break
-            batch.append(request)
-            width, budget = new_width, new_budget
-        return batch
-
     def step(self, force: bool = False) -> list[RequestResult]:
-        """Advance the engine once, if the batching policy says it is time.
+        """Advance the engine by one scheduler iteration, if it is time.
 
-        Static policy: cut and decode one full batch.  Continuous policy:
-        one scheduler iteration — admit from the queue, decode one token
-        on every live row, retire finished rows.  ``force`` starts work on
-        a partial queue regardless of ``max_wait_s`` (used by
+        One iteration admits from the queue, decodes one token on every
+        live row and retires finished rows.  An idle engine starts only
+        once the batching policy says so; ``force`` starts work on a
+        partial queue regardless of ``max_wait_s`` (used by
         :meth:`run_until_idle`).  Returns the requests completed by this
         call ([] when nothing ran or nothing finished); results are also
         retained for :meth:`pop_result` until popped.
         """
-        work_before = self.stats.batches + self.stats.iterations
         self._drain_ingress()
-        if self.scheduler == "static":
-            results = self._step_static(force)
-        else:
-            results = self._step_continuous(force)
-        with self._lock:
-            for result in results:
-                self._completed[result.request_id] = result
-            while len(self._completed) > self.result_buffer:
-                self._completed.pop(next(iter(self._completed)))
-        if self.stats.batches + self.stats.iterations > work_before:
-            self._maybe_recalibrate()
-        return results
-
-    def _step_static(self, force: bool) -> list[RequestResult]:
-        if not self._queue or not (force or self._batch_ready()):
-            return []
-        batch = self._cut_batch()
-        del self._queue[: len(batch)]
-        return self._run_batch(batch)
-
-    def _step_continuous(self, force: bool) -> list[RequestResult]:
         scheduler = self._continuous
         if scheduler.live == 0 and (
             not self._queue or not (force or self._batch_ready())
@@ -745,10 +642,9 @@ class ServingEngine:
         results = scheduler.step(self._queue)
         self.stats.iterations += 1
         self.stats.decode_wall_s += self.clock() - started
-        if scheduler.plane_cache is not None:
-            self.stats.planes_packed = scheduler.plane_cache.stats.planes_packed
-            self.stats.pack_reuses = scheduler.plane_cache.stats.pack_reuses
-        self.stats.fused_rows = self.gemv_stats().fused_rows
+        gemv = self.gemv_stats()
+        self.stats.planes_packed = gemv.planes_packed
+        self.stats.fused_rows = gemv.fused_rows
         if self._projection is not None:
             # Batched decode ships the whole step's hidden vectors across
             # each chip boundary in one fused launch per boundary (case 3),
@@ -761,6 +657,12 @@ class ServingEngine:
                 boundaries=self.shard_plan.pipeline_boundaries,
             )
         self._record_results(results)
+        with self._lock:
+            for result in results:
+                self._completed[result.request_id] = result
+            while len(self._completed) > self.result_buffer:
+                self._completed.pop(next(iter(self._completed)))
+        self._maybe_recalibrate()
         return results
 
     def pop_result(self, request_id: int) -> RequestResult | None:
@@ -812,66 +714,6 @@ class ServingEngine:
         return [collected[i] for i in ids]
 
     # ------------------------------------------------------------------
-    def _run_batch(self, batch: list[GenerationRequest]) -> list[RequestResult]:
-        started = self.clock()
-        prompt_lens = np.array([r.prompt_len for r in batch], dtype=np.int64)
-        budgets = np.array([r.max_new_tokens for r in batch], dtype=np.int64)
-        width = int(prompt_lens.max())
-        prompts = np.full((len(batch), width), self.pad_id, dtype=np.int64)
-        for i, request in enumerate(batch):
-            prompts[i, : request.prompt_len] = request.prompt
-
-        cache = self.slot_pool.acquire(len(batch))
-        try:
-            # Per-row budgets: a short-budget row stops decoding once its own
-            # budget is spent instead of riding along to the batch maximum.
-            out = self.model.generate(
-                prompts,
-                max_new_tokens=budgets,
-                rng=self.rng,
-                prompt_lengths=prompt_lens,
-                use_cache=True,
-                cache=cache,
-                eos_id=self.eos_id,
-                pad_id=self.pad_id,
-            )
-        finally:
-            self.slot_pool.release(cache)
-        finished = self.clock()
-        wall = finished - started
-
-        results = []
-        for i, request in enumerate(batch):
-            generated = out[i, prompt_lens[i] : prompt_lens[i] + budgets[i]]
-            if self.eos_id is not None:
-                hits = np.nonzero(generated == self.eos_id)[0]
-                if hits.size:
-                    generated = generated[: hits[0] + 1]
-            generated = np.asarray(generated)
-            if request.on_token is not None:
-                # The static path cannot stream mid-batch; fire the
-                # callback per token once the batch materializes.
-                for token in generated:
-                    request.on_token(request.request_id, int(token))
-            results.append(
-                RequestResult(
-                    request_id=request.request_id,
-                    prompt=request.prompt,
-                    tokens=generated,
-                    queued_s=started - request.submitted_at,
-                    latency_s=finished - request.submitted_at,
-                    batch_size=len(batch),
-                    # Static results materialize only at batch completion,
-                    # so the user-visible first token arrives with the last.
-                    ttft_s=finished - request.submitted_at,
-                    tpot_s=wall / max(1, int(generated.size)),
-                )
-            )
-        self.stats.batches += 1
-        self.stats.decode_wall_s += wall
-        self._record_results(results)
-        return results
-
     def _record_results(self, results: list[RequestResult]) -> None:
         for result in results:
             self.stats.requests_completed += 1
@@ -896,17 +738,6 @@ class ServingEngine:
                 self.stats.projected_busy_s += self._projection.request_busy_s(
                     prompt_len, generated
                 )
-                if self.scheduler == "static":
-                    # Every position of this request crossed each chip
-                    # boundary once (case 3): record the PCIe-6.0
-                    # hidden-vector traffic actually exercised by the
-                    # pipeline layout.  (The continuous path accounts this
-                    # per step, fused across rows, in _step_continuous.)
-                    self.shard_plan.mesh.record_pipeline_handoff(
-                        self.model.config.d_model,
-                        tokens=prompt_len + generated,
-                        boundaries=self.shard_plan.pipeline_boundaries,
-                    )
 
     # ------------------------------------------------------------------
     # Online recalibration (drift probes + recovery)

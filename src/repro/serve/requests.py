@@ -24,10 +24,8 @@ class GenerationRequest:
 
     ``submitted_at`` comes from the engine's injectable clock (never
     ``time.time()`` directly), so scheduler tests are fully deterministic.
-    ``on_token`` is an optional streaming callback: the continuous
-    scheduler fires it the moment each token is emitted; the static
-    scheduler fires it for every token once the request's batch completes
-    (a static batch cannot stream mid-flight).
+    ``on_token`` is an optional streaming callback: the scheduler fires it
+    the moment each token is emitted.
 
     SLO fields (both optional; the defaults reproduce the historical
     strict-FIFO behaviour exactly):
@@ -71,16 +69,13 @@ class RequestResult:
     engine's admission wait cannot masquerade as slow decoding:
 
     ``queued_s``
-        Admission wait — submit until the request was admitted (batch
-        start under static scheduling, cache-row checkout under
-        continuous).  Pure scheduling delay; the model never touched this
+        Admission wait — submit until the request was admitted (its
+        cache-row checkout).  Pure scheduling delay; the model never touched this
         request during it.
     ``ttft_s``
         Time to first token as the *caller* experiences it — submit until
-        the first generated token was available.  Includes ``queued_s``.
-        Under continuous scheduling that is the moment the token was
-        emitted; under static scheduling results only materialize when the
-        whole batch finishes, so TTFT equals ``latency_s``.
+        the first generated token was available (the moment it was
+        emitted).  Includes ``queued_s``.
     ``service_ttft_s``
         Time to first token as the *engine* spent it — admission until the
         first token (``ttft_s - queued_s``).  This is the prefill cost the
@@ -90,9 +85,7 @@ class RequestResult:
         service time proper.
     ``tpot_s``
         Time per output token after the first — ``(completion - first
-        token) / (n - 1)`` under continuous scheduling (0 for single-token
-        results); batch wall-clock per emitted token under static
-        scheduling.
+        token) / (n - 1)`` (0 for single-token results).
     ``projected_latency_s``
         Hardware-projected end-to-end latency on the deployed mesh
         (``None`` unless the engine carries a
@@ -110,7 +103,7 @@ class RequestResult:
     request_id: int
     prompt: np.ndarray
     tokens: np.ndarray  # generated continuation only
-    queued_s: float  # submit -> admission (batch start / row checkout)
+    queued_s: float  # submit -> admission (row checkout)
     latency_s: float  # submit -> completion
     batch_size: int  # concurrently-decoding requests when this one finished
     ttft_s: float = 0.0

@@ -139,24 +139,11 @@ class RowSlotManager:
         self.capacity = capacity
         self.stats = RowSlotStats()
         self._n_live = 0
-        self._generation = 0
 
     @property
     def n_live(self) -> int:
         """Rows currently holding an in-flight request."""
         return self._n_live
-
-    @property
-    def generation(self) -> int:
-        """Monotone batch-composition counter: bumps on every checkout/retire.
-
-        Anything keyed to *which requests occupy which rows* — most
-        importantly the packed-activation
-        :class:`~repro.rram.kernels.PlaneCache` — invalidates itself by
-        comparing this counter (``PlaneCache.set_generation``), so an
-        admit or retirement can never leave stale per-batch state behind.
-        """
-        return self._generation
 
     @property
     def free(self) -> int:
@@ -169,7 +156,6 @@ class RowSlotManager:
             raise ValueError(f"no free rows (capacity {self.capacity})")
         row = self._n_live
         self._n_live += 1
-        self._generation += 1
         self.stats.checkouts += 1
         return row
 
@@ -184,7 +170,6 @@ class RowSlotManager:
         if not (0 <= row < self._n_live):
             raise ValueError(f"row {row} is not live (n_live={self._n_live})")
         self._n_live -= 1
-        self._generation += 1
         self.stats.retirements += 1
         if row == self._n_live:
             return None

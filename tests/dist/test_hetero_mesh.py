@@ -12,7 +12,7 @@ Three ISSUE-7 contracts live here:
   bytes as per-token accounting, ``transfers == boundaries``.
 - The batched≡per-row serving contract survives sharding: a calibrated
   crossbar :class:`~repro.pim.hybrid.HybridLinear` forwarded once for a
-  whole batch (one fast-kernel call per stage, shared ``PlaneCache``)
+  whole batch (one fast-kernel call per stage)
   equals the same deployment forwarded row by row — bitwise, noiseless
   (sha256-pinned, invariant across 1/2/4-way tensor parallelism) and
   under calibrated programming noise.
@@ -27,7 +27,7 @@ import pytest
 
 from repro.dist import DeviceMesh, ShardPlan
 from repro.pim.hybrid import HybridLinear
-from repro.rram import KernelPolicy, PlaneCache, kernel_policy, plane_cache_scope
+from repro.rram import KernelPolicy, kernel_policy
 from repro.rram.cell import CELL_TYPES
 from repro.rram.crossbar import CrossbarConfig
 from repro.rram.noise import DEFAULT_NOISE, NoiseSpec
@@ -214,7 +214,7 @@ def _probe(cell_name: str) -> np.ndarray:
 
 
 def _fused_forward(layer: HybridLinear, x: np.ndarray) -> np.ndarray:
-    with kernel_policy(KernelPolicy(mode="fast")), plane_cache_scope(PlaneCache()):
+    with kernel_policy(KernelPolicy(mode="fast")):
         return layer.forward(x).data.copy()
 
 

@@ -136,6 +136,21 @@ class TestShardPlanBuild:
         assert chips == sorted(chips)  # contiguous, in block order
         assert chips == [0, 0, 1, 1]
 
+    @pytest.mark.parametrize(
+        "num_blocks, num_chips", [(3, 2), (4, 2), (5, 2), (5, 3), (6, 4), (4, 4)]
+    )
+    def test_chips_hold_balanced_contiguous_block_runs(self, rng, num_blocks, num_chips):
+        """Pipeline stages are chips: every chip holds one contiguous run
+        of blocks, in block order, and run lengths differ by at most one."""
+        plan = ShardPlan.build(make_plans(rng, num_blocks=num_blocks), DeviceMesh(num_chips=num_chips))
+        chips = [plan.chip_of_block[b] for b in range(num_blocks)]
+        assert chips == sorted(chips)
+        assert sorted(set(chips)) == list(range(num_chips))
+        runs = [chips.count(chip) for chip in range(num_chips)]
+        assert max(runs) - min(runs) <= 1
+        assert plan.chips_used == num_chips
+        assert plan.pipeline_boundaries == num_chips - 1
+
     def test_excess_chips_stay_idle(self, rng):
         plans = make_plans(rng, num_blocks=2)
         plan = ShardPlan.build(plans, DeviceMesh(num_chips=8))

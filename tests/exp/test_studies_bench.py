@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.exp import ExperimentSpec, Runner, available_experiments
 
 TINY = {
@@ -146,3 +148,48 @@ class TestBenchServe:
         assert trace["static"]["tokens"] == trace["continuous"]["tokens"] > 0
         assert trace["speedup"] > 0
         assert trace["continuous"]["mean_ttft_s"] > 0
+        # The static baseline's TTFT is its batch's completion time.
+        assert trace["static"]["mean_ttft_s"] == trace["static"]["mean_latency_s"]
+
+    def test_static_batches_split_jointly_oversize_requests(self):
+        """The static baseline's FIFO cut: requests that each fit alone but
+        not together (32 positions) go to separate batches; compatible ones
+        share one, up to ``max_batch``."""
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        from repro.exp.studies_bench import _static_batches
+
+        model = SimpleNamespace(config=SimpleNamespace(max_seq_len=32))
+        prompt = lambda n: np.zeros(n, dtype=np.int64)
+        split = [(prompt(24), 8), (prompt(4), 28)]
+        assert _static_batches(model, split, max_batch=2) == [[0], [1]]
+        shared = [(prompt(8), 4), (prompt(6), 6), (prompt(5), 3)]
+        assert _static_batches(model, shared, max_batch=2) == [[0, 1], [2]]
+
+    @pytest.mark.parametrize("max_batch", [1, 2, 4])
+    def test_static_baseline_matches_solo_generate(self, max_batch):
+        """Each static batch is one ragged batched ``generate``; per request
+        it emits exactly the one-shot tokens, wherever the FIFO cut falls."""
+        import numpy as np
+
+        from repro.exp.studies_bench import _mixed_trace, _run_static_trace, _static_batches
+        from repro.nn import DecoderLM, TransformerConfig
+
+        model = DecoderLM(
+            TransformerConfig(
+                vocab_size=32, d_model=16, num_heads=2, num_layers=1, d_ff=32,
+                max_seq_len=24, seed=2,
+            )
+        )
+        trace = _mixed_trace(model, 8, np.random.default_rng(4))
+        batches = _static_batches(model, trace, max_batch)
+        assert [i for batch in batches for i in batch] == list(range(len(trace)))
+        assert max(len(batch) for batch in batches) <= max_batch
+        payload, outputs = _run_static_trace(model, trace, max_batch, reps=1)
+        for (prompt, budget), tokens in zip(trace, outputs):
+            np.testing.assert_array_equal(
+                tokens, model.generate(prompt, budget)[len(prompt) :]
+            )
+        assert payload["tokens"] == sum(budget for _, budget in trace)

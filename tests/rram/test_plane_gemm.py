@@ -1,4 +1,4 @@
-"""Batched bit-serial GEMV: one call per batch ≡ one call per row, PlaneCache.
+"""Batched bit-serial GEMV: one call per batch ≡ one call per row.
 
 The batched-decode contract: pushing a whole live batch through
 :func:`~repro.rram.kernels.fast_gemv` in one call (one BLAS matmul per row
@@ -9,9 +9,7 @@ every analog sum is an exact float64 sum of stored cell values.  The
 batched traces are additionally pinned by sha256 so the batched data path
 cannot drift silently.
 
-Also covered: the content-keyed :class:`~repro.rram.kernels.PlaneCache`
-(bitwise-transparent reuse, LRU bounds, generation invalidation) and the
-all-zero bit-plane skip.
+Also covered: the bit-plane pack counter and the all-zero bit-plane skip.
 """
 
 from __future__ import annotations
@@ -26,11 +24,8 @@ from repro.rram import (
     CrossbarConfig,
     GemvStats,
     KernelPolicy,
-    PlaneCache,
     ProgrammedMatrix,
-    get_active_plane_cache,
     kernel_policy,
-    plane_cache_scope,
 )
 from repro.rram.cell import CELL_TYPES
 from repro.rram.kernels import fast_gemv as stacked_fast_gemv
@@ -154,69 +149,15 @@ class TestZeroPlaneSkip:
         assert s_fast.zero_planes_skipped > 0
 
 
-class TestPlaneCache:
-    def test_content_keyed_reuse_is_bitwise_transparent(self):
-        matrix, inputs = _data("MLC3", (4, 70, 9), 0.05)
-        bare = fast_gemv(matrix, inputs, 8)
-        cache = PlaneCache()
-        with plane_cache_scope(cache):
-            first = fast_gemv(matrix, inputs, 8)
-            # A distinct array with equal content must hit, not re-pack.
-            second = fast_gemv(matrix, inputs.copy(), 8)
-        np.testing.assert_array_equal(first, bare)
-        np.testing.assert_array_equal(second, bare)
-        assert cache.stats.planes_packed == 8
-        assert cache.stats.pack_reuses == 8
-
+class TestPackCounters:
     def test_gemv_stats_carry_pack_counters(self):
+        """Every call packs its own input planes, counted per call."""
         matrix, inputs = _data("MLC3", (2, 70, 9), 0.05)
         stats = GemvStats()
-        with plane_cache_scope(PlaneCache()):
-            fast_gemv(matrix, inputs, 8, stats=stats)
-            fast_gemv(matrix, inputs, 8, stats=stats)
-        assert stats.planes_packed == 8
-        assert stats.pack_reuses == 8
+        fast_gemv(matrix, inputs, 8, stats=stats)
+        fast_gemv(matrix, inputs, 8, stats=stats)
+        assert stats.planes_packed == 16
         merged = GemvStats()
         merged.merge(stats)
-        assert merged.planes_packed == 8 and merged.pack_reuses == 8
+        assert merged.planes_packed == 16
         assert merged.fused_rows == 4
-
-    def test_generation_change_invalidates(self):
-        matrix, inputs = _data("MLC2", (2, 40, 16), 0.05)
-        cache = PlaneCache()
-        with plane_cache_scope(cache):
-            cache.set_generation(1)
-            fast_gemv(matrix, inputs, 8)
-            assert len(cache) == 1
-            cache.set_generation(1)  # same generation: entries survive
-            assert len(cache) == 1
-            cache.set_generation(2)  # composition changed: dropped
-            assert len(cache) == 0
-            assert cache.stats.invalidations == 1
-            fast_gemv(matrix, inputs, 8)  # re-packs fresh
-        assert cache.stats.planes_packed == 16
-
-    def test_lru_capacity_bound(self):
-        matrix, _ = _data("MLC2", (1, 40, 16), 0.05)
-        cache = PlaneCache(capacity=2)
-        rng = np.random.default_rng(5)
-        with plane_cache_scope(cache):
-            for _ in range(5):
-                fast_gemv(matrix, rng.integers(-128, 128, size=(1, 40)), 8)
-        assert len(cache) == 2
-
-    def test_scope_nesting_and_restoration(self):
-        outer, inner = PlaneCache(), PlaneCache()
-        assert get_active_plane_cache() is None
-        with plane_cache_scope(outer):
-            assert get_active_plane_cache() is outer
-            with plane_cache_scope(inner):
-                assert get_active_plane_cache() is inner
-            with plane_cache_scope(None):  # explicit pack-every-call scope
-                assert get_active_plane_cache() is None
-            assert get_active_plane_cache() is outer
-        assert get_active_plane_cache() is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PlaneCache(capacity=0)

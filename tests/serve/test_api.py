@@ -7,13 +7,16 @@ production wiring.  Streaming responses must deliver the same tokens a
 non-streaming request (and a bare ``DecoderLM.generate``) produces; the
 admission policy's queue-depth bound must convert saturation into 503s;
 priority classes and deadlines must thread through to the continuous
-scheduler (a 0-deadline request comes back preempted).
+scheduler (a 0-deadline request comes back preempted).  A target whose
+``step`` raises fails every in-flight request and turns the server
+unhealthy; a client that stalls mid-header gets a 408.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +24,7 @@ import pytest
 
 from repro.nn import DecoderLM, TransformerConfig
 from repro.serve import AdmissionPolicy, ApiServer, ReplicaPool, ServingEngine
+from repro.serve import api
 from repro.serve.api import MAX_BODY_BYTES, api_request, stream_generate
 
 VOCAB = 48
@@ -142,6 +146,114 @@ class TestBodyLength:
     def test_oversize_reply_names_its_status(self, server):
         line = _raw_post_status_line(server, str(MAX_BODY_BYTES + 1))
         assert line == b"HTTP/1.1 413 Content Too Large"
+
+
+class TestHeaderTimeout:
+    def test_stalled_request_line_gets_408(self, server, monkeypatch):
+        """Half a request line and then silence: the server answers 408
+        once the header time limit passes instead of holding the
+        connection forever, and keeps serving."""
+        monkeypatch.setattr(api, "HEADER_TIMEOUT_S", 0.2)
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(b"GET /heal")
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 408 Request Timeout"
+        status, body = api_request(server.host, server.port, "/healthz")
+        assert status == 200 and body == {"ok": True}
+
+    def test_stalled_headers_get_408(self, server, monkeypatch):
+        """A complete request line but headers that never end: the limit
+        bounds the whole head, not just its first line."""
+        monkeypatch.setattr(api, "HEADER_TIMEOUT_S", 0.2)
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\nAcc")
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 408 Request Timeout"
+        status, body = api_request(server.host, server.port, "/healthz")
+        assert status == 200 and body == {"ok": True}
+
+
+class TestDriverSupervision:
+    def test_step_exception_fails_in_flight_requests(self, rng):
+        """An exception escaping ``step`` on the serving thread fails both
+        in-flight requests — 500 JSON and an SSE error event — and from
+        then on ``/healthz`` and ``/v1/generate`` answer 503."""
+        engine = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+
+        def step(force: bool = False) -> list:
+            if engine.pending >= 2:  # both requests are in flight
+                raise RuntimeError("backend exploded")
+            return []
+
+        engine.step = step
+        server = ApiServer(engine)
+        server.start_in_thread()
+        try:
+            plain: dict = {}
+
+            def post() -> None:
+                plain["reply"] = api_request(
+                    server.host, server.port, "/v1/generate",
+                    {"prompt": _prompt(rng), "max_new_tokens": 4}, timeout_s=10.0,
+                )
+
+            thread = threading.Thread(target=post)
+            thread.start()
+            while engine.pending < 1 and thread.is_alive():
+                time.sleep(0.001)
+            streamed = stream_generate(
+                server.host, server.port,
+                {"prompt": _prompt(rng), "max_new_tokens": 4}, timeout_s=10.0,
+            )
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            status, body = plain["reply"]
+            assert status == 500 and "backend exploded" in body["error"]
+            assert streamed["status"] == 500 and "backend exploded" in streamed["error"]
+            status, body = api_request(server.host, server.port, "/healthz")
+            assert status == 503 and body["ok"] is False
+            status, body = api_request(
+                server.host, server.port, "/v1/generate",
+                {"prompt": _prompt(rng), "max_new_tokens": 2},
+            )
+            assert status == 503 and "backend exploded" in body["error"]
+        finally:
+            server.stop_in_thread()
+
+    def test_pool_poll_exception_fails_in_flight_request(self, rng):
+        """The replica-pool target: an exception escaping ``poll``
+        fails the waiting request with a 500 and leaves the server
+        unhealthy."""
+        pool = ReplicaPool(
+            lambda index: ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0),
+            replicas=1,
+            processes=False,
+        )
+        poll = pool.poll
+
+        def failing_poll() -> list:
+            if pool._outstanding:
+                raise RuntimeError("replica ring corrupted")
+            return poll()
+
+        pool.poll = failing_poll
+        server = ApiServer(pool)
+        server.start_in_thread()
+        try:
+            status, body = api_request(
+                server.host, server.port, "/v1/generate",
+                {"prompt": _prompt(rng), "max_new_tokens": 4}, timeout_s=10.0,
+            )
+            assert status == 500 and "replica ring corrupted" in body["error"]
+            status, body = api_request(server.host, server.port, "/healthz")
+            assert status == 503 and body["ok"] is False
+        finally:
+            server.stop_in_thread()
+            pool.shutdown()
 
 
 class TestGenerate:

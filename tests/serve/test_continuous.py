@@ -1,6 +1,6 @@
 """Tests for iteration-level (continuous) batching in the serving engine.
 
-Covers the golden-trace equivalence (static ≡ continuous ≡ one-shot
+Covers the golden-trace equivalence (continuous ≡ per-request one-shot
 generate, across GEMV kernel modes), deterministic fake-clock admission
 edges (every engine timestamp rides the injectable clock), TTFT/TPOT
 accounting, streaming callbacks and the max_tokens admission budget.
@@ -59,19 +59,24 @@ def _replay(engine: ServingEngine, trace) -> dict[int, list[int]]:
     return {i: results[rid].tokens.tolist() for i, rid in enumerate(ids)}
 
 
+def _solo(model: DecoderLM, trace, eos_id: int | None = None) -> dict[int, list[int]]:
+    """Per-request one-shot ``generate``, cut after the first EOS."""
+    solo = {}
+    for i, (prompt, budget) in enumerate(trace):
+        tokens = model.generate(prompt, budget, eos_id=eos_id)[len(prompt) :].tolist()
+        if eos_id in tokens:
+            tokens = tokens[: tokens.index(eos_id) + 1]
+        solo[i] = tokens
+    return solo
+
+
 class TestGoldenTrace:
-    def test_static_continuous_and_solo_identical(self, model):
-        """The deterministic trace emits identical per-request tokens under
-        static scheduling, continuous scheduling and one-shot generate."""
+    def test_continuous_matches_solo_generate(self, model):
+        """The deterministic trace emits, per request, exactly the tokens
+        of a one-shot generate of that prompt and budget."""
         trace = _golden_trace(model.config.vocab_size)
-        static = _replay(ServingEngine(model, max_batch_size=3, scheduler="static"), trace)
-        continuous = _replay(
-            ServingEngine(model, max_batch_size=3, scheduler="continuous"), trace
-        )
-        assert static == continuous
-        for i, (prompt, budget) in enumerate(trace):
-            solo = model.generate(prompt, budget)
-            assert continuous[i] == solo[len(prompt) :].tolist()
+        continuous = _replay(ServingEngine(model, max_batch_size=3), trace)
+        assert continuous == _solo(model, trace)
 
     def test_trace_with_eos_identical(self, model):
         trace = _golden_trace(model.config.vocab_size, seed=13)
@@ -79,20 +84,15 @@ class TestGoldenTrace:
         # early stopping is exercised, not vacuous.
         free = model.generate(trace[0][0], 12)
         eos = int(free[len(trace[0][0])])
-        static = _replay(
-            ServingEngine(model, max_batch_size=3, scheduler="static", eos_id=eos), trace
-        )
-        continuous = _replay(
-            ServingEngine(model, max_batch_size=3, scheduler="continuous", eos_id=eos),
-            trace,
-        )
-        assert static == continuous
+        continuous = _replay(ServingEngine(model, max_batch_size=3, eos_id=eos), trace)
+        assert continuous == _solo(model, trace, eos_id=eos)
         assert any(tokens and tokens[-1] == eos for tokens in continuous.values())
 
     @pytest.mark.slow
     def test_trace_identical_across_kernel_modes(self):
         """Crossbar-deployed trace replay: reference ≡ fast kernels, and
-        static ≡ continuous within each mode."""
+        continuous ≡ per-request generate on the deployed model within
+        each mode."""
         rng = np.random.default_rng(3)
         config = TransformerConfig(
             vocab_size=16, d_model=8, num_heads=2, num_layers=1, d_ff=16,
@@ -123,15 +123,13 @@ class TestGoldenTrace:
         outputs = {}
         for mode in ("reference", "fast"):
             with kernel_policy(KernelPolicy(mode=mode)):
-                for scheduler in ("static", "continuous"):
-                    engine = ServingEngine.deploy(
-                        lm, plans, calibration_prompts=calib, mode="crossbar",
-                        max_batch_size=2, scheduler=scheduler,
-                    )
-                    outputs[(mode, scheduler)] = _replay(engine, trace)
-        reference = outputs[("reference", "static")]
-        for key, value in outputs.items():
-            assert value == reference, key
+                engine = ServingEngine.deploy(
+                    lm, plans, calibration_prompts=calib, mode="crossbar",
+                    max_batch_size=2,
+                )
+                outputs[mode] = _replay(engine, trace)
+                assert outputs[mode] == _solo(engine.model, trace), mode
+        assert outputs["fast"] == outputs["reference"]
 
 
 class TestContinuousSemantics:
@@ -159,14 +157,14 @@ class TestContinuousSemantics:
         assert results[short_b].tokens.size == 4
 
     def test_no_joint_geometry_constraint(self, model, rng):
-        """Long-prompt/short-budget + short-prompt/long-budget cannot share
-        a static batch (32 positions) but decode concurrently under
+        """Long-prompt/short-budget + short-prompt/long-budget could not
+        share a static batch (32 positions) but decode concurrently under
         continuous scheduling, each row at its own length."""
         engine = ServingEngine(model, max_batch_size=2)
         a = engine.submit(rng.integers(0, 40, size=24), 8)
         b = engine.submit(rng.integers(0, 40, size=4), 28)
         engine.step(force=True)
-        assert engine.in_flight == 2  # admitted together; static must split
+        assert engine.in_flight == 2  # admitted together; a static batch would split
         results = {r.request_id: r for r in engine.run_until_idle()}
         assert results[a].tokens.size == 8
         assert results[b].tokens.size == 28
@@ -203,9 +201,7 @@ class TestFakeClockAdmission:
         """Admission edge: strictly below max_wait_s nothing starts; at
         exactly max_wait_s the oldest request is admitted."""
         clock = FakeClock()
-        engine = ServingEngine(
-            model, max_batch_size=4, max_wait_s=1.0, clock=clock, scheduler="continuous"
-        )
+        engine = ServingEngine(model, max_batch_size=4, max_wait_s=1.0, clock=clock)
         engine.submit(rng.integers(0, 40, size=4), 3)
         assert engine.step() == []
         assert engine.in_flight == 0
@@ -270,16 +266,7 @@ class TestLatencyStats:
         assert result.tpot_s > 0
         stats = engine.stats.as_dict()
         assert stats["mean_ttft_s"] < stats["mean_latency_s"]
-        assert stats["iterations"] > 0 and stats["batches"] == 0
-
-    def test_static_ttft_equals_latency(self, model, rng):
-        """Static batches cannot stream: the first token is only visible at
-        batch completion, and the stats must say so honestly."""
-        engine = ServingEngine(model, scheduler="static")
-        [result] = engine.serve([rng.integers(0, 40, size=4)], max_new_tokens=6)
-        assert result.ttft_s == result.latency_s
-        assert result.tpot_s > 0
-        assert engine.stats.batches == 1 and engine.stats.iterations == 0
+        assert stats["iterations"] > 0
 
 
 class TestStreamingCallbacks:
@@ -308,16 +295,6 @@ class TestStreamingCallbacks:
         assert engine.in_flight == 1  # …but the request is not done
         [result] = engine.run_until_idle()
         assert seen == result.tokens.tolist()
-
-    def test_static_fires_callbacks_at_batch_completion(self, model, rng):
-        engine = ServingEngine(model, scheduler="static")
-        seen: list[int] = []
-        rid = engine.submit(
-            rng.integers(0, 40, size=4), 4, on_token=lambda r, t: seen.append(t)
-        )
-        assert seen == []
-        results = {r.request_id: r for r in engine.run_until_idle()}
-        assert seen == results[rid].tokens.tolist()
 
 
 class TestTokenBudgetAdmission:
@@ -352,14 +329,6 @@ class TestTokenBudgetAdmission:
         with pytest.raises(ValueError):
             engine.submit(rng.integers(0, 40, size=8), 8)
 
-    def test_static_rejects_max_tokens(self, model):
-        with pytest.raises(ValueError):
-            ServingEngine(model, scheduler="static", max_tokens=32)
-
-    def test_rejects_unknown_scheduler(self, model):
-        with pytest.raises(ValueError):
-            ServingEngine(model, scheduler="adaptive")
-
 
 class TestSlotPoolIntegration:
     def test_cache_released_between_busy_periods(self, model, rng):
@@ -392,7 +361,7 @@ class TestSlotPoolIntegration:
             )
         engine = ServingEngine.deploy(
             lm, plans, calibration_prompts=rng.integers(0, 16, size=(2, 6)),
-            mode="crossbar", scheduler="continuous", max_batch_size=2,
+            mode="crossbar", max_batch_size=2,
         )
         assert engine.gemv_stats().adc_conversions == 0
         [result] = engine.serve([rng.integers(0, 16, size=3)], max_new_tokens=2)

@@ -1,25 +1,17 @@
-"""PlaneCache serving correctness: no stale packed planes, ever.
+"""Served dispatch counters and the legacy ``"gemm"`` policy alias.
 
-The batched-decode fast path packs each step's activation bit-planes once
-and reuses them across every crossbar stage (``repro.rram.kernels.
-PlaneCache``).  The cache is invalidated through the
-:class:`~repro.serve.slots.RowSlotManager` generation counter whenever the
-batch composition changes, and keys on activation *content*, so serving
-with the cache must be **bitwise-indistinguishable** from packing fresh on
-every layer call.  A hypothesis harness interleaves submit / step
-operations on two identically-seeded crossbar engines — ``plane_cache=True``
-vs the pack-every-step control — and demands identical per-request tokens.
-
-Also covered: the :class:`~repro.serve.engine.ServingStats` dispatch
-counters (``planes_packed`` / ``pack_reuses`` / ``fused_rows``) and the
-legacy ``"gemm"`` policy alias serving exactly what ``"fast"`` serves.
+The :class:`~repro.serve.engine.ServingStats` dispatch counters
+``planes_packed`` and ``fused_rows`` are read off the deployed layers'
+:class:`~repro.rram.crossbar.GemvStats` (``pack_reuses`` stays 0); a
+decode step packs each dependency level's shared input once, and the
+per-row reference kernel packs none.  The ``"gemm"`` policy alias serves
+exactly what ``"fast"`` serves.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import pytest
 
 from repro.nn import DecoderLM, TransformerConfig
 from repro.rram import KernelPolicy, kernel_policy
@@ -64,7 +56,7 @@ def _plans(lm: DecoderLM) -> dict[str, LayerPlan]:
     return plans
 
 
-def _engine(plane_cache: bool, noisy: bool = True, **kwargs) -> ServingEngine:
+def _engine(noisy: bool = True, **kwargs) -> ServingEngine:
     lm = _lm()
     calib = np.random.default_rng(7).integers(0, VOCAB, size=(2, 8))
     return ServingEngine.deploy(
@@ -74,7 +66,6 @@ def _engine(plane_cache: bool, noisy: bool = True, **kwargs) -> ServingEngine:
         noise=DEFAULT_NOISE if noisy else NoiseSpec.noiseless(),
         mode="crossbar",
         max_batch_size=3,
-        plane_cache=plane_cache,
         **kwargs,
     )
 
@@ -83,68 +74,16 @@ def _prompt(seed: int, length: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, VOCAB, size=length)
 
 
-# An op is either a submission (prompt length, token budget, prompt seed)
-# or one forced engine step; interleavings admit mid-flight, retire at
-# ragged lengths and leave rows live between ops — exactly the traffic
-# that would surface a stale packed plane.
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(
-            st.integers(min_value=1, max_value=6),
-            st.integers(min_value=1, max_value=5),
-            st.integers(min_value=0, max_value=2**16),
-        ),
-        st.just("step"),
-    ),
-    min_size=2,
-    max_size=10,
-)
-
-
-class TestNoStalePlanes:
-    @settings(max_examples=10, deadline=None)
-    @given(ops=_OPS)
-    def test_cached_serving_matches_pack_every_step(self, ops):
-        """Golden equivalence vs the pack-every-step control, under noise
-        and batched bit-serial dispatch, for arbitrary admit/retire/decode
-        interleavings."""
-        cached = _engine(plane_cache=True)
-        control = _engine(plane_cache=False)
-        traces = []
-        for engine in (cached, control):
-            submitted, finished = [], {}
-            for op in ops:
-                if op == "step":
-                    for result in engine.step(force=True):
-                        finished[result.request_id] = result
-                else:
-                    length, budget, seed = op
-                    submitted.append(engine.submit(_prompt(seed, length), budget))
-            for result in engine.run_until_idle():
-                finished[result.request_id] = result
-            traces.append([finished[rid].tokens.tolist() for rid in submitted])
-        assert traces[0] == traces[1]
-
-    def test_admissions_and_retirements_invalidate(self):
-        """The generation-counter plumbing: batch-composition changes must
-        reach the cache as invalidations."""
-        engine = _engine(plane_cache=True)
-        cache = engine._continuous.plane_cache
-        engine.submit(_prompt(0, 4), 4)
-        engine.submit(_prompt(1, 2), 2)
-        engine.run_until_idle()
-        assert cache.stats.invalidations > 0
-        assert cache._generation == engine._continuous.slots.generation
-
-
 class TestServingStatsCounters:
     def test_fast_kernel_reports_dispatch_counters(self):
-        engine = _engine(plane_cache=True, max_wait_s=0.0)
+        engine = _engine(max_wait_s=0.0)
         for i in range(3):
             engine.submit(_prompt(i, 3 + i), 4)
         engine.run_until_idle()
         stats = engine.stats
         assert stats.planes_packed > 0
+        assert stats.planes_packed == engine.gemv_stats().planes_packed
+        assert stats.pack_reuses == 0
         assert stats.fused_rows > 0
         snapshot = stats.as_dict()
         for key in ("planes_packed", "pack_reuses", "fused_rows"):
@@ -158,7 +97,7 @@ class TestServingStatsCounters:
         import repro.rram.kernels as kernels
         from repro.dist import DeviceMesh
 
-        engine = _engine(plane_cache=True, mesh=DeviceMesh(), tensor_parallel=2)
+        engine = _engine(mesh=DeviceMesh(), tensor_parallel=2)
         engine.submit(_prompt(5, 4), 4)
         engine.submit(_prompt(6, 2), 4)
         engine.step()  # admit and prefill both requests
@@ -167,7 +106,7 @@ class TestServingStatsCounters:
         monkeypatch.setattr(
             kernels,
             "_pack",
-            lambda codes, bits: packed.append(codes.copy()) or original(codes, bits),
+            lambda codes, bits, stats: packed.append(codes.copy()) or original(codes, bits, stats),
         )
         before = (engine.stats.planes_packed, engine.stats.pack_reuses)
         engine.step()  # one pure decode step over both rows
@@ -182,13 +121,39 @@ class TestServingStatsCounters:
         assert engine.stats.planes_packed - before[0] == 8 * len(packed)
         assert engine.stats.pack_reuses == before[1]
 
-    def test_cache_disabled_packs_fresh_but_still_counts_rows(self):
-        engine = _engine(plane_cache=False)
+    def test_reference_kernel_packs_nothing_but_serves(self):
+        """Under programming noise the fast kernel packs bit-planes; the
+        per-row reference kernel reads none, so both dispatch counters stay
+        0 while it serves the fast kernel's tokens."""
+        tokens, stats = {}, {}
+        for mode in ("reference", "fast"):
+            with kernel_policy(KernelPolicy(mode=mode)):
+                engine = _engine()
+                rid = engine.submit(_prompt(2, 4), 4)
+                results = {r.request_id: r for r in engine.run_until_idle()}
+                tokens[mode] = results[rid].tokens.tolist()
+                stats[mode] = engine.stats
+        assert stats["reference"].planes_packed == 0
+        assert stats["reference"].pack_reuses == 0
+        assert stats["fast"].planes_packed > 0
+        assert tokens["reference"] == tokens["fast"]
+
+    @pytest.mark.parametrize("ways", [1, 2, 4])
+    def test_planes_packed_sums_every_shard(self, ways):
+        """At any tensor-parallel width, ``ServingStats.planes_packed`` is
+        the sum over every deployed shard's ``GemvStats``."""
+        from repro.dist import DeviceMesh
+
+        engine = _engine(mesh=DeviceMesh(), tensor_parallel=ways)
         engine.submit(_prompt(2, 4), 4)
+        engine.submit(_prompt(3, 3), 3)
         engine.run_until_idle()
-        assert engine.stats.planes_packed == 0
+        shards = engine.shard_gemv_stats()
+        assert len(shards) == ways
+        assert engine.stats.planes_packed > 0
+        assert engine.stats.planes_packed == engine.gemv_stats().planes_packed
+        assert engine.stats.planes_packed == sum(s.planes_packed for s in shards)
         assert engine.stats.pack_reuses == 0
-        assert engine.stats.fused_rows > 0  # bit-serial rows, fresh packing
 
 
 class TestGemmPolicyEquivalence:
@@ -199,7 +164,7 @@ class TestGemmPolicyEquivalence:
         outputs = {}
         for mode in ("fast", "gemm"):
             with kernel_policy(KernelPolicy(mode=mode)):
-                engine = _engine(plane_cache=True, noisy=False)
+                engine = _engine(noisy=False)
                 ids = [engine.submit(p, budget) for p, budget in trace]
                 results = {r.request_id: r for r in engine.run_until_idle()}
                 outputs[mode] = [results[rid].tokens.tolist() for rid in ids]

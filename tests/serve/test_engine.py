@@ -51,41 +51,62 @@ class TestSubmitValidation:
         assert ids == [0, 1, 2]
         assert engine.pending == 3
 
+    @pytest.mark.parametrize(
+        "option, value", [("scheduler", "static"), ("pipeline", 2), ("plane_cache", True)]
+    )
+    def test_removed_serving_forks_are_rejected(self, model, option, value):
+        """Continuous decode is the only serving path: the static
+        scheduler, the pipelined executor and the plane cache have no
+        constructor option left to select them."""
+        with pytest.raises(TypeError, match=option):
+            ServingEngine(model, **{option: value})
+
 
 class TestDynamicBatching:
+    """``max_wait_s`` and a full queue gate starting work from idle.
+
+    One step admits (prefill emits the first token) and decodes one more
+    token, so a 2-token request completes within the step that admits it.
+    """
+
     def test_full_batch_runs_immediately(self, model, rng):
         clock = FakeClock()
-        engine = ServingEngine(model, max_batch_size=2, max_wait_s=10.0, clock=clock, scheduler="static")
+        engine = ServingEngine(model, max_batch_size=2, max_wait_s=10.0, clock=clock)
         engine.submit(rng.integers(0, 40, size=4), 2)
         assert engine.step() == []  # partial batch, wait budget not exhausted
+        assert engine.in_flight == 0
         engine.submit(rng.integers(0, 40, size=4), 2)
-        results = engine.step()  # max_batch reached -> cut now
+        results = engine.step()  # max_batch reached -> start now
         assert len(results) == 2
         assert all(r.batch_size == 2 for r in results)
 
     def test_max_wait_cuts_partial_batch(self, model, rng):
         clock = FakeClock()
-        engine = ServingEngine(model, max_batch_size=4, max_wait_s=1.0, clock=clock, scheduler="static")
+        engine = ServingEngine(model, max_batch_size=4, max_wait_s=1.0, clock=clock)
         engine.submit(rng.integers(0, 40, size=4), 2)
         assert engine.step() == []
         clock.now = 1.5  # oldest request has now waited past max_wait_s
         results = engine.step()
         assert len(results) == 1
+        assert results[0].batch_size == 1
 
     def test_run_until_idle_drains_everything(self, model, rng):
-        engine = ServingEngine(model, max_batch_size=3, max_wait_s=100.0, scheduler="static")
+        engine = ServingEngine(model, max_batch_size=3, max_wait_s=100.0)
         for _ in range(7):
             engine.submit(rng.integers(0, 40, size=5), 3)
         results = engine.run_until_idle()
         assert len(results) == 7
         assert engine.pending == 0
-        assert engine.stats.batches == 3  # 3 + 3 + 1
+        assert max(r.batch_size for r in results) == 3
+        # Rows of 3 tokens live for 2 steps; 7 requests fill 3 + 3 + 1 rows.
+        assert engine.stats.iterations == 6
 
     def test_queue_is_fifo(self, model, rng):
-        engine = ServingEngine(model, max_batch_size=2, scheduler="static")
+        engine = ServingEngine(model, max_batch_size=2)
         ids = [engine.submit(rng.integers(0, 40, size=4), 2) for _ in range(4)]
         first = engine.step(force=True)
         assert sorted(r.request_id for r in first) == ids[:2]
+        assert engine.pending == 2
 
 
 class TestServedOutputs:
@@ -229,27 +250,6 @@ class TestPimDeployment:
 
 
 class TestReviewRegressions:
-    def test_jointly_incompatible_requests_split_into_batches(self, model, rng):
-        """Long-prompt/short-budget + short-prompt/long-budget both fit alone
-        but not together (32 positions); the static batch cut must split
-        them, not crash and drop them.  (The continuous scheduler has no
-        joint geometry — see tests/serve/test_continuous.py.)"""
-        engine = ServingEngine(model, max_batch_size=2, scheduler="static")
-        a = engine.submit(rng.integers(0, 40, size=24), 8)
-        b = engine.submit(rng.integers(0, 40, size=4), 28)
-        results = {r.request_id: r for r in engine.run_until_idle()}
-        assert results[a].tokens.size == 8
-        assert results[b].tokens.size == 28
-        assert results[a].batch_size == 1 and results[b].batch_size == 1
-        assert engine.pending == 0
-
-    def test_compatible_requests_still_share_a_batch(self, model, rng):
-        engine = ServingEngine(model, max_batch_size=2, scheduler="static")
-        engine.submit(rng.integers(0, 40, size=8), 4)
-        engine.submit(rng.integers(0, 40, size=6), 6)
-        results = engine.run_until_idle()
-        assert [r.batch_size for r in results] == [2, 2]
-
     def test_serve_preserves_earlier_submissions(self, model, rng):
         """serve() drains earlier submit()s too; their results must remain
         claimable instead of being silently discarded."""
