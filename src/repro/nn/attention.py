@@ -169,8 +169,10 @@ class AnalogAttention(MultiHeadAttention):
     wordline-grown value operand, with INT8 activation quantization (one
     scale per row and head) and host-side dequantization by the cached
     per-token scales.  Every ``(row, head)`` tile of a forward runs in one
-    stacked crossbar call per product, as all heads and streams of a
-    step fire in the same wave on the hardware.  Softmax (and masking)
+    stacked crossbar call per product, straight from the layer's key or
+    value plane bank (the slot's ``k_bank``/``v_bank`` and ``members``),
+    as all heads and streams of a step fire in the same wave on the
+    hardware.  Softmax (and masking)
     stays on the host, per row, mirroring the paper's SFU placement.
     Every other call shape — no cache, a plain
     :class:`~repro.nn.kv_cache.KVCache`, calibration forwards, non-causal
@@ -252,8 +254,7 @@ class AnalogAttention(MultiHeadAttention):
         # tile: queries stream over each key operand's wordlines.
         q_codes, q_scales = ex.quantize_blocks(q.data)
         scores_int = ex.gemv(
-            [op for ops in handles.k_ops for op in ops],
-            q_codes.reshape(batch * heads, seq, self.d_head),
+            handles.k_bank, q_codes.reshape(batch * heads, seq, self.d_head), handles.members
         ).reshape(batch, heads, seq, width)
         scores = (
             np.asarray(scores_int, dtype=np.float64)
@@ -283,8 +284,7 @@ class AnalogAttention(MultiHeadAttention):
             weighted[r, :, :, :total] = probs * v_scales[r, :, None, :total]
         p_codes, p_scales = ex.quantize_blocks(weighted)
         ctx_int = ex.gemv(
-            [op for ops in handles.v_ops for op in ops],
-            p_codes.reshape(batch * heads, seq, width),
+            handles.v_bank, p_codes.reshape(batch * heads, seq, width), handles.members
         ).reshape(batch, heads, seq, self.d_head)
         context = np.asarray(ctx_int, dtype=np.float64) * p_scales[:, :, None, None]
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)

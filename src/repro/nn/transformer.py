@@ -326,7 +326,6 @@ class DecoderLM(_TransformerBase):
         rng: np.random.Generator | None = None,
         prompt_lengths: np.ndarray | None = None,
         use_cache: bool = True,
-        cache: KVCache | None = None,
         eos_id: int | None = None,
         pad_id: int = 0,
     ) -> np.ndarray:
@@ -352,11 +351,7 @@ class DecoderLM(_TransformerBase):
             the naive full-context recompute (the O(L²) baseline measured by
             ``bench_serve``).  Requests that cannot fit ``max_seq_len``
             positions automatically fall back to the naive sliding-window
-            recompute (the historical behaviour) unless an explicit
-            ``cache`` was supplied.
-        cache:
-            Optional preallocated :class:`KVCache` to reuse (the serving
-            engine's slot pool); it is reset before prefill.
+            recompute (the historical behaviour).
         eos_id:
             Optional stop token: a row that emits it stops early and pads the
             rest of its budget with ``pad_id``.
@@ -393,15 +388,10 @@ class DecoderLM(_TransformerBase):
         cur = lengths.copy()
         active = budgets > 0
 
-        # Long requests degrade gracefully: when no explicit cache was
-        # handed in, a request past max_seq_len falls back to the naive
-        # sliding-window recompute (the historical behaviour) instead of
-        # raising.  An explicit cache means the caller manages capacity.
-        if (
-            use_cache
-            and cache is None
-            and int(lengths.max()) + int(budgets.max()) > self.config.max_seq_len
-        ):
+        # Long requests degrade gracefully: a request past max_seq_len falls
+        # back to the naive sliding-window recompute (the historical
+        # behaviour) instead of raising.
+        if use_cache and int(lengths.max()) + int(budgets.max()) > self.config.max_seq_len:
             use_cache = False
 
         # Decoding is inference: freeze dropout so the cached and naive
@@ -411,7 +401,7 @@ class DecoderLM(_TransformerBase):
         try:
             with no_grad():
                 if use_cache:
-                    self._generate_cached(out, cur, active, budgets, rng, cache, eos_id)
+                    self._generate_cached(out, cur, active, budgets, rng, eos_id)
                 else:
                     self._generate_naive(out, cur, active, budgets, rng, eos_id)
         finally:
@@ -426,30 +416,14 @@ class DecoderLM(_TransformerBase):
         active: np.ndarray,
         budgets: np.ndarray,
         rng: np.random.Generator | None,
-        cache: KVCache | None,
         eos_id: int | None,
     ) -> None:
         batch = out.shape[0]
         max_budget = int(budgets.max())
         prompt_len = int(cur.max())
-        needed = prompt_len + max_budget
-        if needed > self.config.max_seq_len:
-            raise ValueError(
-                f"cached generation needs {needed} positions but max_seq_len is "
-                f"{self.config.max_seq_len}; shorten the request or use_cache=False "
-                "(sliding-window recompute)"
-            )
         if not active.any():
             return
-        if cache is None:
-            cache = self.new_cache(batch, capacity=needed)
-        else:
-            if cache.batch != batch or cache.capacity < needed:
-                raise ValueError(
-                    f"cache (batch={cache.batch}, capacity={cache.capacity}) cannot "
-                    f"hold batch={batch}, {needed} positions"
-                )
-            cache.reset()
+        cache = self.new_cache(batch, capacity=prompt_len + max_budget)
         # Prefill: one full forward over the (right-padded) prompts.  Pad
         # positions only ever serve as causally-blocked keys, so the plain
         # causal mask suffices; their cached K/V are invalidated below.

@@ -34,7 +34,7 @@ from repro.nn.tensor import Tensor
 from repro.rram.backend import CrossbarBackend, resolve_backend
 from repro.rram.cell import MLC2, CellType
 from repro.rram.crossbar import CrossbarConfig, GemvStats
-from repro.rram.dynamic import DynamicOperand, stacked_gemv
+from repro.rram.dynamic import DynamicOperand, PlaneBank
 from repro.rram.kernels import KernelPolicy
 
 __all__ = ["CrossbarAttentionExecutor", "ReferenceQuantizedAttention"]
@@ -179,9 +179,9 @@ class CrossbarAttentionExecutor:
     # ------------------------------------------------------------------
     # Stacked crossbar reads
     # ------------------------------------------------------------------
-    def gemv(self, operands: list[DynamicOperand], input_codes: np.ndarray) -> np.ndarray:
-        """All ``operands``' GEMVs as one stacked call (:func:`stacked_gemv`)."""
-        return stacked_gemv(operands, input_codes, self.activation_bits)
+    def gemv(self, bank: PlaneBank, input_codes: np.ndarray, members: slice) -> np.ndarray:
+        """GEMVs of ``bank``'s ``members`` as one stacked call (:meth:`PlaneBank.gemv`)."""
+        return bank.gemv(input_codes, self.activation_bits, members)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -11,27 +11,38 @@ dequantization scales kept host-side, so the analog attention path
 (:class:`~repro.nn.attention.AnalogAttention`) can execute ``Q·Kᵀ`` and
 ``S·V`` as crossbar GEMVs and rescale exactly.
 
+Each layer's key operands and its value operands form one
+:class:`~repro.rram.dynamic.PlaneBank` apiece, members in ``(row, head)``
+order: the effective cells of every tile, stacked as the fast kernel
+reads them.  An append writes every ``(row, head)`` K/V tile of the step
+in one batched region write
+(:meth:`~repro.rram.backend.CrossbarBackend.program_regions`) that also
+fills the banks' new columns and rows, and the attention reads hand a
+view's run of members straight to the kernel — no per-read copy.
+
 The host-side buffers of the parent class are kept fully coherent (every
 append also lands in them), which preserves the complete row-view /
 compaction contract the continuous scheduler depends on:
 
 - :meth:`rows_view` hands out views that share the *operand store* and
-  translate local row indices through a ``_row0`` offset;
+  translate local row indices through a ``_row0`` offset (a contiguous
+  run of bank members);
 - :meth:`copy_row` (swap-with-last compaction) *swaps* the src/dst operand
-  tiles — a logical row-slot remap, free of write pulses, matching how a
-  row-slot indirection table would relocate a stream on hardware.  The
-  analog content of ``src`` is undefined until the scheduler's immediately
-  following :meth:`clear_row`;
+  tiles and their bank members — a logical row-slot remap, free of write
+  pulses, matching how a row-slot indirection table would relocate a
+  stream on hardware.  The analog content of ``src`` is undefined until
+  the scheduler's immediately following :meth:`clear_row`;
 - :meth:`clear_row`, :meth:`set_lengths` and :meth:`reset` truncate the
-  affected operands logically (no cell writes); recycled rows are
-  overwritten by later appends and accounted as re-programs in
+  affected operands logically (no cell writes; their bank members are
+  zeroed past the new length); recycled rows are overwritten by later
+  appends and accounted as re-programs in
   :class:`~repro.rram.crossbar.GemvStats`.
 
 Every cell write flows through the backend's partial-region primitive and
 is therefore recorded in the :class:`~repro.rram.endurance.WearLedger`'s
-dynamic channel; KV-write interconnect traffic is reported to the
-executor (and from there to the :class:`~repro.dist.DeviceMesh` ledger)
-per append.
+dynamic channel, one region write per tile; KV-write interconnect traffic
+is reported to the executor (and from there to the
+:class:`~repro.dist.DeviceMesh` ledger) per append.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ import numpy as np
 
 from repro.nn.kv_cache import KVCache, _LayerSlot
 from repro.rram.crossbar import offset_slices
+from repro.rram.dynamic import PlaneBank, write_operands
 
 __all__ = ["CrossbarKVCache"]
 
@@ -47,31 +59,31 @@ __all__ = ["CrossbarKVCache"]
 class _OperandStore:
     """Shared analog state behind a :class:`CrossbarKVCache` and its views.
 
-    Holds the per-``(layer, row, head)`` key/value operands, the
-    host-side per-token dequantization scales, and the executor that
-    quantizes appends and accounts traffic.  Views created by
-    :meth:`CrossbarKVCache.rows_view` alias this object and translate
-    local rows through their ``_row0`` offset.
+    Holds one key and one value :class:`~repro.rram.dynamic.PlaneBank`
+    per layer, whose members are the ``(row, head)`` operands in
+    row-major order, the host-side per-token dequantization scales, and
+    the executor that quantizes appends and accounts traffic.  Views
+    created by :meth:`CrossbarKVCache.rows_view` alias this object and
+    translate local rows through their ``_row0`` offset.
     """
 
-    __slots__ = ("executor", "k_ops", "v_ops", "k_scales", "v_scales")
+    __slots__ = ("executor", "k_banks", "v_banks", "k_scales", "v_scales")
 
     def __init__(self, executor, num_layers, batch, num_heads, head_dim, capacity):
         self.executor = executor
-        self.k_ops = [
-            [
-                [executor.new_operand(capacity, head_dim, grow="bitlines") for _ in range(num_heads)]
-                for _ in range(batch)
-            ]
+        members = batch * num_heads
+        # Every key operand, then every value operand: minting draws from
+        # the executor's noise generator, so this order fixes the cells.
+        k_ops = [
+            [executor.new_operand(capacity, head_dim, grow="bitlines") for _ in range(members)]
             for _ in range(num_layers)
         ]
-        self.v_ops = [
-            [
-                [executor.new_operand(capacity, head_dim, grow="wordlines") for _ in range(num_heads)]
-                for _ in range(batch)
-            ]
+        v_ops = [
+            [executor.new_operand(capacity, head_dim, grow="wordlines") for _ in range(members)]
             for _ in range(num_layers)
         ]
+        self.k_banks = [PlaneBank(ops) for ops in k_ops]
+        self.v_banks = [PlaneBank(ops) for ops in v_ops]
         self.k_scales = [np.zeros((batch, num_heads, capacity)) for _ in range(num_layers)]
         self.v_scales = [np.zeros((batch, num_heads, capacity)) for _ in range(num_layers)]
 
@@ -79,7 +91,7 @@ class _OperandStore:
 class _CrossbarLayerSlot(_LayerSlot):
     """Per-layer cache handle that additionally exposes the analog operands.
 
-    The extra surface (``analog``/``executor``/``lengths``/``k_ops``...)
+    The extra surface (``analog``/``executor``/``lengths``/``k_bank``...)
     is what :class:`~repro.nn.attention.AnalogAttention` duck-checks to
     select the crossbar execution path; plain hosts see only the
     inherited :class:`~repro.nn.kv_cache._LayerSlot` contract.
@@ -107,14 +119,34 @@ class _CrossbarLayerSlot(_LayerSlot):
         return slice(self.cache._row0, self.cache._row0 + self.cache.batch)
 
     @property
+    def members(self) -> slice:
+        """This view's ``(row, head)`` members of the layer's banks."""
+        return self.cache._members
+
+    @property
+    def k_bank(self) -> PlaneBank:
+        """The layer's key (bitline-grown) operand bank."""
+        return self.cache._store.k_banks[self.index]
+
+    @property
+    def v_bank(self) -> PlaneBank:
+        """The layer's value (wordline-grown) operand bank."""
+        return self.cache._store.v_banks[self.index]
+
+    def _by_row(self, bank: PlaneBank) -> list:
+        ops = bank.operands[self.members]
+        heads = self.cache.num_heads
+        return [ops[i : i + heads] for i in range(0, len(ops), heads)]
+
+    @property
     def k_ops(self) -> list:
-        """Key operands (bitline-grown) of this view's rows, ``[row][head]``."""
-        return self.cache._store.k_ops[self.index][self._rows]
+        """Key operands of this view's rows, ``[row][head]``."""
+        return self._by_row(self.k_bank)
 
     @property
     def v_ops(self) -> list:
-        """Value operands (wordline-grown) of this view's rows, ``[row][head]``."""
-        return self.cache._store.v_ops[self.index][self._rows]
+        """Value operands of this view's rows, ``[row][head]``."""
+        return self._by_row(self.v_bank)
 
     @property
     def k_scales(self) -> np.ndarray:
@@ -180,38 +212,47 @@ class CrossbarKVCache(KVCache):
         return view
 
     # ------------------------------------------------------------------
+    @property
+    def _members(self) -> slice:
+        """This view's ``(row, head)`` members of every bank."""
+        heads = self.num_heads
+        return slice(self._row0 * heads, (self._row0 + self.batch) * heads)
+
     def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray):
         """Append to the host mirror, then write the tokens into the operands.
 
         The whole ``(rows, heads, t, d)`` K and V blocks are quantized
         per token to signed INT8 and bit-sliced once; each row/head's
-        ``t`` new tokens are then written as ``t`` columns of its key
-        operand and ``t`` rows of its value operand (both at the row's
-        committed length — the same positions the host mirror writes), and
-        their dequantization scales stored.  Operands are written row by
-        row, head by head, key before value: every operand draws its
-        programming noise from the executor's one generator, so this order
-        fixes the noisy cells.  Write wear and initial-vs-reprogram cell
-        counts accrue to the executor's shared stats; KV-write bytes are
-        reported for interconnect accounting.
+        ``t`` new tokens become ``t`` columns of its key operand and ``t``
+        rows of its value operand (both at the row's committed length —
+        the same positions the host mirror writes), all in one
+        :func:`~repro.rram.dynamic.write_operands` call that also fills the
+        layer's banks, and their dequantization scales are stored.  The
+        block is written row by row, head by head, key before value:
+        every operand draws its programming noise from the executor's one
+        generator, so this order fixes the noisy cells.  Write wear and
+        initial-vs-reprogram cell counts accrue to the executor's shared
+        stats; KV-write bytes are reported for interconnect accounting.
         """
         start_lengths = self.lengths.copy()
         out = super().append(layer, k_new, v_new)
-        ex = self._store.executor
-        t = k_new.shape[2]
+        store, ex = self._store, self._store.executor
         k_codes, k_s = ex.quantize_rows(k_new)
         v_codes, v_s = ex.quantize_rows(v_new)
-        k_levels = offset_slices(k_codes, ex.cell, ex.weight_bits)
-        v_levels = offset_slices(v_codes, ex.cell, ex.weight_bits)
-        slot = self.layer(layer)
-        for r, (k_ops, v_ops) in enumerate(zip(slot.k_ops, slot.v_ops)):
-            for h, (k_op, v_op) in enumerate(zip(k_ops, v_ops)):
-                k_op.write(k_levels[r, h])
-                v_op.write(v_levels[r, h])
-            pos = int(start_lengths[r])
-            slot.k_scales[r, :, pos : pos + t] = k_s[r]
-            slot.v_scales[r, :, pos : pos + t] = v_s[r]
-        ex.record_kv_write(layer, self.batch, t, self.head_dim, self.num_heads)
+        # (rows, heads, K|V, t, d, slices), flattened to one operand each.
+        levels = offset_slices(np.stack([k_codes, v_codes], axis=2), ex.cell, ex.weight_bits)
+        members = self._members
+        k_ops = store.k_banks[layer].operands[members]
+        v_ops = store.v_banks[layer].operands[members]
+        write_operands(
+            [op for pair in zip(k_ops, v_ops) for op in pair],
+            levels.reshape((-1,) + levels.shape[3:]),
+        )
+        rows = np.arange(self._row0, self._row0 + self.batch)[:, None]
+        positions = start_lengths[:, None] + np.arange(k_new.shape[2])
+        store.k_scales[layer][rows, :, positions] = k_s.transpose(0, 2, 1)
+        store.v_scales[layer][rows, :, positions] = v_s.transpose(0, 2, 1)
+        ex.record_kv_write(layer, self.batch, k_new.shape[2], self.head_dim, self.num_heads)
         return out
 
     # ------------------------------------------------------------------
@@ -232,14 +273,9 @@ class CrossbarKVCache(KVCache):
         store = self._store
         gs, gd = self._row0 + src, self._row0 + dst
         for layer in range(self.num_layers):
-            store.k_ops[layer][gs], store.k_ops[layer][gd] = (
-                store.k_ops[layer][gd],
-                store.k_ops[layer][gs],
-            )
-            store.v_ops[layer][gs], store.v_ops[layer][gd] = (
-                store.v_ops[layer][gd],
-                store.v_ops[layer][gs],
-            )
+            for bank in (store.k_banks[layer], store.v_banks[layer]):
+                for h in range(self.num_heads):
+                    bank.swap(gs * self.num_heads + h, gd * self.num_heads + h)
             store.k_scales[layer][[gs, gd]] = store.k_scales[layer][[gd, gs]]
             store.v_scales[layer][[gs, gd]] = store.v_scales[layer][[gd, gs]]
 
@@ -266,12 +302,12 @@ class CrossbarKVCache(KVCache):
             self._truncate_row(r, 0)
 
     def _truncate_row(self, row: int, length: int) -> None:
-        g = self._row0 + row
+        first = (self._row0 + row) * self.num_heads
         store = self._store
-        for layer in range(self.num_layers):
-            for h in range(self.num_heads):
-                store.k_ops[layer][g][h].truncate(length)
-                store.v_ops[layer][g][h].truncate(length)
+        for banks in (store.k_banks, store.v_banks):
+            for bank in banks:
+                for op in bank.operands[first : first + self.num_heads]:
+                    op.truncate(length)
 
     def __repr__(self) -> str:
         return (

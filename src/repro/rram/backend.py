@@ -30,6 +30,7 @@ the backend's wear model to the paper's Section 5.2 endurance argument.
 from __future__ import annotations
 
 import abc
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +77,6 @@ class ProgrammedTile:
     base_planes: np.ndarray | None = None
     programmed_at_s: float = 0.0
     program_count: int = 1
-    #: Tile-local monotonic counter bumped by every partial region write
-    #: (dynamic operands); composes with the backend-wide ``epoch`` in
-    #: plane-cache keys without invalidating *other* tiles' caches.
-    write_epoch: int = 0
     # Fault state (FaultySimBackend only).
     stuck_off: np.ndarray | None = None
     stuck_on: np.ndarray | None = None
@@ -204,19 +201,11 @@ class CrossbarBackend(abc.ABC):
         row_slice: slice,
         col_slice: slice,
         levels: np.ndarray,
-    ) -> None:
+    ) -> np.ndarray:
         """Write ``levels`` into a sub-region of ``tile`` in place.
 
-        The dynamic-operand primitive: unlike :meth:`reprogram`, only the
-        ``[row_slice, col_slice, :]`` region of the tile's cells is
-        re-written (an incremental row append costs only the appended
-        cells' write pulses), the tile's drift reference time and program
-        count are untouched, and the *backend-wide* epoch does not move —
-        every other tile's cached planes stay valid.  The write bumps the
-        tile-local ``write_epoch`` (readers key their caches on it),
-        applies the tile's frozen programming-noise model to the new cells
-        only, and records ``levels.size x cell.write_pulses`` in the
-        ledger's dynamic-write channel.
+        The one-tile case of :meth:`program_regions`; ``levels`` must have
+        the region's shape.  Returns the region's effective planes.
         """
         if levels.ndim != 3:
             raise ValueError(f"levels must be 3-D (rows, cols, slices), got {levels.ndim}-D")
@@ -225,18 +214,76 @@ class CrossbarBackend(abc.ABC):
             raise ValueError(
                 f"region shape {region.shape} does not match levels shape {levels.shape}"
             )
-        tile.cell.validate_levels(levels)
-        tile.ideal_levels[row_slice, col_slice, :] = levels
-        if tile.base_planes is not None:
-            tile.base_planes[row_slice, col_slice, :] = apply_multiplicative_noise(
-                levels.astype(np.float64), tile.noise_sigma, tile.rng
-            ).astype(tile.storage_dtype)
-        tile.write_epoch += 1
-        tile._cache = None
-        tile._cache_epoch = -1
-        self.ledger.record_region(
-            tile.tile_id, int(levels.size), tile.cell.write_pulses
+        return self.program_regions([tile], [(row_slice, col_slice)], levels).reshape(
+            levels.shape
         )
+
+    def program_regions(
+        self,
+        tiles: list[ProgrammedTile],
+        regions: list[tuple[slice, slice]],
+        levels: np.ndarray,
+    ) -> np.ndarray:
+        """Write a block of levels into sub-regions of many tiles in place.
+
+        The dynamic-operand primitive: unlike :meth:`reprogram`, only each
+        ``[row_slice, col_slice, :]`` region is re-written (an incremental
+        row append costs only the appended cells' write pulses), the tiles'
+        drift reference times and program counts are untouched, and the
+        *backend-wide* epoch does not move — every other tile's cached
+        planes stay valid (a written tile drops its own).  ``levels``
+        holds every region's levels, region by region, each in C order
+        (any shape of that total size).  The block is checked against the
+        cell range once and its programming noise drawn once, in region
+        order — the draws separate writes of the same regions would make.
+        The tiles must share cell type, noise model, generator and storage
+        dtype.  Each write records one region write of
+        ``size x cell.write_pulses`` in the ledger's dynamic-write
+        channel.  Returns the written cells' effective planes
+        (:meth:`planes`) as float64, flat in the same order.
+        """
+        first = tiles[0]
+        shared = (first.cell, first.noise_sigma, first.rng, first.storage_dtype)
+        noisy = first.base_planes is not None
+        if len(regions) != len(tiles) or any(
+            (t.cell, t.noise_sigma, t.rng, t.storage_dtype) != shared
+            or (t.base_planes is not None) != noisy
+            for t in tiles
+        ):
+            raise ValueError("region writes need one region per tile and tiles sharing a noise model")
+        targets = [t.ideal_levels[region] for t, region in zip(tiles, regions)]
+        bounds = list(itertools.accumulate([target.size for target in targets], initial=0))
+        flat = np.asarray(levels).reshape(-1)
+        if flat.size != bounds[-1] or not all(target.size for target in targets):
+            raise ValueError(f"{flat.size} levels for non-empty regions of {bounds[1:]} cells")
+        first.cell.validate_levels(flat)
+        stored = flat
+        if noisy:
+            stored = apply_multiplicative_noise(
+                flat.astype(np.float64), first.noise_sigma, first.rng
+            ).astype(first.storage_dtype)
+        pulses = first.cell.write_pulses
+        for tile, region, target, start, stop in zip(tiles, regions, targets, bounds, bounds[1:]):
+            target[...] = flat[start:stop].reshape(target.shape)
+            if noisy:
+                tile.base_planes[region] = stored[start:stop].reshape(target.shape)
+            tile._cache = None
+            tile._cache_epoch = -1
+            self.ledger.record_region(tile.tile_id, stop - start, pulses)
+        return self._written_planes(tiles, regions, stored)
+
+    def _written_planes(
+        self, tiles: list[ProgrammedTile], regions: list[tuple[slice, slice]], stored: np.ndarray
+    ) -> np.ndarray:
+        """Effective float64 planes of just-written regions, flat in write order.
+
+        ``stored`` are the cells :meth:`program_regions` stored (noisy
+        planes, or the levels of noiselessly programmed tiles).  Generic
+        backends read each region back through :meth:`planes`.
+        """
+        return np.concatenate(
+            [self.planes(t)[rows, cols, :].ravel() for t, (rows, cols) in zip(tiles, regions)]
+        ).astype(np.float64)
 
     # -- reads --------------------------------------------------------------
     @abc.abstractmethod
@@ -318,6 +365,10 @@ class SimBackend(CrossbarBackend):
     def is_ideal(self, tile: ProgrammedTile) -> bool:
         """True exactly when the tile was programmed noiselessly."""
         return tile.base_planes is None
+
+    def _written_planes(self, tiles, regions, stored) -> np.ndarray:
+        """Reads return the stored cells unchanged: the block itself."""
+        return stored.astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -14,21 +14,28 @@ The mechanics:
 - the operand allocates one full-capacity tile up front (all cells at
   level 0) through :meth:`~repro.rram.backend.CrossbarBackend.program`;
 - :meth:`DynamicOperand.append` bit-slices the incoming signed codes with
-  the same offset encoding as static weights and :meth:`DynamicOperand.write`
-  writes those levels through
-  :meth:`~repro.rram.backend.CrossbarBackend.program_region` — a partial
-  write that costs only the appended cells' write pulses (recorded in the
-  :class:`~repro.rram.endurance.WearLedger`'s dynamic channel) and bumps
-  only the tile-local ``write_epoch``, leaving every *other* tile's cached
-  planes (the static weights' ``float_planes``) valid;
-- GEMVs run against a zero-copy *view* of the valid region ``[0, length)``,
-  which exposes the full programmed-matrix duck-type surface (planes,
-  slices, ADC, clip-free tiles, float planes), so the ``reference`` and
-  ``fast`` kernels both apply, including the exact noiseless shortcut
-  when every tile of the valid region is provably clip-free;
-- :func:`stacked_gemv` reads many operands in one kernel call (analog
-  attention's every ``(row, head)`` tile of a step), each member exactly
-  as its own :meth:`DynamicOperand.gemv` would.
+  the same offset encoding as static weights, and :func:`write_operands`
+  writes the levels of many operands (analog attention's every
+  ``(row, head)`` K/V tile of a step) in one
+  :meth:`~repro.rram.backend.CrossbarBackend.program_regions` call — a
+  partial write that costs only the appended cells' write pulses
+  (recorded per tile in the :class:`~repro.rram.endurance.WearLedger`'s
+  dynamic channel) and leaves every *other* tile's cached planes (the
+  static weights' ``float_planes``) valid;
+  :meth:`DynamicOperand.write` is its one-operand case;
+- a :class:`PlaneBank` keeps the effective cells of many same-geometry
+  operands stacked as the fast kernel reads them, zero past each
+  operand's length; writes, truncations and member swaps update it in
+  place, and a backend epoch change rebuilds it.  :meth:`PlaneBank.gemv`
+  reads a run of members in one kernel call over the bank's valid window,
+  each member exactly as its own :meth:`DynamicOperand.gemv` would;
+- a single operand's GEMV runs against a zero-copy *view* of its valid
+  region ``[0, length)``, which exposes the full programmed-matrix
+  duck-type surface (planes, slices, ADC, clip-free tiles, float planes),
+  so the ``reference`` and ``fast`` kernels both apply, including the
+  exact noiseless shortcut when every tile of the valid region is
+  provably clip-free.  The ``reference`` policy reads banked operands
+  through their views too: the view is the spec the bank is held to.
 
 ``grow`` selects the physical growth axis.  ``"wordlines"`` appends input
 rows (the AV operand: attention probabilities stream over the wordlines,
@@ -52,13 +59,14 @@ from repro.rram.crossbar import (
 )
 from repro.rram.kernels import (
     KernelPolicy,
+    _slice_place_values,
     clip_free_flags,
     resolve_policy,
     run_gemv,
     run_gemv_stack,
 )
 
-__all__ = ["DynamicOperand", "stacked_gemv"]
+__all__ = ["DynamicOperand", "PlaneBank", "write_operands"]
 
 _GROW_AXES = ("wordlines", "bitlines")
 
@@ -69,11 +77,8 @@ class _DynamicView:
     Implements the duck-type surface the GEMV kernels consume from
     :class:`~repro.rram.crossbar.ProgrammedMatrix` (planes, slices, config,
     ADC, noiselessness, clip-free tiles, dense weights, float planes), so
-    a dynamic operand is kernel-compatible without forking kernel code.
-    Derived artifacts (clip-free flags, dense weights, float planes) are
-    cached on the owning operand, keyed by the backend epoch, the tile's
-    ``write_epoch`` and the logical length — any append, reprogram or
-    clock advance invalidates them.
+    a single operand is kernel-compatible without forking kernel code.
+    Everything is derived from the tile on each read.
     """
 
     def __init__(self, operand: DynamicOperand) -> None:
@@ -92,7 +97,7 @@ class _DynamicView:
     def slices(self) -> WeightSlices:
         """Bit-sliced levels of the valid region (same encoding as static)."""
         return WeightSlices(
-            values=self._op._valid_levels(),
+            values=self._op._valid_region(self._op._tile.ideal_levels),
             cell=self._op.cell,
             weight_bits=self._op.weight_bits,
             offset=self._op.offset,
@@ -111,48 +116,25 @@ class _DynamicView:
     def clip_free_tiles(self) -> tuple[bool, ...]:
         """Per-row-tile clip-freedom of the valid region (see static twin).
 
-        Derived only for noiseless cells, over the *valid* levels, and
-        re-derived whenever the operand's cache key moves.  Noisy cells
-        report every tile as unproven: an operand is read about once per
-        append, too rarely for the re-check to pay, so its tiles keep the
+        Derived only for noiseless cells, over the *valid* levels.  Noisy
+        cells report every tile as unproven: an operand is read about once
+        per append, too rarely for the check to pay, so its tiles keep the
         ADC's clip.
         """
         if not self.is_noiseless:
             return (False,) * -(-self.in_features // self.config.rows)
-        cached = self._op._cache_get("clip_free")
-        if cached is not None:
-            return cached
-        flags = clip_free_flags(self._op._valid_levels(), self.config.rows, self.adc.full_scale)
-        self._op._cache_set("clip_free", flags)
-        return flags
+        return clip_free_flags(self.slices.values, self.config.rows, self.adc.full_scale)
 
     @property
     def dense_weights_t(self) -> np.ndarray:
         """``W.T`` of the valid region as float64 (the exact-shortcut operand)."""
-        cached = self._op._cache_get("dense_weights_t")
-        if cached is not None:
-            return cached
-        values = self._op._valid_levels()
-        factors = WeightSlices(
-            values=values,
-            cell=self._op.cell,
-            weight_bits=self._op.weight_bits,
-            offset=self._op.offset,
-        ).slice_factors
-        dense = values.astype(np.float64) @ factors.astype(np.float64) - self._op.offset
-        self._op._cache_set("dense_weights_t", dense)
-        return dense
+        slices = self.slices
+        factors = slices.slice_factors.astype(np.float64)
+        return slices.values.astype(np.float64) @ factors - self._op.offset
 
     def float_planes(self) -> np.ndarray:
         """Valid-region cells as float64 ``(in, out*n_s)`` (see static twin)."""
-        cached = self._op._cache_get("float_planes")
-        if cached is not None:
-            return cached
-        flat = np.ascontiguousarray(self.planes, dtype=np.float64).reshape(
-            self.in_features, -1
-        )
-        self._op._cache_set("float_planes", flat)
-        return flat
+        return np.ascontiguousarray(self.planes, dtype=np.float64).reshape(self.in_features, -1)
 
 
 class DynamicOperand:
@@ -239,33 +221,19 @@ class DynamicOperand:
         self.adc = SarAdc(bits=required_adc_bits(self.config.rows, cell.bits))
         self.length = 0  # logical valid rows
         self.written = 0  # high watermark of physically written rows
-        self._cache_key: tuple | None = None
-        self._cache: dict = {}
-
-    # -- derived-artifact cache (epoch / write_epoch / length keyed) --------
-    def _current_key(self) -> tuple:
-        return (self.backend.epoch, self._tile.write_epoch, self.length)
-
-    def _cache_get(self, name: str):
-        if self._cache_key != self._current_key():
-            return None
-        return self._cache.get(name)
-
-    def _cache_set(self, name: str, value) -> None:
-        key = self._current_key()
-        if self._cache_key != key:
-            self._cache = {}
-            self._cache_key = key
-        self._cache[name] = value
+        #: the :class:`PlaneBank` holding this operand, and its member index
+        self.bank: PlaneBank | None = None
+        self.member = -1
 
     # -- region selection ---------------------------------------------------
-    def _valid_region(self, array: np.ndarray) -> np.ndarray:
+    def _span(self, start: int, stop: int) -> tuple[slice, slice]:
+        """``(rows, cols)`` of the tile that hold logical rows ``[start, stop)``."""
         if self.grow == "wordlines":
-            return array[: self.length]
-        return array[:, : self.length, :]
+            return slice(start, stop), slice(0, self.width)
+        return slice(0, self.width), slice(start, stop)
 
-    def _valid_levels(self) -> np.ndarray:
-        return self._valid_region(self._tile.ideal_levels)
+    def _valid_region(self, array: np.ndarray) -> np.ndarray:
+        return array[self._span(0, self.length)]
 
     # -- writes -------------------------------------------------------------
     def append(self, codes: np.ndarray, stats: GemvStats | None = None) -> int:
@@ -286,47 +254,11 @@ class DynamicOperand:
         """Write ``levels`` (``(t, width, n_s)`` cell levels) as ``t`` new rows.
 
         ``levels`` are already bit-sliced codes (:meth:`append` slices one
-        block; a caller writing many operands slices all of them at once).
-        Rows land at logical positions ``[length, length + t)``: written
-        through :meth:`~repro.rram.backend.CrossbarBackend.program_region`
-        (which checks every level against the cell's range; wear ledger's
-        dynamic channel, tile-local invalidation only), and accounted in
-        ``stats`` — rows above the high watermark as
-        ``cells_initial_programmed``, recycled rows (re-writes after a
-        :meth:`truncate`) as ``cells_reprogrammed``.  Returns the new
-        logical length.
+        block).  The one-operand case of :func:`write_operands`, which
+        says where the rows land and how they are accounted.  Returns the
+        new logical length.
         """
-        levels = np.asarray(levels)
-        if levels.ndim != 3 or levels.shape[1:] != (self.width, self.num_slices):
-            raise ValueError(
-                f"expected (t, {self.width}, {self.num_slices}) levels, "
-                f"got shape {levels.shape}"
-            )
-        t = levels.shape[0]
-        if t == 0:
-            return self.length
-        if self.length + t > self.capacity:
-            raise ValueError(
-                f"append of {t} rows exceeds capacity "
-                f"{self.capacity} (length {self.length})"
-            )
-        if self.grow == "wordlines":
-            # New input rows: the region is (t, width, n_s) = (in, out, n_s).
-            row_slice = slice(self.length, self.length + t)
-            col_slice = slice(0, self.width)
-        else:
-            # New output columns: the region is (width, t, n_s).
-            levels = levels.transpose(1, 0, 2)
-            row_slice = slice(0, self.width)
-            col_slice = slice(self.length, self.length + t)
-        self.backend.program_region(self._tile, row_slice, col_slice, levels)
-        cells_per_row = self.width * self.num_slices
-        initial_rows = max(0, (self.length + t) - self.written)
-        target = stats if stats is not None else self.stats
-        target.cells_initial_programmed += initial_rows * cells_per_row
-        target.cells_reprogrammed += (t - initial_rows) * cells_per_row
-        self.length += t
-        self.written = max(self.written, self.length)
+        write_operands([self], np.asarray(levels)[None], stats)
         return self.length
 
     def truncate(self, length: int = 0) -> None:
@@ -342,6 +274,8 @@ class DynamicOperand:
                 f"length must be in [0, {self.written}], got {length}"
             )
         self.length = int(length)
+        if self.bank is not None:
+            self.bank._sync(self.member)
 
     # -- reads --------------------------------------------------------------
     def gemv(
@@ -382,41 +316,292 @@ class DynamicOperand:
         return self.backend.wear_fraction(self._tile)
 
 
-def stacked_gemv(
-    operands: list[DynamicOperand], input_codes: np.ndarray, input_bits: int = 8
-) -> np.ndarray:
-    """Every operand's GEMV in one stacked kernel call.
+def write_operands(
+    operands: list[DynamicOperand], levels: np.ndarray, stats: GemvStats | None = None
+) -> None:
+    """Append ``levels[i]`` (``(t, width, n_s)`` cell levels) to ``operands[i]``.
 
-    ``input_codes`` is ``(n, batch, in)``: member ``i`` feeds
-    ``operands[i]`` its first ``in_i`` columns (the operand's GEMV input
-    width) and must be zero past them; ``in`` is the widest ``in_i``.
-    Returns ``(n, batch, out)`` int64, member ``i`` equal to
-    ``operands[i].gemv(input_codes[i, :, :in_i])`` in its first ``out_i``
-    columns and zero past them.  The operands must share cell type,
-    geometry and weight width; the first one's kernel policy applies, and
-    each operand's own ``stats`` sink collects its counts.
+    Every operand's ``t`` new rows land at its logical positions
+    ``[length, length + t)`` through one
+    :meth:`~repro.rram.backend.CrossbarBackend.program_regions` call: the
+    levels are checked against the cell's range once, programming noise
+    is drawn once in operand order (a bitline-grown operand's region is
+    its rows transposed to ``(width, t, n_s)``), and the wear ledger's
+    dynamic channel records one region write per operand.  Each write is
+    accounted in ``stats`` (default: the operand's own sink) — rows above
+    the high watermark as ``cells_initial_programmed``, recycled rows
+    (re-writes after a :meth:`DynamicOperand.truncate`) as
+    ``cells_reprogrammed`` — and the written cells' effective planes are
+    stored in each operand's :class:`PlaneBank`, if it has one.  The
+    operands must be distinct and share the backend, width and slicing.
     """
-    if not operands:
-        raise ValueError("stacked_gemv needs at least one operand")
     first = operands[0]
-    shared = (first.cell, first.config, first.weight_bits)
-    if any((op.cell, op.config, op.weight_bits) != shared for op in operands):
-        raise ValueError("stacked operands must share cell, config and weight_bits")
-    if not all(op.length for op in operands):
-        raise ValueError("cannot GEMV an empty dynamic operand")
-    views = [_DynamicView(op) for op in operands]
-    codes = np.asarray(input_codes, dtype=np.int64)
-    widths = np.array([view.in_features for view in views])
-    if codes.ndim != 3 or codes.shape[0] != len(views) or codes.shape[2] != widths.max():
-        raise ValueError(
-            f"shape mismatch: inputs {codes.shape}, expected "
-            f"({len(views)}, batch, {widths.max()})"
+    levels = np.asarray(levels)
+    expected = (len(operands),) + levels.shape[1:2] + (first.width, first.num_slices)
+    if levels.ndim != 4 or levels.shape != expected:
+        raise ValueError(f"expected {expected} levels, got shape {levels.shape}")
+    n, t = levels.shape[:2]
+    if t == 0:
+        return
+    shape = (first.backend, first.width, first.num_slices)
+    if len(set(map(id, operands))) != n or any(
+        (op.backend, op.width, op.num_slices) != shape for op in operands
+    ):
+        raise ValueError("written operands must be distinct and share backend and shape")
+    for op in operands:
+        if op.length + t > op.capacity:
+            raise ValueError(
+                f"append of {t} rows exceeds capacity {op.capacity} (length {op.length})"
+            )
+    bitlines = np.array([op.grow == "bitlines" for op in operands])
+    block = levels.reshape(n, -1)
+    if bitlines.any():
+        block = block.copy()
+        block[bitlines] = levels[bitlines].transpose(0, 2, 1, 3).reshape(int(bitlines.sum()), -1)
+    cells = first.backend.program_regions(
+        [op._tile for op in operands],
+        [op._span(op.length, op.length + t) for op in operands],
+        block,
+    ).reshape(levels.shape)
+    if bitlines.any():
+        flipped = cells.reshape(n, first.width, t, first.num_slices)[bitlines]
+        cells[bitlines] = flipped.transpose(0, 2, 1, 3)
+    cells_per_row = first.width * first.num_slices
+    banks: dict[PlaneBank, tuple[list[int], list[int]]] = {}
+    for i, op in enumerate(operands):
+        initial_rows = max(0, (op.length + t) - op.written)
+        target = stats if stats is not None else op.stats
+        target.cells_initial_programmed += initial_rows * cells_per_row
+        target.cells_reprogrammed += (t - initial_rows) * cells_per_row
+        op.length += t
+        op.written = max(op.written, op.length)
+        if op.bank is not None:
+            members, rows = banks.setdefault(op.bank, ([], []))
+            members.append(op.member)
+            rows.append(i)
+    for bank, (members, rows) in banks.items():
+        bank._store(np.array(members), cells[rows])
+
+
+class PlaneBank:
+    """The effective cells of many dynamic operands, stacked for one read.
+
+    A bank holds same-geometry operands (cell, crossbar config, weight
+    width, growth axis, capacity, width and backend) as *members*: one
+    float64 array ``(members, in, out, n_s)`` in each operand tile's own
+    layout, equal to the operand's effective planes on ``[0, length)`` and
+    zero past it.  That is exactly the zero-padded stack the fast kernel
+    reads, so :meth:`gemv` hands any contiguous run of members'
+    valid window to :func:`~repro.rram.kernels.fast_gemv` with no per-read
+    copy or concatenation.
+
+    The bank stays coherent on its own: :func:`write_operands` stores the
+    appended rows' effective cells, :meth:`DynamicOperand.truncate` zeroes
+    (or, growing back into written rows, re-reads) the member's tail,
+    :meth:`swap` exchanges two members, and a read after the backend's
+    epoch moved (``advance`` / ``reprogram``) rebuilds every member from
+    the backend's planes.  An operand belongs to at most one bank.
+    """
+
+    def __init__(self, operands: list[DynamicOperand]) -> None:
+        """Bank ``operands`` (in member order) and read their cells in."""
+        if not operands:
+            raise ValueError("a plane bank needs at least one operand")
+        first = operands[0]
+
+        def geometry(op: DynamicOperand) -> tuple:
+            return (op.cell, op.config, op.weight_bits, op.grow, op.capacity, op.width)
+
+        if any(geometry(op) != geometry(first) or op.backend is not first.backend for op in operands):
+            raise ValueError(
+                "banked operands must share cell, config, weight_bits, growth axis, "
+                "shape and backend"
+            )
+        if any(op.bank is not None for op in operands) or len({id(op) for op in operands}) != len(operands):
+            raise ValueError("an operand belongs to at most one plane bank, once")
+        self.operands = list(operands)
+        for member, op in enumerate(self.operands):
+            op.bank, op.member = self, member
+        self.backend = first.backend
+        self.cells = np.zeros((len(operands),) + first._tile.ideal_levels.shape)
+        #: per member, the logical length the bank holds
+        self.lengths = np.zeros(len(operands), dtype=np.int64)
+        self.epoch = -1
+        self._rebuild()
+
+    # -- coherence ----------------------------------------------------------
+    def _read(self, member: int, start: int, stop: int) -> None:
+        """Copy member rows ``[start, stop)`` from the backend's planes."""
+        op = self.operands[member]
+        span = op._span(start, stop)
+        self.cells[member][span] = self.backend.planes(op._tile)[span]
+
+    def _rebuild(self) -> None:
+        """Re-read every member's valid rows (the backend's epoch moved)."""
+        self.cells[...] = 0.0
+        for member, op in enumerate(self.operands):
+            if op.length:
+                self._read(member, 0, op.length)
+            self.lengths[member] = op.length
+        self.epoch = self.backend.epoch
+
+    def _sync(self, member: int) -> None:
+        """Follow a member's truncation: zero its dropped tail, or re-read rows."""
+        op = self.operands[member]
+        held = int(self.lengths[member])
+        if op.length == held:
+            return
+        if op.length < held:
+            self.cells[member][op._span(op.length, held)] = 0.0
+        else:
+            self._read(member, held, op.length)
+        self.lengths[member] = op.length
+
+    def _store(self, members: np.ndarray, cells: np.ndarray) -> None:
+        """Place appended rows ``cells`` (``(m, t, width, n_s)``) after each member's length."""
+        rows = self.lengths[members, None] + np.arange(cells.shape[1])
+        if self.operands[0].grow == "wordlines":
+            self.cells[members[:, None], rows] = cells
+        else:
+            self.cells[members[:, None], :, rows] = cells
+        self.lengths[members] += cells.shape[1]
+
+    def swap(self, i: int, j: int) -> None:
+        """Exchange members ``i`` and ``j`` (operands and cells)."""
+        ops = self.operands
+        ops[i], ops[j] = ops[j], ops[i]
+        ops[i].member, ops[j].member = i, j
+        self.cells[[i, j]] = self.cells[[j, i]]
+        self.lengths[[i, j]] = self.lengths[[j, i]]
+
+    # -- reads --------------------------------------------------------------
+    def gemv(
+        self, input_codes: np.ndarray, input_bits: int = 8, members: slice = slice(None)
+    ) -> np.ndarray:
+        """Every member's GEMV in ``members`` as one stacked kernel call.
+
+        ``input_codes`` is ``(n, batch, in)``: member ``i`` of the run
+        reads its first ``in_i`` columns (its GEMV input width) and must be
+        zero past them; ``in`` is the widest ``in_i``.  Returns
+        ``(n, batch, out)`` int64, member ``i`` equal to its operand's
+        :meth:`DynamicOperand.gemv` of ``input_codes[i, :, :in_i]`` in its
+        first ``out_i`` columns and zero past them.  The first member's
+        kernel policy applies and each member's ``stats`` sink collects
+        its counts.  The ``reference`` policy reads each operand through
+        its own view (the spec); every other policy reads the bank.
+        """
+        if self.epoch != self.backend.epoch:
+            self._rebuild()
+        operands = self.operands[members]
+        lengths = self.lengths[members]
+        if not lengths.all():
+            raise ValueError("cannot GEMV an empty dynamic operand")
+        first = operands[0]
+        codes = np.asarray(input_codes, dtype=np.int64)
+        widths = lengths if first.grow == "wordlines" else np.full_like(lengths, first.width)
+        if codes.ndim != 3 or codes.shape[0] != len(operands) or codes.shape[2] != widths.max():
+            raise ValueError(
+                f"shape mismatch: inputs {codes.shape}, expected "
+                f"({len(operands)}, batch, {widths.max()})"
+            )
+        if np.any(codes * (np.arange(codes.shape[2]) >= widths[:, None])[:, None, :]):
+            raise ValueError("inputs past an operand's width must be zero")
+        offset_inputs = codes + 2 ** (input_bits - 1)
+        if offset_inputs.min(initial=0) < 0 or offset_inputs.max(initial=0) >= 2**input_bits:
+            raise ValueError(f"input codes exceed the signed {input_bits}-bit range")
+        if resolve_policy(first.policy).mode == "reference":
+            stack = [_DynamicView(op) for op in operands]
+        else:
+            stack = _BankWindow(self, members, lengths)
+        return run_gemv_stack(stack, codes, input_bits, [op.stats for op in operands], first.policy)
+
+
+class _BankWindow:
+    """A run of bank members' valid window, laid out as a one-call stack.
+
+    Carries the :class:`~repro.rram.kernels.GemvStack` surface
+    :func:`~repro.rram.kernels.fast_gemv` reads (one matrix per member),
+    derived from the members' lengths in vectorised form.  Member ``i``'s
+    matrix is its operand's valid region: ``(length_i, width)`` for
+    wordline growth, ``(width, length_i)`` for bitline growth.
+    """
+
+    per_member = 1
+
+    def __init__(self, bank: PlaneBank, members: slice, lengths: np.ndarray) -> None:
+        first = bank.operands[0]
+        self.matrices = bank.operands[members]
+        self.rows = first.config.rows
+        self.num_slices = first.num_slices
+        self.full_scale = first.adc.full_scale
+        self.offset = first.offset
+        self.noiseless = first.backend.is_ideal(first._tile)
+        self.lengths = lengths
+        width = int(lengths.max())
+        cells = bank.cells[members]
+        n = cells.shape[0]
+        self.wordlines = first.grow == "wordlines"
+        if self.wordlines:
+            self.window = cells[:, :width]
+            ins, outs = lengths, np.full_like(lengths, first.width)
+        else:
+            self.window = cells[:, :, :width]
+            ins, outs = np.full_like(lengths, first.width), lengths
+        self.out_width = self.window.shape[2]
+        self.columns = self.out_width * self.num_slices
+        tiles = -(-ins // self.rows)
+        columns = outs * self.num_slices
+        self.tiles = tiles.tolist()
+        self.shapes = list(
+            zip(
+                self.tiles,
+                columns.tolist(),
+                [self.num_slices] * n,
+                (tiles * -(-columns // first.config.cols)).tolist(),
+                (ins * columns).tolist(),
+            )
         )
-    if np.any(codes * (np.arange(codes.shape[2]) >= widths[:, None])[:, None, :]):
-        raise ValueError("inputs past an operand's width must be zero")
-    offset_inputs = codes + 2 ** (input_bits - 1)
-    if offset_inputs.min(initial=0) < 0 or offset_inputs.max(initial=0) >= 2**input_bits:
-        raise ValueError(f"input codes exceed the signed {input_bits}-bit range")
-    return run_gemv_stack(
-        views, codes, input_bits, [op.stats for op in operands], first.policy
-    )
+        self.segments = [
+            (0, self.columns, self.num_slices, _slice_place_values(first.cell.bits, self.num_slices))
+        ]
+        if (outs == self.out_width).all():
+            self.offsets: int | np.ndarray = self.offset
+        else:
+            # Padded columns summed only zero cells; keep them at 0.
+            valid = np.arange(self.out_width) < outs[:, None]
+            self.offsets = (self.offset * valid)[:, None, :]
+
+    def plan(self) -> tuple:
+        """``(exact, clips, counts, clip_free_counts, operand)``, as :meth:`GemvStack.plan`.
+
+        Noisy cells prove no tile clip-free (as a single operand's view);
+        noiseless cells are checked per member and row tile at once.
+        """
+        n, in_width = self.window.shape[:2]
+        flat = self.window.reshape(n, in_width, self.columns)
+        num_tiles = max(self.tiles)
+        own = np.arange(num_tiles) < np.asarray(self.tiles)[:, None]  # (n, tiles)
+        free = np.zeros_like(own)
+        if self.noiseless:
+            # Integer levels are non-negative, and the padding is zero.
+            sums = np.add.reduceat(flat, np.arange(0, in_width, self.rows), axis=1)
+            free = own & (np.rint(sums).max(axis=2) < self.full_scale)
+        unproven = own & ~free
+        clip_free_counts = tuple(free.sum(axis=1).tolist())
+        if self.noiseless and not unproven.any():
+            # The exact shortcut's W.T: recombined slices less the offset,
+            # zero past each member's valid region.
+            dense = self.window @ self.segments[0][3]
+            if self.wordlines:
+                valid = (np.arange(in_width) < self.lengths[:, None])[:, :, None]
+            else:
+                valid = (np.arange(self.out_width) < self.lengths[:, None])[:, None, :]
+            operand = np.where(valid, dense - self.offset, 0.0)
+            empty = ((),) * num_tiles
+            return True, empty, empty, clip_free_counts, operand
+        span = (0, self.columns, self.full_scale)
+        clips = tuple((span,) if unproven[:, tile].any() else () for tile in range(num_tiles))
+        counts = tuple(
+            tuple((k, k) + span for k in np.flatnonzero(column).tolist()) for column in unproven.T
+        )
+        return False, clips, counts, clip_free_counts, flat

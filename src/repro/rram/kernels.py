@@ -17,9 +17,10 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
 
     * the programmed cells are cached once as a float64 ``(in, out*n_s)``
       block (:meth:`~repro.rram.crossbar.ProgrammedMatrix.float_planes`,
-      keyed on the backend epoch; dynamic operands key it on their
-      ``(epoch, write_epoch, length)`` cache), whose row slices are the
-      row tiles at their exact width — no per-call widening, no padding;
+      keyed on the backend epoch; banked dynamic operands live in their
+      :class:`~repro.rram.dynamic.PlaneBank`'s float64 cells), whose row
+      slices are the row tiles at their exact width — no per-call
+      widening, no padding;
     * inputs are packed into uint8 bit planes (the layout of
       :func:`repro.quant.quantizer.int_to_bit_planes`), all-zero planes are
       dropped (the zero-plane skip), and every kept plane of every batch row
@@ -28,7 +29,8 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
     * members of a stack share cell type, geometry and ADC and are
       zero-padded, exactly, to the widest member; stats stay per member
       (:func:`run_gemv_stack` dispatches a stack; analog attention runs
-      every ``(row, head)`` KV tile of a step as one);
+      every ``(row, head)`` KV tile of a step as one, a plane bank's
+      valid window standing in for the :class:`GemvStack`);
     * a member may also hold several matrices that read its input side
       by side along the outputs (a :class:`GemvStack` column axis, e.g.
       every A-factor of a block's Q/K/V shards, SLC beside MLC): each
@@ -85,6 +87,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -92,8 +95,6 @@ import numpy as np
 
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from collections.abc import Sequence
-
     from repro.rram.crossbar import GemvStats, ProgrammedMatrix
 
 __all__ = [
@@ -435,7 +436,7 @@ class GemvStack:
     every constituent's backend epoch, so an ``advance()`` or
     ``reprogram()`` that reaches any constituent rebuilds it.  With
     ``cache=False`` it is derived on every call, for views whose cells
-    change by other means (dynamic operands).
+    change by other means (a dynamic operand read on its own).
     """
 
     def __init__(self, members, cache: bool = True) -> None:
@@ -582,7 +583,8 @@ def fast_gemv(
 ) -> np.ndarray:
     """Optimized bit-serial GEMV over a :class:`GemvStack`.
 
-    ``matrices`` is a stack, or a sequence of matrices each forming a
+    ``matrices`` is a stack (anything with :class:`GemvStack`'s layout
+    and :meth:`~GemvStack.plan`), or a sequence of matrices each forming a
     one-matrix member.  ``input_codes`` is ``(n, batch, in)`` with ``in``
     the widest member's ``in_features`` and zeros past each member's own.
     Returns ``(n, batch, out)`` int64, each constituent's outputs in its
@@ -613,7 +615,7 @@ def fast_gemv(
     input patterns (``2**w``) as bit-rows (``kept_bits*batch``) converts
     each pattern once.
     """
-    stack = matrices if isinstance(matrices, GemvStack) else _one_per_member(matrices)
+    stack = _one_per_member(matrices) if isinstance(matrices, Sequence) else matrices
     n, batch, in_width = input_codes.shape
     per = stack.per_member
     sinks = stats or (None,) * len(stack.matrices)
@@ -747,7 +749,7 @@ def run_gemv_stack(
     member's own inputs, the spec the stacked fast kernel is tested
     against.
     """
-    stack = matrices if isinstance(matrices, GemvStack) else _one_per_member(matrices)
+    stack = _one_per_member(matrices) if isinstance(matrices, Sequence) else matrices
     if resolve_policy(policy).mode != "reference":
         return fast_gemv(stack, input_codes, input_bits, stats)
     n, batch, _ = input_codes.shape

@@ -327,7 +327,11 @@ class _Outstanding:
     max_new_tokens: int
     session: object
     on_token: Callable[[int, int], None] | None
-    streamed: int = 0  # tokens delivered to on_token so far
+    #: tokens already delivered (streamed) for this request, in order
+    streamed: list[int] = field(default_factory=list)
+    #: streamed tokens the current replica was sent as prompt (its output
+    #: continues after them)
+    resumed: int = 0
     token_need: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -390,6 +394,7 @@ class ReplicaPool:
         self._alive = [True] * replicas
         self._outstanding: dict[int, _Outstanding] = {}
         self._results: dict[int, PoolResult] = {}
+        self._resolved: list[PoolResult] = []  # completed off-replica, for poll()
         self._next_id = 0
         self.requeues = 0  # requests re-routed off dead replicas
         self._engines = None
@@ -459,12 +464,20 @@ class ReplicaPool:
         return request_id
 
     def _send(self, entry: _Outstanding) -> None:
+        """Route ``entry`` to its replica, resuming after its streamed tokens.
+
+        The replica sees the prompt plus every token already delivered, and
+        only the rest of the budget, so a requeued stream continues where
+        the client's copy ends.
+        """
+        entry.resumed = len(entry.streamed)
         record = [
             KIND_REQUEST,
             entry.request_id,
-            entry.max_new_tokens,
-            int(entry.prompt.size),
+            entry.max_new_tokens - len(entry.streamed),
+            int(entry.prompt.size) + len(entry.streamed),
             *(int(t) for t in entry.prompt),
+            *entry.streamed,
         ]
         deadline = time.monotonic() + 5.0
         while not self.inboxes[entry.replica].push(record):
@@ -485,13 +498,15 @@ class ReplicaPool:
         """Drain replica outboxes: fire streaming callbacks, collect results.
 
         Also runs dead-replica detection — outstanding requests of a dead
-        worker are requeued onto surviving replicas (decoding restarts
-        from the prompt; greedy decode makes the retry token-identical).
+        worker are requeued onto surviving replicas.  A requeued request
+        resumes: the survivor decodes after the prompt plus the tokens
+        already streamed, so no token is delivered twice, and a request
+        whose every token was already streamed completes without a replica.
         """
         with self._lock:
             if self._engines is not None:
                 self._pump_inline()
-            completed: list[PoolResult] = []
+            completed, self._resolved = self._resolved, []
             for index in range(self.replicas):
                 if not self._alive[index]:
                     continue
@@ -502,18 +517,21 @@ class ReplicaPool:
                     kind = record[0]
                     if kind == KIND_TOKEN:
                         entry = self._outstanding.get(record[1])
-                        if entry is not None and entry.on_token is not None:
-                            entry.streamed += 1
-                            entry.on_token(entry.request_id, record[2])
+                        if entry is not None:
+                            entry.streamed.append(record[2])
+                            if entry.on_token is not None:
+                                entry.on_token(entry.request_id, record[2])
                     elif kind == KIND_DONE:
                         entry = self._outstanding.pop(record[1], None)
                         if entry is None:
                             continue  # raced with a requeue — stale completion
+                        # A resumed request's replica produced only the tail.
                         n = record[7]
+                        tokens = entry.streamed[: entry.resumed] + record[8 : 8 + n]
                         result = PoolResult(
                             request_id=entry.request_id,
                             replica=index,
-                            tokens=np.array(record[8 : 8 + n], dtype=np.int64),
+                            tokens=np.array(tokens, dtype=np.int64),
                             preempted=bool(record[2]),
                             queued_s=_i2f(record[3]),
                             latency_s=_i2f(record[4]),
@@ -538,8 +556,22 @@ class ReplicaPool:
         if victims and not any(self._alive):
             raise RuntimeError("all replicas dead with requests outstanding")
         for entry in victims:
+            if len(entry.streamed) >= entry.max_new_tokens:
+                # Every token already reached the client: finish here.
+                del self._outstanding[entry.request_id]
+                result = PoolResult(
+                    request_id=entry.request_id,
+                    replica=entry.replica,
+                    tokens=np.array(entry.streamed, dtype=np.int64),
+                    queued_s=0.0,
+                    latency_s=0.0,
+                    ttft_s=0.0,
+                    tpot_s=0.0,
+                )
+                self._results[entry.request_id] = result
+                self._resolved.append(result)
+                continue
             entry.replica = self.router.pick(self.outstanding_tokens(), entry.session)
-            entry.streamed = 0  # stream restarts from the prompt
             self.requeues += 1
             self._send(entry)
 

@@ -132,12 +132,3 @@ class TestOverflowFallback:
         budget = MAX_SEQ  # both rows stay active well past the boundary
         with pytest.raises(ValueError, match="ragged"):
             LM.generate(prompt, budget, prompt_lengths=lengths, use_cache=True)
-
-    def test_explicit_cache_disables_fallback(self):
-        """A caller-managed cache means capacity errors, not silent
-        sliding-window degradation."""
-        rng = np.random.default_rng(0)
-        prompt = _prompt(rng, 2, 4)
-        cache = LM.new_cache(2)
-        with pytest.raises(ValueError, match="max_seq_len"):
-            LM.generate(prompt, MAX_SEQ, use_cache=True, cache=cache)

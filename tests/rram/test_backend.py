@@ -370,3 +370,65 @@ class TestWearRoundTrip:
         assert report["programs"] == 1
         assert report["reprograms"] == 1
         assert report["total_write_pulses"] == 80
+
+
+class TestRegionWrites:
+    """program_regions: one batched write ≡ one region write per tile, in order."""
+
+    @staticmethod
+    def _tiles(backend, sigma, count=3):
+        rng = np.random.default_rng(5)  # one generator shared by every tile
+        return [
+            backend.program(np.zeros((4, 6, 4), dtype=np.int64), MLC2, sigma, rng, np.float32)
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize(
+        "make_backend",
+        [SimBackend, lambda: FaultySimBackend(FaultModel(stuck_off_rate=0.1, drift_nu=0.05), seed=2)],
+    )
+    def test_batched_write_equals_one_region_at_a_time(self, make_backend):
+        sigma = DEFAULT_NOISE.sigma(MLC2)
+        batched, single = make_backend(), make_backend()
+        tiles_b, tiles_s = self._tiles(batched, sigma), self._tiles(single, sigma)
+        regions = [(slice(0, 2), slice(1, 4)), (slice(3, 4), slice(0, 6)), (slice(0, 4), slice(5, 6))]
+        rng = np.random.default_rng(6)
+        blocks = [
+            rng.integers(0, 4, size=tiles_b[0].ideal_levels[region].shape) for region in regions
+        ]
+        cells = batched.program_regions(tiles_b, regions, np.concatenate([b.ravel() for b in blocks]))
+        parts = [
+            single.program_region(tile, rows, cols, block)
+            for tile, (rows, cols), block in zip(tiles_s, regions, blocks)
+        ]
+        np.testing.assert_array_equal(cells, np.concatenate([p.ravel() for p in parts]))
+        offset = 0
+        for a, b, (rows, cols) in zip(tiles_b, tiles_s, regions):
+            np.testing.assert_array_equal(a.ideal_levels, b.ideal_levels)
+            np.testing.assert_array_equal(batched.planes(a), single.planes(b))
+            # The returned cells are each region's effective planes, in order.
+            written = batched.planes(a)[rows, cols].ravel()
+            np.testing.assert_array_equal(cells[offset : offset + written.size], written)
+            offset += written.size
+        assert cells.dtype == np.float64 and offset == cells.size
+        assert batched.ledger.dynamic_writes == single.ledger.dynamic_writes == 3
+        assert batched.ledger.dynamic_write_pulses == single.ledger.dynamic_write_pulses
+
+    def test_rejects_bad_blocks(self):
+        backend = SimBackend()
+        noisy = self._tiles(backend, DEFAULT_NOISE.sigma(MLC2), count=1)
+        clean = self._tiles(backend, 0.0, count=1)
+        region = (slice(0, 1), slice(0, 2))
+        with pytest.raises(ValueError, match="noise model"):
+            backend.program_regions(noisy + clean, [region, region], np.zeros(16, dtype=np.int64))
+        with pytest.raises(ValueError, match="non-empty regions"):
+            backend.program_regions(noisy, [region], np.zeros(7, dtype=np.int64))
+        with pytest.raises(ValueError, match="non-empty regions"):
+            backend.program_regions(noisy, [(slice(0, 0), slice(0, 2))], np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="out of range"):
+            backend.program_regions(noisy, [region], np.full(8, 9, dtype=np.int64))
+        with pytest.raises(ValueError, match="3-D"):
+            backend.program_region(noisy[0], *region, np.zeros(8, dtype=np.int64))
+        with pytest.raises(ValueError, match="does not match"):
+            backend.program_region(noisy[0], *region, np.zeros((1, 3, 4), dtype=np.int64))
+        assert backend.ledger.dynamic_writes == 0

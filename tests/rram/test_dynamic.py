@@ -9,12 +9,13 @@ dynamic channel — and (c) partial-region writes invalidate *only* the
 operand's own tile: static matrices sharing the backend must keep their
 cached float planes (object identity, not just value equality).
 
-The stacked read (:func:`~repro.rram.dynamic.stacked_gemv`, one kernel call
-over many operands) is held to the per-member spec: every member of a
-stacked call must equal :func:`~repro.rram.kernels.reference_gemv` on that
-member alone, outputs and every compared ``GemvStats`` field, across both
-growth axes, ragged lengths, noise, ADC saturation, all-zero inputs and
-every way the operands' cached planes go stale.
+The stacked read (:meth:`~repro.rram.dynamic.PlaneBank.gemv`, one kernel
+call over many banked operands) is held to the per-member spec: every
+member of a stacked call must equal
+:func:`~repro.rram.kernels.reference_gemv` on that member alone, outputs
+and every compared ``GemvStats`` field, across both growth axes, ragged
+lengths, noise, ADC saturation, all-zero inputs and every way the bank's
+cells could go stale (clock advance, truncate and re-append).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.rram import (
     ProgrammedMatrix,
     SimBackend,
 )
-from repro.rram.dynamic import stacked_gemv
+from repro.rram.dynamic import PlaneBank
 from repro.rram.noise import DEFAULT_NOISE
 
 WIDTH = 8
@@ -166,7 +167,7 @@ class TestCacheHygiene:
         assert static.float_planes() is before
 
     def test_dynamic_view_reflects_appends_immediately(self):
-        """The operand's own derived cache re-keys on every append."""
+        """The operand's view reads every appended row at once."""
         rng = np.random.default_rng(7)
         op = _operand("wordlines")
         first = _codes(rng, 3)
@@ -289,11 +290,12 @@ def _stack_inputs(ops, seq, seed=0):
     return x
 
 
-def _assert_stack_matches_reference(ops, x):
+def _assert_stack_matches_reference(bank, x):
     """Stacked fast call == reference_gemv per member, outputs and stats."""
+    ops = bank.operands
     for op in ops:
         op.stats = GemvStats()
-    out = stacked_gemv(ops, x)
+    out = bank.gemv(x)
     assert out.shape == (len(ops), x.shape[1], max(_in_out(op)[1] for op in ops))
     for i, op in enumerate(ops):
         in_f, out_f = _in_out(op)
@@ -315,7 +317,7 @@ class TestStackedEquivalence:
     @pytest.mark.parametrize("grow", ["wordlines", "bitlines"])
     def test_ragged_stack_equals_reference_per_member(self, grow, seq, sigma):
         ops = _stack(grow, sigma=sigma)
-        _assert_stack_matches_reference(ops, _stack_inputs(ops, seq))
+        _assert_stack_matches_reference(PlaneBank(ops), _stack_inputs(ops, seq))
 
     @pytest.mark.parametrize("seq", [1, 16])
     @pytest.mark.parametrize("grow", ["wordlines", "bitlines"])
@@ -326,14 +328,14 @@ class TestStackedEquivalence:
             op.append(np.full((1, STACK_WIDTH), 127))  # drive bitlines high
         x = _stack_inputs(ops, seq)
         x[x != 0] = -1  # every bit set: the largest bitline sums
-        _assert_stack_matches_reference(ops, x)
+        _assert_stack_matches_reference(PlaneBank(ops), x)
         assert sum(op.stats.saturated_conversions for op in ops) > 0
 
     def test_noiseless_saturating_stack_skips_the_shortcut(self):
         ops = _stack("wordlines", config=CrossbarConfig(rows=4))
         x = _stack_inputs(ops, 3)
         x[x != 0] = -1
-        _assert_stack_matches_reference(ops, x)
+        _assert_stack_matches_reference(PlaneBank(ops), x)
         assert sum(op.stats.saturated_conversions for op in ops) > 0
 
     @pytest.mark.parametrize("grow", ["wordlines", "bitlines"])
@@ -342,35 +344,38 @@ class TestStackedEquivalence:
             fault=FaultModel(stuck_off_rate=0.01, drift_nu=0.05), seed=3
         )
         ops = _stack(grow, backend=backend, sigma=DEFAULT_NOISE.sigma(MLC2))
+        bank = PlaneBank(ops)
         x = _stack_inputs(ops, 4)
-        before = _assert_stack_matches_reference(ops, x)
+        before = _assert_stack_matches_reference(bank, x)
         backend.advance(30 * 86_400.0)
-        after = _assert_stack_matches_reference(ops, x)
+        after = _assert_stack_matches_reference(bank, x)
         assert np.any(before != after)
 
     @pytest.mark.parametrize("grow", ["wordlines", "bitlines"])
     def test_truncate_and_reappend_invalidates_stacked_planes(self, grow):
         rng = np.random.default_rng(5)
         ops = _stack(grow, sigma=DEFAULT_NOISE.sigma(MLC2))
-        _assert_stack_matches_reference(ops, _stack_inputs(ops, 2))
+        bank = PlaneBank(ops)
+        _assert_stack_matches_reference(bank, _stack_inputs(ops, 2))
         for op in ops[::2]:
             op.truncate(op.length // 2)
             op.append(rng.integers(-128, 128, size=(3, STACK_WIDTH)))
-        _assert_stack_matches_reference(ops, _stack_inputs(ops, 2, seed=1))
+        _assert_stack_matches_reference(bank, _stack_inputs(ops, 2, seed=1))
 
     def test_reference_policy_loops_reference_gemv(self):
         """A stack whose operands carry the reference policy runs the spec."""
         ops = _stack("wordlines", sigma=DEFAULT_NOISE.sigma(MLC2))
+        bank = PlaneBank(ops)
         x = _stack_inputs(ops, 2)
-        fast = _assert_stack_matches_reference(ops, x)
+        fast = _assert_stack_matches_reference(bank, x)
         for op in ops:
             op.policy = REFERENCE
-        np.testing.assert_array_equal(stacked_gemv(ops, x), fast)
+        np.testing.assert_array_equal(bank.gemv(x), fast)
 
     def test_one_member_stack_is_the_single_read(self):
         ops = _stack("bitlines", lengths=(7,), sigma=DEFAULT_NOISE.sigma(MLC2))
         x = _stack_inputs(ops, 3)
-        np.testing.assert_array_equal(stacked_gemv(ops, x)[0], ops[0].gemv(x[0]))
+        np.testing.assert_array_equal(PlaneBank(ops).gemv(x)[0], ops[0].gemv(x[0]))
 
 
 class TestStackedValidation:
@@ -378,29 +383,32 @@ class TestStackedValidation:
         ops = _stack("wordlines", lengths=(3, 5))
         x = _stack_inputs(ops, 1)
         with pytest.raises(ValueError, match="at least one"):
-            stacked_gemv([], x)
+            PlaneBank([])
+        bank = PlaneBank(ops)
+        with pytest.raises(ValueError, match="at most one"):
+            PlaneBank(ops[:1])
         with pytest.raises(ValueError, match="shape mismatch"):
-            stacked_gemv(ops, x[:, :, :4])
+            bank.gemv(x[:, :, :4])
         with pytest.raises(ValueError, match="shape mismatch"):
-            stacked_gemv(ops[:1], x)
+            bank.gemv(x, members=slice(0, 1))
         padded = x.copy()
         padded[0, 0, 4] = 1  # past member 0's 3 wordlines
         with pytest.raises(ValueError, match="must be zero"):
-            stacked_gemv(ops, padded)
+            bank.gemv(padded)
         wide = x.copy()
         wide[1, 0, 0] = 200
         with pytest.raises(ValueError, match="signed"):
-            stacked_gemv(ops, wide)
+            bank.gemv(wide)
         ops[0].truncate(0)
         with pytest.raises(ValueError, match="empty"):
-            stacked_gemv(ops, x)
+            bank.gemv(x)
 
     def test_rejects_mixed_geometry(self):
         ops = _stack("wordlines", lengths=(3,)) + _stack(
             "wordlines", lengths=(3,), config=CrossbarConfig(rows=4)
         )
         with pytest.raises(ValueError, match="share"):
-            stacked_gemv(ops, np.zeros((2, 1, 3), dtype=np.int64))
+            PlaneBank(ops)
 
 
 class TestWrite:

@@ -5,8 +5,12 @@ level at a time (:class:`~repro.pim.hybrid.SiblingGroup`): one stage-1
 call over the level's A-factors and one stage-2 call each for its SLC and
 MLC B-factors, whatever the tensor-parallel degree.  Four levels per
 block (QKV, proj, ffn1, ffn2) make at most 12 static-weight
-:func:`~repro.rram.kernels.fast_gemv` calls per block.  Counting calls is
-deterministic, so this gate holds on any host, unlike a timing gate.
+:func:`~repro.rram.kernels.fast_gemv` calls per block.  With analog
+attention, each layer's K/V append is one batched region write
+(:meth:`~repro.rram.backend.CrossbarBackend.program_regions`) and its two
+reads go straight to the layer's plane banks, building no
+:class:`~repro.rram.kernels.GemvStack`.  Counting calls is deterministic,
+so this gate holds on any host, unlike a timing gate.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import pytest
 import repro.rram.kernels as kernels
 from repro.dist import DeviceMesh
 from repro.nn import DecoderLM, TransformerConfig
-from repro.rram import ProgrammedMatrix
+from repro.rram import KernelPolicy, ProgrammedMatrix, SimBackend
+from repro.rram.backend import CrossbarBackend
 from repro.rram.noise import DEFAULT_NOISE
 from repro.serve import ServingEngine
 from repro.svd.pipeline import LayerPlan
@@ -119,3 +124,42 @@ class TestKernelCalls:
         assert dynamic == 2 * BLOCKS  # one stacked read per attention product
         assert static <= 12 * BLOCKS
         assert (static + dynamic) / ROWS <= PARENT_ANALOG_CALLS_PER_TOKEN / 2
+
+    def test_analog_decode_step_writes_each_layer_once_and_builds_no_stack(self, monkeypatch):
+        """A steady analog decode step: one K/V region write per layer, no
+        per-read stack construction, and the tokens of the per-operand
+        spec (the ``reference`` policy reads every operand on its own)."""
+
+        def serve(policy, count: bool):
+            engine = _engine(
+                mesh=DeviceMesh(num_chips=2),
+                tensor_parallel=2,
+                attention="analog",
+                backend=SimBackend(),
+                policy=policy,
+            )
+            rng = np.random.default_rng(11)
+            ids = [engine.submit(rng.integers(0, VOCAB, size=3), 6) for _ in range(ROWS)]
+            engine.step()  # admit and prefill every request
+            if count:
+                counts = {"program_regions": 0, "GemvStack": 0}
+
+                def counted(owner, name):
+                    original = getattr(owner, name)
+
+                    def wrapper(*args, **kwargs):
+                        counts[owner.__name__ if name == "__init__" else name] += 1
+                        return original(*args, **kwargs)
+
+                    monkeypatch.setattr(owner, name, wrapper)
+
+                counted(CrossbarBackend, "program_regions")
+                counted(kernels.GemvStack, "__init__")
+                engine.step()
+                monkeypatch.undo()
+                assert engine.in_flight == ROWS  # the counted step decoded every row
+                assert counts == {"program_regions": BLOCKS, "GemvStack": 0}
+            engine.run_until_idle()
+            return [engine.pop_result(i).tokens.tolist() for i in ids]
+
+        assert serve(None, count=True) == serve(KernelPolicy(mode="reference"), count=False)

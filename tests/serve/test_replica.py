@@ -292,6 +292,37 @@ class TestProcessPool:
             for ring in pool.inboxes + pool.outboxes:
                 ring.close(unlink=True)
 
+    def test_requeued_stream_resumes_after_delivered_tokens(self, rng):
+        """A request killed mid-decode continues; no token is streamed twice."""
+        prompt = rng.integers(0, VOCAB, size=4)
+        streamed: list[int] = []
+        with ReplicaPool(_factory, replicas=2, processes=False) as pool:
+            rid = pool.submit(prompt, 10, on_token=lambda _rid, token: streamed.append(token))
+            while len(streamed) < 4:
+                pool.poll()
+            delivered = list(streamed)
+            pool.kill_replica(0)
+            results = {r.request_id: r for r in pool.drain()}
+            assert pool.requeues == 1
+        tokens = results[rid].tokens.tolist()
+        assert len(streamed) == 10
+        assert streamed == tokens
+        assert tokens[: len(delivered)] == delivered
+
+    def test_fully_streamed_request_completes_without_a_replica(self, rng):
+        pool = ReplicaPool(_factory, replicas=2, processes=False)
+        try:
+            rid = pool.submit(rng.integers(0, VOCAB, size=4), 3)
+            pool._outstanding[rid].streamed.extend([5, 6, 7])  # all 3 delivered
+            pool.kill_replica(0)
+            assert pool.requeues == 0 and pool.outstanding == 0
+            [result] = pool.poll()
+            assert result.request_id == rid and result.tokens.tolist() == [5, 6, 7]
+            assert pool.pop_result(rid) is result
+        finally:
+            for ring in pool.inboxes + pool.outboxes:
+                ring.close(unlink=True)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ReplicaPool(_factory, replicas=0, processes=False)
