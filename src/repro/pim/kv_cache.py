@@ -133,21 +133,6 @@ class _CrossbarLayerSlot(_LayerSlot):
         """The layer's value (wordline-grown) operand bank."""
         return self.cache._store.v_banks[self.index]
 
-    def _by_row(self, bank: PlaneBank) -> list:
-        ops = bank.operands[self.members]
-        heads = self.cache.num_heads
-        return [ops[i : i + heads] for i in range(0, len(ops), heads)]
-
-    @property
-    def k_ops(self) -> list:
-        """Key operands of this view's rows, ``[row][head]``."""
-        return self._by_row(self.k_bank)
-
-    @property
-    def v_ops(self) -> list:
-        """Value operands of this view's rows, ``[row][head]``."""
-        return self._by_row(self.v_bank)
-
     @property
     def k_scales(self) -> np.ndarray:
         """Per-token key dequantization scales, ``(rows, heads, capacity)``."""

@@ -201,11 +201,11 @@ class CrossbarBackend(abc.ABC):
         row_slice: slice,
         col_slice: slice,
         levels: np.ndarray,
-    ) -> np.ndarray:
+    ) -> None:
         """Write ``levels`` into a sub-region of ``tile`` in place.
 
         The one-tile case of :meth:`program_regions`; ``levels`` must have
-        the region's shape.  Returns the region's effective planes.
+        the region's shape.
         """
         if levels.ndim != 3:
             raise ValueError(f"levels must be 3-D (rows, cols, slices), got {levels.ndim}-D")
@@ -214,16 +214,14 @@ class CrossbarBackend(abc.ABC):
             raise ValueError(
                 f"region shape {region.shape} does not match levels shape {levels.shape}"
             )
-        return self.program_regions([tile], [(row_slice, col_slice)], levels).reshape(
-            levels.shape
-        )
+        self.program_regions([tile], [(row_slice, col_slice)], levels)
 
     def program_regions(
         self,
         tiles: list[ProgrammedTile],
         regions: list[tuple[slice, slice]],
         levels: np.ndarray,
-    ) -> np.ndarray:
+    ) -> None:
         """Write a block of levels into sub-regions of many tiles in place.
 
         The dynamic-operand primitive: unlike :meth:`reprogram`, only each
@@ -239,8 +237,7 @@ class CrossbarBackend(abc.ABC):
         The tiles must share cell type, noise model, generator and storage
         dtype.  Each write records one region write of
         ``size x cell.write_pulses`` in the ledger's dynamic-write
-        channel.  Returns the written cells' effective planes
-        (:meth:`planes`) as float64, flat in the same order.
+        channel.
         """
         first = tiles[0]
         shared = (first.cell, first.noise_sigma, first.rng, first.storage_dtype)
@@ -270,20 +267,6 @@ class CrossbarBackend(abc.ABC):
             tile._cache = None
             tile._cache_epoch = -1
             self.ledger.record_region(tile.tile_id, stop - start, pulses)
-        return self._written_planes(tiles, regions, stored)
-
-    def _written_planes(
-        self, tiles: list[ProgrammedTile], regions: list[tuple[slice, slice]], stored: np.ndarray
-    ) -> np.ndarray:
-        """Effective float64 planes of just-written regions, flat in write order.
-
-        ``stored`` are the cells :meth:`program_regions` stored (noisy
-        planes, or the levels of noiselessly programmed tiles).  Generic
-        backends read each region back through :meth:`planes`.
-        """
-        return np.concatenate(
-            [self.planes(t)[rows, cols, :].ravel() for t, (rows, cols) in zip(tiles, regions)]
-        ).astype(np.float64)
 
     # -- reads --------------------------------------------------------------
     @abc.abstractmethod
@@ -365,10 +348,6 @@ class SimBackend(CrossbarBackend):
     def is_ideal(self, tile: ProgrammedTile) -> bool:
         """True exactly when the tile was programmed noiselessly."""
         return tile.base_planes is None
-
-    def _written_planes(self, tiles, regions, stored) -> np.ndarray:
-        """Reads return the stored cells unchanged: the block itself."""
-        return stored.astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -59,8 +59,9 @@ from repro.rram.crossbar import (
 )
 from repro.rram.kernels import (
     KernelPolicy,
-    _slice_place_values,
+    StackLayout,
     clip_free_flags,
+    clip_free_mask,
     resolve_policy,
     run_gemv,
     run_gemv_stack,
@@ -331,9 +332,9 @@ def write_operands(
     accounted in ``stats`` (default: the operand's own sink) — rows above
     the high watermark as ``cells_initial_programmed``, recycled rows
     (re-writes after a :meth:`DynamicOperand.truncate`) as
-    ``cells_reprogrammed`` — and the written cells' effective planes are
-    stored in each operand's :class:`PlaneBank`, if it has one.  The
-    operands must be distinct and share the backend, width and slicing.
+    ``cells_reprogrammed`` — and each operand's :class:`PlaneBank`, if it
+    has one, reads the written cells back from the backend.  The operands
+    must be distinct and share the backend, width and slicing.
     """
     first = operands[0]
     levels = np.asarray(levels)
@@ -358,17 +359,13 @@ def write_operands(
     if bitlines.any():
         block = block.copy()
         block[bitlines] = levels[bitlines].transpose(0, 2, 1, 3).reshape(int(bitlines.sum()), -1)
-    cells = first.backend.program_regions(
+    first.backend.program_regions(
         [op._tile for op in operands],
         [op._span(op.length, op.length + t) for op in operands],
         block,
-    ).reshape(levels.shape)
-    if bitlines.any():
-        flipped = cells.reshape(n, first.width, t, first.num_slices)[bitlines]
-        cells[bitlines] = flipped.transpose(0, 2, 1, 3)
+    )
     cells_per_row = first.width * first.num_slices
-    banks: dict[PlaneBank, tuple[list[int], list[int]]] = {}
-    for i, op in enumerate(operands):
+    for op in operands:
         initial_rows = max(0, (op.length + t) - op.written)
         target = stats if stats is not None else op.stats
         target.cells_initial_programmed += initial_rows * cells_per_row
@@ -376,11 +373,7 @@ def write_operands(
         op.length += t
         op.written = max(op.written, op.length)
         if op.bank is not None:
-            members, rows = banks.setdefault(op.bank, ([], []))
-            members.append(op.member)
-            rows.append(i)
-    for bank, (members, rows) in banks.items():
-        bank._store(np.array(members), cells[rows])
+            op.bank._sync(op.member)
 
 
 class PlaneBank:
@@ -395,9 +388,10 @@ class PlaneBank:
     valid window to :func:`~repro.rram.kernels.fast_gemv` with no per-read
     copy or concatenation.
 
-    The bank stays coherent on its own: :func:`write_operands` stores the
-    appended rows' effective cells, :meth:`DynamicOperand.truncate` zeroes
-    (or, growing back into written rows, re-reads) the member's tail,
+    The bank stays coherent on its own: :func:`write_operands` reads the
+    appended rows' effective cells in from the backend's planes,
+    :meth:`DynamicOperand.truncate` zeroes (or, growing back into written
+    rows, re-reads) the member's tail,
     :meth:`swap` exchanges two members, and a read after the backend's
     epoch moved (``advance`` / ``reprogram``) rebuilds every member from
     the backend's planes.  An operand belongs to at most one bank.
@@ -446,7 +440,7 @@ class PlaneBank:
         self.epoch = self.backend.epoch
 
     def _sync(self, member: int) -> None:
-        """Follow a member's truncation: zero its dropped tail, or re-read rows."""
+        """Follow a member's length: zero a dropped tail, or read new rows in."""
         op = self.operands[member]
         held = int(self.lengths[member])
         if op.length == held:
@@ -456,15 +450,6 @@ class PlaneBank:
         else:
             self._read(member, held, op.length)
         self.lengths[member] = op.length
-
-    def _store(self, members: np.ndarray, cells: np.ndarray) -> None:
-        """Place appended rows ``cells`` (``(m, t, width, n_s)``) after each member's length."""
-        rows = self.lengths[members, None] + np.arange(cells.shape[1])
-        if self.operands[0].grow == "wordlines":
-            self.cells[members[:, None], rows] = cells
-        else:
-            self.cells[members[:, None], :, rows] = cells
-        self.lengths[members] += cells.shape[1]
 
     def swap(self, i: int, j: int) -> None:
         """Exchange members ``i`` and ``j`` (operands and cells)."""
@@ -516,91 +501,51 @@ class PlaneBank:
         return run_gemv_stack(stack, codes, input_bits, [op.stats for op in operands], first.policy)
 
 
-class _BankWindow:
+class _BankWindow(StackLayout):
     """A run of bank members' valid window, laid out as a one-call stack.
 
-    Carries the :class:`~repro.rram.kernels.GemvStack` surface
-    :func:`~repro.rram.kernels.fast_gemv` reads (one matrix per member),
-    derived from the members' lengths in vectorised form.  Member ``i``'s
-    matrix is its operand's valid region: ``(length_i, width)`` for
-    wordline growth, ``(width, length_i)`` for bitline growth.
+    One constituent per member: member ``i``'s matrix is its operand's
+    valid region, ``(length_i, width)`` for wordline growth and
+    ``(width, length_i)`` for bitline growth.
     """
-
-    per_member = 1
 
     def __init__(self, bank: PlaneBank, members: slice, lengths: np.ndarray) -> None:
         first = bank.operands[0]
-        self.matrices = bank.operands[members]
-        self.rows = first.config.rows
-        self.num_slices = first.num_slices
+        n = len(lengths)
+        sizes = lengths.tolist()
+        widths = [first.width] * n
+        ins, outs = (sizes, widths) if first.grow == "wordlines" else (widths, sizes)
         self.full_scale = first.adc.full_scale
-        self.offset = first.offset
-        self.noiseless = first.backend.is_ideal(first._tile)
-        self.lengths = lengths
-        width = int(lengths.max())
-        cells = bank.cells[members]
-        n = cells.shape[0]
-        self.wordlines = first.grow == "wordlines"
-        if self.wordlines:
-            self.window = cells[:, :width]
-            ins, outs = lengths, np.full_like(lengths, first.width)
-        else:
-            self.window = cells[:, :, :width]
-            ins, outs = np.full_like(lengths, first.width), lengths
-        self.out_width = self.window.shape[2]
-        self.columns = self.out_width * self.num_slices
-        tiles = -(-ins // self.rows)
-        columns = outs * self.num_slices
-        self.tiles = tiles.tolist()
-        self.shapes = list(
-            zip(
-                self.tiles,
-                columns.tolist(),
-                [self.num_slices] * n,
-                (tiles * -(-columns // first.config.cols)).tolist(),
-                (ins * columns).tolist(),
-            )
+        geometry = [(first.num_slices, first.cell.bits, self.full_scale)]
+        super().__init__(
+            1, ins, outs, [first.offset] * n, geometry, first.config.rows, [first.config.cols] * n
         )
-        self.segments = [
-            (0, self.columns, self.num_slices, _slice_place_values(first.cell.bits, self.num_slices))
-        ]
-        if (outs == self.out_width).all():
-            self.offsets: int | np.ndarray = self.offset
-        else:
-            # Padded columns summed only zero cells; keep them at 0.
-            valid = np.arange(self.out_width) < outs[:, None]
-            self.offsets = (self.offset * valid)[:, None, :]
+        self.noiseless = first.backend.is_ideal(first._tile)
+        self.matrices = bank.operands[members]  # the constituents
+        self.window = bank.cells[members, : self.in_width, : self.out_width]
 
     def plan(self) -> tuple:
-        """``(exact, clips, counts, clip_free_counts, operand)``, as :meth:`GemvStack.plan`.
+        """As :meth:`StackLayout.plan`, derived from the window at once.
 
         Noisy cells prove no tile clip-free (as a single operand's view);
-        noiseless cells are checked per member and row tile at once.
+        noiseless cells are checked per member and row tile together.
         """
-        n, in_width = self.window.shape[:2]
-        flat = self.window.reshape(n, in_width, self.columns)
-        num_tiles = max(self.tiles)
-        own = np.arange(num_tiles) < np.asarray(self.tiles)[:, None]  # (n, tiles)
+        n = self.window.shape[0]
+        flat = self.window.reshape(n, self.in_width, self.columns)
+        own = np.arange(max(self.tiles)) < np.asarray(self.tiles)[:, None]  # (n, tiles)
         free = np.zeros_like(own)
         if self.noiseless:
-            # Integer levels are non-negative, and the padding is zero.
-            sums = np.add.reduceat(flat, np.arange(0, in_width, self.rows), axis=1)
-            free = own & (np.rint(sums).max(axis=2) < self.full_scale)
+            free = own & clip_free_mask(flat, self.rows, self.full_scale)
         unproven = own & ~free
         clip_free_counts = tuple(free.sum(axis=1).tolist())
         if self.noiseless and not unproven.any():
-            # The exact shortcut's W.T: recombined slices less the offset,
-            # zero past each member's valid region.
-            dense = self.window @ self.segments[0][3]
-            if self.wordlines:
-                valid = (np.arange(in_width) < self.lengths[:, None])[:, :, None]
-            else:
-                valid = (np.arange(self.out_width) < self.lengths[:, None])[:, None, :]
-            operand = np.where(valid, dense - self.offset, 0.0)
-            empty = ((),) * num_tiles
+            # The exact shortcut's W.T: recombined slices less the offsets,
+            # which are zero on padded outputs; padded inputs read zeros.
+            operand = self.window @ self.segments[0][3] - self.offsets
+            empty = ((),) * own.shape[1]
             return True, empty, empty, clip_free_counts, operand
-        span = (0, self.columns, self.full_scale)
-        clips = tuple((span,) if unproven[:, tile].any() else () for tile in range(num_tiles))
+        span = self.slots[0]
+        clips = tuple((span,) if column.any() else () for column in unproven.T)
         counts = tuple(
             tuple((k, k) + span for k in np.flatnonzero(column).tolist()) for column in unproven.T
         )

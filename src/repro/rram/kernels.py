@@ -29,8 +29,9 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
     * members of a stack share cell type, geometry and ADC and are
       zero-padded, exactly, to the widest member; stats stay per member
       (:func:`run_gemv_stack` dispatches a stack; analog attention runs
-      every ``(row, head)`` KV tile of a step as one, a plane bank's
-      valid window standing in for the :class:`GemvStack`);
+      every ``(row, head)`` KV tile of a step as one, over a plane bank's
+      valid window — every kind of stack shares one
+      :class:`StackLayout`);
     * a member may also hold several matrices that read its input side
       by side along the outputs (a :class:`GemvStack` column axis, e.g.
       every A-factor of a block's Q/K/V shards, SLC beside MLC): each
@@ -86,8 +87,8 @@ matrix or per call everywhere the GEMV surfaces (``ProgrammedMatrix``,
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -95,16 +96,20 @@ import numpy as np
 
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from collections.abc import Sequence
+
     from repro.rram.crossbar import GemvStats, ProgrammedMatrix
 
 __all__ = [
     "GemvStack",
     "KernelPolicy",
+    "StackLayout",
     "get_default_kernel_policy",
     "set_default_kernel_policy",
     "kernel_policy",
     "resolve_policy",
     "clip_free_flags",
+    "clip_free_mask",
     "reference_gemv",
     "fast_gemv",
     "run_gemv",
@@ -269,26 +274,30 @@ def _fill_analytic_stats(
     stats.cells_programmed += cells
 
 
-def clip_free_flags(cells: np.ndarray, rows: int, full_scale: int) -> tuple[bool, ...]:
-    """Per-row-tile flags: True when no conversion of that tile can clip.
+def clip_free_mask(cells: np.ndarray, rows: int, full_scale: int) -> np.ndarray:
+    """Per-row-tile clip-freedom of a stack of cell blocks.
 
-    ``cells`` are the effective cells, ``(in, ...)``; each run of ``rows``
-    wordlines is one row tile.  Inputs reach a tile as 0/1 bit-planes, so
-    when every cell is non-negative every reachable bitline sum lies
-    between 0 and the full column sum, exactly in float64.  ``rint`` is
-    monotone, so if the rounded column sum stays below ``full_scale`` the
-    ADC's round-and-clip reduces to the round and no conversion can
-    report saturation.  On integer (noiseless) cells the flags are the
-    per-tile form of ``saturation_free``.
+    ``cells`` are effective cells ``(..., in, columns)``; each run of
+    ``rows`` wordlines is one row tile.  Returns bool ``(..., tiles)``:
+    True when no conversion of that tile can clip.  Inputs reach a tile
+    as 0/1 bit-planes, so when every cell is non-negative every reachable
+    bitline sum lies between 0 and the full column sum, exactly in
+    float64.  ``rint`` is monotone, so if the rounded column sum stays
+    below ``full_scale`` the ADC's round-and-clip reduces to the round
+    and no conversion can report saturation.  On integer (noiseless)
+    cells the flags are the per-tile form of ``saturation_free``.
     """
-    flags = []
-    for row_start in range(0, cells.shape[0], rows):
-        tile = cells[row_start : row_start + rows]
-        column_sums = tile.sum(axis=0, dtype=np.float64)
-        flags.append(
-            bool(tile.min() >= 0 and np.rint(column_sums).max(initial=0) < full_scale)
-        )
-    return tuple(flags)
+    starts = np.arange(0, cells.shape[-2], rows)
+    column_sums = np.add.reduceat(cells, starts, axis=-2, dtype=np.float64)
+    free = np.rint(column_sums).max(axis=-1) < full_scale
+    if cells.min() < 0:  # only then can a tile hold a negative cell
+        free &= np.minimum.reduceat(cells, starts, axis=-2).min(axis=-1) >= 0
+    return free
+
+
+def clip_free_flags(cells: np.ndarray, rows: int, full_scale: int) -> tuple[bool, ...]:
+    """:func:`clip_free_mask` of one matrix's cells ``(in, ...)``, as a tuple."""
+    return tuple(clip_free_mask(cells.reshape(cells.shape[0], -1), rows, full_scale).tolist())
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +423,104 @@ def _stacked(blocks: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
     return stack
 
 
-class GemvStack:
+class StackLayout:
+    """Where each constituent of a stacked GEMV sits: what :func:`fast_gemv` reads.
+
+    One formulation of the layout for every kind of stack, derived from
+    per-constituent sizes and per-slot cell geometry.  Constituents are
+    listed member by member, ``per_member`` to a member; constituent ``k``
+    fills slot ``k % per_member``.  A slot is a run of output columns
+    every member shares: its constituents share ``(num_slices,
+    cell_bits, full_scale)`` and it is as wide as its widest constituent.
+    Narrower constituents are zero-padded, which only lone-constituent
+    members may be.  Output ``o`` of slot ``j`` is column ``o`` plus the
+    widths of slots ``0..j-1``.  Subclasses supply the cells (:meth:`plan`).
+    """
+
+    def __init__(
+        self,
+        per_member: int,
+        ins,
+        outs,
+        offsets,
+        geometry: list[tuple[int, int, int]],
+        rows: int,
+        cols,
+    ) -> None:
+        """Lay out constituents of ``ins`` x ``outs`` weights.
+
+        ``ins``, ``outs``, ``offsets`` (weight offsets) and ``cols`` (array
+        widths) hold one int per constituent; ``geometry`` holds each
+        slot's ``(num_slices, cell_bits, full_scale)`` and ``rows`` is the
+        shared row-tile height.
+        """
+        per = self.per_member = per_member
+        self.constituents = len(ins)
+        self.rows = rows
+        self.widths = [max(outs[j::per]) for j in range(per)]
+        padded = any(out != self.widths[k % per] for k, out in enumerate(outs))
+        if padded and per > 1:
+            raise ValueError("constituents of multi-matrix members must match in width")
+        self.in_width = max(ins)
+        self.out_width = sum(self.widths)
+        self.tiles = [-(-height // rows) for height in ins]
+        #: Per constituent: row tiles, cell columns, slices, array tiles
+        #: and cells, the inputs of its closed-form GemvStats.
+        self.shapes = []
+        for k, (tiles, height, out, width) in enumerate(zip(self.tiles, ins, outs, cols)):
+            num_slices = geometry[k % per][0]
+            columns = out * num_slices
+            self.shapes.append((tiles, columns, num_slices, tiles * -(-columns // width), height * columns))
+        spans = [width * slot[0] for width, slot in zip(self.widths, geometry)]
+        bounds = list(itertools.accumulate(spans, initial=0))
+        self.columns = bounds[-1]
+        #: Per slot: its cell columns and its ADC full scale.
+        self.slots = [(bounds[j], bounds[j + 1], geometry[j][2]) for j in range(per)]
+        # Slice recombination runs once per run of slots with one slice
+        # geometry: (first column, last column, num_slices, place values).
+        runs: list[list[int]] = []
+        for j, (num_slices, cell_bits, _) in enumerate(geometry):
+            if runs and runs[-1][2:] == [num_slices, cell_bits]:
+                runs[-1][1] = bounds[j + 1]
+            else:
+                runs.append([bounds[j], bounds[j + 1], num_slices, cell_bits])
+        self.segments = [
+            (first, last, num_slices, _slice_place_values(cell_bits, num_slices))
+            for first, last, num_slices, cell_bits in runs
+        ]
+        if not padded and len(set(offsets)) == 1:
+            self.offsets: int | np.ndarray = offsets[0]
+        else:
+            # Padded columns summed only zero cells; keep them at 0.
+            column = np.arange(self.out_width)
+            sizes = np.reshape(outs, (-1, per))
+            shifts = np.reshape(offsets, (-1, per))
+            table = np.zeros(sizes.shape[:1] + column.shape, dtype=np.int64)
+            for j, start in enumerate(itertools.accumulate(self.widths[:-1], initial=0)):
+                inside = (column >= start) & (column < start + sizes[:, j : j + 1])
+                table += np.where(inside, shifts[:, j : j + 1], 0)
+            self.offsets = table[:, None, :]
+
+    def plan(self) -> tuple:
+        """``(exact, clips, counts, clip_free_counts, operand)`` of the current cells.
+
+        ``exact``: every tile of every constituent is clip-free and every
+        cell noiseless, so the dense shortcut applies and ``operand`` is
+        the stacked ``W.T`` ``(n, in, out)``; otherwise ``operand`` is the
+        stacked float64 cells ``(n, in, columns)``, whose row slices are
+        the tiles.  Per row tile, ``clips`` lists merged ``(first, last,
+        full_scale)`` column ranges of slots some constituent cannot prove
+        clip-free (:func:`clip_free_mask`), and ``counts`` lists
+        ``(constituent, member, first, last, full_scale)`` for each such
+        constituent, whose saturations are counted over its own columns.
+        A clip-free column never reaches full scale, so clipping it is a
+        no-op and its count is provably 0.  ``clip_free_counts`` holds each
+        constituent's number of clip-free tiles.
+        """
+        raise NotImplementedError
+
+
+class GemvStack(StackLayout):
     """Programmed matrices arranged for one :func:`fast_gemv` call.
 
     ``members`` stack along a leading axis, and each reads its own input.
@@ -430,7 +536,7 @@ class GemvStack:
     ``o`` of constituent ``j`` is column ``o`` plus the widths of
     constituents ``0..j-1``.
 
-    The layout (widths, slice segments, weight offsets) is derived once.
+    The layout (:class:`StackLayout`) is derived once.
     The :meth:`plan` (stacked float64 cells or the dense weights of the
     noiseless shortcut, plus the per-tile ADC work) is cached against
     every constituent's backend epoch, so an ``advance()`` or
@@ -443,10 +549,10 @@ class GemvStack:
         self.members = tuple(tuple(member) for member in members)
         if not self.members or not all(self.members):
             raise ValueError("a GemvStack needs at least one non-empty member")
-        per = self.per_member = len(self.members[0])
+        per = len(self.members[0])
         self.matrices = tuple(c for member in self.members for c in member)
         self.slices = [c.slices for c in self.matrices]  # built afresh by dynamic views
-        self.rows = self.matrices[0].config.rows
+        rows = self.matrices[0].config.rows
 
         def geometry(k: int) -> tuple[int, int, int]:
             return (
@@ -457,7 +563,7 @@ class GemvStack:
 
         if any(len(member) != per for member in self.members) or any(
             geometry(k) != geometry(k % per)
-            or c.config.rows != self.rows
+            or c.config.rows != rows
             or c.in_features != self.members[k // per][0].in_features
             for k, c in enumerate(self.matrices)
         ):
@@ -465,76 +571,21 @@ class GemvStack:
                 "stack members must line up constituent by constituent, and a "
                 "member's constituents must share in_features"
             )
-        self.widths = [max(member[j].out_features for member in self.members) for j in range(per)]
-        padded = any(c.out_features != self.widths[k % per] for k, c in enumerate(self.matrices))
-        if padded and per > 1:
-            raise ValueError("constituents of multi-matrix members must match in width")
-        self.in_width = max(member[0].in_features for member in self.members)
-        self.out_width = sum(self.widths)
-        self.tiles = [-(-c.in_features // self.rows) for c in self.matrices]
-        #: Per constituent: row tiles, cell columns, slices, array tiles
-        #: and cells, the inputs of its closed-form GemvStats.
-        self.shapes = [
-            (
-                tiles,
-                c.out_features * s.num_slices,
-                s.num_slices,
-                tiles * -(-c.out_features * s.num_slices // c.config.cols),
-                s.values.size,
-            )
-            for c, s, tiles in zip(self.matrices, self.slices, self.tiles)
-        ]
-        spans = [width * self.slices[j].num_slices for j, width in enumerate(self.widths)]
-        bounds = np.cumsum([0] + spans).tolist()
-        self.columns = bounds[-1]
-        #: Per slot: its cell columns and its ADC full scale.
-        self.slots = [
-            (bounds[j], bounds[j + 1], self.matrices[j].adc.full_scale) for j in range(per)
-        ]
-        # Slice recombination runs once per run of slots with one slice
-        # geometry: (first column, last column, num_slices, place values).
-        runs: list[list[int]] = []
-        for j in range(per):
-            num_slices, cell_bits, _ = geometry(j)
-            if runs and runs[-1][2:] == [num_slices, cell_bits]:
-                runs[-1][1] = bounds[j + 1]
-            else:
-                runs.append([bounds[j], bounds[j + 1], num_slices, cell_bits])
-        self.segments = [
-            (first, last, num_slices, _slice_place_values(cell_bits, num_slices))
-            for first, last, num_slices, cell_bits in runs
-        ]
-        offsets = {s.offset for s in self.slices}
-        if not padded and len(offsets) == 1:
-            self.offsets: int | np.ndarray = offsets.pop()
-        else:
-            # Padded columns summed only zero cells; keep them at 0.
-            self.offsets = np.zeros((len(self.members), 1, self.out_width), dtype=np.int64)
-            out_starts = np.cumsum([0] + self.widths[:-1])
-            for k, c in enumerate(self.matrices):
-                start = out_starts[k % per]
-                self.offsets[k // per, 0, start : start + c.out_features] = self.slices[k].offset
+        super().__init__(
+            per,
+            [c.in_features for c in self.matrices],
+            [c.out_features for c in self.matrices],
+            [s.offset for s in self.slices],
+            [geometry(j) for j in range(per)],
+            rows,
+            [c.config.cols for c in self.matrices],
+        )
         self._cache = cache
         self._cache_key: tuple[int, ...] | None = None
         self._plan: tuple = ()
 
     def plan(self) -> tuple:
-        """``(exact, clips, counts, clip_free_counts, operand)`` of the current cells.
-
-        Cached until any constituent's backend epoch moves.  ``exact``:
-        every tile of every constituent is clip-free and every cell
-        noiseless, so the dense shortcut applies and ``operand`` is the
-        stacked ``W.T`` ``(n, in, out)``; otherwise ``operand`` is the
-        stacked float64 cells ``(n, in, columns)``, whose row slices are the
-        tiles.  Per row tile, ``clips`` lists merged ``(first, last,
-        full_scale)`` column ranges of slots some constituent cannot prove
-        clip-free (:func:`clip_free_flags`), and ``counts`` lists
-        ``(constituent, member, first, last, full_scale)`` for each such
-        constituent, whose saturations are counted over its own columns.
-        A clip-free column never reaches full scale, so clipping it is a
-        no-op and its count is provably 0.  ``clip_free_counts`` holds each
-        constituent's number of clip-free tiles.
-        """
+        """As :meth:`StackLayout.plan`, cached until any constituent's backend epoch moves."""
         if not self._cache:
             return self._build_plan()
         key = tuple([m.backend.epoch for m in self.matrices])
@@ -576,15 +627,15 @@ class GemvStack:
 
 
 def fast_gemv(
-    matrices: "GemvStack | Sequence[ProgrammedMatrix]",
+    matrices: "StackLayout | Sequence[ProgrammedMatrix]",
     input_codes: np.ndarray,
     input_bits: int,
     stats: "Sequence[GemvStats | None] | None" = None,
 ) -> np.ndarray:
-    """Optimized bit-serial GEMV over a :class:`GemvStack`.
+    """Optimized bit-serial GEMV over a stack.
 
-    ``matrices`` is a stack (anything with :class:`GemvStack`'s layout
-    and :meth:`~GemvStack.plan`), or a sequence of matrices each forming a
+    ``matrices`` is a :class:`StackLayout` (a :class:`GemvStack`, or a
+    plane bank's window), or a sequence of matrices each forming a
     one-matrix member.  ``input_codes`` is ``(n, batch, in)`` with ``in``
     the widest member's ``in_features`` and zeros past each member's own.
     Returns ``(n, batch, out)`` int64, each constituent's outputs in its
@@ -615,10 +666,10 @@ def fast_gemv(
     input patterns (``2**w``) as bit-rows (``kept_bits*batch``) converts
     each pattern once.
     """
-    stack = _one_per_member(matrices) if isinstance(matrices, Sequence) else matrices
+    stack = matrices if isinstance(matrices, StackLayout) else _one_per_member(matrices)
     n, batch, in_width = input_codes.shape
     per = stack.per_member
-    sinks = stats or (None,) * len(stack.matrices)
+    sinks = stats or (None,) * stack.constituents
     exact, clips, counts, clip_free_counts, operand = stack.plan()
 
     if exact:
@@ -735,8 +786,9 @@ def _one_per_member(matrices: "Sequence[ProgrammedMatrix]") -> GemvStack:
     """An uncached stack with one matrix per member."""
     return GemvStack([(m,) for m in matrices], cache=False)
 
+
 def run_gemv_stack(
-    matrices: "GemvStack | Sequence[ProgrammedMatrix]",
+    matrices: "StackLayout | Sequence[ProgrammedMatrix]",
     input_codes: np.ndarray,
     input_bits: int,
     stats: "Sequence[GemvStats | None] | None" = None,
@@ -747,14 +799,15 @@ def run_gemv_stack(
     Shapes as :func:`fast_gemv`.  ``"reference"`` runs
     :func:`reference_gemv` on each constituent of each member with the
     member's own inputs, the spec the stacked fast kernel is tested
-    against.
+    against; it reads the matrices themselves, so it takes a
+    :class:`GemvStack` or a sequence of matrices.
     """
-    stack = _one_per_member(matrices) if isinstance(matrices, Sequence) else matrices
+    stack = matrices if isinstance(matrices, StackLayout) else _one_per_member(matrices)
     if resolve_policy(policy).mode != "reference":
         return fast_gemv(stack, input_codes, input_bits, stats)
     n, batch, _ = input_codes.shape
     out = np.zeros((n, batch, stack.out_width), dtype=np.int64)
-    sinks = stats or (None,) * len(stack.matrices)
+    sinks = stats or (None,) * stack.constituents
     starts = np.cumsum([0] + stack.widths[:-1])
     for k, matrix in enumerate(stack.matrices):
         i, start = k // stack.per_member, starts[k % stack.per_member]

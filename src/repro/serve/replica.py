@@ -22,10 +22,12 @@ duck-typed: anything with ``pick(outstanding_tokens, session) -> index``.
 
 Fault handling: :meth:`ReplicaPool.poll` detects a dead worker process
 (``is_alive()`` false with work outstanding), marks it dead and
-*requeues* its outstanding requests onto surviving replicas.  Requeued
-requests restart decoding from the prompt — greedy decoding is
-idempotent, so the caller-visible token stream is unchanged (streaming
-callbacks may re-deliver a prefix).
+*requeues* its outstanding requests onto surviving replicas.  A
+requeued request resumes: the survivor decodes after the prompt plus the
+tokens already streamed, with the rest of the budget, so no token is
+delivered twice.  A request whose stream already ended (budget spent, or
+a token the worker flagged as its engine's ``eos_id``) completes in the
+pool.
 
 ``processes=False`` runs every replica in-process but through the *same*
 ring serialization, router and requeue code — the fast path the
@@ -226,6 +228,7 @@ def _serve_rings_once(engine, inbox: ShmRing, outbox: ShmRing) -> bool:
     both modes exercise identical serialization.
     """
     running = True
+    eos_id = getattr(engine, "eos_id", None)
     while True:
         record = inbox.pop()
         if record is None:
@@ -238,7 +241,8 @@ def _serve_rings_once(engine, inbox: ShmRing, outbox: ShmRing) -> bool:
         prompt = np.array(record[4 : 4 + prompt_len], dtype=np.int64)
 
         def stream(engine_rid: int, token: int, rid: int = req_id) -> None:
-            while not outbox.push([KIND_TOKEN, rid, token]):
+            # The last word flags a token that ends the request (EOS).
+            while not outbox.push([KIND_TOKEN, rid, token, int(token == eos_id)]):
                 time.sleep(0.0002)
 
         engine_rid = engine.submit(prompt, max_new, on_token=stream)
@@ -332,10 +336,18 @@ class _Outstanding:
     #: streamed tokens the current replica was sent as prompt (its output
     #: continues after them)
     resumed: int = 0
+    #: the last streamed token was flagged as ending the request (EOS)
+    ended: bool = False
+    #: pool-clock times of submission and of the first and last streamed
+    #: token (the submission time until a token arrives)
+    submitted_at: float = field(default_factory=time.monotonic)
+    first_token_at: float = field(init=False)
+    last_token_at: float = field(init=False)
     token_need: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.token_need = int(self.prompt.size) + self.max_new_tokens
+        self.first_token_at = self.last_token_at = self.submitted_at
 
 
 class ReplicaPool:
@@ -394,7 +406,7 @@ class ReplicaPool:
         self._alive = [True] * replicas
         self._outstanding: dict[int, _Outstanding] = {}
         self._results: dict[int, PoolResult] = {}
-        self._resolved: list[PoolResult] = []  # completed off-replica, for poll()
+        self._resolved: list[PoolResult] = []  # completed in the pool, for poll()
         self._next_id = 0
         self.requeues = 0  # requests re-routed off dead replicas
         self._engines = None
@@ -501,12 +513,13 @@ class ReplicaPool:
         worker are requeued onto surviving replicas.  A requeued request
         resumes: the survivor decodes after the prompt plus the tokens
         already streamed, so no token is delivered twice, and a request
-        whose every token was already streamed completes without a replica.
+        whose stream already ended completes without a replica (and is
+        returned by the same call).
         """
         with self._lock:
             if self._engines is not None:
                 self._pump_inline()
-            completed, self._resolved = self._resolved, []
+            completed: list[PoolResult] = []
             for index in range(self.replicas):
                 if not self._alive[index]:
                     continue
@@ -518,7 +531,12 @@ class ReplicaPool:
                     if kind == KIND_TOKEN:
                         entry = self._outstanding.get(record[1])
                         if entry is not None:
+                            now = time.monotonic()
+                            if not entry.streamed:
+                                entry.first_token_at = now
+                            entry.last_token_at = now
                             entry.streamed.append(record[2])
+                            entry.ended = bool(record[3])
                             if entry.on_token is not None:
                                 entry.on_token(entry.request_id, record[2])
                     elif kind == KIND_DONE:
@@ -541,6 +559,8 @@ class ReplicaPool:
                         self._results[entry.request_id] = result
                         completed.append(result)
             self._detect_dead()
+            completed.extend(self._resolved)
+            self._resolved = []
             return completed
 
     def _detect_dead(self) -> None:
@@ -556,24 +576,35 @@ class ReplicaPool:
         if victims and not any(self._alive):
             raise RuntimeError("all replicas dead with requests outstanding")
         for entry in victims:
-            if len(entry.streamed) >= entry.max_new_tokens:
-                # Every token already reached the client: finish here.
+            if entry.ended or len(entry.streamed) >= entry.max_new_tokens:
+                # The whole stream already reached the client: finish here.
                 del self._outstanding[entry.request_id]
-                result = PoolResult(
-                    request_id=entry.request_id,
-                    replica=entry.replica,
-                    tokens=np.array(entry.streamed, dtype=np.int64),
-                    queued_s=0.0,
-                    latency_s=0.0,
-                    ttft_s=0.0,
-                    tpot_s=0.0,
-                )
+                result = self._finish_locally(entry)
                 self._results[entry.request_id] = result
                 self._resolved.append(result)
                 continue
             entry.replica = self.router.pick(self.outstanding_tokens(), entry.session)
             self.requeues += 1
             self._send(entry)
+
+    @staticmethod
+    def _finish_locally(entry: _Outstanding) -> PoolResult:
+        """The result of a request whose replica died after its last token.
+
+        Timings are the pool's: from submission to the first and last
+        streamed token.  The replica's queueing is not observable here, so
+        ``queued_s`` is 0.
+        """
+        tokens = len(entry.streamed)
+        return PoolResult(
+            request_id=entry.request_id,
+            replica=entry.replica,
+            tokens=np.array(entry.streamed, dtype=np.int64),
+            queued_s=0.0,
+            latency_s=entry.last_token_at - entry.submitted_at,
+            ttft_s=entry.first_token_at - entry.submitted_at,
+            tpot_s=(entry.last_token_at - entry.first_token_at) / max(1, tokens - 1),
+        )
 
     def kill_replica(self, index: int) -> None:
         """Forcefully terminate one replica (fault-injection test hook)."""
@@ -600,7 +631,7 @@ class ReplicaPool:
         """
         completed: list[PoolResult] = []
         deadline = time.monotonic() + timeout_s
-        while self.outstanding:
+        while self.outstanding or self._resolved:
             completed.extend(self.poll())
             if not self.outstanding:
                 break

@@ -117,6 +117,11 @@ class TestExactVsReference:
         assert err / scale < 0.05
 
 
+def _operand(bank, slot, row: int, head: int):
+    """The ``(row, head)`` operand of a layer slot's view of ``bank``."""
+    return bank.operands[slot.members][row * HEADS + head]
+
+
 class TestCacheContract:
     def test_operand_contents_are_the_quantized_host_rows(self):
         """Identity-input GEMVs read back exactly the per-token codes."""
@@ -131,12 +136,12 @@ class TestCacheContract:
         for h in range(HEADS):
             k_codes, k_scales = ex.quantize_rows(k[0, h])
             eye_w = np.eye(HEAD_DIM, dtype=np.int64)
-            got_k = np.asarray(slot.k_ops[0][h].gemv(eye_w), dtype=np.int64)
+            got_k = np.asarray(_operand(slot.k_bank, slot, 0, h).gemv(eye_w), dtype=np.int64)
             np.testing.assert_array_equal(got_k.T, k_codes)
             np.testing.assert_allclose(slot.k_scales[0, h, :5], k_scales)
             v_codes, v_scales = ex.quantize_rows(v[0, h])
             eye_t = np.eye(5, dtype=np.int64)
-            got_v = np.asarray(slot.v_ops[0][h].gemv(eye_t), dtype=np.int64)
+            got_v = np.asarray(_operand(slot.v_bank, slot, 0, h).gemv(eye_t), dtype=np.int64)
             np.testing.assert_array_equal(got_v, v_codes)
             np.testing.assert_allclose(slot.v_scales[0, h, :5], v_scales)
 
@@ -144,8 +149,10 @@ class TestCacheContract:
         ex = CrossbarAttentionExecutor(backend=SimBackend())
         cache = ex.make_cache(LAYERS, 3, HEADS, HEAD_DIM, CAPACITY)
         view = cache.rows_view(1, 3)
-        assert view.layer(0).k_ops[0][0] is cache.layer(0).k_ops[1][0]
-        assert view.layer(1).v_ops[1][1] is cache.layer(1).v_ops[2][1]
+        mine, parent = view.layer(0), cache.layer(0)
+        assert _operand(mine.k_bank, mine, 0, 0) is _operand(parent.k_bank, parent, 1, 0)
+        mine, parent = view.layer(1), cache.layer(1)
+        assert _operand(mine.v_bank, mine, 1, 1) is _operand(parent.v_bank, parent, 2, 1)
 
     def test_set_lengths_reset_and_recycling(self):
         rng = np.random.default_rng(5)
@@ -155,9 +162,9 @@ class TestCacheContract:
         cache.append(0, kv, kv)
         cache.advance(6)
         cache.set_lengths(np.array([4]))
-        assert cache.layer(0).k_ops[0][0].length == 4
+        assert cache.layer(0).k_bank.operands[0].length == 4
         cache.reset()
-        assert cache.layer(0).v_ops[0][0].length == 0
+        assert cache.layer(0).v_bank.operands[0].length == 0
         before = ex.stats.cells_reprogrammed
         cache.append(0, kv[:, :, :2], kv[:, :, :2])
         assert ex.stats.cells_reprogrammed > before

@@ -28,6 +28,7 @@ from repro.serve import (
     SessionAffinityRouter,
     ShmRing,
 )
+from repro.serve.replica import KIND_DONE
 
 VOCAB = 48
 
@@ -308,6 +309,58 @@ class TestProcessPool:
         assert len(streamed) == 10
         assert streamed == tokens
         assert tokens[: len(delivered)] == delivered
+
+    @staticmethod
+    def _expected(prompt, budget, **engine_kwargs) -> list[int]:
+        engine = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0, **engine_kwargs)
+        engine.submit(prompt, budget)
+        [result] = engine.run_until_idle()
+        return result.tokens.tolist()
+
+    @staticmethod
+    def _lose_done_records(pool, index: int) -> None:
+        """Replica ``index`` streams its tokens but dies before each DONE record."""
+        outbox = pool.outboxes[index]
+        push = outbox.push
+        outbox.push = lambda record: record[0] == KIND_DONE or push(record)
+
+    def test_drain_returns_a_request_finished_after_its_replica_died(self, rng):
+        prompt = rng.integers(0, VOCAB, size=4)
+        expected = self._expected(prompt, 6)
+        streamed: list[int] = []
+        with ReplicaPool(_factory, replicas=2, processes=False) as pool:
+            self._lose_done_records(pool, 0)
+            rid = pool.submit(prompt, 6, on_token=lambda _rid, token: streamed.append(token))
+            while len(streamed) < 6:
+                pool.poll()
+            assert pool.outstanding == 1
+            pool.kill_replica(0)
+            results = {r.request_id: r for r in pool.drain()}
+            assert pool.requeues == 0
+        result = results[rid]
+        assert result.tokens.tolist() == streamed == expected
+        assert result.latency_s >= result.ttft_s >= 0.0 and result.tpot_s >= 0.0
+
+    def test_requeue_after_a_streamed_eos_decodes_nothing_more(self, rng):
+        """A replica dying between its EOS token and its DONE record ends the stream."""
+        prompt = rng.integers(0, VOCAB, size=4)
+        free = self._expected(prompt, 10)
+        stop = next(k for k in range(1, 10) if free[k] not in free[:k])
+        eos = free[stop]
+
+        def factory(index: int) -> ServingEngine:
+            return ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0, eos_id=eos)
+
+        streamed: list[int] = []
+        with ReplicaPool(factory, replicas=2, processes=False) as pool:
+            self._lose_done_records(pool, 0)
+            rid = pool.submit(prompt, 10, on_token=lambda _rid, token: streamed.append(token))
+            while eos not in streamed:
+                pool.poll()
+            pool.kill_replica(0)
+            results = {r.request_id: r for r in pool.drain()}
+            assert pool.requeues == 0
+        assert results[rid].tokens.tolist() == streamed == free[: stop + 1]
 
     def test_fully_streamed_request_completes_without_a_replica(self, rng):
         pool = ReplicaPool(_factory, replicas=2, processes=False)
