@@ -185,38 +185,18 @@ class DeviceMesh:
             link, (num_shards - 1) * num_bytes_per_shard, transfers=num_shards - 1
         )
 
-    def record_pipeline_handoff(
-        self, hidden_dim: int, tokens: int = 1, boundaries: int | None = None
-    ) -> float:
-        """One hidden-vector handoff per chip boundary crossed (case 3).
-
-        ``tokens`` INT8 hidden vectors of ``hidden_dim`` elements each cross
-        PCIe-6.0 once per boundary; ``boundaries`` defaults to the mesh's
-        own chip count but a :class:`~repro.dist.plan.ShardPlan` may use
-        fewer chips than the mesh offers.
-        """
-        if boundaries is None:
-            boundaries = self.num_chips - 1
-        if boundaries < 1 or tokens < 1:
-            return 0.0
-        return self.record(
-            PCIE6_LINK.name,
-            float(tokens) * boundaries * hidden_dim,
-            transfers=tokens * boundaries,
-        )
-
     def record_batched_pipeline_handoff(
         self, hidden_dim: int, rows: int, boundaries: int | None = None
     ) -> float:
-        """One fused handoff per chip boundary for a whole decode step.
+        """One fused PCIe-6.0 handoff per chip boundary for a whole step (case 3).
 
         Batched decode ships every live row's hidden vector across each
         boundary in **one** launch per boundary per step (``transfers ==
-        boundaries``), instead of :meth:`record_pipeline_handoff`'s
-        per-token launches — same bytes
-        (``rows * boundaries * hidden_dim`` INT8), fewer launch overheads.
+        boundaries``): ``rows * boundaries * hidden_dim`` INT8 bytes.
         ``rows`` is the number of hidden vectors crossing (decoded rows
-        plus prefill tokens this step).
+        plus prefill tokens this step).  ``boundaries`` defaults to the
+        mesh's own chip count but a :class:`~repro.dist.plan.ShardPlan`
+        may use fewer chips than the mesh offers.
         """
         if boundaries is None:
             boundaries = self.num_chips - 1

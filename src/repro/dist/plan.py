@@ -16,7 +16,9 @@ mapper rather than re-invented: every (chip, shard) pair gets its own
 capacity-checked mapper over its slice of the chip's PUs, and the per-shard
 rank-sliced :class:`~repro.svd.pipeline.LayerPlan`\\ s are placed through the
 same first-fit logic (and raise the same :class:`MemoryError` when a mesh
-is too small — the signal to scale out).
+is too small — the signal to scale out).  Placement reserves arrays by
+shape and programs nothing; :func:`~repro.dist.deploy_sharded` programs
+the served shards.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from repro.dist.mesh import DeviceMesh
 from repro.pim.chip import ChipConfig, HyFlexPimChip, group_layers_by_block
 from repro.rram.cell import CellType, MLC2
 from repro.rram.mapping import partition_rank, partition_rank_compacted
-from repro.rram.noise import NoiseSpec
 from repro.svd.pipeline import LayerPlan
 
 __all__ = [
@@ -210,8 +211,6 @@ class ShardPlan:
         mesh: DeviceMesh,
         tensor_parallel: int = 1,
         mlc_cell: CellType = MLC2,
-        noise: NoiseSpec | None = None,
-        seed: int = 0,
     ) -> "ShardPlan":
         """Derive a shard plan for ``plans`` on ``mesh``.
 
@@ -305,9 +304,7 @@ class ShardPlan:
                         pu=mesh.chip_config.pu,
                         global_bus_gbps=mesh.chip_config.global_bus_gbps,
                         inner_bus_gbps=mesh.chip_config.inner_bus_gbps,
-                    ),
-                    noise=noise,
-                    seed=seed + 7919 * (chip * tensor_parallel + shard),
+                    )
                 )
                 try:
                     assignments = mapper.deploy(shard_plans, mlc_cell=mlc_cell)

@@ -2,29 +2,23 @@
 
 One analog module owns 512 crossbar arrays of 64x128 cells plus their
 peripherals (IR/OR registers, wordline drivers, sample-and-hold bank, a
-shared 6/7-bit reconfigurable SAR ADC per array, shift-and-add).  Static
-weight matrices are *deployed* onto a module's arrays; the module enforces
-its array budget and aggregates the operation statistics the energy model
-consumes.
+shared 6/7-bit reconfigurable SAR ADC per array, shift-and-add).  Placement
+reserves a module's arrays for static weight matrices by shape and enforces
+its array budget; it programs nothing.  The served arrays are programmed by
+:class:`~repro.pim.hybrid.HybridLinear` on the engine's backend.
 
 A single module mixes SLC-configured and MLC-configured arrays freely: the
 paper's reconfigurability means switching costs <1 % area/energy, realized
-here by each :class:`~repro.rram.mapping.MappedMatrix` carrying its own cell
-type and ADC mode.
+here by each placed matrix carrying its own cell type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.rram.backend import CrossbarBackend
 from repro.rram.cell import CellType
-from repro.rram.crossbar import CrossbarConfig, GemvStats
-from repro.rram.kernels import KernelPolicy
-from repro.rram.mapping import MappedMatrix
-from repro.rram.noise import DEFAULT_NOISE, NoiseSpec
+from repro.rram.crossbar import CrossbarConfig
+from repro.rram.mapping import array_footprint
 
 __all__ = ["AnalogModuleConfig", "AnalogPimModule"]
 
@@ -40,6 +34,7 @@ class AnalogModuleConfig:
 
     @property
     def cells_per_array(self) -> int:
+        """Cells in one crossbar array."""
         return self.array.rows * self.array.cols
 
     def slc_capacity_bytes(self) -> int:
@@ -48,83 +43,44 @@ class AnalogModuleConfig:
 
 
 class AnalogPimModule:
-    """Holds deployed weight matrices and executes their GEMVs."""
+    """One module's array budget: the weight matrices placed on it by shape."""
 
-    def __init__(
-        self,
-        config: AnalogModuleConfig | None = None,
-        noise: NoiseSpec | None = None,
-        seed: int = 0,
-        policy: KernelPolicy | None = None,
-        backend: CrossbarBackend | None = None,
-    ) -> None:
+    def __init__(self, config: AnalogModuleConfig | None = None) -> None:
         self.config = config or AnalogModuleConfig()
-        self.noise = noise or DEFAULT_NOISE
-        self.seed = seed
-        self.policy = policy
-        self.backend = backend
-        self._deployed: dict[str, MappedMatrix] = {}
-        self._arrays_used = 0
+        self._arrays: dict[str, int] = {}  # placed matrix name -> arrays
 
-    # -- deployment -----------------------------------------------------------
     @property
     def arrays_used(self) -> int:
-        return self._arrays_used
+        """Arrays reserved by placed matrices."""
+        return sum(self._arrays.values())
 
     @property
     def arrays_free(self) -> int:
-        return self.config.num_arrays - self._arrays_used
+        """Arrays still unreserved."""
+        return self.config.num_arrays - self.arrays_used
 
-    def deploy(self, name: str, weight_codes: np.ndarray, cell: CellType) -> MappedMatrix:
-        """Program a weight matrix onto this module's arrays.
+    def place(
+        self, name: str, out_features: int, in_features: int, cell: CellType
+    ) -> None:
+        """Reserve the arrays an ``(out, in)`` matrix of ``cell`` occupies.
 
-        Raises :class:`MemoryError` when the array budget is exceeded —
-        callers (the PU/chip mappers) then spill to another module.
+        Raises :class:`KeyError` for a name already placed and
+        :class:`MemoryError` when the array budget is exceeded — callers
+        (the PU/chip mappers) then spill to another module.
         """
-        if name in self._deployed:
-            raise KeyError(f"matrix {name!r} already deployed")
-        import zlib
-
-        mapped = MappedMatrix(
-            weight_codes=np.asarray(weight_codes),
-            cell=cell,
-            noise=self.noise,
-            config=self.config.array,
-            seed=self.seed + (zlib.crc32(name.encode()) % (2**16)),
-            policy=self.policy,
-            backend=self.backend,
-        )
-        if mapped.arrays_used > self.arrays_free:
+        if name in self._arrays:
+            raise KeyError(f"matrix {name!r} already placed")
+        needed = array_footprint(out_features, in_features, cell, self.config.array)
+        if needed > self.arrays_free:
             raise MemoryError(
-                f"analog module full: {name!r} needs {mapped.arrays_used} arrays, "
+                f"analog module full: {name!r} needs {needed} arrays, "
                 f"{self.arrays_free} free of {self.config.num_arrays}"
             )
-        self._arrays_used += mapped.arrays_used
-        self._deployed[name] = mapped
-        return mapped
-
-    def matrix(self, name: str) -> MappedMatrix:
-        return self._deployed[name]
-
-    def names(self) -> list[str]:
-        return sorted(self._deployed)
-
-    # -- execution --------------------------------------------------------------
-    def gemv(
-        self, name: str, input_codes: np.ndarray, policy: KernelPolicy | None = None
-    ) -> np.ndarray:
-        """Run one deployed matrix's analog GEMV."""
-        return self._deployed[name].gemv(input_codes, policy=policy)
-
-    def merged_stats(self) -> GemvStats:
-        total = GemvStats()
-        for mapped in self._deployed.values():
-            total.merge(mapped.stats)
-        return total
+        self._arrays[name] = needed
 
     def utilization(self) -> float:
         """Fraction of the module's arrays holding weights."""
-        return self._arrays_used / self.config.num_arrays
+        return self.arrays_used / self.config.num_arrays
 
     def gemv_latency_ns(self, input_bits: int = 8) -> float:
         """Pipelined latency of one GEMV wave (Section 5.4).

@@ -8,6 +8,9 @@ paper's three flexibility cases (Section 3.1):
    throughput (tensor parallelism across the batch/sequence);
 3. a model with more layers than available PUs cascades across chips
    (pipeline parallelism) — handled by :mod:`repro.arch.scaling`.
+
+Placement reserves arrays by shape (:meth:`ProcessingUnit.place_layer`);
+it programs no crossbar.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Iterable, Mapping
 from repro.arch.interconnect import OCI_LINK, PCIE6_LINK
 from repro.pim.processing_unit import ProcessingUnit, ProcessingUnitConfig
 from repro.rram.cell import CellType, MLC2
-from repro.rram.noise import DEFAULT_NOISE, NoiseSpec
 from repro.svd.pipeline import LayerPlan, RedistributionPlan
 
 __all__ = ["ChipConfig", "LayerAssignment", "HyFlexPimChip", "group_layers_by_block"]
@@ -67,17 +69,11 @@ class LayerAssignment:
 class HyFlexPimChip:
     """Deployment target: place a whole redistribution plan onto 24 PUs."""
 
-    def __init__(
-        self,
-        config: ChipConfig | None = None,
-        noise: NoiseSpec | None = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, config: ChipConfig | None = None) -> None:
         self.config = config or ChipConfig()
-        self.noise = noise or DEFAULT_NOISE
         self.processing_units = [
-            ProcessingUnit(self.config.pu, noise=self.noise, seed=seed + 1000 * i)
-            for i in range(self.config.num_processing_units)
+            ProcessingUnit(self.config.pu)
+            for _ in range(self.config.num_processing_units)
         ]
         self.assignments: list[LayerAssignment] = []
 
@@ -130,12 +126,15 @@ class HyFlexPimChip:
 
     # -- chip-level queries -------------------------------------------------
     def pus_used(self) -> int:
+        """Distinct processing units holding at least one block."""
         return len({i for a in self.assignments for i in a.pu_indices})
 
     def arrays_used(self) -> int:
+        """Arrays reserved across every processing unit."""
         return sum(pu.arrays_used() for pu in self.processing_units)
 
     def analog_utilization(self) -> float:
+        """Fraction of the chip's analog arrays holding weights."""
         total = self.config.num_processing_units * self.config.pu.total_analog_arrays
         return self.arrays_used() / total
 

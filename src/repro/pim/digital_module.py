@@ -35,10 +35,12 @@ class DigitalModuleConfig:
 
     @property
     def array_bytes(self) -> int:
+        """Bytes one digital array stores."""
         return self.array_rows * self.array_cols * self.cell_bits // 8
 
     @property
     def capacity_bytes(self) -> int:
+        """Bytes the whole module stores."""
         return self.num_arrays * self.array_bytes
 
     @property
@@ -79,10 +81,12 @@ class DigitalPimModule:
     # -- storage ------------------------------------------------------------
     @property
     def stored_bytes(self) -> int:
+        """Bytes of real-time operands currently held."""
         return self._stored_bytes
 
     @property
     def free_bytes(self) -> int:
+        """Bytes still available for real-time operands."""
         return self.config.capacity_bytes - self._stored_bytes
 
     def write(self, num_bytes: int) -> None:
@@ -142,12 +146,14 @@ class DigitalPimModule:
         return out
 
     def layernorm(self, x: np.ndarray, weight=None, bias=None, eps: float = 1e-5) -> np.ndarray:
+        """LayerNorm on the SFU, charging its cycles to this module."""
         before = self.sfu.stats.cycles
         out = self.sfu.layernorm(x, weight=weight, bias=bias, eps=eps)
         self.stats.sfu_cycles += self.sfu.stats.cycles - before
         return out
 
     def gelu(self, x: np.ndarray) -> np.ndarray:
+        """GELU on the SFU, charging its cycles to this module."""
         before = self.sfu.stats.cycles
         out = self.sfu.gelu(x)
         self.stats.sfu_cycles += self.sfu.stats.cycles - before

@@ -44,6 +44,7 @@ from repro.rram.mapping import (
     MappedMatrix,
     array_footprint,
     partition_rank,
+    rank_fragments,
     split_by_rank,
 )
 from repro.rram.noise import DEFAULT_NOISE, NoiseSpec, apply_multiplicative_noise
@@ -116,6 +117,7 @@ class MagnitudeProtectedLinear(Module):
         self._bias = None if bias is None else np.asarray(bias, dtype=float)
 
     def forward(self, x: Tensor) -> Tensor:
+        """Inference pass through the noisy dense weight."""
         data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=float)
         out = data @ self._noisy_weight.T
         if self._bias is not None:
@@ -156,7 +158,6 @@ class HybridLinear(Module):
         self.in_features = plan.a_matrix.shape[1]
         self.out_features = plan.b_matrix.shape[0]
         self.rank = plan.rank
-        self._arrays_used: int | None = None
         # Calibrated activation quantization (deploy-time serving path): when
         # set, crossbar GEMVs reuse these frozen scales instead of rescaling
         # from each call's min/max — one calibration pass, then stable
@@ -330,7 +331,6 @@ class HybridLinear(Module):
         self._mesh = mesh
         self._chip = chip
         self._rank_slices = rank_slices
-        self._arrays_used = None  # footprint now counts per-shard tiling
         return rank_slices
 
     @property
@@ -340,6 +340,7 @@ class HybridLinear(Module):
 
     @property
     def num_shards(self) -> int:
+        """Number of tensor-parallel rank shards the layer runs as."""
         return len(self._rank_slices)
 
     def _record_shard_traffic(self, batch: int, calibrated: bool) -> None:
@@ -391,39 +392,29 @@ class HybridLinear(Module):
 
     @property
     def is_calibrated(self) -> bool:
+        """Whether frozen activation scales are in use."""
         return self._x_params is not None
 
     # ------------------------------------------------------------------
     def arrays_used(self) -> int:
         """Physical array footprint of the shards' SLC/MLC placement.
 
-        Cached per shard plan; fast mode, which programs no arrays, sums
-        the same :func:`array_footprint` terms analytically.
+        The same in both modes: :func:`array_footprint` summed over every
+        shard's :func:`rank_fragments`, which crossbar mode programs.
         """
-        if self._arrays_used is None:
-            if self._splits:
-                self._arrays_used = sum(s.arrays_used for s in self._splits)
-            else:
-                total = 0
-                for start, stop in self._rank_slices:
-                    local = self.plan.protected_ranks[start:stop]
-                    total += self._analytic_footprint(int(local.sum()), stop - start)
-                self._arrays_used = total
-        return self._arrays_used
-
-    def _analytic_footprint(self, n_protected: int, rank: int) -> int:
-        """Array footprint of ``rank`` ranks with ``n_protected`` on SLC."""
-        n_mlc = rank - n_protected
-        total = 0
-        if n_protected:
-            total += array_footprint(n_protected, self.in_features, SLC, self.config)
-            total += array_footprint(self.out_features, n_protected, SLC, self.config)
-        if n_mlc:
-            total += array_footprint(n_mlc, self.in_features, self.mlc_cell, self.config)
-            total += array_footprint(self.out_features, n_mlc, self.mlc_cell, self.config)
-        return total
+        return sum(
+            array_footprint(out_f, in_f, cell, self.config)
+            for start, stop in self._rank_slices
+            for _, out_f, in_f, cell in rank_fragments(
+                self.plan.protected_ranks[start:stop],
+                self.in_features,
+                self.out_features,
+                self.mlc_cell,
+            )
+        )
 
     def merged_stats(self) -> GemvStats:
+        """Sum of every shard's GEMV statistics."""
         total = GemvStats()
         for split in self._splits:
             total.merge(split.merged_stats())

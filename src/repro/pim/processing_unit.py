@@ -5,21 +5,18 @@ PUs under tensor parallelism, Section 3.1).  The PU's job in the functional
 simulator is *placement*: distributing a layer's factored weight matrices
 across its analog modules (spilling between modules as array budgets fill)
 and its dynamic operands across digital modules, with validation against
-the hardware's capacity.
+the hardware's capacity.  Analog placement is arithmetic on the fragments'
+shapes (:func:`~repro.rram.mapping.rank_fragments`); it programs nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.pim.analog_module import AnalogModuleConfig, AnalogPimModule
 from repro.pim.digital_module import DigitalModuleConfig, DigitalPimModule
-from repro.rram.cell import CellType, MLC2, SLC
-from repro.rram.crossbar import GemvStats
-from repro.rram.mapping import array_footprint
-from repro.rram.noise import DEFAULT_NOISE, NoiseSpec
+from repro.rram.cell import CellType, MLC2
+from repro.rram.mapping import array_footprint, rank_fragments
 from repro.svd.pipeline import LayerPlan
 
 __all__ = ["ProcessingUnitConfig", "PlacementRecord", "ProcessingUnit"]
@@ -36,10 +33,12 @@ class ProcessingUnitConfig:
 
     @property
     def total_analog_arrays(self) -> int:
+        """Crossbar arrays across all analog modules."""
         return self.num_analog_modules * self.analog.num_arrays
 
     @property
     def digital_capacity_bytes(self) -> int:
+        """Bytes of dynamic-operand storage across all digital modules."""
         return self.num_digital_modules * self.digital.capacity_bytes
 
 
@@ -57,17 +56,11 @@ class PlacementRecord:
 class ProcessingUnit:
     """Capacity-checked placement of one layer's weights onto PIM modules."""
 
-    def __init__(
-        self,
-        config: ProcessingUnitConfig | None = None,
-        noise: NoiseSpec | None = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, config: ProcessingUnitConfig | None = None) -> None:
         self.config = config or ProcessingUnitConfig()
-        self.noise = noise or DEFAULT_NOISE
         self.analog_modules = [
-            AnalogPimModule(self.config.analog, noise=self.noise, seed=seed + i)
-            for i in range(self.config.num_analog_modules)
+            AnalogPimModule(self.config.analog)
+            for _ in range(self.config.num_analog_modules)
         ]
         self.digital_modules = [
             DigitalPimModule(self.config.digital)
@@ -76,15 +69,22 @@ class ProcessingUnit:
         self.placements: list[PlacementRecord] = []
 
     # -- analog placement -----------------------------------------------------
+    def _fragments(
+        self, plan: LayerPlan, mlc_cell: CellType
+    ) -> list[tuple[str, int, int, CellType]]:
+        """The layer's SLC/MLC fragments, as ``split_by_rank`` programs them."""
+        return rank_fragments(
+            plan.protected_ranks, plan.a_matrix.shape[1], plan.b_matrix.shape[0], mlc_cell
+        )
+
     def _place_fragment(
-        self, layer: str, fragment: str, codes: np.ndarray, cell: CellType
+        self, layer: str, fragment: str, out_f: int, in_f: int, cell: CellType
     ) -> None:
-        if codes.size == 0:
-            return
-        needed = array_footprint(codes.shape[0], codes.shape[1], cell, self.config.analog.array)
+        array = self.config.analog.array
+        needed = array_footprint(out_f, in_f, cell, array)
         for index, module in enumerate(self.analog_modules):
             if module.arrays_free >= needed:
-                module.deploy(f"{layer}/{fragment}", codes, cell)
+                module.place(f"{layer}/{fragment}", out_f, in_f, cell)
                 self.placements.append(
                     PlacementRecord(layer, fragment, index, needed, cell.name)
                 )
@@ -93,19 +93,18 @@ class ProcessingUnit:
         # chunks (input dim) and, if still too wide, per-array output chunks.
         # Hardware recombines the chunks' partial results over the inner-unit
         # shared bus (Section 3.1).
-        rows = self.config.analog.array.rows
-        if codes.shape[1] > rows:
-            for start in range(0, codes.shape[1], rows):
+        if in_f > array.rows:
+            for start in range(0, in_f, array.rows):
                 self._place_fragment(
-                    layer, f"{fragment}/rows{start}", codes[:, start : start + rows], cell
+                    layer, f"{fragment}/rows{start}", out_f, min(array.rows, in_f - start), cell
                 )
             return
         slices = -(-8 // cell.bits)  # INT8 weights
-        outs_per_array = max(1, self.config.analog.array.cols // slices)
-        if codes.shape[0] > outs_per_array:
-            for start in range(0, codes.shape[0], outs_per_array):
+        outs_per_array = max(1, array.cols // slices)
+        if out_f > outs_per_array:
+            for start in range(0, out_f, outs_per_array):
                 self._place_fragment(
-                    layer, f"{fragment}/outs{start}", codes[start : start + outs_per_array], cell
+                    layer, f"{fragment}/outs{start}", min(outs_per_array, out_f - start), in_f, cell
                 )
             return
         raise MemoryError(
@@ -113,55 +112,39 @@ class ProcessingUnit:
             f"free per module: {[m.arrays_free for m in self.analog_modules]}"
         )
 
-    def place_layer(
-        self, plan: LayerPlan, mlc_cell: CellType = MLC2, weight_bits: int = 8
-    ) -> None:
+    def place_layer(self, plan: LayerPlan, mlc_cell: CellType = MLC2) -> None:
         """Place one factored layer's four fragments on analog modules.
 
-        Uses first-fit over the PU's modules; INT8 codes are derived with
-        per-tensor symmetric quantization.
+        Uses first-fit over the PU's modules, on the fragments' shapes.
         """
-        from repro.quant.quantizer import quantize
-
-        a_codes, _ = quantize(plan.a_matrix, num_bits=weight_bits)
-        b_codes, _ = quantize(plan.b_matrix, num_bits=weight_bits)
-        protected = plan.protected_ranks
-        self._place_fragment(plan.name, "A/slc", a_codes[protected, :], SLC)
-        self._place_fragment(plan.name, "A/mlc", a_codes[~protected, :], mlc_cell)
-        self._place_fragment(plan.name, "B/slc", b_codes[:, protected], SLC)
-        self._place_fragment(plan.name, "B/mlc", b_codes[:, ~protected], mlc_cell)
+        for fragment, out_f, in_f, cell in self._fragments(plan, mlc_cell):
+            self._place_fragment(plan.name, fragment, out_f, in_f, cell)
 
     # -- capacity queries -----------------------------------------------------
     def arrays_used(self) -> int:
+        """Arrays reserved across the PU's analog modules."""
         return sum(m.arrays_used for m in self.analog_modules)
 
     def arrays_free(self) -> int:
+        """Arrays still unreserved across the PU's analog modules."""
         return sum(m.arrays_free for m in self.analog_modules)
 
     def analog_utilization(self) -> float:
+        """Fraction of the PU's analog arrays holding weights."""
         return self.arrays_used() / self.config.total_analog_arrays
 
-    def can_fit_layer(
-        self, plan: LayerPlan, mlc_cell: CellType = MLC2
-    ) -> bool:
+    def can_fit_layer(self, plan: LayerPlan, mlc_cell: CellType = MLC2) -> bool:
         """Whole-PU feasibility check (ignores per-module fragmentation)."""
-        protected = plan.protected_ranks
-        n_prot = int(protected.sum())
-        n_rest = plan.rank - n_prot
-        in_f = plan.a_matrix.shape[1]
-        out_f = plan.b_matrix.shape[0]
-        cfg = self.config.analog.array
-        needed = 0
-        if n_prot:
-            needed += array_footprint(n_prot, in_f, SLC, cfg)
-            needed += array_footprint(out_f, n_prot, SLC, cfg)
-        if n_rest:
-            needed += array_footprint(n_rest, in_f, mlc_cell, cfg)
-            needed += array_footprint(out_f, n_rest, mlc_cell, cfg)
+        array = self.config.analog.array
+        needed = sum(
+            array_footprint(out_f, in_f, cell, array)
+            for _, out_f, in_f, cell in self._fragments(plan, mlc_cell)
+        )
         return needed <= self.arrays_free()
 
     # -- digital side -----------------------------------------------------------
     def digital_capacity_bytes(self) -> int:
+        """Bytes of dynamic-operand storage across the PU's digital modules."""
         return self.config.digital_capacity_bytes
 
     def store_dynamic(self, num_bytes: int) -> None:
@@ -178,9 +161,3 @@ class ProcessingUnit:
             f"digital capacity exceeded: {num_bytes} B requested, "
             f"{self.digital_capacity_bytes()} B total"
         )
-
-    def merged_analog_stats(self) -> GemvStats:
-        total = GemvStats()
-        for module in self.analog_modules:
-            total.merge(module.merged_stats())
-        return total

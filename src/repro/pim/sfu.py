@@ -44,6 +44,7 @@ class SfuStats:
     primitive_ops: int = 0
 
     def charge(self, elements: int, stages: int, config: SfuConfig) -> None:
+        """Count ``stages`` pipelined passes over ``elements`` inputs."""
         waves = -(-elements // config.inputs_per_cycle)
         self.cycles += waves * stages
         self.primitive_ops += elements * stages
@@ -133,6 +134,7 @@ class SpecialFunctionUnit:
         return out
 
     def sqrt(self, x: np.ndarray) -> np.ndarray:
+        """Elementwise square root; negative inputs raise ValueError."""
         x = np.asarray(x, dtype=np.float64)
         if (x < 0).any():
             raise ValueError("sqrt of negative input")
@@ -140,4 +142,5 @@ class SpecialFunctionUnit:
         return self._round(np.sqrt(x))
 
     def reset_stats(self) -> None:
+        """Zero the SFU's cycle and operation counters."""
         self.stats = SfuStats()

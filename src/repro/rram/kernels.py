@@ -81,7 +81,7 @@ each activation block in one stacked call, so no block is packed twice.
 The active policy is process-wide by default (:func:`set_default_kernel_policy`
 or the :func:`kernel_policy` context manager) and can be overridden per
 matrix or per call everywhere the GEMV surfaces (``ProgrammedMatrix``,
-``MappedMatrix``, ``AnalogPimModule``, ``HybridLinear``, ``HyFlexPim``).
+``MappedMatrix``, ``HybridLinear``, ``HyFlexPim``).
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from repro.rram.noise import DEFAULT_NOISE, NoiseSpec
 
 __all__ = [
     "array_footprint",
+    "rank_fragments",
     "ShardSpec",
     "MappedMatrix",
     "HybridSplit",
@@ -53,6 +54,30 @@ def array_footprint(
     row_tiles = -(-in_features // config.rows)
     col_tiles = -(-(out_features * slices_per_weight) // config.cols)
     return row_tiles * col_tiles
+
+
+def rank_fragments(
+    protected: np.ndarray,
+    in_features: int,
+    out_features: int,
+    mlc_cell: CellType = MLC2,
+) -> list[tuple[str, int, int, CellType]]:
+    """The matrices :func:`split_by_rank` programs for one rank slice.
+
+    ``protected`` is the slice's local rank mask.  Returns ``(fragment,
+    out, in, cell)`` for ``A/slc``, ``A/mlc``, ``B/slc`` and ``B/mlc``, in
+    that order, leaving out empty ones.  Summing :func:`array_footprint`
+    over them gives the slice's arrays without programming any.
+    """
+    n_slc = int(np.count_nonzero(protected))
+    n_mlc = len(protected) - n_slc
+    fragments = [
+        ("A/slc", n_slc, in_features, SLC),
+        ("A/mlc", n_mlc, in_features, mlc_cell),
+        ("B/slc", out_features, n_slc, SLC),
+        ("B/mlc", out_features, n_mlc, mlc_cell),
+    ]
+    return [f for f in fragments if f[1] and f[2]]
 
 
 @dataclass(frozen=True)

@@ -465,9 +465,7 @@ class ServingEngine:
         if mesh is not None:
             from repro.dist import ShardPlan, deploy_sharded
 
-            plan = ShardPlan.build(
-                plans, mesh, tensor_parallel=tensor_parallel, noise=noise, seed=seed
-            )
+            plan = ShardPlan.build(plans, mesh, tensor_parallel=tensor_parallel)
             deploy_sharded(attached, plan)
             engine_kwargs.setdefault("shard_plan", plan)
         if calibration_prompts is not None and mode == "crossbar":

@@ -60,23 +60,6 @@ class TestTrafficLedger:
         assert mesh.traffic["oci"].num_bytes == pytest.approx(3 * 3072)
         assert mesh.traffic["oci"].transfers == 3
 
-    def test_pipeline_handoff_uses_pcie(self):
-        mesh = DeviceMesh(num_chips=3)
-        mesh.record_pipeline_handoff(768, tokens=2)
-        ledger = mesh.traffic["pcie6"]
-        assert ledger.num_bytes == pytest.approx(2 * 2 * 768)  # 2 boundaries
-        assert ledger.transfers == 4
-
-    def test_pipeline_handoff_single_chip_is_free(self):
-        mesh = DeviceMesh(num_chips=1)
-        assert mesh.record_pipeline_handoff(768, tokens=5) == 0.0
-        assert mesh.traffic["pcie6"].num_bytes == 0.0
-
-    def test_pipeline_handoff_boundaries_override(self):
-        mesh = DeviceMesh(num_chips=8)
-        mesh.record_pipeline_handoff(64, tokens=1, boundaries=1)
-        assert mesh.traffic["pcie6"].num_bytes == pytest.approx(64)
-
     def test_reset_and_report(self):
         mesh = DeviceMesh()
         mesh.record("oci", 512)

@@ -336,3 +336,177 @@ class TestDeploySharded:
         deploy_sharded({name: known, "blocks.9.x": stray}, plan)
         assert known.is_sharded and known.num_shards == 2
         assert not stray.is_sharded
+
+
+# ----------------------------------------------------------------------
+# Placement is capacity arithmetic on shapes
+# ----------------------------------------------------------------------
+def _layer(name, rank, in_f, out_f, protected, rng):
+    """A LayerPlan with the given shape and protected rank indices."""
+    mask = np.zeros(rank, dtype=bool)
+    mask[list(protected)] = True
+    return LayerPlan(
+        name=name,
+        a_matrix=rng.normal(size=(rank, in_f)),
+        b_matrix=rng.normal(size=(out_f, rank)),
+        bias=None,
+        protected_ranks=mask,
+        sigma_gradients=np.zeros(rank),
+    )
+
+
+#: The perfbench ``analog_stream`` model's compiled layers (2 blocks,
+#: d_model 64, d_ff 128): (rank, in, out, protected ranks) per layer.
+ANALOG_STREAM_LAYERS = {
+    "blocks.0.w_q": (32, 64, 64, (0, 3, 8)),
+    "blocks.0.w_k": (32, 64, 64, (0, 2, 4)),
+    "blocks.0.w_v": (32, 64, 64, (3, 19, 24)),
+    "blocks.0.w_proj": (32, 64, 64, (0, 1, 3)),
+    "blocks.0.ffn1": (42, 64, 128, (0, 1, 3, 11)),
+    "blocks.0.ffn2": (42, 128, 64, (0, 1, 3, 6)),
+    "blocks.1.w_q": (32, 64, 64, (1, 3, 19)),
+    "blocks.1.w_k": (32, 64, 64, (0, 4, 12)),
+    "blocks.1.w_v": (32, 64, 64, (9, 10, 21)),
+    "blocks.1.w_proj": (32, 64, 64, (7, 17, 23)),
+    "blocks.1.ffn1": (42, 64, 128, (0, 5, 7, 22)),
+    "blocks.1.ffn2": (42, 128, 64, (2, 4, 8, 9)),
+}
+
+
+def analog_stream_plans(rng):
+    """Layer plans shaped like the perfbench ``analog_stream`` model."""
+    return {
+        name: _layer(name, rank, in_f, out_f, protected, rng)
+        for name, (rank, in_f, out_f, protected) in ANALOG_STREAM_LAYERS.items()
+    }
+
+
+def block_plans(num_blocks, d, ff, protect_fraction, seed):
+    """Seeded Transformer-shaped plans with randomly placed protected ranks."""
+    rng = np.random.default_rng(seed)
+    plans = {}
+    for block in range(num_blocks):
+        for leaf, (out_f, in_f) in {
+            "w_q": (d, d),
+            "w_k": (d, d),
+            "w_v": (d, d),
+            "w_proj": (d, d),
+            "ffn1": (ff, d),
+            "ffn2": (d, ff),
+        }.items():
+            rank = min(out_f, in_f)
+            protected = rng.permutation(rank)[: round(protect_fraction * rank)]
+            name = f"blocks.{block}.{leaf}"
+            plans[name] = _layer(name, rank, in_f, out_f, protected, rng)
+    return plans
+
+
+def small_pu_chip(num_analog_modules, num_arrays):
+    """A chip whose PUs hold only a few small analog modules."""
+    from repro.pim import AnalogModuleConfig, ProcessingUnitConfig
+
+    return ChipConfig(
+        pu=ProcessingUnitConfig(
+            num_analog_modules=num_analog_modules,
+            analog=AnalogModuleConfig(num_arrays=num_arrays),
+        )
+    )
+
+
+def plan_digest(plan):
+    """sha256 of ``describe()`` plus every layer's rank slices and PU ids."""
+    import hashlib
+    import json
+
+    payload = {
+        "describe": plan.describe(),
+        "layers": {
+            name: [a.rank_slices, a.pu_ids] for name, a in sorted(plan.layers.items())
+        },
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class TestPlacementProgramsNothing:
+    """Placement reserves arrays by shape; it writes no crossbar tile."""
+
+    @staticmethod
+    def _default_backend_writes():
+        from repro.rram.backend import get_default_backend
+
+        report = get_default_backend().health_report()
+        return report["tiles"], report["programs"], report["total_write_pulses"]
+
+    def test_build_leaves_default_backend_untouched(self, rng):
+        before = self._default_backend_writes()
+        plan = ShardPlan.build(
+            analog_stream_plans(rng), DeviceMesh(num_chips=2), tensor_parallel=2
+        )
+        assert plan.arrays_used > 0
+        assert self._default_backend_writes() == before
+
+    def test_engine_deploy_adds_no_default_backend_tile(self, rng):
+        from repro.nn import DecoderLM, TransformerConfig
+        from repro.rram.backend import SimBackend
+        from repro.serve import ServingEngine
+
+        model = DecoderLM(
+            TransformerConfig(
+                vocab_size=40, d_model=16, num_heads=2, num_layers=2,
+                d_ff=32, max_seq_len=32, seed=0,
+            )
+        )
+        plans = {}
+        for name, linear in model.iter_static_linears():
+            out_f, in_f = linear.weight.data.shape
+            rank = min(out_f, in_f)
+            plans[name] = _layer(name, rank, in_f, out_f, range(rank // 4), rng)
+        before = self._default_backend_writes()[0]
+        own = SimBackend()
+        engine = ServingEngine.deploy(
+            model, plans, mode="crossbar", backend=own,
+            mesh=DeviceMesh(num_chips=2), tensor_parallel=2,
+        )
+        assert engine.shard_plan.tensor_parallel == 2
+        assert own.health_report()["tiles"] > 0
+        assert self._default_backend_writes()[0] == before
+
+
+#: Plans recorded when placement still programmed a crossbar per fragment.
+ANALOG_STREAM_ARRAYS = 183
+ANALOG_STREAM_DIGEST = "e9336aa8f431682ee04f0c8ba29d690cb90b193b5b39333b4a7829e850bf6fa2"
+HETEROGENEOUS_PUS = 16
+HETEROGENEOUS_DIGEST = "5e92352f8d085854b36621c3a9e5a695df27242728f5a894a38d963e9f73d3b4"
+EXHAUSTED_MESSAGE = (
+    "mesh exhausted on chip 0, shard group 0 (2 of the chip's 4 PUs): chip "
+    "exhausted while placing block 0 (blocks.0.w_v); scale out with pipeline "
+    "parallelism; scale out with more chips or lower tensor_parallel"
+)
+
+
+class TestPinnedPlans:
+    """Shape-based placement reproduces the pinned plans exactly."""
+
+    def test_analog_stream_plan(self, rng):
+        plan = ShardPlan.build(
+            analog_stream_plans(rng), DeviceMesh(num_chips=2), tensor_parallel=2
+        )
+        assert plan.describe()["arrays_used"] == ANALOG_STREAM_ARRAYS
+        assert plan_digest(plan) == ANALOG_STREAM_DIGEST
+
+    def test_heterogeneous_plan(self):
+        mesh = DeviceMesh(
+            num_chips=3, chip_pus=[8, 6, 4], chip_config=small_pu_chip(4, 16)
+        )
+        plan = ShardPlan.build(block_plans(4, 96, 192, 0.3, seed=1), mesh, tensor_parallel=2)
+        assert plan.describe()["pus_assigned"] == HETEROGENEOUS_PUS
+        assert plan_digest(plan) == HETEROGENEOUS_DIGEST
+
+    def test_exhausted_mesh_message(self):
+        mesh = DeviceMesh(
+            num_chips=2, chip_pus=[4, 2], chip_config=small_pu_chip(2, 16)
+        )
+        with pytest.raises(MemoryError) as caught:
+            ShardPlan.build(block_plans(2, 128, 256, 0.5, seed=2), mesh, tensor_parallel=2)
+        assert str(caught.value) == EXHAUSTED_MESSAGE
+

@@ -5,6 +5,7 @@ CI enforces pydocstyle (ruff ``D`` rules) on ``repro.rram``,
 missing-docstring core of that contract (D100-D104) inside the tier-1
 suite, where it runs without ruff installed: every module and every
 public class/function/method in those packages must carry a docstring.
+The walk also covers ``repro.pim``, which ruff still exempts from ``D``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-PACKAGES = ("rram", "serve", "dist")
+PACKAGES = ("rram", "serve", "dist", "pim")
 
 
 def _module_files():
