@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.pim.analog_module import AnalogModuleConfig, AnalogPimModule
 from repro.pim.digital_module import DigitalModuleConfig, DigitalPimModule
+from repro.rram.adc import SarAdc, required_adc_bits
 from repro.rram.cell import CellType, MLC2
 from repro.rram.mapping import array_footprint, rank_fragments
 from repro.svd.pipeline import LayerPlan
@@ -72,10 +73,22 @@ class ProcessingUnit:
     def _fragments(
         self, plan: LayerPlan, mlc_cell: CellType
     ) -> list[tuple[str, int, int, CellType]]:
-        """The layer's SLC/MLC fragments, as ``split_by_rank`` programs them."""
-        return rank_fragments(
+        """The layer's SLC/MLC fragments, as ``split_by_rank`` programs them.
+
+        Raises ``ValueError`` when a fragment's cell needs more ADC bits on
+        this PU's arrays than the SAR ADC resolves (``SarAdc.max_bits``).
+        """
+        fragments = rank_fragments(
             plan.protected_ranks, plan.a_matrix.shape[1], plan.b_matrix.shape[0], mlc_cell
         )
+        rows = self.config.analog.array.rows
+        for cell in dict.fromkeys(cell for *_, cell in fragments):
+            if (bits := required_adc_bits(rows, cell.bits)) > SarAdc.max_bits:
+                raise ValueError(
+                    f"layer {plan.name!r}: {cell.name} cells on {rows}-row arrays need "
+                    f"{bits} ADC bits; the SAR ADC resolves at most {SarAdc.max_bits}"
+                )
+        return fragments
 
     def _place_fragment(
         self, layer: str, fragment: str, out_f: int, in_f: int, cell: CellType
@@ -116,6 +129,7 @@ class ProcessingUnit:
         """Place one factored layer's four fragments on analog modules.
 
         Uses first-fit over the PU's modules, on the fragments' shapes.
+        Raises ``ValueError`` for a cell the array's ADC cannot resolve.
         """
         for fragment, out_f, in_f, cell in self._fragments(plan, mlc_cell):
             self._place_fragment(plan.name, fragment, out_f, in_f, cell)
@@ -134,7 +148,7 @@ class ProcessingUnit:
         return self.arrays_used() / self.config.total_analog_arrays
 
     def can_fit_layer(self, plan: LayerPlan, mlc_cell: CellType = MLC2) -> bool:
-        """Whole-PU feasibility check (ignores per-module fragmentation)."""
+        """Whole-PU feasibility check (ignores per-module fragmentation); see :meth:`_fragments`."""
         array = self.config.analog.array
         needed = sum(
             array_footprint(out_f, in_f, cell, array)

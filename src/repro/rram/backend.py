@@ -25,6 +25,11 @@ entire lifetime sweep bit-for-bit.
 Write traffic (initial programming, re-programming, and background dynamic
 writes) is accounted in a :class:`~repro.rram.endurance.WearLedger`, tying
 the backend's wear model to the paper's Section 5.2 endurance argument.
+
+Every noisy cell a backend stores or reads back lies on one conductance
+grid (:func:`on_cell_grid`): a float32 multiple of ``2**-16`` level units.
+That is what lets the fast GEMV kernel sum bitlines in float32 exactly
+(see :mod:`repro.rram.kernels`).
 """
 
 from __future__ import annotations
@@ -45,10 +50,26 @@ __all__ = [
     "SimBackend",
     "FaultModel",
     "FaultySimBackend",
+    "CELL_GRID",
+    "on_cell_grid",
     "get_default_backend",
     "set_default_backend",
     "resolve_backend",
 ]
+
+
+#: Spacing of the stored conductance grid, in cell-level units.
+CELL_GRID = 2.0**-16
+
+
+def on_cell_grid(values: np.ndarray) -> np.ndarray:
+    """``values`` rounded to the nearest multiple of :data:`CELL_GRID`, as float32.
+
+    A grid multiple below ``2**8`` in magnitude is 24 significant bits at
+    most, so float32 holds it exactly; every float32 from ``2**8`` up is a
+    grid multiple already.
+    """
+    return (np.rint(np.asarray(values, dtype=np.float64) / CELL_GRID) * CELL_GRID).astype(np.float32)
 
 
 @dataclass
@@ -59,20 +80,20 @@ class ProgrammedTile:
     ``ideal_levels`` are the exact integer slice levels (shape
     ``(in, out, n_slices)``), ``base_planes`` the frozen programming-noise
     realization (``None`` when programming was exact *and* the backend is
-    ideal).  Lifetime fields (``programmed_at_s``, ``program_count``) drive
-    the faulty backend's drift and wear mechanisms.
+    ideal), float32 on the :func:`on_cell_grid` grid.  Lifetime fields
+    (``programmed_at_s``, ``program_count``) drive the faulty backend's
+    drift and wear mechanisms.
 
     Invariants: ``tile_id`` is unique within its backend; ``base_planes``
-    (when present) has ``ideal_levels``' shape in the policy's storage
-    dtype; callers never mutate fields directly — they go through the
-    owning backend's :meth:`CrossbarBackend.reprogram` / ``advance``.
+    (when present) has ``ideal_levels``' shape; callers never mutate
+    fields directly — they go through the owning backend's
+    :meth:`CrossbarBackend.reprogram` / ``advance``.
     """
 
     tile_id: int
     ideal_levels: np.ndarray
     cell: CellType
     noise_sigma: float
-    storage_dtype: np.dtype
     rng: np.random.Generator
     base_planes: np.ndarray | None = None
     programmed_at_s: float = 0.0
@@ -148,7 +169,6 @@ class CrossbarBackend(abc.ABC):
         cell: CellType,
         noise_sigma: float,
         rng: np.random.Generator,
-        storage_dtype: np.dtype,
     ) -> ProgrammedTile:
         """Program one bit-sliced matrix; returns its state handle.
 
@@ -157,16 +177,14 @@ class CrossbarBackend(abc.ABC):
         ``(in, out, n_slices)``); ``noise_sigma`` the calibrated
         programming-noise σ for ``cell``; ``rng`` the caller's generator
         (consumed exactly as the pre-backend code did, preserving bitwise
-        compatibility); ``storage_dtype`` the kernel policy's plane dtype.
-        The write traffic (``cells × cell.write_pulses``) lands in the
-        ledger.
+        compatibility).  The write traffic (``cells × cell.write_pulses``)
+        lands in the ledger.
         """
         tile = ProgrammedTile(
             tile_id=len(self._tiles),
             ideal_levels=ideal_levels,
             cell=cell,
             noise_sigma=float(noise_sigma),
-            storage_dtype=np.dtype(storage_dtype),
             rng=rng,
         )
         self._program_tile(tile)
@@ -234,16 +252,15 @@ class CrossbarBackend(abc.ABC):
         (any shape of that total size).  The block is checked against the
         cell range once and its programming noise drawn once, in region
         order — the draws separate writes of the same regions would make.
-        The tiles must share cell type, noise model, generator and storage
-        dtype.  Each write records one region write of
-        ``size x cell.write_pulses`` in the ledger's dynamic-write
-        channel.
+        The tiles must share cell type, noise model and generator.  Each
+        write records one region write of ``size x cell.write_pulses`` in
+        the ledger's dynamic-write channel.
         """
         first = tiles[0]
-        shared = (first.cell, first.noise_sigma, first.rng, first.storage_dtype)
+        shared = (first.cell, first.noise_sigma, first.rng)
         noisy = first.base_planes is not None
         if len(regions) != len(tiles) or any(
-            (t.cell, t.noise_sigma, t.rng, t.storage_dtype) != shared
+            (t.cell, t.noise_sigma, t.rng) != shared
             or (t.base_planes is not None) != noisy
             for t in tiles
         ):
@@ -256,9 +273,7 @@ class CrossbarBackend(abc.ABC):
         first.cell.validate_levels(flat)
         stored = flat
         if noisy:
-            stored = apply_multiplicative_noise(
-                flat.astype(np.float64), first.noise_sigma, first.rng
-            ).astype(first.storage_dtype)
+            stored = on_cell_grid(apply_multiplicative_noise(flat, first.noise_sigma, first.rng))
         pulses = first.cell.write_pulses
         for tile, region, target, start, stop in zip(tiles, regions, targets, bounds, bounds[1:]):
             target[...] = flat[start:stop].reshape(target.shape)
@@ -337,9 +352,8 @@ class SimBackend(CrossbarBackend):
             # a float copy would double programmed-weight memory for nothing.
             tile.base_planes = None
         else:
-            tile.base_planes = apply_multiplicative_noise(
-                tile.ideal_levels.astype(np.float64), tile.noise_sigma, tile.rng
-            ).astype(tile.storage_dtype)
+            noisy = apply_multiplicative_noise(tile.ideal_levels, tile.noise_sigma, tile.rng)
+            tile.base_planes = on_cell_grid(noisy)
 
     def planes(self, tile: ProgrammedTile) -> np.ndarray:
         """Frozen programming-noise planes (ideal levels when σ = 0)."""
@@ -463,9 +477,7 @@ class FaultySimBackend(CrossbarBackend):
         if sigma == 0.0 and not self.fault.active:
             tile.base_planes = None
         else:
-            tile.base_planes = apply_multiplicative_noise(
-                tile.ideal_levels.astype(np.float64), sigma, tile.rng
-            ).astype(tile.storage_dtype)
+            tile.base_planes = on_cell_grid(apply_multiplicative_noise(tile.ideal_levels, sigma, tile.rng))
         if tile.stuck_off is None and (
             self.fault.stuck_off_rate > 0.0 or self.fault.stuck_on_rate > 0.0
         ):
@@ -479,7 +491,11 @@ class FaultySimBackend(CrossbarBackend):
             )
 
     def planes(self, tile: ProgrammedTile) -> np.ndarray:
-        """Effective planes at the current epoch (cached until it changes)."""
+        """Effective planes at the current epoch (cached until it changes).
+
+        Drift, read noise and stuck cells are applied in float64 and the
+        result is stored back on the cell grid (:func:`on_cell_grid`).
+        """
         if tile.base_planes is None:
             return tile.ideal_levels
         if tile._cache_epoch == self._epoch and tile._cache is not None:
@@ -497,7 +513,7 @@ class FaultySimBackend(CrossbarBackend):
         if tile.stuck_off is not None:
             effective[tile.stuck_off] = 0.0
             effective[tile.stuck_on] = float(tile.cell.max_level)
-        effective = effective.astype(tile.storage_dtype)
+        effective = on_cell_grid(effective)
         tile._cache = effective
         tile._cache_epoch = self._epoch
         return effective

@@ -39,7 +39,7 @@ from repro.quant.quantizer import int_to_bits
 from repro.rram.adc import SarAdc, required_adc_bits
 from repro.rram.backend import CrossbarBackend, resolve_backend
 from repro.rram.cell import CellType
-from repro.rram.kernels import KernelPolicy, clip_free_flags, resolve_policy, run_gemv
+from repro.rram.kernels import KernelPolicy, clip_free_flags, run_gemv
 
 __all__ = [
     "CrossbarConfig",
@@ -90,10 +90,6 @@ class WeightSlices:
     def slice_factors(self) -> np.ndarray:
         """Per-slice place values for digital shift-and-add recombination."""
         return (2 ** (self.cell.bits * np.arange(self.num_slices))).astype(np.int64)
-
-    def columns_per_weight(self) -> int:
-        """Physical crossbar columns consumed per logical weight."""
-        return self.num_slices
 
 
 def offset_slices(codes: np.ndarray, cell: CellType, weight_bits: int = 8) -> np.ndarray:
@@ -249,13 +245,7 @@ class ProgrammedMatrix:
         self.noise_sigma = float(noise_sigma)
         self.slices = slice_weights(weight_codes, cell, weight_bits)
         self.backend = resolve_backend(backend)
-        self._tile = self.backend.program(
-            self.slices.values,
-            cell,
-            self.noise_sigma,
-            rng,
-            resolve_policy(policy).storage_dtype,
-        )
+        self._tile = self.backend.program(self.slices.values, cell, self.noise_sigma, rng)
         self.adc = adc or SarAdc(bits=required_adc_bits(self.config.rows, cell.bits))
         self._dense_weights_t: np.ndarray | None = None
         self._epoch_cache: dict = {}
@@ -275,8 +265,9 @@ class ProgrammedMatrix:
     def planes(self) -> np.ndarray:
         """Effective programmed cell levels, shape (in, out, n_slices).
 
-        Integer slice levels when noiseless, floats (in the policy's
-        storage dtype) otherwise.  Read through the backend, so fault
+        Integer slice levels when noiseless, float32 cells on the backend's
+        conductance grid (:func:`~repro.rram.backend.on_cell_grid`)
+        otherwise.  Read through the backend, so fault
         backends may return different planes after ``advance()``.
         """
         return self.backend.planes(self._tile)
@@ -291,11 +282,6 @@ class ProgrammedMatrix:
         self.backend.reprogram(self._tile)
         if stats is not None:
             stats.cells_reprogrammed += self._tile.num_cells
-
-    @property
-    def programmed(self) -> np.ndarray:
-        """Back-compat float view of :attr:`planes`."""
-        return np.asarray(self.planes, dtype=np.float64)
 
     @property
     def saturation_free(self) -> bool:
@@ -333,18 +319,17 @@ class ProgrammedMatrix:
         )
 
     def float_planes(self) -> np.ndarray:
-        """The cells as one float64 ``(in, out*n_s)`` block, cached per epoch.
+        """The cells as one float32 ``(in, out*n_s)`` block, cached per epoch.
 
-        An exact widening of :attr:`planes`; its row slices are the fast
+        A view of noisy :attr:`planes` (float32 already); noiseless integer
+        levels are converted, exactly, once.  Its row slices are the fast
         kernel's row tiles at their exact width.  Cached against the
         backend's ``epoch`` so fault backends that evolve conductances
         (``advance()``/``reprogram()``) invalidate it automatically.
         """
         return self._epoch_cached(
             "float_planes",
-            lambda: np.ascontiguousarray(
-                self.planes.reshape(self.in_features, -1), dtype=np.float64
-            ),
+            lambda: np.asarray(self.planes.reshape(self.in_features, -1), dtype=np.float32),
         )
 
     @property

@@ -60,6 +60,7 @@ from repro.rram.crossbar import (
 from repro.rram.kernels import (
     KernelPolicy,
     StackLayout,
+    check_exact_sums,
     clip_free_flags,
     clip_free_mask,
     resolve_policy,
@@ -134,8 +135,8 @@ class _DynamicView:
         return slices.values.astype(np.float64) @ factors - self._op.offset
 
     def float_planes(self) -> np.ndarray:
-        """Valid-region cells as float64 ``(in, out*n_s)`` (see static twin)."""
-        return np.ascontiguousarray(self.planes, dtype=np.float64).reshape(self.in_features, -1)
+        """Valid-region cells as float32 ``(in, out*n_s)`` (see static twin)."""
+        return np.ascontiguousarray(self.planes, dtype=np.float32).reshape(self.in_features, -1)
 
 
 class DynamicOperand:
@@ -213,11 +214,7 @@ class DynamicOperand:
         else:
             shape = (self.width, self.capacity, self.num_slices)
         self._tile = self.backend.program(
-            np.zeros(shape, dtype=np.int64),
-            cell,
-            self.noise_sigma,
-            rng or np.random.default_rng(0),
-            resolve_policy(policy).storage_dtype,
+            np.zeros(shape, dtype=np.int64), cell, self.noise_sigma, rng or np.random.default_rng(0)
         )
         self.adc = SarAdc(bits=required_adc_bits(self.config.rows, cell.bits))
         self.length = 0  # logical valid rows
@@ -381,7 +378,7 @@ class PlaneBank:
 
     A bank holds same-geometry operands (cell, crossbar config, weight
     width, growth axis, capacity, width and backend) as *members*: one
-    float64 array ``(members, in, out, n_s)`` in each operand tile's own
+    float32 array ``(members, in, out, n_s)`` in each operand tile's own
     layout, equal to the operand's effective planes on ``[0, length)`` and
     zero past it.  That is exactly the zero-padded stack the fast kernel
     reads, so :meth:`gemv` hands any contiguous run of members'
@@ -417,7 +414,7 @@ class PlaneBank:
         for member, op in enumerate(self.operands):
             op.bank, op.member = self, member
         self.backend = first.backend
-        self.cells = np.zeros((len(operands),) + first._tile.ideal_levels.shape)
+        self.cells = np.zeros((len(operands),) + first._tile.ideal_levels.shape, dtype=np.float32)
         #: per member, the logical length the bank holds
         self.lengths = np.zeros(len(operands), dtype=np.int64)
         self.epoch = -1
@@ -527,7 +524,8 @@ class _BankWindow(StackLayout):
     def plan(self) -> tuple:
         """As :meth:`StackLayout.plan`, derived from the window at once.
 
-        Noisy cells prove no tile clip-free (as a single operand's view);
+        Noisy cells prove no tile clip-free (as a single operand's view)
+        and are checked by :func:`~repro.rram.kernels.check_exact_sums`;
         noiseless cells are checked per member and row tile together.
         """
         n = self.window.shape[0]
@@ -544,6 +542,7 @@ class _BankWindow(StackLayout):
             operand = self.window @ self.segments[0][3] - self.offsets
             empty = ((),) * own.shape[1]
             return True, empty, empty, clip_free_counts, operand
+        check_exact_sums(flat, self.rows)
         span = self.slots[0]
         clips = tuple((span,) if column.any() else () for column in unproven.T)
         counts = tuple(

@@ -15,17 +15,17 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
     The optimized formulation, used for single rows, whole decode batches
     and stacks of matrices alike (a single matrix is a one-member stack):
 
-    * the programmed cells are cached once as a float64 ``(in, out*n_s)``
-      block (:meth:`~repro.rram.crossbar.ProgrammedMatrix.float_planes`,
-      keyed on the backend epoch; banked dynamic operands live in their
-      :class:`~repro.rram.dynamic.PlaneBank`'s float64 cells), whose row
-      slices are the row tiles at their exact width — no per-call
-      widening, no padding;
-    * inputs are packed into uint8 bit planes (the layout of
+    * the programmed cells are read as one float32 ``(in, out*n_s)`` block
+      (:meth:`~repro.rram.crossbar.ProgrammedMatrix.float_planes`, a view
+      of the backend's cells; banked dynamic operands live in their
+      :class:`~repro.rram.dynamic.PlaneBank`'s float32 cells), whose row
+      slices are the row tiles at their exact width — no widening copy,
+      no padding;
+    * inputs are packed into float32 0/1 bit planes (the layout of
       :func:`repro.quant.quantizer.int_to_bit_planes`), all-zero planes are
       dropped (the zero-plane skip), and every kept plane of every batch row
-      of every member hits a row tile in **one** batched BLAS matmul
-      ``(n, kept_bits*batch, tile_rows) @ (n, tile_rows, out*n_s)``;
+      of every member hits a row tile in **one** batched float32 BLAS
+      matmul ``(n, kept_bits*batch, tile_rows) @ (n, tile_rows, out*n_s)``;
     * members of a stack share cell type, geometry and ADC and are
       zero-padded, exactly, to the widest member; stats stay per member
       (:func:`run_gemv_stack` dispatches a stack; analog attention runs
@@ -37,14 +37,14 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
       every A-factor of a block's Q/K/V shards, SLC beside MLC): each
       column converts at its own matrix's ADC full scale and the stats
       stay per matrix;
-    * the SAR ADC round/clip runs in place on each tile's sums
-      (:meth:`~repro.rram.adc.SarAdc.convert_`), and the digital
-      shift-and-add and slice recombination are two small matmuls against
-      cached place-value vectors;
+    * the SAR ADC round/clip runs in place on each tile's float32 sums, and
+      each tile's digital shift-and-add is one small float32 matmul; the
+      sum over tiles and the slice recombination, whose values reach
+      ``2**27``, run in float64;
     * only ADC work that can change a code runs.  A row tile whose
       effective cells are all non-negative and whose rounded column sums
       stay below the full-scale code (:func:`clip_free_flags`, cached per
-      matrix next to the float64 cells) is **clip-free**: no 0/1 input can
+      matrix next to its float32 cells) is **clip-free**: no 0/1 input can
       push a bitline past that column sum, so its conversion is the round
       alone, with no clip and no saturation count (in a stack, per
       matrix's columns).  A **narrow** tile,
@@ -65,11 +65,22 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
       short-circuited to one dense matmul while still reporting identical
       statistics.
 
-Both kernels accumulate analog bitline sums in float64, where every
-intermediate is an exact integer or an exact sum of stored cell values, so
-their ADC codes — and therefore their integer outputs — agree bitwise; the
-equivalence grids in ``tests/rram/test_kernels.py`` enforce this for every
-cell type, noise level, batch size and tile-spanning shape.
+Both kernels compute every bitline sum the ADC can resolve exactly, so
+their codes — and their integer outputs — agree bitwise; the equivalence
+grids in ``tests/rram/test_kernels.py`` enforce this for every cell type,
+noise level, batch size and tile-spanning shape.  The reference sums in
+float64; the fast kernel in float32, exact by the *grid argument*:
+
+* every stored cell is a multiple of ``2**-16`` level units
+  (:func:`~repro.rram.backend.on_cell_grid`), so float32 sums cells
+  exactly, in any order, while every partial sum stays below
+  :data:`EXACT_SUM_LIMIT` (``2**8``, i.e. ``2**24`` grid units);
+* the SAR ADC resolves at most 7 bits (``SarAdc.max_bits``, Fig. 8).  With
+  non-negative cells partial sums only grow: a sum that ends below
+  ``2**8`` is exact, and one that ends above it stays above in float32 and
+  clips to full scale on either kernel (its tile is never clip-free);
+* a tile holding a negative cell must keep ``Σ|c| < 2**8`` on every
+  column (:func:`check_exact_sums`, run where a plan is built).
 
 ``gemm`` is a legacy alias of ``fast``: policies naming it stay valid and
 run :func:`fast_gemv`.
@@ -108,6 +119,7 @@ __all__ = [
     "set_default_kernel_policy",
     "kernel_policy",
     "resolve_policy",
+    "check_exact_sums",
     "clip_free_flags",
     "clip_free_mask",
     "reference_gemv",
@@ -117,44 +129,33 @@ __all__ = [
 ]
 
 _MODES = ("fast", "reference", "gemm")
-_COMPUTE_DTYPES = ("float32", "float64")
+
+#: Magnitude below which float32 sums grid cells exactly: ``2**24`` units
+#: of the ``2**-16`` cell grid (:func:`~repro.rram.backend.on_cell_grid`).
+EXACT_SUM_LIMIT = 2.0**8
 
 
 @dataclass(frozen=True)
 class KernelPolicy:
-    """Which GEMV kernel to run and how programmed cell planes are stored.
+    """Which GEMV kernel to run.
 
     ``mode`` selects the implementation: ``"reference"`` is the executable
     spec (:func:`reference_gemv`), ``"fast"`` (the default) the optimized
     kernel (:func:`fast_gemv`), bitwise-equal to it; ``"gemm"`` is a legacy
-    alias that runs the same optimized kernel.  ``compute_dtype`` is the
-    storage dtype of the noisy programmed planes (``"float32"`` halves
-    programmed-weight memory versus the historical float64 with no
-    observable effect beyond freezing the programming noise at float32
-    precision).  Analog bitline sums always accumulate in float64
-    regardless of ``compute_dtype``, which is what keeps the two kernels
-    bitwise interchangeable.
+    alias that runs the same optimized kernel.  Noisy cells are always
+    float32 multiples of ``2**-16`` level units, summed exactly by both
+    kernels (the module docstring's grid argument).
 
-    The dtype is kept as a string so policies stay JSON/pickle friendly —
-    they ride inside :class:`~repro.core.hyflexpim.HyFlexPim` instances that
+    Policies hold only a string, so they stay JSON/pickle friendly — they
+    ride inside :class:`~repro.core.hyflexpim.HyFlexPim` instances that
     cross process boundaries during parallel sweeps.
     """
 
     mode: str = "fast"
-    compute_dtype: str = "float32"
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.compute_dtype not in _COMPUTE_DTYPES:
-            raise ValueError(
-                f"compute_dtype must be one of {_COMPUTE_DTYPES}, got {self.compute_dtype!r}"
-            )
-
-    @property
-    def storage_dtype(self) -> np.dtype:
-        """numpy dtype used to store noisy programmed cell planes."""
-        return np.dtype(self.compute_dtype)
 
 
 _default_policy = KernelPolicy()
@@ -201,41 +202,47 @@ def resolve_policy(policy: KernelPolicy | None) -> KernelPolicy:
 # ----------------------------------------------------------------------
 # Bit-plane packing
 # ----------------------------------------------------------------------
-#: ``(planes, used, set_bits)``: float64 bit-planes ``(n, bits, batch, in)``,
-#: one used-bit mask and one set-bit count per member.
-_Packed = tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]
+#: ``(lhs, union, used, set_bits)`` of a packed stack (:func:`_pack`).
+_Packed = tuple[np.ndarray, int, tuple[int, ...], tuple[int, ...]]
 
 
 def _pack(input_codes: np.ndarray, input_bits: int, stats: "GemvStats | None") -> _Packed:
-    """Plane-major float64 bit-planes of an ``(n, batch, in)`` stack.
+    """The bit-planes of an ``(n, batch, in)`` stack, as the fast kernel's operand.
 
-    Each member's planes ``(bits, batch, in)`` are the fast kernel's
-    matmul operand as is.  One mask per member: bit ``k`` is clear iff
-    plane ``k`` is all-zero in that member (the zero-plane skip's oracle);
-    and one count of set input bits per member (the wordline activations).
-    The ``input_bits`` packed planes are counted in ``stats.planes_packed``.
+    ``lhs`` is float32 ``(n, kept*batch, in)``: row ``k*batch + b`` is bit
+    ``kept[k]`` of input row ``b``, ``kept`` being the planes set in
+    ``union`` (:func:`_kept_bit_weights`).  Per member, bit ``k`` of
+    ``used`` is clear iff plane ``k`` is all-zero (the zero-plane skip's
+    oracle) and ``set_bits`` counts set input bits (the wordline
+    activations).  ``stats.planes_packed`` counts the ``input_bits`` planes.
     """
     if stats is not None:
         stats.planes_packed += input_bits
-    masked = input_codes & (2**input_bits - 1)
+    n, _, width = input_codes.shape
     # Masked codes lie in [0, 2**input_bits) by construction, so the
     # range checks of int_to_bit_planes would never fire.
+    masked = input_codes & (2**input_bits - 1)
+    used = tuple(np.bitwise_or.reduce(masked, axis=(1, 2)).tolist())
+    union = functools.reduce(operator.or_, used)
+    kept, _ = _kept_bit_weights(input_bits, union)
+    set_bits = _popcounts(masked, input_bits)
     if input_bits <= 8:
-        planes = np.take(_bit_table(input_bits), masked, axis=1).swapaxes(0, 1)
+        planes = np.take(_bit_table(input_bits, union), masked, axis=0)
     else:
-        shifts = np.arange(input_bits).reshape(input_bits, 1, 1)
-        planes = ((masked[:, None] >> shifts) & 1).astype(np.float64)
-    used = np.bitwise_or.reduce(masked, axis=(1, 2))
-    set_bits = planes.sum(axis=(1, 2, 3)).astype(np.int64)
-    return planes, tuple(used.tolist()), tuple(set_bits.tolist())
+        planes = ((masked[..., None] >> kept) & 1).astype(np.float32)
+    # (n, batch, in, kept) -> (n, kept, batch, in)
+    lhs = np.ascontiguousarray(planes.transpose(0, 3, 1, 2)).reshape(n, -1, width)
+    return lhs, union, used, set_bits
 
 
 @functools.lru_cache(maxsize=None)
-def _bit_table(input_bits: int) -> np.ndarray:
-    """``(bits, 2**bits)`` float64: entry ``[k, v]`` is bit ``k`` of ``v``."""
-    table = ((np.arange(1 << input_bits) >> np.arange(input_bits)[:, None]) & 1).astype(
-        np.float64
-    )
+def _bit_table(input_bits: int, used: int) -> np.ndarray:
+    """``(2**bits, kept)`` float32: entry ``[v, j]`` is bit ``kept[j]`` of ``v``.
+
+    ``kept`` are the planes set in ``used`` (:func:`_kept_bit_weights`).
+    """
+    kept, _ = _kept_bit_weights(input_bits, used)
+    table = ((np.arange(1 << input_bits)[:, None] >> kept) & 1).astype(np.float32)
     table.flags.writeable = False
     return table
 
@@ -246,14 +253,14 @@ def _bit_table(input_bits: int) -> np.ndarray:
 _POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def _popcount_total(values: np.ndarray, num_bits: int) -> int:
-    """Total number of set bits across ``values`` (masked to ``num_bits``)."""
+def _popcounts(values: np.ndarray, num_bits: int) -> tuple[int, ...]:
+    """Set bits of ``values`` (masked to ``num_bits``), one count per leading index."""
     masked = np.asarray(values, dtype=np.int64) & ((1 << num_bits) - 1)
-    total = 0
+    total = np.zeros(len(masked), dtype=np.int64)
     for shift in range(0, num_bits, 8):
         byte = masked if num_bits <= 8 else (masked >> shift) & 0xFF
-        total += int(_POPCOUNT_TABLE[byte].sum(dtype=np.int64))
-    return total
+        total += _POPCOUNT_TABLE[byte].reshape(len(masked), -1).sum(axis=1, dtype=np.int64)
+    return tuple(total.tolist())
 
 
 def _fill_analytic_stats(
@@ -281,10 +288,10 @@ def clip_free_mask(cells: np.ndarray, rows: int, full_scale: int) -> np.ndarray:
     ``rows`` wordlines is one row tile.  Returns bool ``(..., tiles)``:
     True when no conversion of that tile can clip.  Inputs reach a tile
     as 0/1 bit-planes, so when every cell is non-negative every reachable
-    bitline sum lies between 0 and the full column sum, exactly in
-    float64.  ``rint`` is monotone, so if the rounded column sum stays
-    below ``full_scale`` the ADC's round-and-clip reduces to the round
-    and no conversion can report saturation.  On integer (noiseless)
+    bitline sum lies between 0 and the full column sum (summed here in
+    float64, exactly).  ``rint`` is monotone, so if the rounded column sum
+    stays below ``full_scale`` the ADC's round-and-clip reduces to the
+    round and no conversion can report saturation.  On integer (noiseless)
     cells the flags are the per-tile form of ``saturation_free``.
     """
     starts = np.arange(0, cells.shape[-2], rows)
@@ -298,6 +305,25 @@ def clip_free_mask(cells: np.ndarray, rows: int, full_scale: int) -> np.ndarray:
 def clip_free_flags(cells: np.ndarray, rows: int, full_scale: int) -> tuple[bool, ...]:
     """:func:`clip_free_mask` of one matrix's cells ``(in, ...)``, as a tuple."""
     return tuple(clip_free_mask(cells.reshape(cells.shape[0], -1), rows, full_scale).tolist())
+
+
+def check_exact_sums(cells: np.ndarray, rows: int) -> None:
+    """Raise unless float32 sums every bitline of ``cells`` exactly.
+
+    ``cells`` are grid cells ``(..., in, columns)``, each run of ``rows``
+    wordlines one row tile.  A tile of non-negative cells always passes
+    (the module docstring's grid argument).  A tile holding a negative
+    cell passes when ``Σ|c|`` over each of its columns stays below
+    :data:`EXACT_SUM_LIMIT`, which bounds every partial sum.
+    """
+    if cells.size == 0 or cells.min() >= 0:
+        return
+    starts = np.arange(0, cells.shape[-2], rows)
+    negative = np.minimum.reduceat(cells, starts, axis=-2).min(axis=-1) < 0
+    magnitude = np.add.reduceat(np.abs(cells), starts, axis=-2, dtype=np.float64).max(axis=-1)
+    over = negative & (magnitude >= EXACT_SUM_LIMIT)
+    if over.any():
+        raise ValueError(f"a row tile holding a negative cell sums |cells| to {magnitude[over].max():.6g}")
 
 
 # ----------------------------------------------------------------------
@@ -357,11 +383,17 @@ def reference_gemv(
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=None)
 def _kept_bit_weights(input_bits: int, used: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-zero bit-plane indices of a block and their shift-and-add weights."""
+    """Non-zero bit-plane indices of a block and their shift-and-add weights.
+
+    The weights are float32 when one tile's shift-and-added codes,
+    ``127 * (2**input_bits - 1)`` at most, stay exact in float32 (up to
+    17-bit inputs), float64 beyond.
+    """
     from repro.rram.crossbar import input_bit_weights
 
     kept = np.flatnonzero([(used >> k) & 1 for k in range(input_bits)])
-    weights = input_bit_weights(input_bits).astype(np.float64)[kept]
+    dtype = np.float32 if input_bits <= 17 else np.float64
+    weights = input_bit_weights(input_bits).astype(dtype)[kept]
     kept.flags.writeable = False
     weights.flags.writeable = False
     return kept, weights
@@ -379,13 +411,13 @@ def _slice_place_values(cell_bits: int, num_slices: int) -> np.ndarray:
 def _wordline_patterns(width: int) -> tuple[np.ndarray, np.ndarray]:
     """All ``2**width`` 0/1 wordline patterns of a tile and their indices.
 
-    Row ``p`` of the ``(2**width, width)`` float64 table sets wordline ``j``
+    Row ``p`` of the ``(2**width, width)`` float32 table sets wordline ``j``
     iff bit ``j`` of ``p`` is set; a bit-row's pattern index is its
     product with the returned place values ``2**j``.
     """
     index = np.arange(1 << width)
-    patterns = ((index[:, None] >> np.arange(width)) & 1).astype(np.float64)
-    place = 2.0 ** np.arange(width)
+    patterns = ((index[:, None] >> np.arange(width)) & 1).astype(np.float32)
+    place = (2.0 ** np.arange(width)).astype(np.float32)
     patterns.flags.writeable = False
     place.flags.writeable = False
     return patterns, place
@@ -413,11 +445,12 @@ def _table_layout(
 def _stacked(blocks: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
     """``(n,) + shape`` stack of 2-D blocks, each zero-padded to ``shape``.
 
-    A lone block that already has ``shape`` is returned as a view.
+    A lone block that already has ``shape`` is returned as a view.  The
+    stack takes the first block's dtype.
     """
     if len(blocks) == 1 and blocks[0].shape == shape:
         return blocks[0][None]
-    stack = np.zeros((len(blocks),) + shape)
+    stack = np.zeros((len(blocks),) + shape, dtype=blocks[0].dtype)
     for member, block in zip(stack, blocks):
         member[: block.shape[0], : block.shape[1]] = block
     return stack
@@ -506,11 +539,12 @@ class StackLayout:
 
         ``exact``: every tile of every constituent is clip-free and every
         cell noiseless, so the dense shortcut applies and ``operand`` is
-        the stacked ``W.T`` ``(n, in, out)``; otherwise ``operand`` is the
-        stacked float64 cells ``(n, in, columns)``, whose row slices are
-        the tiles.  Per row tile, ``clips`` lists merged ``(first, last,
-        full_scale)`` column ranges of slots some constituent cannot prove
-        clip-free (:func:`clip_free_mask`), and ``counts`` lists
+        the stacked float64 ``W.T`` ``(n, in, out)``; otherwise ``operand``
+        is the stacked float32 cells ``(n, in, columns)``, whose row slices
+        are the tiles, checked by :func:`check_exact_sums`.  Per row tile,
+        ``clips`` lists merged ``(first, last, full_scale)`` column ranges
+        of slots some constituent cannot prove clip-free
+        (:func:`clip_free_mask`), and ``counts`` lists
         ``(constituent, member, first, last, full_scale)`` for each such
         constituent, whose saturations are counted over its own columns.
         A clip-free column never reaches full scale, so clipping it is a
@@ -537,7 +571,7 @@ class GemvStack(StackLayout):
     constituents ``0..j-1``.
 
     The layout (:class:`StackLayout`) is derived once.
-    The :meth:`plan` (stacked float64 cells or the dense weights of the
+    The :meth:`plan` (stacked float32 cells or the dense weights of the
     noiseless shortcut, plus the per-tile ADC work) is cached against
     every constituent's backend epoch, so an ``advance()`` or
     ``reprogram()`` that reaches any constituent rebuilds it.  With
@@ -610,6 +644,7 @@ class GemvStack(StackLayout):
         else:
             blocks = self._blocks(lambda c: c.float_planes())
             operand = _stacked(blocks, (self.in_width, self.columns))
+            check_exact_sums(operand, self.rows)
         per = self.per_member
         clips, counts = [], []
         for tile in range(max(self.tiles)):
@@ -646,16 +681,18 @@ def fast_gemv(
     Constituent ``c`` of member ``i`` is bitwise-equal to
     :func:`reference_gemv` on that matrix alone, outputs and
     :class:`~repro.rram.crossbar.GemvStats`.  Each row tile of the
-    stacked float64 cells meets every kept bit-plane of every row of every
-    member in one batched matmul ``(n, kept*batch, w) @ (n, w, columns)``.
+    stacked float32 cells meets every kept bit-plane of every row of every
+    member in one batched float32 matmul ``(n, kept*batch, w) @ (n, w,
+    columns)``.
     Stacking changes no bitline sum: side-by-side constituents only add
     columns, and zero padding adds exactly 0 (an all-zero sum converts to
     code 0, never full scale; a bit-plane kept for another member but
     all-zero in this one contributes only such sums).  Each column is
-    clipped at its own constituent's ADC full scale.  With float32 cell
-    storage (the default) every analog sum is an exact float64 sum of
-    stored cell values and every later intermediate an exact integer
-    below 2**53, so stacking and batching change no bit.
+    clipped at its own constituent's ADC full scale.  Every bitline sum
+    the ADC can resolve is exact in float32 in any order, and a larger
+    one clips to full scale on both kernels (the module docstring's grid
+    argument); every later value is an exact integer.  So stacking and
+    batching change no bit.
     :class:`GemvStats` stay per constituent and analytic, from its own
     shape, used bit-planes and set bits; saturations are counted over its
     own columns.
@@ -678,22 +715,16 @@ def fast_gemv(
         # its analog sum unchanged and the shift-and-add telescopes to the
         # plain integer GEMV (the crossbar module docstring's exactness
         # argument).  Saturated-conversion count is provably zero.
-        set_bits = [_popcount_total(codes, input_bits) for codes in input_codes]
+        set_bits = _popcounts(input_codes, input_bits)
         for k, sink in enumerate(sinks):
             if sink is not None:
                 _fill_analytic_stats(sink, stack.shapes[k], batch, input_bits, set_bits[k // per])
         product = input_codes.astype(np.float64) @ operand  # exact integers
         return np.rint(product).astype(np.int64)
 
-    bit_planes, used, set_bits = _pack(input_codes, input_bits, sinks[0])
-    union = functools.reduce(operator.or_, used)
+    lhs, union, used, set_bits = _pack(input_codes, input_bits, sinks[0])
     kept, bit_w = _kept_bit_weights(input_bits, union)
-    if len(kept) < input_bits:
-        bit_planes = bit_planes[:, kept]
-    # (n, kept*batch, in): row k*batch + b is bit kept[k] of input row b.
-    # A plane kept for another member is all-zero in this one.
     bit_rows = len(kept) * batch
-    lhs = bit_planes.reshape(n, bit_rows, in_width)
     starts = range(0, in_width, stack.rows)
     # Few wordlines, many bit-rows: a tile ``w`` wordlines wide converts
     # each of its 2**w input patterns once.  Nearer parity the
@@ -716,8 +747,7 @@ def fast_gemv(
         # Every activation code is 0, and so is the offset correction.
         return np.zeros((n, batch, stack.out_width), dtype=np.int64)
 
-    codes = None  # summed codes of the tiles converted bit-row by bit-row
-    acc = None  # shift-and-added codes of the tiles converted per pattern
+    acc = None  # float64 shift-and-added codes, summed over tiles
     for tile_index, (row_start, table) in enumerate(zip(starts, tables)):
         row_stop = min(row_start + stack.rows, in_width)
         tile_lhs = lhs[:, :, row_start:row_stop]
@@ -728,8 +758,8 @@ def fast_gemv(
             index = (tile_lhs @ place).astype(np.intp)  # (n, bit_rows)
         else:
             sums = tile_lhs @ tile_cells  # (n, bit_rows, columns)
-        # The ADC's round; its clip only where a constituent's cells cannot
-        # rule it out, at that constituent's full scale.
+        # The ADC's round (float32, exact on grid sums); its clip only where
+        # a constituent's cells cannot rule it out, at its full scale.
         np.rint(sums, out=sums)
         for first, last, full_scale in clips[tile_index]:
             view = sums[:, :, first:last]
@@ -746,6 +776,10 @@ def fast_gemv(
             else:
                 count = np.count_nonzero(saturated)
             sinks[k].saturated_conversions += int(count)
+        # Digital shift-and-add of this tile's codes over the kept
+        # bit-planes, in bit_w's dtype: each result is at most
+        # 127 * (2**input_bits - 1), exact.  The sum over tiles and the
+        # slice recombination, whose values reach 2**27, run in float64.
         if table:
             # (n, batch, 2**w) weights: member i, row b, column p sums
             # bit_w[k] over the kept planes k whose bit-row of input row b
@@ -754,19 +788,16 @@ def fast_gemv(
             weights = np.bincount(
                 (slots + index).ravel(), weights=row_weights, minlength=n * batch * len(patterns)
             ).reshape(n, batch, -1)
-            weighted = weights @ sums
-            acc = weighted if acc is None else acc + weighted
-        # Shift-and-add is linear, so per-tile codes can be summed first.
-        elif codes is None:
-            codes = sums
+            shifted = weights.astype(bit_w.dtype) @ sums
         else:
-            codes += sums
+            shifted = (bit_w @ sums.reshape(n, len(kept), -1)).reshape(n, batch, -1)
+        if acc is None:
+            acc = shifted.astype(np.float64)
+        else:
+            acc += shifted
 
-    # Digital shift-and-add over kept bit-planes, then slice recombination:
-    # each output sums its slices' codes times their place values.
-    if codes is not None:
-        shifted = (bit_w @ codes.reshape(n, len(kept), -1)).reshape(n, batch, -1)
-        acc = shifted if acc is None else acc + shifted
+    # Slice recombination: each output sums its slices' codes times their
+    # place values.
     if len(stack.segments) == 1:
         num_slices, place = stack.segments[0][2:]
         combined = (acc.reshape(-1, num_slices) @ place).reshape(n, batch, -1)

@@ -25,8 +25,10 @@ Routes
 Driver supervision: an exception escaping the target's ``step``/``poll``
 stops the driver thread and fails every in-flight request — **500** JSON,
 or an SSE ``event: error`` on a stream already under way.  From then on
-``/healthz`` and ``/v1/generate`` answer **503**.  A client that stalls
-mid-header is answered **408** after ``HEADER_TIMEOUT_S``.
+``/healthz`` and ``/v1/generate`` answer **503**.  A pool request that
+resolves with an error (:attr:`~repro.serve.replica.PoolResult.error`)
+gets the same 500 or SSE error, and the driver keeps running.  A client
+that stalls mid-header is answered **408** after ``HEADER_TIMEOUT_S``.
 
 Admission control (:class:`AdmissionPolicy`): a queue-depth bound that
 returns **503** the moment queued + in-flight work passes the limit (the
@@ -244,7 +246,8 @@ class ApiServer:
         for request_id in pending:
             result = self.target.pop_result(request_id)
             if result is not None:
-                self._push(request_id, ("done", result))
+                error = getattr(result, "error", None)  # a pool's failed request
+                self._push(request_id, ("error", error) if error else ("done", result))
                 with self._waiters_lock:
                     self._waiters.pop(request_id, None)
 

@@ -27,7 +27,8 @@ requeued request resumes: the survivor decodes after the prompt plus the
 tokens already streamed, with the rest of the budget, so no token is
 delivered twice.  A request whose stream already ended (budget spent, or
 a token the worker flagged as its engine's ``eos_id``) completes in the
-pool.
+pool.  A request that has already been sent to every replica is not sent
+again: it resolves with an error result (:attr:`PoolResult.error`).
 
 ``processes=False`` runs every replica in-process but through the *same*
 ring serialization, router and requeue code — the fast path the
@@ -319,6 +320,9 @@ class PoolResult:
     ttft_s: float
     tpot_s: float
     preempted: bool = False
+    #: why the request failed (its tokens are those streamed before), or
+    #: None when it was served
+    error: str | None = None
 
 
 @dataclass
@@ -338,6 +342,8 @@ class _Outstanding:
     resumed: int = 0
     #: the last streamed token was flagged as ending the request (EOS)
     ended: bool = False
+    #: replicas the request has been sent to
+    sent_to: set[int] = field(default_factory=set)
     #: pool-clock times of submission and of the first and last streamed
     #: token (the submission time until a token arrives)
     submitted_at: float = field(default_factory=time.monotonic)
@@ -483,6 +489,7 @@ class ReplicaPool:
         the client's copy ends.
         """
         entry.resumed = len(entry.streamed)
+        entry.sent_to.add(entry.replica)
         record = [
             KIND_REQUEST,
             entry.request_id,
@@ -572,31 +579,36 @@ class ReplicaPool:
                 self._requeue_from(index)
 
     def _requeue_from(self, dead: int) -> None:
+        """Finish, fail (sent to every replica) or re-send the requests on replica ``dead``."""
         victims = [e for e in self._outstanding.values() if e.replica == dead]
-        if victims and not any(self._alive):
-            raise RuntimeError("all replicas dead with requests outstanding")
+        resend = []
         for entry in victims:
             if entry.ended or len(entry.streamed) >= entry.max_new_tokens:
                 # The whole stream already reached the client: finish here.
-                del self._outstanding[entry.request_id]
-                result = self._finish_locally(entry)
-                self._results[entry.request_id] = result
-                self._resolved.append(result)
-                continue
+                self._finish_locally(entry)
+            elif len(entry.sent_to) == self.replicas:
+                error = f"replica {dead} died; the request was sent to all {self.replicas} replicas"
+                self._finish_locally(entry, error)
+            else:
+                resend.append(entry)
+        if resend and not any(self._alive):
+            raise RuntimeError("all replicas dead with requests outstanding")
+        for entry in resend:
             entry.replica = self.router.pick(self.outstanding_tokens(), entry.session)
             self.requeues += 1
             self._send(entry)
 
-    @staticmethod
-    def _finish_locally(entry: _Outstanding) -> PoolResult:
-        """The result of a request whose replica died after its last token.
+    def _finish_locally(self, entry: _Outstanding, error: str | None = None) -> None:
+        """Resolve a request whose replica died, with the tokens it streamed.
 
+        Served in full when its stream had ended, or failed with ``error``.
         Timings are the pool's: from submission to the first and last
         streamed token.  The replica's queueing is not observable here, so
         ``queued_s`` is 0.
         """
+        del self._outstanding[entry.request_id]
         tokens = len(entry.streamed)
-        return PoolResult(
+        result = PoolResult(
             request_id=entry.request_id,
             replica=entry.replica,
             tokens=np.array(entry.streamed, dtype=np.int64),
@@ -604,7 +616,10 @@ class ReplicaPool:
             latency_s=entry.last_token_at - entry.submitted_at,
             ttft_s=entry.first_token_at - entry.submitted_at,
             tpot_s=(entry.last_token_at - entry.first_token_at) / max(1, tokens - 1),
+            error=error,
         )
+        self._results[entry.request_id] = result
+        self._resolved.append(result)
 
     def kill_replica(self, index: int) -> None:
         """Forcefully terminate one replica (fault-injection test hook)."""

@@ -13,6 +13,7 @@ from repro.dist import (
     shard_layer_plan,
 )
 from repro.pim.chip import ChipConfig, group_layers_by_block
+from repro.rram.cell import MLC3, MLC4
 from repro.rram.mapping import ShardSpec, partition_rank, partition_rank_compacted
 from repro.svd.pipeline import LayerPlan
 
@@ -170,6 +171,20 @@ class TestShardPlanBuild:
             ShardPlan.build(plans, DeviceMesh(), tensor_parallel=0)
         with pytest.raises(ValueError):
             ShardPlan.build(plans, DeviceMesh(), tensor_parallel=25)
+
+    @pytest.mark.parametrize("tensor_parallel", [1, 2])
+    @pytest.mark.parametrize(("cell", "bits"), [(MLC3, 8), (MLC4, 9)])
+    def test_rejects_cells_the_adc_cannot_resolve(self, rng, tensor_parallel, cell, bits):
+        """On 64-row arrays MLC3 needs an 8-bit ADC and MLC4 a 9-bit one;
+        the SAR ADC resolves 7 bits, so the plan is refused up front."""
+        with pytest.raises(ValueError) as caught:
+            ShardPlan.build(
+                make_plans(rng), DeviceMesh(num_chips=1), tensor_parallel=tensor_parallel, mlc_cell=cell
+            )
+        assert str(caught.value) == (
+            f"layer 'blocks.0.attn.q': {cell.name} cells on 64-row arrays need {bits} ADC bits; "
+            "the SAR ADC resolves at most 7"
+        )
 
     def test_exhausted_mesh_raises_memoryerror(self, rng):
         plans = make_plans(rng, num_blocks=3)

@@ -169,6 +169,39 @@ class TestProcessingUnit:
         assert pu.can_fit_layer(small)
         assert not pu.can_fit_layer(big)
 
+    @pytest.mark.parametrize(
+        ("cell_name", "rows", "bits"), [("MLC3", 64, 8), ("MLC4", 64, 9), ("MLC4", 32, 8)]
+    )
+    def test_rejects_cells_the_adc_cannot_resolve(self, rng, cell_name, rows, bits):
+        """Placement needs ceil(log2 rows) + w - 1 ADC bits; the SAR ADC has 7."""
+        from repro.rram import CELL_TYPES, CrossbarConfig
+
+        pu = ProcessingUnit(
+            ProcessingUnitConfig(analog=AnalogModuleConfig(array=CrossbarConfig(rows=rows)))
+        )
+        plan = make_plan("blocks.1.ffn2", rank=8, in_f=32, out_f=16, protect=2, rng=rng)
+        message = (
+            f"layer 'blocks.1.ffn2': {cell_name} cells on {rows}-row arrays need "
+            f"{bits} ADC bits; the SAR ADC resolves at most 7"
+        )
+        for check in (pu.can_fit_layer, pu.place_layer):
+            with pytest.raises(ValueError) as caught:
+                check(plan, CELL_TYPES[cell_name])
+            assert str(caught.value) == message
+        assert pu.placements == [] and pu.arrays_used() == 0
+
+    @pytest.mark.parametrize(("cell_name", "rows"), [("MLC3", 32), ("MLC4", 16)])
+    def test_accepts_cells_at_the_adc_limit(self, rng, cell_name, rows):
+        from repro.rram import CELL_TYPES, CrossbarConfig
+
+        pu = ProcessingUnit(
+            ProcessingUnitConfig(analog=AnalogModuleConfig(array=CrossbarConfig(rows=rows)))
+        )
+        plan = make_plan("blocks.1.ffn2", rank=8, in_f=32, out_f=16, protect=2, rng=rng)
+        assert pu.can_fit_layer(plan, CELL_TYPES[cell_name])
+        pu.place_layer(plan, CELL_TYPES[cell_name])
+        assert {p.cell for p in pu.placements} == {"SLC", cell_name}
+
     def test_spills_to_next_module(self, rng):
         cfg = ProcessingUnitConfig(
             num_analog_modules=4, analog=AnalogModuleConfig(num_arrays=2)

@@ -379,7 +379,7 @@ class TestRegionWrites:
     def _tiles(backend, sigma, count=3):
         rng = np.random.default_rng(5)  # one generator shared by every tile
         return [
-            backend.program(np.zeros((4, 6, 4), dtype=np.int64), MLC2, sigma, rng, np.float32)
+            backend.program(np.zeros((4, 6, 4), dtype=np.int64), MLC2, sigma, rng)
             for _ in range(count)
         ]
 

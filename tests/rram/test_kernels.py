@@ -6,7 +6,7 @@ identical :class:`GemvStats` over every cell type, noise level, batch size
 and tile-spanning shape, including the noiseless shortcut and its saturation
 fallback, saturating inputs and the zero-plane skip, the pattern-table
 conversion of narrow tiles and the clip-free-tile proof at its threshold.
-The fast kernel's cached float64 cells and clip-free flags are checked to
+The fast kernel's cached float32 cells and clip-free flags are checked to
 follow every way the programmed cells can change (clock advance,
 re-program, dynamic append and truncate).
 """
@@ -30,6 +30,7 @@ from repro.rram import (
     kernel_policy,
     set_default_kernel_policy,
 )
+from repro.rram.backend import on_cell_grid
 from repro.rram.kernels import clip_free_flags
 
 REFERENCE = KernelPolicy(mode="reference")
@@ -106,8 +107,6 @@ class TestKernelPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             KernelPolicy(mode="einsum")
-        with pytest.raises(ValueError):
-            KernelPolicy(compute_dtype="float16")
 
     def test_default_policy_roundtrip(self):
         original = get_default_kernel_policy()
@@ -120,8 +119,8 @@ class TestKernelPolicy:
 
     def test_context_manager_restores(self):
         original = get_default_kernel_policy()
-        with kernel_policy(KernelPolicy(mode="reference", compute_dtype="float64")):
-            assert get_default_kernel_policy().compute_dtype == "float64"
+        with kernel_policy(KernelPolicy(mode="reference")):
+            assert get_default_kernel_policy().mode == "reference"
         assert get_default_kernel_policy() == original
 
     def test_matrix_level_policy_wins_over_default(self, rng):
@@ -139,20 +138,11 @@ class TestProgrammedMemoryLayout:
         assert matrix.is_noiseless
         assert matrix.planes is matrix.slices.values  # no redundant float copy
 
-    def test_noisy_planes_use_policy_compute_dtype(self, rng):
+    def test_noisy_planes_are_float32_and_read_without_a_copy(self, rng):
         w = rng.integers(-128, 128, size=(4, 16))
-        f32 = ProgrammedMatrix(w, MLC2, noise_sigma=0.05)
-        assert f32.planes.dtype == np.float32  # default policy
-        f64 = ProgrammedMatrix(
-            w, MLC2, noise_sigma=0.05, policy=KernelPolicy(compute_dtype="float64")
-        )
-        assert f64.planes.dtype == np.float64
-
-    def test_programmed_backcompat_view_is_float(self, rng):
-        w = rng.integers(-128, 128, size=(4, 16))
-        matrix = ProgrammedMatrix(w, SLC, noise_sigma=0.0)
-        assert matrix.programmed.dtype == np.float64
-        np.testing.assert_array_equal(matrix.programmed, matrix.slices.values)
+        matrix = ProgrammedMatrix(w, MLC2, noise_sigma=0.05)
+        assert matrix.planes.dtype == np.float32
+        assert np.shares_memory(matrix.float_planes(), matrix.planes)
 
 
 #: Exact-width grid: partial (3, 29), exactly one (64), one-plus-a-row (65)
@@ -262,9 +252,8 @@ def _with_cells(cells: np.ndarray, rows: int = 64) -> ProgrammedMatrix:
         SLC,
         noise_sigma=0.01,
         config=CrossbarConfig(rows=rows),
-        policy=KernelPolicy(compute_dtype="float64"),
     )
-    matrix._tile.base_planes = cells.astype(np.float64)
+    matrix._tile.base_planes = on_cell_grid(cells)
     return matrix
 
 
@@ -275,7 +264,7 @@ class TestClipFreeTiles:
 
     @pytest.mark.parametrize(
         ("offset", "clip_free"),
-        [(-(2.0**-20), True), (0.0, True), (2.0**-20, False)],
+        [(-(2.0**-16), True), (0.0, True), (2.0**-16, False)],
         ids=["below", "at", "above"],
     )
     def test_largest_column_sum_around_threshold(self, offset, clip_free):
@@ -335,7 +324,7 @@ def _assert_matches_reference_output(matrix, x: np.ndarray) -> np.ndarray:
 
 
 class TestTileCacheInvalidation:
-    """Cached float64 cells must never outlive the cells they widen."""
+    """Cached float32 cells must never outlive the cells they view."""
 
     def test_faulty_backend_advance(self):
         from repro.rram import FaultModel, FaultySimBackend

@@ -448,3 +448,33 @@ class TestPoolTarget:
         finally:
             server.stop_in_thread()
             pool.shutdown()
+
+    def test_failed_pool_request_fails_alone(self, rng):
+        """A pool request that resolves with an error (its only replica
+        died) is answered 500 with that error; the driver keeps running."""
+        pool = ReplicaPool(
+            lambda index: ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0),
+            replicas=1,
+            processes=False,
+        )
+        poll = pool.poll
+
+        def killing_poll() -> list:
+            if pool._outstanding and pool._alive[0]:
+                pool.kill_replica(0)
+            return poll()
+
+        pool.poll = killing_poll
+        server = ApiServer(pool)
+        server.start_in_thread()
+        try:
+            status, body = api_request(
+                server.host, server.port, "/v1/generate",
+                {"prompt": _prompt(rng), "max_new_tokens": 4}, timeout_s=10.0,
+            )
+            assert status == 500
+            assert body["error"] == "replica 0 died; the request was sent to all 1 replicas"
+            assert server._failure is None
+        finally:
+            server.stop_in_thread()
+            pool.shutdown()

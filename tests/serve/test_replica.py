@@ -284,14 +284,79 @@ class TestProcessPool:
             np.testing.assert_array_equal(results[pool_id].tokens, ref[ref_id].tokens)
 
     def test_all_dead_with_outstanding_raises(self, rng):
-        pool = ReplicaPool(_factory, replicas=1, processes=False)
+        pool = ReplicaPool(_factory, replicas=2, processes=False)
         try:
-            pool.submit(rng.integers(0, VOCAB, size=4), 64)  # never completes
+            tried = pool.submit(rng.integers(0, VOCAB, size=4), 64)  # never completes
+            pool.submit(rng.integers(0, VOCAB, size=4), 64)
+            pool.kill_replica(0)  # the first request moves to replica 1
             with pytest.raises(RuntimeError, match="all replicas dead"):
-                pool.kill_replica(0)
+                pool.kill_replica(1)  # the second was never sent to replica 0
+            [failed] = pool.poll()  # the first had been sent to every replica
+            assert failed.request_id == tried and failed.error is not None
         finally:
             for ring in pool.inboxes + pool.outboxes:
                 ring.close(unlink=True)
+
+    def test_request_sent_to_every_replica_fails_instead_of_requeueing(self, rng):
+        streamed: list[int] = []
+        pool = ReplicaPool(_factory, replicas=1, processes=False)
+        try:
+            rid = pool.submit(rng.integers(0, VOCAB, size=4), 20, on_token=lambda _r, t: streamed.append(t))
+            pool.poll()
+            pool.kill_replica(0)
+            [result] = pool.poll()
+            assert pool.requeues == 0 and pool.outstanding == 0
+            assert result.request_id == rid
+            assert result.error == "replica 0 died; the request was sent to all 1 replicas"
+            assert result.tokens.tolist() == streamed and streamed
+            assert pool.pop_result(rid) is result
+        finally:
+            for ring in pool.inboxes + pool.outboxes:
+                ring.close(unlink=True)
+
+    def test_poison_request_resolves_once_and_the_rest_are_served(self, rng):
+        """A request whose replica is killed every time it lands there is
+        sent to each of the 3 replicas once, then resolves with an error,
+        once; every other request is served with the tokens one engine
+        gives it, the ones requeued off dying replicas included."""
+        poison = np.array([1, 2, 3, 4, 5])
+        others = [rng.integers(6, VOCAB, size=int(n)) for n in rng.integers(2, 6, size=6)]
+        reference = ServingEngine(_model(), max_batch_size=8, max_wait_s=0.0)
+        ref_ids = [reference.submit(p, 3) for p in others]
+        ref = {r.request_id: r.tokens.tolist() for r in reference.run_until_idle()}
+        landings: list[int] = []
+
+        def factory(index: int) -> ServingEngine:
+            engine = _factory(index)
+            submit = engine.submit
+
+            def watched(prompt, *args, **kwargs):
+                if prompt[: poison.size].tolist() == poison.tolist():
+                    landings.append(index)
+                return submit(prompt, *args, **kwargs)
+
+            engine.submit = watched
+            return engine
+
+        with ReplicaPool(factory, replicas=3, router="round_robin", processes=False) as pool:
+            poison_id = pool.submit(poison, 20)
+            ids = [pool.submit(p, 3) for p in others]
+            results, killed = [], 0
+            while pool.outstanding:
+                results += pool.poll()
+                for index in landings[killed:]:
+                    pool.kill_replica(index)
+                killed = len(landings)
+            results += pool.poll()
+            assert landings == [0, 1, 2]
+            assert pool.requeues >= 2
+        resolved = [r.request_id for r in results]
+        assert sorted(resolved) == sorted([poison_id] + ids)  # each exactly once
+        by_id = {r.request_id: r for r in results}
+        assert by_id[poison_id].error == "replica 2 died; the request was sent to all 3 replicas"
+        for ref_id, pool_id in zip(ref_ids, ids):
+            assert by_id[pool_id].error is None
+            assert by_id[pool_id].tokens.tolist() == ref[ref_id]
 
     def test_requeued_stream_resumes_after_delivered_tokens(self, rng):
         """A request killed mid-decode continues; no token is streamed twice."""
