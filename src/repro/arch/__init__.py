@@ -27,7 +27,7 @@ from repro.arch.interconnect import (
     partial_sum_aggregation_cycles,
     transfer_cycles,
 )
-from repro.arch.latency import HyFlexPimLatencyModel
+from repro.arch.latency import HyFlexPimLatencyModel, LatencyReport
 from repro.arch.perf_model import (
     FIG14_SEQ_LENS,
     FIG14_SLC_RATES,
@@ -65,6 +65,7 @@ __all__ = [
     "HyFlexPimEnergyModel",
     "HyFlexPimLatencyModel",
     "LINEAR_STAGES",
+    "LatencyReport",
     "Link",
     "ModuleSpec",
     "NmpBaseline",

@@ -16,11 +16,13 @@ latency-bound because token ``t+1`` depends on token ``t``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.arch.config import DEFAULT_HARDWARE, HardwareConfig
 from repro.models.configs import ModelSpec
 from repro.svd.decompose import hard_threshold_rank
 
-__all__ = ["HyFlexPimLatencyModel"]
+__all__ = ["HyFlexPimLatencyModel", "LatencyReport"]
 
 #: Dependent GEMV stages per token per layer: the QKV projections share
 #: waves (their A-factors read the same input), then proj, FFN1, FFN2 —
@@ -30,6 +32,19 @@ GEMV_STAGES_PER_LAYER = 4 * 2
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+@dataclass
+class LatencyReport:
+    """Per-token timing of one pipeline stage (= one layer)."""
+
+    linear_s: float
+    attention_s: float
+    sfu_s: float
+
+    @property
+    def total_s(self) -> float:
+        return self.linear_s + self.attention_s + self.sfu_s
 
 
 class HyFlexPimLatencyModel:
@@ -82,6 +97,25 @@ class HyFlexPimLatencyModel:
     # ------------------------------------------------------------------
     def gemv_wave_s(self) -> float:
         return (self.hw.input_bits + 1) * self.hw.conversion_window_ns * 1e-9
+
+    def per_token_layer_latency(
+        self, spec: ModelSpec, seq_len: int, slc_rate: float, pus_per_layer: int = 1
+    ) -> LatencyReport:
+        """Latency for one token to traverse one layer (weights resident)."""
+        hw = self.hw
+        linear_s = GEMV_STAGES_PER_LAYER * self.gemv_wave_s()
+        attn_macs = 2.0 * seq_len * spec.d_model
+        digital_rate = (
+            hw.digital_ops_per_cycle_per_module()
+            * hw.digital.modules_per_pu
+            * hw.clock_hz
+            * pus_per_layer
+        )
+        attention_s = self.attention_time_factor * attn_macs / digital_rate
+        sfu_elems = spec.num_heads * seq_len + 2 * spec.d_model * 7
+        sfu_rate = 256 * hw.clock_hz * hw.digital.modules_per_pu * pus_per_layer
+        sfu_s = sfu_elems / sfu_rate
+        return LatencyReport(linear_s=linear_s, attention_s=attention_s, sfu_s=sfu_s)
 
     # ------------------------------------------------------------------
     # Throughput

@@ -98,6 +98,9 @@ class Series:
             r.params.get(x_param): r.value[field_name] for r in self.results
         }
 
+    def total_elapsed(self) -> float:
+        return sum(r.elapsed_s for r in self.results)
+
     # ------------------------------------------------------------------
     def to_json(self, path: str | Path | None = None) -> str:
         """JSON document (list of result dicts); optionally written to disk."""

@@ -174,3 +174,12 @@ class SweepSpec:
 
     def __iter__(self) -> Iterator[ExperimentSpec]:
         return iter(self.points())
+
+    def with_base(self, **overrides: Any) -> "SweepSpec":
+        return SweepSpec(
+            experiment=self.experiment,
+            grid=self.grid,
+            base={**self.base, **overrides},
+            seed=self.seed,
+            tags=self.tags,
+        )

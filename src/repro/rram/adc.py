@@ -64,6 +64,18 @@ class SarAdc:
         np.clip(codes, 0, self.full_scale, out=codes)
         return codes.astype(np.int64)
 
+    def convert_(self, analog_sums: np.ndarray) -> np.ndarray:
+        """In-place :meth:`convert` for the fast GEMV kernel.
+
+        Rounds and clips ``analog_sums`` (a float array) in place and returns
+        it: the codes stay in the float dtype (exact small integers) so the
+        caller's digital shift-and-add can run as BLAS without a single
+        intermediate allocation.
+        """
+        np.rint(analog_sums, out=analog_sums)
+        np.clip(analog_sums, 0, self.full_scale, out=analog_sums)
+        return analog_sums
+
     def relative_energy(self) -> float:
         """Energy per conversion relative to a 6-b conversion (doubles per bit)."""
         return 2.0 ** (self.bits - 6)

@@ -51,6 +51,7 @@ __all__ = [
     "FaultModel",
     "FaultySimBackend",
     "CELL_GRID",
+    "EXACT_SUM_LIMIT",
     "on_cell_grid",
     "get_default_backend",
     "set_default_backend",
@@ -60,14 +61,17 @@ __all__ = [
 
 #: Spacing of the stored conductance grid, in cell-level units.
 CELL_GRID = 2.0**-16
+#: Magnitude below which float32 holds, and so sums in any order, every grid
+#: multiple exactly: ``2**24`` grid units, float32's 24-bit significand.
+EXACT_SUM_LIMIT = 2.0**24 * CELL_GRID
 
 
 def on_cell_grid(values: np.ndarray) -> np.ndarray:
     """``values`` rounded to the nearest multiple of :data:`CELL_GRID`, as float32.
 
-    A grid multiple below ``2**8`` in magnitude is 24 significant bits at
-    most, so float32 holds it exactly; every float32 from ``2**8`` up is a
-    grid multiple already.
+    A grid multiple below :data:`EXACT_SUM_LIMIT` in magnitude is 24
+    significant bits at most, so float32 holds it exactly; every float32
+    from the limit up is a grid multiple already.
     """
     return (np.rint(np.asarray(values, dtype=np.float64) / CELL_GRID) * CELL_GRID).astype(np.float32)
 

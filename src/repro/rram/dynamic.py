@@ -542,7 +542,7 @@ class _BankWindow(StackLayout):
             operand = self.window @ self.segments[0][3] - self.offsets
             empty = ((),) * own.shape[1]
             return True, empty, empty, clip_free_counts, operand
-        check_exact_sums(flat, self.rows)
+        check_exact_sums(flat, self.rows, self.full_scale)
         span = self.slots[0]
         clips = tuple((span,) if column.any() else () for column in unproven.T)
         counts = tuple(

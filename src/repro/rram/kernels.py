@@ -37,10 +37,10 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
       every A-factor of a block's Q/K/V shards, SLC beside MLC): each
       column converts at its own matrix's ADC full scale and the stats
       stay per matrix;
-    * the SAR ADC round/clip runs in place on each tile's float32 sums, and
-      each tile's digital shift-and-add is one small float32 matmul; the
-      sum over tiles and the slice recombination, whose values reach
-      ``2**27``, run in float64;
+    * the SAR ADC round/clip runs in place on each tile's float32 sums;
+      the codes are summed over tiles and shift-and-added once, in float32
+      while every value stays below ``2**24`` (float64 beyond), and the
+      slice recombination, whose values reach ``2**27``, runs in float64;
     * only ADC work that can change a code runs.  A row tile whose
       effective cells are all non-negative and whose rounded column sums
       stay below the full-scale code (:func:`clip_free_flags`, cached per
@@ -74,13 +74,15 @@ float64; the fast kernel in float32, exact by the *grid argument*:
 * every stored cell is a multiple of ``2**-16`` level units
   (:func:`~repro.rram.backend.on_cell_grid`), so float32 sums cells
   exactly, in any order, while every partial sum stays below
-  :data:`EXACT_SUM_LIMIT` (``2**8``, i.e. ``2**24`` grid units);
+  :data:`~repro.rram.backend.EXACT_SUM_LIMIT` (``2**24`` grid units,
+  that is ``2**8``);
 * the SAR ADC resolves at most 7 bits (``SarAdc.max_bits``, Fig. 8).  With
   non-negative cells partial sums only grow: a sum that ends below
   ``2**8`` is exact, and one that ends above it stays above in float32 and
   clips to full scale on either kernel (its tile is never clip-free);
 * a tile holding a negative cell must keep ``Σ|c| < 2**8`` on every
-  column (:func:`check_exact_sums`, run where a plan is built).
+  column, and so must every tile read by an ADC whose full scale reaches
+  ``2**8`` (:func:`check_exact_sums`, run where a plan is built).
 
 ``gemm`` is a legacy alias of ``fast``: policies naming it stay valid and
 run :func:`fast_gemv`.
@@ -105,6 +107,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.rram.backend import EXACT_SUM_LIMIT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from collections.abc import Sequence
@@ -129,10 +132,6 @@ __all__ = [
 ]
 
 _MODES = ("fast", "reference", "gemm")
-
-#: Magnitude below which float32 sums grid cells exactly: ``2**24`` units
-#: of the ``2**-16`` cell grid (:func:`~repro.rram.backend.on_cell_grid`).
-EXACT_SUM_LIMIT = 2.0**8
 
 
 @dataclass(frozen=True)
@@ -307,23 +306,31 @@ def clip_free_flags(cells: np.ndarray, rows: int, full_scale: int) -> tuple[bool
     return tuple(clip_free_mask(cells.reshape(cells.shape[0], -1), rows, full_scale).tolist())
 
 
-def check_exact_sums(cells: np.ndarray, rows: int) -> None:
-    """Raise unless float32 sums every bitline of ``cells`` exactly.
+def check_exact_sums(cells: np.ndarray, rows: int, full_scale: int) -> None:
+    """Raise unless every bitline of ``cells`` converts the same in float32.
 
     ``cells`` are grid cells ``(..., in, columns)``, each run of ``rows``
-    wordlines one row tile.  A tile of non-negative cells always passes
-    (the module docstring's grid argument).  A tile holding a negative
-    cell passes when ``Σ|c|`` over each of its columns stays below
-    :data:`EXACT_SUM_LIMIT`, which bounds every partial sum.
+    wordlines one row tile, read by ADCs of at most ``full_scale``.  A
+    tile of non-negative cells passes while ``full_scale`` is below
+    :data:`~repro.rram.backend.EXACT_SUM_LIMIT`: its partial sums only
+    grow, so a sum that ends below the limit is exact and one that ends
+    past it clips to full scale on both kernels.  Any other tile passes
+    when ``Σ|c|`` over each of its columns stays below the limit, which
+    bounds every partial sum.
     """
-    if cells.size == 0 or cells.min() >= 0:
+    nonnegative = cells.size == 0 or cells.min() >= 0
+    if nonnegative and full_scale < EXACT_SUM_LIMIT:
         return
     starts = np.arange(0, cells.shape[-2], rows)
-    negative = np.minimum.reduceat(cells, starts, axis=-2).min(axis=-1) < 0
     magnitude = np.add.reduceat(np.abs(cells), starts, axis=-2, dtype=np.float64).max(axis=-1)
-    over = negative & (magnitude >= EXACT_SUM_LIMIT)
+    over = magnitude >= EXACT_SUM_LIMIT
+    if full_scale < EXACT_SUM_LIMIT:
+        over &= np.minimum.reduceat(cells, starts, axis=-2).min(axis=-1) < 0
     if over.any():
-        raise ValueError(f"a row tile holding a negative cell sums |cells| to {magnitude[over].max():.6g}")
+        raise ValueError(
+            f"a row tile sums |cells| to {magnitude[over].max():.6g}, past float32's exact "
+            f"{EXACT_SUM_LIMIT:g}, and holds a negative cell or reads an ADC of full scale {full_scale}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -382,17 +389,11 @@ def reference_gemv(
 # Fast kernel — exact-width cached tiles, one BLAS matmul per row tile
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=None)
-def _kept_bit_weights(input_bits: int, used: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-zero bit-plane indices of a block and their shift-and-add weights.
-
-    The weights are float32 when one tile's shift-and-added codes,
-    ``127 * (2**input_bits - 1)`` at most, stay exact in float32 (up to
-    17-bit inputs), float64 beyond.
-    """
+def _kept_bit_weights(input_bits: int, used: int, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """Non-zero bit-plane indices of a block and their shift-and-add weights."""
     from repro.rram.crossbar import input_bit_weights
 
     kept = np.flatnonzero([(used >> k) & 1 for k in range(input_bits)])
-    dtype = np.float32 if input_bits <= 17 else np.float64
     weights = input_bit_weights(input_bits).astype(dtype)[kept]
     kept.flags.writeable = False
     weights.flags.writeable = False
@@ -509,6 +510,8 @@ class StackLayout:
         self.columns = bounds[-1]
         #: Per slot: its cell columns and its ADC full scale.
         self.slots = [(bounds[j], bounds[j + 1], geometry[j][2]) for j in range(per)]
+        #: The largest ADC full scale of any slot.
+        self.full_scale = max(slot[2] for slot in self.slots)
         # Slice recombination runs once per run of slots with one slice
         # geometry: (first column, last column, num_slices, place values).
         runs: list[list[int]] = []
@@ -644,7 +647,7 @@ class GemvStack(StackLayout):
         else:
             blocks = self._blocks(lambda c: c.float_planes())
             operand = _stacked(blocks, (self.in_width, self.columns))
-            check_exact_sums(operand, self.rows)
+            check_exact_sums(operand, self.rows, self.full_scale)
         per = self.per_member
         clips, counts = [], []
         for tile in range(max(self.tiles)):
@@ -723,7 +726,7 @@ def fast_gemv(
         return np.rint(product).astype(np.int64)
 
     lhs, union, used, set_bits = _pack(input_codes, input_bits, sinks[0])
-    kept, bit_w = _kept_bit_weights(input_bits, union)
+    kept, _ = _kept_bit_weights(input_bits, union)
     bit_rows = len(kept) * batch
     starts = range(0, in_width, stack.rows)
     # Few wordlines, many bit-rows: a tile ``w`` wordlines wide converts
@@ -747,7 +750,13 @@ def fast_gemv(
         # Every activation code is 0, and so is the offset correction.
         return np.zeros((n, batch, stack.out_width), dtype=np.int64)
 
-    acc = None  # float64 shift-and-added codes, summed over tiles
+    # Codes are integers in [0, full scale], so every value of the digital
+    # shift-and-add is an integer of magnitude at most
+    # tiles * full_scale * (2**input_bits - 1): exact in float32 below 2**24.
+    wide = len(tables) * stack.full_scale * ((1 << input_bits) - 1) >= 2**24
+    digital = np.float64 if wide else np.float32
+    codes = None  # summed codes of the tiles converted bit-row by bit-row
+    acc = None  # shift-and-added codes of the tiles converted per pattern
     for tile_index, (row_start, table) in enumerate(zip(starts, tables)):
         row_stop = min(row_start + stack.rows, in_width)
         tile_lhs = lhs[:, :, row_start:row_stop]
@@ -776,10 +785,6 @@ def fast_gemv(
             else:
                 count = np.count_nonzero(saturated)
             sinks[k].saturated_conversions += int(count)
-        # Digital shift-and-add of this tile's codes over the kept
-        # bit-planes, in bit_w's dtype: each result is at most
-        # 127 * (2**input_bits - 1), exact.  The sum over tiles and the
-        # slice recombination, whose values reach 2**27, run in float64.
         if table:
             # (n, batch, 2**w) weights: member i, row b, column p sums
             # bit_w[k] over the kept planes k whose bit-row of input row b
@@ -788,16 +793,22 @@ def fast_gemv(
             weights = np.bincount(
                 (slots + index).ravel(), weights=row_weights, minlength=n * batch * len(patterns)
             ).reshape(n, batch, -1)
-            shifted = weights.astype(bit_w.dtype) @ sums
+            weighted = weights.astype(digital) @ sums
+            acc = weighted if acc is None else acc + weighted
+        # Shift-and-add is linear, so per-tile codes can be summed first.
+        elif codes is None:
+            codes = sums.astype(digital, copy=False)
         else:
-            shifted = (bit_w @ sums.reshape(n, len(kept), -1)).reshape(n, batch, -1)
-        if acc is None:
-            acc = shifted.astype(np.float64)
-        else:
-            acc += shifted
+            codes += sums
 
-    # Slice recombination: each output sums its slices' codes times their
-    # place values.
+    # Digital shift-and-add over kept bit-planes, then slice recombination,
+    # whose values reach 2**27, in float64: each output sums its slices'
+    # codes times their place values.
+    if codes is not None:
+        _, bit_w = _kept_bit_weights(input_bits, union, digital)
+        shifted = (bit_w @ codes.reshape(n, len(kept), -1)).reshape(n, batch, -1)
+        acc = shifted if acc is None else acc + shifted
+    acc = acc.astype(np.float64, copy=False)
     if len(stack.segments) == 1:
         num_slices, place = stack.segments[0][2:]
         combined = (acc.reshape(-1, num_slices) @ place).reshape(n, batch, -1)

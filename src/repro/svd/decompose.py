@@ -45,6 +45,10 @@ class SVDFactors:
         """Dense matrix represented by these factors."""
         return (self.u * self.s) @ self.vt
 
+    def parameter_count(self) -> int:
+        """Parameters stored at inference time: A = Σ·Vt plus B = U."""
+        return self.u.size + self.vt.size
+
 
 def svd_decompose(weight: np.ndarray) -> SVDFactors:
     """Full (thin) SVD of a 2-D weight matrix with descending singular values."""

@@ -25,11 +25,12 @@ from repro.rram import (
     GemvStats,
     KernelPolicy,
     ProgrammedMatrix,
+    SarAdc,
     SimBackend,
 )
-from repro.rram.backend import CELL_GRID, on_cell_grid
+from repro.rram.backend import CELL_GRID, EXACT_SUM_LIMIT, on_cell_grid
 from repro.rram.dynamic import PlaneBank
-from repro.rram.kernels import EXACT_SUM_LIMIT, fast_gemv, reference_gemv
+from repro.rram.kernels import fast_gemv, reference_gemv
 
 FAST = KernelPolicy(mode="fast")
 REFERENCE = KernelPolicy(mode="reference")
@@ -224,3 +225,28 @@ class TestNegativeCellBound:
         backend.advance()
         with pytest.raises(ValueError, match="negative cell"):
             bank.gemv(np.full((1, 1, 64), -1, dtype=np.int64))
+
+
+class TestExactRange:
+    def test_limit_is_float32_precision_on_the_grid(self):
+        below, past = EXACT_SUM_LIMIT - CELL_GRID, EXACT_SUM_LIMIT + CELL_GRID
+        assert float(np.float32(below)) == below
+        assert float(np.float32(past)) != past
+        # A non-negative sum past the limit clips on any ADC the array may use.
+        assert 2**SarAdc.max_bits <= EXACT_SUM_LIMIT
+
+    @pytest.mark.parametrize("excess", [1.0, -1.0], ids=["over", "under"])
+    def test_adc_reaching_the_limit_bounds_non_negative_tiles(self, excess):
+        """A 9-bit ADC (full scale 511) would not clip a sum float32 rounded."""
+        matrix = ProgrammedMatrix(
+            np.zeros((2, 64), dtype=np.int64), SLC, noise_sigma=0.01, adc=SarAdc(bits=9, max_bits=9)
+        )
+        cells = np.zeros((64, 2, 8))
+        cells[:, 0, 0] = (EXACT_SUM_LIMIT + excess) / 64
+        matrix._tile.base_planes = on_cell_grid(cells)
+        x = np.full((2, 64), -1, dtype=np.int64)
+        if excess > 0:
+            with pytest.raises(ValueError, match="full scale 511"):
+                matrix.gemv(x, policy=FAST)
+        else:
+            np.testing.assert_array_equal(matrix.gemv(x, policy=FAST), matrix.gemv(x, policy=REFERENCE))

@@ -144,6 +144,12 @@ class TestProgrammedMemoryLayout:
         assert matrix.planes.dtype == np.float32
         assert np.shares_memory(matrix.float_planes(), matrix.planes)
 
+    def test_programmed_backcompat_view_is_float(self, rng):
+        w = rng.integers(-128, 128, size=(4, 16))
+        matrix = ProgrammedMatrix(w, SLC, noise_sigma=0.0)
+        assert matrix.programmed.dtype == np.float64
+        np.testing.assert_array_equal(matrix.programmed, matrix.slices.values)
+
 
 #: Exact-width grid: partial (3, 29), exactly one (64), one-plus-a-row (65)
 #: and multi-tile (130) inputs against 64-row (SLC/MLC2) and 16-row
@@ -242,6 +248,50 @@ class TestNarrowTiles:
         # Table when 2 * 2**w < kept_bits*batch: 8 bit-rows per input row.
         widths = [4, 4, 2]
         assert stats.table_tiles == sum((2 << w_) < 8 * batch for w_ in widths)
+
+
+class TestWideInputs:
+    """Inputs wider than 8 bits: bit-planes packed by shifting, and the
+    digital shift-and-add in float32 while ``tiles * full_scale *
+    (2**input_bits - 1)`` stays below ``2**24``, float64 beyond."""
+
+    @pytest.mark.parametrize(
+        ("input_bits", "rows", "in_features"),
+        [
+            (12, 64, 130),  # float32: 3 tiles, the last 2 wordlines wide
+            (12, 64, 4200),  # 66 tiles * 63 * 4095 >= 2**24: float64
+            (20, 64, 130),  # 3 tiles * 63 * (2**20 - 1): float64
+            (12, 4, 10),  # 4-row arrays (full scale 3): narrow tiles, float32
+            (20, 4, 10),  # 3 tiles * 3 * (2**20 - 1) < 2**24: still float32
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_bitwise_equal_to_reference(self, input_bits, rows, in_features, batch):
+        import zlib
+
+        rng = np.random.default_rng(zlib.crc32(repr((input_bits, rows, in_features, batch)).encode()))
+        half = 1 << (input_bits - 1)
+        x = rng.integers(-half, half, size=(batch, in_features))
+        x[::2] = rng.integers(-half, -half // 2, size=x[::2].shape)  # high wordline counts
+        w = rng.integers(-128, 128, size=(6, in_features))
+        matrix = ProgrammedMatrix(
+            w,
+            SLC,
+            noise_sigma=DEFAULT_NOISE.sigma(SLC),
+            rng=np.random.default_rng(5),
+            config=CrossbarConfig(rows=rows),
+        )
+        ref_stats, fast_stats = GemvStats(), GemvStats()
+        ref = matrix.gemv(x, input_bits, stats=ref_stats, policy=REFERENCE)
+        fast = matrix.gemv(x, input_bits, stats=fast_stats, policy=FAST)
+        np.testing.assert_array_equal(fast, ref)
+        assert fast_stats == ref_stats
+        # Narrow tiles convert per pattern: always the 2-wordline tail, and
+        # the 4-wordline tiles once 8 rows bring more than 32 bit-rows.
+        if rows == 4:
+            assert fast_stats.table_tiles == (1 if batch == 1 else 3)
+            assert fast_stats.saturated_conversions > 0
 
 
 def _with_cells(cells: np.ndarray, rows: int = 64) -> ProgrammedMatrix:
