@@ -7,11 +7,13 @@ partitions every crossbar-deployed layer's mapped arrays across PUs
 Transformer blocks to chips (pipeline parallelism, PCIe-6.0 hidden-vector
 handoffs), and a :class:`HardwareProjection` that turns the deployed
 geometry plus the links actually exercised into projected latency and
-throughput.
+throughput.  Deploying a plan programs nothing: each layer writes its
+per-shard arrays once, on first use
+(:meth:`~repro.pim.hybrid.HybridLinear.program`).
 
 >>> mesh = DeviceMesh(num_chips=1)
 >>> plan = ShardPlan.build(layer_plans, mesh, tensor_parallel=4)
->>> deploy_sharded(hybrid_layers, plan)        # per-shard programmed arrays
+>>> deploy_sharded(hybrid_layers, plan)        # each layer's rank slices
 >>> HardwareProjection(plan, hidden_dim=d_model).pipeline_rate_tokens_per_s()
 """
 
@@ -45,7 +47,9 @@ def deploy_sharded(layers, plan: ShardPlan) -> ShardPlan:
     ``layers`` is the name -> layer mapping returned by
     :func:`repro.pim.attach_hybrid_layers`; each layer is partitioned into
     the plan's rank slices on the plan's mesh.  Layers the plan does not
-    cover keep their 1-way plan.  Returns ``plan`` for chaining.
+    cover keep their 1-way plan.  No crossbar is programmed here: each
+    layer programs its shards once, on first use.  Returns ``plan`` for
+    chaining.
     """
     for name, layer in dict(layers).items():
         assignment = plan.layers.get(name)

@@ -14,9 +14,10 @@ kernel ever becomes slower than the reference kernel on the large-GEMV
 points or the prefill-shaped points, or the sibling group slower than
 per-matrix calls.
 
-Timings are wall-clock, so cached replays of this experiment report the
-machine state of the original run; benchmark jobs run it with caching
-disabled (``--no-cache`` / ``fresh_runner``).
+Every timing is the median wall-clock of repeated calls.  Cached replays
+of this experiment report the machine state of the original run, so
+benchmark jobs run it with caching disabled (``--no-cache`` /
+``fresh_runner``).
 """
 
 from __future__ import annotations
@@ -56,19 +57,21 @@ PREFILL_POINTS = (
 )
 
 
-def _time_gemv(
-    matrix: ProgrammedMatrix,
-    x: np.ndarray,
-    policy: KernelPolicy,
-    reps: int,
-) -> float:
-    """Best-of-``reps`` seconds for one GEMV call under ``policy``."""
-    best = float("inf")
+#: The decode and prefill points time calls of a few milliseconds or
+#: less, so they run this many times ``reps`` calls (15 by default, 5
+#: under ``--smoke``): over three such calls a timing swings by tens of
+#: percent from run to run.
+SHORT_POINT_REPS = 5
+
+
+def _time_call(fn, reps: int) -> float:
+    """Median wall-clock seconds of ``reps`` calls of ``fn()``."""
+    times = []
     for _ in range(max(1, reps)):
         start = time.perf_counter()
-        matrix.gemv(x, policy=policy)
-        best = min(best, time.perf_counter() - start)
-    return best
+        fn()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times))
 
 
 def _bench_point(
@@ -97,8 +100,8 @@ def _bench_point(
             f"in={in_features}, cell={cell_name}, noisy={noisy}"
         )
 
-    ref_s = _time_gemv(matrix, x, KernelPolicy(mode="reference"), reps)
-    fast_s = _time_gemv(matrix, x, KernelPolicy(mode="fast"), reps)
+    ref_s = _time_call(lambda: matrix.gemv(x, policy=KernelPolicy(mode="reference")), reps)
+    fast_s = _time_call(lambda: matrix.gemv(x, policy=KernelPolicy(mode="fast")), reps)
     return {
         "batch": batch,
         "out_features": out_features,
@@ -125,16 +128,6 @@ def _bench_point(
 DECODE_BATCHES = (1, 8, 32)
 DECODE_WAYS = (1, 2, 4, 8)
 DECODE_GATE_BATCH = 32
-
-
-def _time_call(fn, reps: int) -> float:
-    """Best-of-``reps`` wall-clock seconds for ``fn()``."""
-    best = float("inf")
-    for _ in range(max(1, reps)):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _decode_stack(
@@ -233,7 +226,7 @@ def _batched_decode_study(params: dict[str, Any], seed: int) -> dict[str, Any]:
     num_layers = int(params.get("decode_layers", 3))
     features = int(params.get("decode_features", 64))
     rank = int(params.get("decode_rank", 32))
-    reps = int(params.get("reps", 3))
+    reps = SHORT_POINT_REPS * int(params.get("reps", 3))
 
     rng = np.random.default_rng(seed + 17)
     layers = _decode_stack(num_layers, features, rank, seed)
@@ -413,7 +406,7 @@ def bench_kernels(params: dict[str, Any], seed: int) -> dict[str, Any]:
                 point["in_features"],
                 point["cell"],
                 True,
-                reps,
+                SHORT_POINT_REPS * reps,
                 rng,
             )
             for point in PREFILL_POINTS

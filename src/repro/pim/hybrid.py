@@ -12,8 +12,12 @@ partial GEMVs recombine digitally.
 Every layer runs as a tensor-parallel shard plan (Section 3.1, cases
 1-2): contiguous rank slices on their own arrays, stage-2 partial sums
 added over the OCI.  A new layer is the 1-way plan ``[(0, rank)]``;
-:meth:`HybridLinear.deploy` swaps in an N-way one.  One forward per mode
-runs the shards in turn; :mod:`repro.dist` models parallelism, not threads.
+:meth:`HybridLinear.deploy` swaps in an N-way one.  Crossbar mode writes
+the current plan's arrays once, on first use, in
+:meth:`HybridLinear.program` — the only place a layer is programmed, so a
+sharded deployment programs each rank fragment once.  One forward per
+mode runs the shards in turn; :mod:`repro.dist` models parallelism, not
+threads.
 
 Two execution modes trade fidelity for speed:
 
@@ -168,10 +172,11 @@ class HybridLinear(Module):
         self._x_absmax = 0.0
         self._h_absmax = 0.0
         # Shard plan — the 1-way plan until :meth:`deploy` replaces it.
+        # Crossbar mode programs it on first use (:meth:`program`).
         self._mesh = None
         self._chip = 0
         self._rank_slices: list[tuple[int, int]] = [(0, self.rank)]
-        self._splits: list[HybridSplit] = []
+        self._splits: list[HybridSplit] | None = None
         # Crossbar forwards run as a one-layer sibling group; layers that
         # read one input (a block's Q/K/V) also share ``siblings``, the
         # group that runs them together (set by attach_hybrid_layers).
@@ -182,26 +187,11 @@ class HybridLinear(Module):
         self._a_codes, self._a_params = quantize(plan.a_matrix, num_bits=8)
         self._b_codes, self._b_params = quantize(plan.b_matrix, num_bits=8)
 
-        rng = np.random.default_rng(seed)
-        if mode == "crossbar":
-            self._splits = [
-                split_by_rank(
-                    self._a_codes,
-                    self._b_codes,
-                    plan.protected_ranks,
-                    noise=self.noise,
-                    config=self.config,
-                    mlc_cell=mlc_cell,
-                    seed=seed,
-                    policy=policy,
-                    backend=backend,
-                )
-            ]
-            self._noisy_a = None
-            self._noisy_b = None
-        else:
+        self._noisy_a = self._noisy_b = None
+        if mode == "fast":
             # Weight-level Eq. (5) noise, applied once (static weights are
             # programmed once); protected ranks get SLC sigma, rest MLC sigma.
+            rng = np.random.default_rng(seed)
             sigma_slc = self.noise.sigma(SLC)
             sigma_mlc = self.noise.sigma(mlc_cell)
             protected = plan.protected_ranks
@@ -275,12 +265,12 @@ class HybridLinear(Module):
         (from a :class:`~repro.dist.ShardPlan`); alternatively
         ``tensor_parallel`` derives a balanced partition.
 
-        Crossbar mode programs one :class:`~repro.rram.mapping.HybridSplit`
-        per shard (per-shard seeded noise draws; a 1-way deployment
-        reproduces the constructed layer's programming bit-for-bit).  Fast
-        mode slices the already-noised Eq. (5) factors.  Both modes keep
-        their single forward; only the slice list changes.  Returns the
-        shard ranges deployed.
+        Deploying programs nothing: it validates and records the slices,
+        mesh and chip, and drops any programmed splits, so crossbar mode
+        programs the new plan on first use (:meth:`program`).  Fast mode
+        slices the already-noised Eq. (5) factors.  Both modes keep their
+        single forward; only the slice list changes.  Returns the shard
+        ranges deployed.
         """
         if rank_slices is None:
             rank_slices = partition_rank(
@@ -303,35 +293,44 @@ class HybridLinear(Module):
                 f"rank_slices cover [0, {cursor}) but the layer rank is {self.rank}"
             )
 
-        if self.mode == "crossbar":
-            num_shards = len(rank_slices)
-            splits = []
-            for index, (start, stop) in enumerate(rank_slices):
-                # A 1-way deployment reuses the layer seed, so its noise
-                # draws — and therefore its outputs — match the constructed
-                # split exactly.  Multi-way shards get decorrelated seeds.
-                seed = self.seed if num_shards == 1 else self.seed + 104729 * (index + 1)
-                splits.append(
-                    split_by_rank(
-                        self._a_codes,
-                        self._b_codes,
-                        self.plan.protected_ranks,
-                        noise=self.noise,
-                        config=self.config,
-                        mlc_cell=self.mlc_cell,
-                        seed=seed,
-                        policy=self.policy,
-                        rank_range=(start, stop),
-                        shard_index=index,
-                        num_shards=num_shards,
-                        backend=self.backend,
-                    )
-                )
-            self._splits = splits
         self._mesh = mesh
         self._chip = chip
         self._rank_slices = rank_slices
+        self._splits = None
         return rank_slices
+
+    def program(self) -> list[HybridSplit]:
+        """The shards' programmed arrays: one :class:`HybridSplit` per rank slice.
+
+        The one place a crossbar layer is written (static weights are
+        programmed once, Section 3.2): the first call after construction
+        or :meth:`deploy` programs every rank slice onto the backend, and
+        later calls return the same splits.  A 1-way plan draws its noise
+        from the layer seed; shard ``i`` of an N-way plan from ``seed +
+        104729·(i+1)``, so shards are decorrelated.  Every reader (the
+        forward, stats, wear, drift probe and reprogram) goes through
+        here, so an observed layer always reads as programmed.  Empty in
+        fast mode.
+        """
+        if self._splits is None:
+            ways = len(self._rank_slices)
+            self._splits = [
+                split_by_rank(
+                    self._a_codes,
+                    self._b_codes,
+                    self.plan.protected_ranks,
+                    noise=self.noise,
+                    config=self.config,
+                    mlc_cell=self.mlc_cell,
+                    seed=self.seed if ways == 1 else self.seed + 104729 * (index + 1),
+                    policy=self.policy,
+                    rank_range=(start, stop),
+                    backend=self.backend,
+                )
+                for index, (start, stop) in enumerate(self._rank_slices)
+                if self.mode == "crossbar"
+            ]
+        return self._splits
 
     @property
     def is_sharded(self) -> bool:
@@ -416,7 +415,7 @@ class HybridLinear(Module):
     def merged_stats(self) -> GemvStats:
         """Sum of every shard's GEMV statistics."""
         total = GemvStats()
-        for split in self._splits:
+        for split in self.program():
             total.merge(split.merged_stats())
         return total
 
@@ -427,7 +426,7 @@ class HybridLinear(Module):
         serving engine threads these through to per-shard energy/latency
         accounting.
         """
-        return [split.merged_stats() for split in self._splits]
+        return [split.merged_stats() for split in self.program()]
 
     def reset_stats(self) -> None:
         """Zero the accumulated GEMV operation counts (crossbar mode).
@@ -435,7 +434,7 @@ class HybridLinear(Module):
         Used after deploy-time calibration so served-traffic accounting does
         not include the calibration forward.
         """
-        for split in self._splits:
+        for split in self.program():
             for mapped in (split.slc_a, split.mlc_a, split.slc_b, split.mlc_b):
                 if mapped is not None:
                     mapped.stats = GemvStats()
@@ -451,7 +450,7 @@ class HybridLinear(Module):
         are omitted; the top-level ``max_wear_fraction`` is 0.0 then.
         """
         members: dict[str, dict] = {}
-        for split in self._splits:
+        for split in self.program():
             mapped_members = (
                 ("slc_a", split.slc_a),
                 ("mlc_a", split.mlc_a),
@@ -491,7 +490,7 @@ class HybridLinear(Module):
         worst = 0.0
         rng = np.random.default_rng((int(probe_seed), self.seed, 0x9B0B))
         probe = rng.integers(-128, 128, size=(1, self.in_features))
-        for split in self._splits:
+        for split in self.program():
             for mapped in (split.slc_a, split.mlc_a):
                 if mapped is None:
                     continue
@@ -511,7 +510,7 @@ class HybridLinear(Module):
         matrices re-written (0 in ``fast`` mode).
         """
         count = 0
-        for split in self._splits:
+        for split in self.program():
             for mapped in (split.slc_a, split.mlc_a, split.slc_b, split.mlc_b):
                 if mapped is not None:
                     mapped.reprogram()
@@ -551,7 +550,7 @@ class _Stage2:
 class _Level:
     """The compiled op list of one sibling group's current shard plans."""
 
-    splits: tuple[list, ...]  # the layers' ``_splits`` it was compiled from
+    splits: tuple[list, ...]  # the layers' programmed splits it was compiled from
     stage1: _Stage1
     stage2: tuple[_Stage2, ...]  # the protected (SLC) B-factors, then the MLC ones
     offsets: tuple[int, ...]  # each layer's first hidden column
@@ -615,7 +614,7 @@ class SiblingGroup:
         """
         level = self._level
         if level is not None and all(
-            a is layer._splits for a, layer in zip(level.splits, self.layers)
+            a is layer.program() for a, layer in zip(level.splits, self.layers)
         ):
             return level
         offsets = np.cumsum([0] + [layer.rank for layer in self.layers])
@@ -623,7 +622,7 @@ class SiblingGroup:
         stage2: tuple[list, list] = ([], [])  # SLC (protected) then MLC B-factors
         for index, layer in enumerate(self.layers):
             protected = layer.plan.protected_ranks
-            for (start, stop), split in zip(layer._rank_slices, layer._splits):
+            for (start, stop), split in zip(layer._rank_slices, layer.program()):
                 local = protected[start:stop]
                 ranks = offsets[index] + np.arange(start, stop)
                 for a, b, columns, role in (
@@ -662,7 +661,7 @@ class SiblingGroup:
                 )
             )
         self._level = _Level(
-            splits=tuple(layer._splits for layer in self.layers),
+            splits=tuple(layer.program() for layer in self.layers),
             stage1=stage1,
             stage2=tuple(stacks),
             offsets=tuple(int(o) for o in offsets[:-1]),

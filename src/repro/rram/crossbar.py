@@ -91,10 +91,6 @@ class WeightSlices:
         """Per-slice place values for digital shift-and-add recombination."""
         return (2 ** (self.cell.bits * np.arange(self.num_slices))).astype(np.int64)
 
-    def columns_per_weight(self) -> int:
-        """Physical crossbar columns consumed per logical weight."""
-        return self.num_slices
-
 
 def offset_slices(codes: np.ndarray, cell: CellType, weight_bits: int = 8) -> np.ndarray:
     """Offset-encode signed codes of any shape and split each into cell levels.
@@ -286,11 +282,6 @@ class ProgrammedMatrix:
         self.backend.reprogram(self._tile)
         if stats is not None:
             stats.cells_reprogrammed += self._tile.num_cells
-
-    @property
-    def programmed(self) -> np.ndarray:
-        """Back-compat float view of :attr:`planes`."""
-        return np.asarray(self.planes, dtype=np.float64)
 
     @property
     def saturation_free(self) -> bool:

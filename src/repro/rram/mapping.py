@@ -28,7 +28,6 @@ from repro.rram.noise import DEFAULT_NOISE, NoiseSpec
 __all__ = [
     "array_footprint",
     "rank_fragments",
-    "ShardSpec",
     "MappedMatrix",
     "HybridSplit",
     "split_by_rank",
@@ -78,40 +77,6 @@ def rank_fragments(
         ("B/mlc", out_features, n_mlc, mlc_cell),
     ]
     return [f for f in fragments if f[1] and f[2]]
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """Which slice of a logical rank dimension a mapped shard carries.
-
-    Tensor-parallel deployment (paper Section 3.1, cases 1-2) partitions one
-    logical factored matrix across processing units: shard ``index`` of
-    ``count`` holds ranks ``[start, stop)`` of a logical ``logical_rank``-wide
-    matrix.  A :class:`MappedMatrix` carrying a ``shard`` knows it computes a
-    partial result that recombines with its siblings over the interconnect
-    (column slices of the stage-1 hidden vector; additive partial sums for
-    stage 2).
-    """
-
-    index: int
-    count: int
-    start: int
-    stop: int
-    logical_rank: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < self.count:
-            raise ValueError(f"shard index {self.index} outside [0, {self.count})")
-        if not 0 <= self.start <= self.stop <= self.logical_rank:
-            raise ValueError(
-                f"shard range [{self.start}, {self.stop}) outside "
-                f"[0, {self.logical_rank})"
-            )
-
-    @property
-    def width(self) -> int:
-        """Number of ranks this shard carries."""
-        return self.stop - self.start
 
 
 def partition_rank(rank: int, parts: int, tile: int = 1) -> list[tuple[int, int]]:
@@ -206,10 +171,8 @@ def partition_rank_compacted(
 class MappedMatrix:
     """A weight matrix resident in (simulated) analog RRAM arrays.
 
-    ``shard`` (optional) marks this matrix as one tensor-parallel shard of a
-    larger logical matrix — see :class:`ShardSpec`.  Shards are programmed
-    exactly like standalone matrices (their noise is drawn from their own
-    seed), they just additionally know their place in the logical layout.
+    A tensor-parallel shard is programmed exactly like a standalone
+    matrix: its noise is drawn from its own seed.
     """
 
     weight_codes: np.ndarray  # (out, in) signed INT8 codes
@@ -219,7 +182,6 @@ class MappedMatrix:
     weight_bits: int = 8
     seed: int = 0
     policy: KernelPolicy | None = None
-    shard: ShardSpec | None = None
     stats: GemvStats = field(default_factory=GemvStats)
     backend: CrossbarBackend | None = None
 
@@ -290,17 +252,15 @@ class MappedMatrix:
 class HybridSplit:
     """The SLC/MLC partition of one factored layer's rank dimension.
 
-    When ``shard`` is set, this split holds only ranks ``[shard.start,
-    shard.stop)`` of the layer (one tensor-parallel shard); ``protected``
-    is then the local mask over that slice.
+    A tensor-parallel shard's split holds only its rank slice;
+    ``protected`` is then the local mask over that slice.
     """
 
-    protected: np.ndarray  # boolean (rank,) — local to the shard if any
+    protected: np.ndarray  # boolean (rank,) — local to the rank slice
     slc_a: MappedMatrix | None  # protected rows of A on SLC
     mlc_a: MappedMatrix | None  # remaining rows of A on MLC
     slc_b: MappedMatrix | None  # protected columns of B on SLC
     mlc_b: MappedMatrix | None  # remaining columns of B on MLC
-    shard: ShardSpec | None = None
 
     @property
     def arrays_used(self) -> int:
@@ -336,8 +296,6 @@ def split_by_rank(
     seed: int = 0,
     policy: KernelPolicy | None = None,
     rank_range: tuple[int, int] | None = None,
-    shard_index: int = 0,
-    num_shards: int = 1,
     backend: CrossbarBackend | None = None,
 ) -> HybridSplit:
     """Place factored weights on SLC/MLC arrays according to ``protected``.
@@ -347,10 +305,8 @@ def split_by_rank(
     of B share rank ``i``'s protection decision, so a protected singular
     direction is SLC end-to-end.
 
-    ``rank_range`` (with ``shard_index`` / ``num_shards``) carves one
-    tensor-parallel shard out of the logical layer: only ranks ``[start,
-    stop)`` are mapped, and every resulting :class:`MappedMatrix` carries a
-    :class:`ShardSpec` tying it back to the logical matrix.  A-shards are
+    ``rank_range`` carves one tensor-parallel shard out of the logical
+    layer: only ranks ``[start, stop)`` are mapped.  A-shards are
     row partitions (each computes a column slice of the hidden vector);
     B-shards are column partitions (each computes an additive partial sum
     of the layer output, recombined over the interconnect — the paper's
@@ -367,21 +323,11 @@ def split_by_rank(
     noise = noise or DEFAULT_NOISE
     config = config or CrossbarConfig()
 
-    shard: ShardSpec | None = None
     if rank_range is not None:
         start, stop = rank_range
-        shard = ShardSpec(
-            index=shard_index,
-            count=num_shards,
-            start=start,
-            stop=stop,
-            logical_rank=rank,
-        )
         a_codes = a_codes[start:stop, :]
         b_codes = b_codes[:, start:stop]
         protected = protected[start:stop]
-    elif num_shards != 1 or shard_index != 0:
-        raise ValueError("shard_index/num_shards require rank_range")
 
     def mapped(codes: np.ndarray, cell: CellType, salt: int) -> MappedMatrix | None:
         if codes.size == 0:
@@ -393,7 +339,6 @@ def split_by_rank(
             config=config,
             seed=seed + salt,
             policy=policy,
-            shard=shard,
             backend=backend,
         )
 
@@ -403,5 +348,4 @@ def split_by_rank(
         mlc_a=mapped(a_codes[~protected, :], mlc_cell, 2),
         slc_b=mapped(b_codes[:, protected], SLC, 3),
         mlc_b=mapped(b_codes[:, ~protected], mlc_cell, 4),
-        shard=shard,
     )

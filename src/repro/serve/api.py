@@ -10,7 +10,7 @@ Routes
 ------
 ``GET /healthz``
     Liveness probe: ``{"ok": true}``, or **503** once the driver has
-    failed (see below).
+    failed (see below) or, for a pool, once every replica is dead.
 ``GET /v1/stats``
     The engine's :meth:`~repro.serve.ServingStats.as_dict` snapshot (or
     the pool's outstanding/requeue counters).
@@ -317,8 +317,13 @@ class ApiServer:
     async def _route(self, method: str, path: str, body: bytes,
                      writer: asyncio.StreamWriter) -> None:
         if method == "GET" and path == "/healthz":
-            if self._failure is not None:
-                writer.write(_json_response(503, {"ok": False, "error": self._failure}))
+            failure = self._failure
+            if failure is None and self.is_pool and all(
+                load is None for load in self.target.outstanding_tokens()
+            ):
+                failure = "every replica is dead"
+            if failure is not None:
+                writer.write(_json_response(503, {"ok": False, "error": failure}))
             else:
                 writer.write(_json_response(200, {"ok": True}))
             await writer.drain()

@@ -429,8 +429,9 @@ class ServingEngine:
         into ``tensor_parallel`` rank shards (without a mesh each layer
         keeps its 1-way plan), and the engine reports hardware-projected
         latency per request plus the interconnect traffic actually
-        exercised.  Calibration runs *after* sharding so
-        frozen scales observe the serving-path activations.
+        exercised.  Every crossbar layer is programmed once, on its final
+        shard plan, and calibration runs after that, so frozen scales
+        observe the serving-path activations.
 
         ``backend`` (a :class:`~repro.rram.backend.CrossbarBackend`) selects
         the crossbar execution target — e.g. a
@@ -468,6 +469,9 @@ class ServingEngine:
             plan = ShardPlan.build(plans, mesh, tensor_parallel=tensor_parallel)
             deploy_sharded(attached, plan)
             engine_kwargs.setdefault("shard_plan", plan)
+        # Program every crossbar once, on its final shard plan.
+        for layer in attached.values():
+            layer.program()
         if calibration_prompts is not None and mode == "crossbar":
             prompts = np.atleast_2d(np.asarray(calibration_prompts))
             # Serving always decodes in eval mode (generate() enforces it);

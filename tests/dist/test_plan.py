@@ -14,7 +14,7 @@ from repro.dist import (
 )
 from repro.pim.chip import ChipConfig, group_layers_by_block
 from repro.rram.cell import MLC3, MLC4
-from repro.rram.mapping import ShardSpec, partition_rank, partition_rank_compacted
+from repro.rram.mapping import partition_rank, partition_rank_compacted
 from repro.svd.pipeline import LayerPlan
 
 
@@ -60,18 +60,6 @@ class TestPartitionRank:
             partition_rank(-1, 2)
         with pytest.raises(ValueError):
             partition_rank(4, 0)
-
-
-class TestShardSpec:
-    def test_width(self):
-        spec = ShardSpec(index=1, count=4, start=4, stop=8, logical_rank=16)
-        assert spec.width == 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardSpec(index=4, count=4, start=0, stop=4, logical_rank=16)
-        with pytest.raises(ValueError):
-            ShardSpec(index=0, count=1, start=8, stop=4, logical_rank=16)
 
 
 class TestShardLayerPlan:
@@ -351,6 +339,43 @@ class TestDeploySharded:
         deploy_sharded({name: known, "blocks.9.x": stray}, plan)
         assert known.is_sharded and known.num_shards == 2
         assert not stray.is_sharded
+
+    @pytest.mark.parametrize("tensor_parallel", [1, 2, 4])
+    def test_engine_deploy_programs_each_fragment_once(self, rng, tensor_parallel):
+        """The backend holds exactly the deployed shards' fragments: no
+        layer is programmed before sharding and again after it."""
+        from repro.nn import DecoderLM, TransformerConfig
+        from repro.rram.backend import SimBackend
+        from repro.rram.mapping import rank_fragments
+        from repro.serve import ServingEngine
+
+        model = DecoderLM(
+            TransformerConfig(
+                vocab_size=40, d_model=16, num_heads=2, num_layers=2,
+                d_ff=32, max_seq_len=32, seed=0,
+            )
+        )
+        plans = {}
+        for name, linear in model.iter_static_linears():
+            out_f, in_f = linear.weight.data.shape
+            rank = min(out_f, in_f)
+            plans[name] = _layer(name, rank, in_f, out_f, range(0, rank, 5), rng)
+        backend = SimBackend()
+        engine = ServingEngine.deploy(
+            model, plans, mode="crossbar", backend=backend,
+            mesh=DeviceMesh(num_chips=2), tensor_parallel=tensor_parallel,
+        )
+        layers = engine.hybrid_layers.values()
+        fragments = sum(
+            len(rank_fragments(
+                layer.plan.protected_ranks[start:stop], layer.in_features,
+                layer.out_features, layer.mlc_cell,
+            ))
+            for layer in layers
+            for start, stop in layer._rank_slices
+        )
+        assert {layer.num_shards for layer in layers} == {tensor_parallel}
+        assert backend.health_report()["programs"] == fragments
 
 
 # ----------------------------------------------------------------------

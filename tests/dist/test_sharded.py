@@ -85,13 +85,6 @@ class TestBitwiseEquivalenceGrid:
         mesh = DeviceMesh()
         sharded.deploy(mesh, tensor_parallel=ways)
         np.testing.assert_array_equal(sharded.forward(x).data, reference)
-        # Every mapped shard knows its slice of the logical rank dimension.
-        if ways > 1:
-            specs = [s.shard for s in sharded._splits]
-            assert all(spec is not None for spec in specs)
-            assert [spec.index for spec in specs] == list(range(len(specs)))
-            assert specs[0].start == 0
-            assert specs[-1].stop == plan.rank
 
     @pytest.mark.parametrize("ways", (2, 4))
     def test_batched_3d_input_matches(self, rng, ways):

@@ -82,14 +82,13 @@ class TestOneFootprintFormula:
         b_codes, _ = quantize(plan.b_matrix, num_bits=8)
         backend = SimBackend()
         total = 0
-        for index, (start, stop) in enumerate(slices):
+        for start, stop in slices:
             local = plan.protected_ranks[start:stop]
             expected = footprint(local, in_f, out_f, mlc_cell, config)
             programmed = split_by_rank(
                 a_codes, b_codes, plan.protected_ranks,
                 noise=NoiseSpec.noiseless(), config=config, mlc_cell=mlc_cell,
-                rank_range=(start, stop), shard_index=index, num_shards=len(slices),
-                backend=backend,
+                rank_range=(start, stop), backend=backend,
             )
             assert programmed.arrays_used == expected
 

@@ -222,6 +222,58 @@ class TestArraysUsedCaching:
             assert fast.arrays_used() == xbar.arrays_used() > 0
 
 
+class TestProgramOnce:
+    """A crossbar layer is programmed at one site, on first use."""
+
+    @staticmethod
+    def _layer(rng):
+        from repro.rram.backend import SimBackend
+
+        backend = SimBackend()
+        plan = make_plan(16, 32, 24, 5, rng)
+        return HybridLinear(plan, mode="crossbar", backend=backend), backend
+
+    @staticmethod
+    def _fragments(layer) -> int:
+        from repro.rram.mapping import rank_fragments
+
+        return sum(
+            len(rank_fragments(layer.plan.protected_ranks[start:stop], 32, 24))
+            for start, stop in layer._rank_slices
+        )
+
+    @pytest.mark.parametrize("read", ["forward", "merged_stats"])
+    def test_construction_programs_nothing_until_first_read(self, rng, read):
+        layer, backend = self._layer(rng)
+        assert layer.arrays_used() > 0  # analytic: no crossbar written
+        assert backend.health_report()["programs"] == 0
+        if read == "forward":
+            layer(Tensor(rng.normal(size=(2, 32))))
+        else:
+            layer.merged_stats()
+        assert backend.health_report()["programs"] == self._fragments(layer) == 4
+        layer(Tensor(rng.normal(size=(2, 32))))
+        assert backend.health_report()["programs"] == 4
+
+    def test_deploy_then_forward_programs_each_fragment_once(self, rng):
+        from repro.dist import DeviceMesh
+
+        layer, backend = self._layer(rng)
+        assert len(layer.deploy(DeviceMesh(), tensor_parallel=4)) == 4
+        assert backend.health_report()["programs"] == 0
+        x = Tensor(rng.normal(size=(3, 32)))
+        first = layer(x).data
+        expected = self._fragments(layer)
+        assert backend.health_report()["programs"] == expected > 4
+        np.testing.assert_array_equal(layer(x).data, first)
+        layer.shard_stats()
+        layer.wear_report()
+        layer.probe_drift()
+        assert backend.health_report()["programs"] == expected
+        assert layer.reprogram() == expected
+        assert backend.health_report()["reprograms"] == expected
+
+
 class TestCrossbarDtypePolicy:
     def test_buffers_follow_default_dtype(self, rng):
         """_forward_crossbar intermediates obey set_default_dtype (PR 2)."""

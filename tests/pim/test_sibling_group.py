@@ -105,7 +105,7 @@ def _spec_forward(layer: HybridLinear, x: np.ndarray) -> np.ndarray:
     x_codes, x_params = quantize(flat, num_bits=8, params=layer._active_params("x"))
     scale_in = np.asarray(x_params.scale) * np.asarray(layer._a_params.scale)
     hidden = np.zeros((flat.shape[0], layer.rank), dtype=get_default_dtype())
-    shards = list(zip(layer._rank_slices, layer._splits))
+    shards = list(zip(layer._rank_slices, layer.program()))
     for (start, stop), split in shards:
         local, view = protected[start:stop], hidden[:, start:stop]
         for mapped, columns in ((split.slc_a, local), (split.mlc_a, ~local)):
@@ -149,7 +149,7 @@ def _mapped(layers):
     return [
         mapped
         for layer in layers
-        for split in layer._splits
+        for split in layer.program()
         for mapped in (split.slc_a, split.mlc_a, split.slc_b, split.mlc_b)
         if mapped is not None
     ]
@@ -224,8 +224,8 @@ class TestGroupEqualsPerLayerSpec:
         """An all-MLC, an all-SLC and a mixed layer: members go missing."""
         grouped, _ = _compare("calibrated", ways=ways, noise=noise, protected=(0, RANK, 4))
         layers = grouped[0]
-        assert all(split.slc_a is None for split in layers[0]._splits)
-        assert all(split.mlc_a is None for split in layers[1]._splits)
+        assert all(split.slc_a is None for split in layers[0].program())
+        assert all(split.mlc_a is None for split in layers[1].program())
 
     @pytest.mark.parametrize("ways", [1, 2])
     @pytest.mark.parametrize("noise", ["noiseless", "noisy"])

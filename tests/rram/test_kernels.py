@@ -144,12 +144,6 @@ class TestProgrammedMemoryLayout:
         assert matrix.planes.dtype == np.float32
         assert np.shares_memory(matrix.float_planes(), matrix.planes)
 
-    def test_programmed_backcompat_view_is_float(self, rng):
-        w = rng.integers(-128, 128, size=(4, 16))
-        matrix = ProgrammedMatrix(w, SLC, noise_sigma=0.0)
-        assert matrix.programmed.dtype == np.float64
-        np.testing.assert_array_equal(matrix.programmed, matrix.slices.values)
-
 
 #: Exact-width grid: partial (3, 29), exactly one (64), one-plus-a-row (65)
 #: and multi-tile (130) inputs against 64-row (SLC/MLC2) and 16-row

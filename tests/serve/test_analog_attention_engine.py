@@ -194,7 +194,7 @@ class TestNoisyShardedGoldenTrace:
     trips it.
     """
 
-    GOLDEN_SHA256 = "3e49417ad78a6da755e67e8b2efcd5b2df092ae56e4c1da8165c3a32be3947a8"
+    GOLDEN_SHA256 = "66662c189f8cf05cdeb82bfff945e3ccf7270931a02d27decce278ff4f1a6d23"
 
     @staticmethod
     def _run() -> dict:

@@ -449,6 +449,25 @@ class TestPoolTarget:
             server.stop_in_thread()
             pool.shutdown()
 
+    def test_healthz_fails_once_every_replica_is_dead(self):
+        pool = ReplicaPool(
+            lambda index: ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0),
+            replicas=1,
+            processes=False,
+        )
+        server = ApiServer(pool)
+        server.start_in_thread()
+        try:
+            status, body = api_request(server.host, server.port, "/healthz")
+            assert (status, body) == (200, {"ok": True})
+            pool.kill_replica(0)
+            status, body = api_request(server.host, server.port, "/healthz")
+            assert status == 503
+            assert body == {"ok": False, "error": "every replica is dead"}
+        finally:
+            server.stop_in_thread()
+            pool.shutdown()
+
     def test_failed_pool_request_fails_alone(self, rng):
         """A pool request that resolves with an error (its only replica
         died) is answered 500 with that error; the driver keeps running."""
