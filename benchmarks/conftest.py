@@ -18,9 +18,15 @@ from __future__ import annotations
 
 import os
 
-import pytest
+# Single-threaded BLAS, as perfbench/run.py sets it: the benchmarked GEMVs
+# are too small to gain from BLAS threads, which only add run-to-run
+# spread.  Set before numpy is imported; an explicit environment value wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from repro.exp import Runner
+import pytest  # noqa: E402
+
+from repro.exp import Runner  # noqa: E402
 
 
 def _default_workers() -> int:

@@ -27,7 +27,6 @@ from repro.nn.data import ArrayDataset
 from repro.nn.modules import Module
 from repro.pim.hybrid import attach_hybrid_layers
 from repro.rram.cell import CellType, MLC2
-from repro.rram.kernels import KernelPolicy
 from repro.rram.noise import DEFAULT_NOISE, NoiseSpec
 from repro.svd.pipeline import GradientRedistributionPipeline, RedistributionPlan
 from repro.svd.selection import (
@@ -82,9 +81,6 @@ class HyFlexPim:
     noise: NoiseSpec = field(default_factory=lambda: DEFAULT_NOISE)
     mlc_cell: CellType = MLC2
     mode: str = "fast"  # "fast" (Eq. 5 weight noise) or "crossbar" (bit-serial)
-    # Crossbar-mode GEMV kernel selection; None uses the process-wide default
-    # (see repro.rram.kernels).
-    kernel_policy: KernelPolicy | None = None
     # Tensor precision for the compile-time fine-tuning loop ("float32" /
     # "float64"; None leaves the process-wide nn.tensor default untouched).
     train_dtype: str | None = None
@@ -126,7 +122,6 @@ class HyFlexPim:
             mode=mode or self.mode,
             mlc_cell=self.mlc_cell,
             seed=self.seed,
-            policy=self.kernel_policy,
         )
         return deployed
 

@@ -91,17 +91,18 @@ def _bench_point(
 
     # Correctness cross-check rides along with every timing: the two kernels
     # must agree bitwise (outputs and stats) on every benchmarked point.
-    ref_stats, fast_stats = GemvStats(), GemvStats()
-    ref_out = matrix.gemv(x, stats=ref_stats, policy=KernelPolicy(mode="reference"))
-    fast_out = matrix.gemv(x, stats=fast_stats, policy=KernelPolicy(mode="fast"))
-    if not (np.array_equal(ref_out, fast_out) and ref_stats == fast_stats):
+    outs, stats, seconds = {}, {}, {}
+    for mode in ("reference", "fast"):
+        with kernel_policy(KernelPolicy(mode=mode)):
+            stats[mode] = GemvStats()
+            outs[mode] = matrix.gemv(x, stats=stats[mode])
+            seconds[mode] = _time_call(lambda: matrix.gemv(x), reps)
+    if not (np.array_equal(outs["reference"], outs["fast"]) and stats["reference"] == stats["fast"]):
         raise AssertionError(
             f"fast/reference kernel mismatch at batch={batch}, out={out_features}, "
             f"in={in_features}, cell={cell_name}, noisy={noisy}"
         )
-
-    ref_s = _time_call(lambda: matrix.gemv(x, policy=KernelPolicy(mode="reference")), reps)
-    fast_s = _time_call(lambda: matrix.gemv(x, policy=KernelPolicy(mode="fast")), reps)
+    ref_s, fast_s, fast_stats = seconds["reference"], seconds["fast"], stats["fast"]
     return {
         "batch": batch,
         "out_features": out_features,
@@ -498,7 +499,6 @@ def _engine_throughput(model, params: dict[str, Any], rng: np.random.Generator) 
     ]
     engine.serve(prompts, max_new_tokens=new_tokens)
     payload = engine.stats.as_dict()
-    payload["slot_pool"] = engine.slot_pool.stats.as_dict()
     payload["max_batch_size"] = max_batch
     return payload
 

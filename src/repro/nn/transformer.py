@@ -278,8 +278,8 @@ class DecoderLM(_TransformerBase):
 
         An installed ``kv_cache_factory`` attribute (set by e.g.
         ``ServingEngine.deploy(attention="analog")``) takes over
-        allocation with the same geometry, so pooled caches come out
-        crossbar-backed without scheduler changes.
+        allocation with the same geometry, so the scheduler's shared cache
+        comes out crossbar-backed without scheduler changes.
         """
         factory = getattr(self, "kv_cache_factory", None) or KVCache
         return factory(

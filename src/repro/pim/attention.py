@@ -2,7 +2,7 @@
 
 :class:`CrossbarAttentionExecutor` is the deploy-wide context behind the
 analog attention path: it owns the crossbar backend handle, cell type,
-programming noise, kernel policy and a shared
+programming noise and a shared
 :class:`~repro.rram.crossbar.GemvStats` sink; it mints the
 :class:`~repro.rram.dynamic.DynamicOperand` tiles that
 :class:`~repro.pim.kv_cache.CrossbarKVCache` grows per decoded token;
@@ -14,7 +14,7 @@ installs when called with ``attention="analog"``: every transformer
 block's attention module is swapped for an
 :class:`~repro.nn.attention.AnalogAttention` holding this executor, and
 the model's KV-cache factory is pointed at :meth:`make_cache` so the
-continuous scheduler's pooled caches come out crossbar-backed with zero
+continuous scheduler's shared cache comes out crossbar-backed with zero
 scheduler changes.
 
 When a :class:`~repro.dist.DeviceMesh` and an attention-head placement
@@ -35,7 +35,6 @@ from repro.rram.backend import CrossbarBackend, resolve_backend
 from repro.rram.cell import MLC2, CellType
 from repro.rram.crossbar import CrossbarConfig, GemvStats
 from repro.rram.dynamic import DynamicOperand, PlaneBank
-from repro.rram.kernels import KernelPolicy
 
 __all__ = ["CrossbarAttentionExecutor", "ReferenceQuantizedAttention"]
 
@@ -53,9 +52,10 @@ class CrossbarAttentionExecutor:
     weight_bits / activation_bits:
         Signed code widths of the stored operand rows and the streamed
         inputs (both INT8 by default, matching the hybrid linear path).
-    config / policy / backend:
-        Crossbar geometry, kernel policy and execution backend — shared
-        with the static-weight path so one wear ledger covers the chip.
+    config / backend:
+        Crossbar geometry and execution backend — shared with the
+        static-weight path so one wear ledger covers the chip.  Reads run
+        the kernel the process-wide policy picks.
     seed:
         Seed for the programming-noise generator.
     mesh / placement:
@@ -72,7 +72,6 @@ class CrossbarAttentionExecutor:
         weight_bits: int = 8,
         activation_bits: int = 8,
         config: CrossbarConfig | None = None,
-        policy: KernelPolicy | None = None,
         backend: CrossbarBackend | None = None,
         seed: int = 0,
         mesh=None,
@@ -83,7 +82,6 @@ class CrossbarAttentionExecutor:
         self.weight_bits = int(weight_bits)
         self.activation_bits = int(activation_bits)
         self.config = config or CrossbarConfig()
-        self.policy = policy
         self.backend = resolve_backend(backend)
         self.mesh = mesh
         self.placement = placement
@@ -109,7 +107,6 @@ class CrossbarAttentionExecutor:
             noise_sigma=self.noise_sigma,
             rng=self.rng,
             config=self.config,
-            policy=self.policy,
             backend=self.backend,
             stats=self.stats,
         )
@@ -129,8 +126,8 @@ class CrossbarAttentionExecutor:
 
         Signature-compatible with what
         :meth:`repro.nn.transformer.DecoderLM.new_cache` allocates, so the
-        continuous scheduler's slot pool transparently produces
-        crossbar-backed caches.
+        continuous scheduler transparently allocates a crossbar-backed
+        cache.
         """
         from repro.pim.kv_cache import CrossbarKVCache
 

@@ -42,7 +42,7 @@ from repro.quant.quantizer import QuantParams, dequantize, quantize
 from repro.rram.backend import CrossbarBackend
 from repro.rram.cell import CellType, MLC2, SLC
 from repro.rram.crossbar import CrossbarConfig, GemvStats
-from repro.rram.kernels import GemvStack, KernelPolicy, run_gemv_stack
+from repro.rram.kernels import GemvStack, run_gemv_stack
 from repro.rram.mapping import (
     HybridSplit,
     MappedMatrix,
@@ -145,7 +145,6 @@ class HybridLinear(Module):
         mlc_cell: CellType = MLC2,
         config: CrossbarConfig | None = None,
         seed: int = 0,
-        policy: KernelPolicy | None = None,
         backend: CrossbarBackend | None = None,
     ) -> None:
         super().__init__()
@@ -157,7 +156,6 @@ class HybridLinear(Module):
         self.mlc_cell = mlc_cell
         self.config = config or CrossbarConfig()
         self.seed = seed
-        self.policy = policy
         self.backend = backend
         self.in_features = plan.a_matrix.shape[1]
         self.out_features = plan.b_matrix.shape[0]
@@ -323,7 +321,6 @@ class HybridLinear(Module):
                     config=self.config,
                     mlc_cell=self.mlc_cell,
                     seed=self.seed if ways == 1 else self.seed + 104729 * (index + 1),
-                    policy=self.policy,
                     rank_range=(start, stop),
                     backend=self.backend,
                 )
@@ -583,21 +580,19 @@ class SiblingGroup:
     gather each stage-2 member's inputs.  Outputs, every
     :class:`~repro.rram.crossbar.GemvStats` and the mesh ledger are
     bitwise-equal to one GEMV per programmed matrix, layer by layer, with
-    the same calibration and kernel policy.  Siblings that
-    froze different input scales (calibrated apart) run one by one.
+    the same calibration.  Siblings that froze different input scales
+    (calibrated apart) run one by one.
     """
 
     def __init__(self, layers) -> None:
         self.layers = tuple(layers)
         first = self.layers[0]
-        shared = (first.in_features, first.config, first.policy)
+        shared = (first.in_features, first.config)
         if any(
-            layer.mode != "crossbar" or (layer.in_features, layer.config, layer.policy) != shared
+            layer.mode != "crossbar" or (layer.in_features, layer.config) != shared
             for layer in self.layers
         ):
-            raise ValueError(
-                "sibling layers must be crossbar-mode and share in_features, config and policy"
-            )
+            raise ValueError("sibling layers must be crossbar-mode and share in_features and config")
         self._level: _Level | None = None
 
     def __call__(self, x) -> tuple[Tensor, ...]:
@@ -675,7 +670,6 @@ class SiblingGroup:
         """Flattened outputs of every layer (before bias)."""
         level = self.level()
         layers = self.layers
-        policy = layers[0].policy
         batch = flat.shape[0]
         dtype = get_default_dtype()  # buffers follow the tensor dtype policy
 
@@ -698,7 +692,6 @@ class SiblingGroup:
             _int8_codes(wide, scale)[None],
             _ACTIVATION_BITS,
             [a.stats for a in op.mapped],
-            policy,
         )[0]
         hidden = np.zeros((batch, level.total_rank), dtype=dtype)
         hidden[:, op.columns] = out * (np.asarray(scale) * op.a_scales)
@@ -730,7 +723,6 @@ class SiblingGroup:
                 h_codes[:, op.gather].transpose(1, 0, 2),
                 _ACTIVATION_BITS,
                 [b.stats for b in op.mapped],
-                policy,
             )
             if op.starts is not None:
                 out = np.add.reduceat(out, op.starts, axis=0)
@@ -782,7 +774,6 @@ def attach_hybrid_layers(
     mode: str = "fast",
     mlc_cell: CellType = MLC2,
     seed: int = 0,
-    policy: KernelPolicy | None = None,
     backend: CrossbarBackend | None = None,
 ) -> dict[str, HybridLinear]:
     """Swap every planned layer of ``model`` for its PIM deployment form.
@@ -806,7 +797,6 @@ def attach_hybrid_layers(
             mode=mode,
             mlc_cell=mlc_cell,
             seed=seed + len(attached),
-            policy=policy,
             backend=backend,
         )
         model.replace_static_linear(name, layer)

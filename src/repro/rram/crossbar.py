@@ -25,7 +25,7 @@ formulation survives as the ``reference`` kernel both are tested against.
 With noise it uses the same argument per row tile:
 :meth:`ProgrammedMatrix.clip_free_tiles` marks the tiles whose effective
 cells cannot reach full scale for any input, and those tiles skip the
-ADC's clip.  Which kernel runs is governed by
+ADC's clip.  Which kernel runs is governed by the process-wide
 :class:`~repro.rram.kernels.KernelPolicy`.
 """
 
@@ -39,7 +39,7 @@ from repro.quant.quantizer import int_to_bits
 from repro.rram.adc import SarAdc, required_adc_bits
 from repro.rram.backend import CrossbarBackend, resolve_backend
 from repro.rram.cell import CellType
-from repro.rram.kernels import KernelPolicy, clip_free_flags, run_gemv
+from repro.rram.kernels import clip_free_flags, run_gemv
 
 __all__ = [
     "CrossbarConfig",
@@ -225,7 +225,6 @@ class ProgrammedMatrix:
         config: CrossbarConfig | None = None,
         weight_bits: int = 8,
         adc: SarAdc | None = None,
-        policy: KernelPolicy | None = None,
         backend: CrossbarBackend | None = None,
     ) -> None:
         """Slice, offset-encode and program ``weight_codes`` onto ``backend``.
@@ -241,7 +240,6 @@ class ProgrammedMatrix:
         weight_codes = np.asarray(weight_codes, dtype=np.int64)
         self.out_features, self.in_features = weight_codes.shape
         self.cell = cell
-        self.policy = policy
         self.noise_sigma = float(noise_sigma)
         self.slices = slice_weights(weight_codes, cell, weight_bits)
         self.backend = resolve_backend(backend)
@@ -351,19 +349,14 @@ class ProgrammedMatrix:
         input_codes: np.ndarray,
         input_bits: int = 8,
         stats: GemvStats | None = None,
-        policy: KernelPolicy | None = None,
     ) -> np.ndarray:
         """Bit-serial ``x @ W.T`` against the programmed cells (signed ints).
 
-        ``policy`` overrides the matrix-level policy for this call; both fall
-        back to the process-wide default (:mod:`repro.rram.kernels`).
+        The process-wide kernel policy (:mod:`repro.rram.kernels`) picks
+        the kernel.
         """
         return run_gemv(
-            self,
-            checked_gemv_inputs(input_codes, input_bits, self),
-            input_bits,
-            stats=stats,
-            policy=policy if policy is not None else self.policy,
+            self, checked_gemv_inputs(input_codes, input_bits, self), input_bits, stats=stats
         )
 
 
@@ -399,7 +392,6 @@ def bit_serial_gemv(
     weight_bits: int = 8,
     adc: SarAdc | None = None,
     stats: GemvStats | None = None,
-    policy: KernelPolicy | None = None,
     backend: CrossbarBackend | None = None,
 ) -> np.ndarray:
     """One-shot program + GEMV convenience wrapper around ProgrammedMatrix."""
@@ -414,7 +406,6 @@ def bit_serial_gemv(
         config=config,
         weight_bits=weight_bits,
         adc=adc,
-        policy=policy,
         backend=backend,
     )
     return matrix.gemv(input_codes, input_bits=input_bits, stats=stats)

@@ -58,12 +58,11 @@ from repro.rram.crossbar import (
     offset_slices,
 )
 from repro.rram.kernels import (
-    KernelPolicy,
     StackLayout,
     check_exact_sums,
     clip_free_flags,
     clip_free_mask,
-    resolve_policy,
+    get_default_kernel_policy,
     run_gemv,
     run_gemv_stack,
 )
@@ -170,9 +169,10 @@ class DynamicOperand:
         Programming-noise σ applied to every appended cell (0 = ideal).
     rng:
         Generator for programming-noise draws (default: seeded from 0).
-    config / policy / backend:
-        Crossbar geometry, kernel policy and execution backend — same
-        semantics as :class:`~repro.rram.crossbar.ProgrammedMatrix`.
+    config / backend:
+        Crossbar geometry and execution backend — same semantics as
+        :class:`~repro.rram.crossbar.ProgrammedMatrix`.  The process-wide
+        kernel policy picks the kernel each read runs.
     stats:
         :class:`~repro.rram.crossbar.GemvStats` instance write and read
         events accumulate into (shareable across operands).
@@ -188,7 +188,6 @@ class DynamicOperand:
         noise_sigma: float = 0.0,
         rng: np.random.Generator | None = None,
         config: CrossbarConfig | None = None,
-        policy: KernelPolicy | None = None,
         backend: CrossbarBackend | None = None,
         stats: GemvStats | None = None,
     ) -> None:
@@ -206,7 +205,6 @@ class DynamicOperand:
         self.num_slices = -(-self.weight_bits // cell.bits)
         self.noise_sigma = float(noise_sigma)
         self.config = config or CrossbarConfig()
-        self.policy = policy
         self.backend = resolve_backend(backend)
         self.stats = stats if stats is not None else GemvStats()
         if grow == "wordlines":
@@ -281,16 +279,15 @@ class DynamicOperand:
         input_codes: np.ndarray,
         input_bits: int = 8,
         stats: GemvStats | None = None,
-        policy: KernelPolicy | None = None,
     ) -> np.ndarray:
         """Bit-serial ``x @ W.T`` against the valid region (signed ints).
 
         ``x`` has ``length`` columns for a wordline-grown operand and
         ``width`` columns for a bitline-grown one; the result's trailing
         dimension is the other of the two.  Runs the standard kernel stack
-        (``reference`` / ``fast`` by policy) against the region view, so
-        noise, ADC clipping and op counts behave exactly as for static
-        weights.
+        (``reference`` / ``fast`` by the process-wide policy) against the
+        region view, so noise, ADC clipping and op counts behave exactly as
+        for static weights.
         """
         if self.length == 0:
             raise ValueError("cannot GEMV an empty dynamic operand")
@@ -300,7 +297,6 @@ class DynamicOperand:
             checked_gemv_inputs(input_codes, input_bits, view, operand="operand"),
             input_bits,
             stats=stats if stats is not None else self.stats,
-            policy=policy if policy is not None else self.policy,
         )
 
     # -- health -------------------------------------------------------------
@@ -467,10 +463,10 @@ class PlaneBank:
         zero past them; ``in`` is the widest ``in_i``.  Returns
         ``(n, batch, out)`` int64, member ``i`` equal to its operand's
         :meth:`DynamicOperand.gemv` of ``input_codes[i, :, :in_i]`` in its
-        first ``out_i`` columns and zero past them.  The first member's
-        kernel policy applies and each member's ``stats`` sink collects
-        its counts.  The ``reference`` policy reads each operand through
-        its own view (the spec); every other policy reads the bank.
+        first ``out_i`` columns and zero past them.  Each member's
+        ``stats`` sink collects its counts.  Under the process-wide
+        ``reference`` policy each operand is read through its own view
+        (the spec); every other policy reads the bank.
         """
         if self.epoch != self.backend.epoch:
             self._rebuild()
@@ -491,11 +487,11 @@ class PlaneBank:
         offset_inputs = codes + 2 ** (input_bits - 1)
         if offset_inputs.min(initial=0) < 0 or offset_inputs.max(initial=0) >= 2**input_bits:
             raise ValueError(f"input codes exceed the signed {input_bits}-bit range")
-        if resolve_policy(first.policy).mode == "reference":
+        if get_default_kernel_policy().mode == "reference":
             stack = [_DynamicView(op) for op in operands]
         else:
             stack = _BankWindow(self, members, lengths)
-        return run_gemv_stack(stack, codes, input_bits, [op.stats for op in operands], first.policy)
+        return run_gemv_stack(stack, codes, input_bits, [op.stats for op in operands])
 
 
 class _BankWindow(StackLayout):

@@ -91,10 +91,10 @@ A bit-serial fast-kernel call packs its activation bit-planes once and
 counts them in ``GemvStats.planes_packed``; a served decode step reads
 each activation block in one stacked call, so no block is packed twice.
 
-The active policy is process-wide by default (:func:`set_default_kernel_policy`
-or the :func:`kernel_policy` context manager) and can be overridden per
-matrix or per call everywhere the GEMV surfaces (``ProgrammedMatrix``,
-``MappedMatrix``, ``HybridLinear``, ``HyFlexPim``).
+The active policy is process-wide: :func:`set_default_kernel_policy` or
+the :func:`kernel_policy` context manager sets it, and every GEMV surface
+(``ProgrammedMatrix``, ``MappedMatrix``, ``DynamicOperand``, ``PlaneBank``,
+``HybridLinear``) reads it when it runs.
 """
 
 from __future__ import annotations
@@ -121,7 +121,6 @@ __all__ = [
     "get_default_kernel_policy",
     "set_default_kernel_policy",
     "kernel_policy",
-    "resolve_policy",
     "check_exact_sums",
     "clip_free_flags",
     "clip_free_mask",
@@ -145,9 +144,8 @@ class KernelPolicy:
     float32 multiples of ``2**-16`` level units, summed exactly by both
     kernels (the module docstring's grid argument).
 
-    Policies hold only a string, so they stay JSON/pickle friendly — they
-    ride inside :class:`~repro.core.hyflexpim.HyFlexPim` instances that
-    cross process boundaries during parallel sweeps.
+    Install one process-wide with :func:`set_default_kernel_policy` or
+    :func:`kernel_policy`.
     """
 
     mode: str = "fast"
@@ -161,7 +159,7 @@ _default_policy = KernelPolicy()
 
 
 def get_default_kernel_policy() -> KernelPolicy:
-    """The process-wide policy used when none is passed explicitly."""
+    """The process-wide policy every GEMV runs under."""
     return _default_policy
 
 
@@ -191,11 +189,6 @@ class kernel_policy:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         set_default_kernel_policy(self._previous)
-
-
-def resolve_policy(policy: KernelPolicy | None) -> KernelPolicy:
-    """``policy`` if given, else the process-wide default."""
-    return policy if policy is not None else _default_policy
 
 
 # ----------------------------------------------------------------------
@@ -834,9 +827,8 @@ def run_gemv_stack(
     input_codes: np.ndarray,
     input_bits: int,
     stats: "Sequence[GemvStats | None] | None" = None,
-    policy: KernelPolicy | None = None,
 ) -> np.ndarray:
-    """Dispatch one validated stacked GEMV according to ``policy``.
+    """Dispatch one validated stacked GEMV under the process-wide policy.
 
     Shapes as :func:`fast_gemv`.  ``"reference"`` runs
     :func:`reference_gemv` on each constituent of each member with the
@@ -845,7 +837,7 @@ def run_gemv_stack(
     :class:`GemvStack` or a sequence of matrices.
     """
     stack = matrices if isinstance(matrices, StackLayout) else _one_per_member(matrices)
-    if resolve_policy(policy).mode != "reference":
+    if _default_policy.mode != "reference":
         return fast_gemv(stack, input_codes, input_bits, stats)
     n, batch, _ = input_codes.shape
     out = np.zeros((n, batch, stack.out_width), dtype=np.int64)
@@ -864,7 +856,6 @@ def run_gemv(
     input_codes: np.ndarray,
     input_bits: int,
     stats: "GemvStats | None" = None,
-    policy: KernelPolicy | None = None,
 ) -> np.ndarray:
     """Dispatch one validated GEMV: a one-member :func:`run_gemv_stack`."""
-    return run_gemv_stack((matrix,), input_codes[None], input_bits, (stats,), policy)[0]
+    return run_gemv_stack((matrix,), input_codes[None], input_bits, (stats,))[0]

@@ -22,7 +22,6 @@ from repro.rram.adc import SarAdc, required_adc_bits
 from repro.rram.backend import CrossbarBackend
 from repro.rram.cell import CellType, MLC2, SLC
 from repro.rram.crossbar import CrossbarConfig, GemvStats, ProgrammedMatrix
-from repro.rram.kernels import KernelPolicy
 from repro.rram.noise import DEFAULT_NOISE, NoiseSpec
 
 __all__ = [
@@ -181,7 +180,6 @@ class MappedMatrix:
     config: CrossbarConfig = field(default_factory=CrossbarConfig)
     weight_bits: int = 8
     seed: int = 0
-    policy: KernelPolicy | None = None
     stats: GemvStats = field(default_factory=GemvStats)
     backend: CrossbarBackend | None = None
 
@@ -198,7 +196,6 @@ class MappedMatrix:
             rng=np.random.default_rng(self.seed),
             config=self.config,
             weight_bits=self.weight_bits,
-            policy=self.policy,
             backend=self.backend,
         )
         self.backend = self._programmed.backend
@@ -227,11 +224,9 @@ class MappedMatrix:
         """The SAR ADC geometry this mapping's bitline reads require."""
         return SarAdc(bits=required_adc_bits(self.config.rows, self.cell.bits))
 
-    def gemv(
-        self, input_codes: np.ndarray, policy: KernelPolicy | None = None
-    ) -> np.ndarray:
+    def gemv(self, input_codes: np.ndarray) -> np.ndarray:
         """Noisy analog GEMV ``x @ W.T`` (signed integer result)."""
-        return self._programmed.gemv(input_codes, stats=self.stats, policy=policy)
+        return self._programmed.gemv(input_codes, stats=self.stats)
 
     def ideal_gemv(self, input_codes: np.ndarray) -> np.ndarray:
         """Noise-free integer reference (for error measurements)."""
@@ -294,7 +289,6 @@ def split_by_rank(
     config: CrossbarConfig | None = None,
     mlc_cell: CellType = MLC2,
     seed: int = 0,
-    policy: KernelPolicy | None = None,
     rank_range: tuple[int, int] | None = None,
     backend: CrossbarBackend | None = None,
 ) -> HybridSplit:
@@ -338,7 +332,6 @@ def split_by_rank(
             noise=noise,
             config=config,
             seed=seed + salt,
-            policy=policy,
             backend=backend,
         )
 

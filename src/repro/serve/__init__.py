@@ -1,8 +1,8 @@
 """Batched serving over KV-cached decoder inference (`repro.serve`).
 
 The deployment-facing layer of the reproduction: request queue +
-continuous (iteration-level) batching + KV-cache slot pooling
-over a PIM-deployed :class:`~repro.nn.transformer.DecoderLM`.  See
+continuous (iteration-level) batching over one shared KV cache, serving
+a PIM-deployed :class:`~repro.nn.transformer.DecoderLM`.  See
 :mod:`repro.serve.engine` for the hardware correspondence (analog
 crossbars for static GEMVs, cached K/V as the digital-PIM dynamic-GEMM
 operands) and :mod:`repro.serve.continuous` for the iteration-level
@@ -21,12 +21,11 @@ from repro.serve.replica import (
     ShmRing,
 )
 from repro.serve.requests import GenerationRequest, RequestResult, TokenCallback
-from repro.serve.slots import CacheSlotPool, RowSlotManager, RowSlotStats, SlotPoolStats
+from repro.serve.slots import RowSlotManager, RowSlotStats
 
 __all__ = [
     "AdmissionPolicy",
     "ApiServer",
-    "CacheSlotPool",
     "ContinuousScheduler",
     "GenerationRequest",
     "LeastOutstandingTokensRouter",
@@ -41,6 +40,5 @@ __all__ = [
     "ServingStats",
     "SessionAffinityRouter",
     "ShmRing",
-    "SlotPoolStats",
     "TokenCallback",
 ]

@@ -16,9 +16,9 @@ re-forms the in-flight batch on *every decode step*:
   handed to the next queued request.
 
 All rows live in ONE shared :class:`~repro.nn.kv_cache.KVCache` of
-``max_batch_size`` rows, acquired from the engine's
-:class:`~repro.serve.slots.CacheSlotPool` while work is in flight and
-released back when the scheduler drains.  Live rows always occupy the
+``max_batch_size`` rows, allocated on the first admission and reset
+whenever a busy period starts, so its buffers serve every busy period of
+the scheduler's life.  Live rows always occupy the
 contiguous prefix ``[0, n_live)`` (managed by
 :class:`~repro.serve.slots.RowSlotManager`), so the decode forward runs
 over a zero-copy ``rows_view`` — no per-iteration reallocation.
@@ -46,7 +46,7 @@ from repro.nn.kv_cache import KVCache
 from repro.nn.tensor import no_grad
 from repro.nn.transformer import DecoderLM
 from repro.serve.requests import GenerationRequest, RequestResult
-from repro.serve.slots import CacheSlotPool, RowSlotManager
+from repro.serve.slots import RowSlotManager
 
 __all__ = ["ContinuousScheduler"]
 
@@ -78,7 +78,6 @@ class ContinuousScheduler:
     def __init__(
         self,
         model: DecoderLM,
-        slot_pool: CacheSlotPool,
         max_batch_size: int,
         clock: Callable[[], float],
         rng: np.random.Generator | None = None,
@@ -88,7 +87,6 @@ class ContinuousScheduler:
         if max_tokens is not None and max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
         self.model = model
-        self.slot_pool = slot_pool
         self.max_batch_size = max_batch_size
         self.clock = clock
         self.rng = rng
@@ -139,12 +137,6 @@ class ContinuousScheduler:
         finally:
             if was_training:
                 self.model.train()
-        if self.live == 0 and self._cache is not None:
-            # Drained: hand the shared cache back so other engines can
-            # reuse the buffers; re-acquired on the next
-            # admission (a pool hit).
-            self.slot_pool.release(self._cache)
-            self._cache = None
         return completed
 
     # ------------------------------------------------------------------
@@ -210,7 +202,8 @@ class ContinuousScheduler:
                 completed.append(self._empty_result(request, admitted_at))
                 continue
             if self._cache is None:
-                self._cache = self.slot_pool.acquire(self.max_batch_size)
+                self._cache = self.model.new_cache(self.max_batch_size)
+            elif self.live == 0:  # a busy period starts
                 self._cache.reset()
             row = self.slots.checkout()
             self._reserved_tokens += request.token_need

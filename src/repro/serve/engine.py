@@ -29,8 +29,8 @@ Design notes
   to the optional ``max_tokens`` budget).
 - Prompts of different lengths decode together via the ragged KV-cache
   path; each request stops at its own budget (or ``eos_id``).
-- KV-cache buffers come from a :class:`~repro.serve.slots.CacheSlotPool`
-  and are recycled across busy periods.
+- The scheduler allocates one ``max_batch_size``-row KV cache on its
+  first admission and reuses its buffers across busy periods.
 - All timing — including ``GenerationRequest.submitted_at`` and every
   TTFT/TPOT sample — goes through the injectable ``clock``, so scheduler
   tests are fully deterministic.
@@ -58,7 +58,6 @@ from repro.rram.crossbar import GemvStats
 from repro.rram.noise import DEFAULT_NOISE, NoiseSpec
 from repro.serve.continuous import ContinuousScheduler
 from repro.serve.requests import GenerationRequest, RequestResult, TokenCallback
-from repro.serve.slots import CacheSlotPool
 
 __all__ = [
     "GenerationRequest",
@@ -299,9 +298,6 @@ class ServingEngine:
         budget) reserved by in-flight requests never exceeds this.
         ``None`` = bounded by ``max_batch_size`` and the model's
         ``max_seq_len`` alone.
-    cache_slots:
-        Size of the KV-cache slot pool (free slots retained across busy
-        periods).
     rng:
         Optional sampling Generator shared by all requests; None = greedy.
     eos_id:
@@ -317,7 +313,6 @@ class ServingEngine:
         model: DecoderLM,
         max_batch_size: int = 8,
         max_wait_s: float = 0.0,
-        cache_slots: int = 4,
         rng: np.random.Generator | None = None,
         eos_id: int | None = None,
         clock: Callable[[], float] = time.perf_counter,
@@ -337,16 +332,9 @@ class ServingEngine:
         self.eos_id = eos_id
         self.clock = clock
         self.max_tokens = max_tokens
-        self.slot_pool = CacheSlotPool(model, max_slots=cache_slots)
         self.stats = ServingStats()
         self._continuous = ContinuousScheduler(
-            model,
-            self.slot_pool,
-            max_batch_size,
-            clock=clock,
-            rng=rng,
-            eos_id=eos_id,
-            max_tokens=max_tokens,
+            model, max_batch_size, clock=clock, rng=rng, eos_id=eos_id, max_tokens=max_tokens
         )
         self._queue: list[GenerationRequest] = []
         # Completed-but-unclaimed results, bounded FIFO: oldest unclaimed
@@ -405,7 +393,6 @@ class ServingEngine:
         noise: NoiseSpec = DEFAULT_NOISE,
         mode: str = "fast",
         seed: int = 0,
-        policy=None,
         mesh=None,
         tensor_parallel: int = 1,
         backend=None,
@@ -460,8 +447,7 @@ class ServingEngine:
             )
         deployed = copy.deepcopy(model)
         attached = attach_hybrid_layers(
-            deployed, plans, noise=noise, mode=mode, seed=seed, policy=policy,
-            backend=backend,
+            deployed, plans, noise=noise, mode=mode, seed=seed, backend=backend
         )
         if mesh is not None:
             from repro.dist import ShardPlan, deploy_sharded
@@ -510,7 +496,6 @@ class ServingEngine:
             executor = CrossbarAttentionExecutor(
                 cell=MLC2,
                 noise_sigma=spec.sigma(MLC2),
-                policy=policy,
                 backend=backend,
                 seed=seed,
                 mesh=mesh,
@@ -518,7 +503,7 @@ class ServingEngine:
             )
             for block in deployed.blocks:
                 block.attn = AnalogAttention.from_host(block.attn, executor)
-            # Pooled caches now come out crossbar-backed (same geometry).
+            # The scheduler's cache now comes out crossbar-backed (same geometry).
             deployed.kv_cache_factory = executor.make_cache
         engine = cls(deployed, **engine_kwargs)
         engine._attention_executor = executor

@@ -33,6 +33,7 @@ from repro.rram import (
     SimBackend,
     WearLedger,
     get_default_backend,
+    kernel_policy,
     resolve_backend,
     set_default_backend,
 )
@@ -94,9 +95,9 @@ class TestGoldenTraces:
             noise_sigma=DEFAULT_NOISE.sigma(cell) if noisy else 0.0,
             rng=np.random.default_rng(7),
             config=_config_for(cell_name),
-            policy=KernelPolicy(mode=mode),
         )
-        out = matrix.gemv(x, stats=GemvStats())
+        with kernel_policy(KernelPolicy(mode=mode)):
+            out = matrix.gemv(x, stats=GemvStats())
         key = f"gemv/{cell_name}/{'noisy' if noisy else 'clean'}/{mode}"
         assert _digest(out) == GOLDEN[key]
 

@@ -27,6 +27,7 @@ from repro.rram import (
     ProgrammedMatrix,
     SarAdc,
     SimBackend,
+    kernel_policy,
 )
 from repro.rram.backend import CELL_GRID, EXACT_SUM_LIMIT, on_cell_grid
 from repro.rram.dynamic import PlaneBank
@@ -34,6 +35,13 @@ from repro.rram.kernels import fast_gemv, reference_gemv
 
 FAST = KernelPolicy(mode="fast")
 REFERENCE = KernelPolicy(mode="reference")
+
+
+def _gemv(surface, *args, policy: KernelPolicy, **kwargs) -> np.ndarray:
+    """``surface.gemv(*args, **kwargs)`` under the process-wide ``policy``."""
+    with kernel_policy(policy):
+        return surface.gemv(*args, **kwargs)
+
 
 #: Every mechanism of the faulty backend, wear-scaled re-programming included.
 FAULTS = FaultModel(
@@ -192,7 +200,7 @@ class TestSumsPastTheExactRange:
         x = np.full((3, 4, width), -1, dtype=np.int64)
         fast = bank.gemv(x)
         for i, op in enumerate(operands):
-            np.testing.assert_array_equal(fast[i], op.gemv(x[i], policy=REFERENCE))
+            np.testing.assert_array_equal(fast[i], _gemv(op, x[i], policy=REFERENCE))
 
 
 class TestNegativeCellBound:
@@ -207,14 +215,14 @@ class TestNegativeCellBound:
         matrix = _with_cells(self._cells(EXACT_SUM_LIMIT + 1.0))
         x = np.full((2, 64), -1, dtype=np.int64)
         with pytest.raises(ValueError, match="negative cell"):
-            matrix.gemv(x, policy=FAST)
-        matrix.gemv(x, policy=REFERENCE)  # the float64 spec is exact anyway
+            _gemv(matrix, x, policy=FAST)
+        _gemv(matrix, x, policy=REFERENCE)  # the float64 spec is exact anyway
 
     def test_tile_under_the_bound_matches_reference(self):
         matrix = _with_cells(self._cells(EXACT_SUM_LIMIT - 1.0))
         x = np.full((2, 64), -1, dtype=np.int64)
         x[1, ::3] = 5
-        np.testing.assert_array_equal(matrix.gemv(x, policy=FAST), matrix.gemv(x, policy=REFERENCE))
+        np.testing.assert_array_equal(_gemv(matrix, x, policy=FAST), _gemv(matrix, x, policy=REFERENCE))
 
     def test_bank_tile_over_the_bound_raises(self):
         backend = SimBackend()
@@ -247,6 +255,6 @@ class TestExactRange:
         x = np.full((2, 64), -1, dtype=np.int64)
         if excess > 0:
             with pytest.raises(ValueError, match="full scale 511"):
-                matrix.gemv(x, policy=FAST)
+                _gemv(matrix, x, policy=FAST)
         else:
-            np.testing.assert_array_equal(matrix.gemv(x, policy=FAST), matrix.gemv(x, policy=REFERENCE))
+            np.testing.assert_array_equal(_gemv(matrix, x, policy=FAST), _gemv(matrix, x, policy=REFERENCE))

@@ -33,6 +33,7 @@ from repro.rram import (
     MLC2,
     ProgrammedMatrix,
     SimBackend,
+    kernel_policy,
 )
 from repro.rram.dynamic import PlaneBank
 from repro.rram.noise import DEFAULT_NOISE
@@ -66,7 +67,7 @@ class TestExactness:
     def test_noiseless_gemv_is_exact_integer_product(self, grow, mode):
         """Chunked appends + every kernel == x @ W.T over the valid prefix."""
         rng = np.random.default_rng(0)
-        op = _operand(grow, policy=KernelPolicy(mode=mode))
+        op = _operand(grow)
         rows = []
         for t in (3, 1, 5):
             rows.append(_codes(rng, t))
@@ -79,7 +80,8 @@ class TestExactness:
         else:
             x = _inputs(rng, 4, WIDTH)
             expected = x @ dense.T
-        out = op.gemv(x)
+        with kernel_policy(KernelPolicy(mode=mode)):
+            out = op.gemv(x)
         np.testing.assert_array_equal(np.asarray(out, dtype=np.int64), expected)
 
     @pytest.mark.parametrize("grow", ["wordlines", "bitlines"])
@@ -300,7 +302,8 @@ def _assert_stack_matches_reference(bank, x):
     for i, op in enumerate(ops):
         in_f, out_f = _in_out(op)
         ref_stats = GemvStats()
-        ref = op.gemv(x[i, :, :in_f], stats=ref_stats, policy=REFERENCE)
+        with kernel_policy(REFERENCE):
+            ref = op.gemv(x[i, :, :in_f], stats=ref_stats)
         np.testing.assert_array_equal(out[i, :, :out_f], ref)
         assert not out[i, :, out_f:].any()
         assert op.stats == ref_stats, (i, op.stats, ref_stats)
@@ -363,14 +366,13 @@ class TestStackedEquivalence:
         _assert_stack_matches_reference(bank, _stack_inputs(ops, 2, seed=1))
 
     def test_reference_policy_loops_reference_gemv(self):
-        """A stack whose operands carry the reference policy runs the spec."""
+        """Under the reference policy a stacked read runs the spec."""
         ops = _stack("wordlines", sigma=DEFAULT_NOISE.sigma(MLC2))
         bank = PlaneBank(ops)
         x = _stack_inputs(ops, 2)
         fast = _assert_stack_matches_reference(bank, x)
-        for op in ops:
-            op.policy = REFERENCE
-        np.testing.assert_array_equal(bank.gemv(x), fast)
+        with kernel_policy(REFERENCE):
+            np.testing.assert_array_equal(bank.gemv(x), fast)
 
     def test_one_member_stack_is_the_single_read(self):
         ops = _stack("bitlines", lengths=(7,), sigma=DEFAULT_NOISE.sigma(MLC2))

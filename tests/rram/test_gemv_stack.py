@@ -27,6 +27,7 @@ from repro.rram import (
     GemvStats,
     KernelPolicy,
     ProgrammedMatrix,
+    kernel_policy,
 )
 from repro.rram.cell import CELL_TYPES
 from repro.rram.kernels import fast_gemv, reference_gemv, run_gemv_stack
@@ -120,7 +121,8 @@ class TestColumnAxis:
         x = _inputs(2, 1, 5, 30)
         fast = run_gemv_stack(stack, x, 8, [GemvStats(), GemvStats()])
         spec_stats = [GemvStats(), GemvStats()]
-        spec = run_gemv_stack(stack, x, 8, spec_stats, KernelPolicy(mode="reference"))
+        with kernel_policy(KernelPolicy(mode="reference")):
+            spec = run_gemv_stack(stack, x, 8, spec_stats)
         np.testing.assert_array_equal(fast, spec)
         _, sinks = _assert_matches_reference(stack, x)
         assert sinks == spec_stats

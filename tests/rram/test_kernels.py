@@ -1,4 +1,4 @@
-"""Kernel-engine tests: fast/reference bitwise equivalence, policy plumbing.
+"""Kernel-engine tests: fast/reference bitwise equivalence, the process-wide policy.
 
 The fast kernel is only allowed to exist because it is *indistinguishable*
 from the reference pipeline: the grids below check bitwise-equal outputs and
@@ -16,12 +16,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.rram.kernels as kernels
+from repro.pim.hybrid import HybridLinear, SiblingGroup
 from repro.rram import (
     CELL_TYPES,
     CrossbarConfig,
     DEFAULT_NOISE,
+    DynamicOperand,
     GemvStats,
     KernelPolicy,
+    MappedMatrix,
     MLC2,
     ProgrammedMatrix,
     SLC,
@@ -31,10 +35,19 @@ from repro.rram import (
     set_default_kernel_policy,
 )
 from repro.rram.backend import on_cell_grid
+from repro.rram.dynamic import PlaneBank
 from repro.rram.kernels import clip_free_flags
+from repro.svd.pipeline import LayerPlan
 
 REFERENCE = KernelPolicy(mode="reference")
 FAST = KernelPolicy(mode="fast")
+
+
+def _gemv(surface, *args, policy: KernelPolicy, **kwargs) -> np.ndarray:
+    """``surface.gemv(*args, **kwargs)`` under the process-wide ``policy``."""
+    with kernel_policy(policy):
+        return surface.gemv(*args, **kwargs)
+
 
 # Odd shapes spanning multiple row and column tiles: (batch, in, out).
 SHAPES = [(1, 16, 4), (5, 70, 33), (3, 200, 7), (2, 129, 65)]
@@ -68,8 +81,8 @@ class TestFastReferenceEquivalence:
             config=_config_for(cell_name),
         )
         ref_stats, fast_stats = GemvStats(), GemvStats()
-        ref = matrix.gemv(x, stats=ref_stats, policy=REFERENCE)
-        fast = matrix.gemv(x, stats=fast_stats, policy=FAST)
+        ref = _gemv(matrix, x, stats=ref_stats, policy=REFERENCE)
+        fast = _gemv(matrix, x, stats=fast_stats, policy=FAST)
         np.testing.assert_array_equal(ref, fast)
         assert ref_stats == fast_stats
 
@@ -78,7 +91,7 @@ class TestFastReferenceEquivalence:
         w = rng.integers(-128, 128, size=(12, 100))
         matrix = ProgrammedMatrix(w, SLC, noise_sigma=0.0)
         assert matrix.saturation_free  # random SLC columns stay below full scale
-        np.testing.assert_array_equal(matrix.gemv(x, policy=FAST), x @ w.T)
+        np.testing.assert_array_equal(_gemv(matrix, x, policy=FAST), x @ w.T)
 
     def test_saturating_matrix_falls_back_and_still_matches_reference(self):
         """All-max weights drive bitlines to full scale: the shortcut must
@@ -89,17 +102,19 @@ class TestFastReferenceEquivalence:
         matrix = ProgrammedMatrix(w, SLC, noise_sigma=0.0)
         assert not matrix.saturation_free
         ref_stats, fast_stats = GemvStats(), GemvStats()
-        ref = matrix.gemv(x, stats=ref_stats, policy=REFERENCE)
-        fast = matrix.gemv(x, stats=fast_stats, policy=FAST)
+        ref = _gemv(matrix, x, stats=ref_stats, policy=REFERENCE)
+        fast = _gemv(matrix, x, stats=fast_stats, policy=FAST)
         np.testing.assert_array_equal(ref, fast)
         assert ref_stats == fast_stats
         assert fast_stats.saturated_conversions > 0
 
-    def test_one_shot_wrapper_accepts_policy(self, rng):
+    def test_one_shot_wrapper_follows_the_policy(self, rng):
         x = rng.integers(-128, 128, size=(2, 32))
         w = rng.integers(-128, 128, size=(5, 32))
-        a = bit_serial_gemv(x, w, MLC2, 0.05, rng=np.random.default_rng(3), policy=REFERENCE)
-        b = bit_serial_gemv(x, w, MLC2, 0.05, rng=np.random.default_rng(3), policy=FAST)
+        with kernel_policy(REFERENCE):
+            a = bit_serial_gemv(x, w, MLC2, 0.05, rng=np.random.default_rng(3))
+        with kernel_policy(FAST):
+            b = bit_serial_gemv(x, w, MLC2, 0.05, rng=np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 
 
@@ -123,12 +138,68 @@ class TestKernelPolicy:
             assert get_default_kernel_policy().mode == "reference"
         assert get_default_kernel_policy() == original
 
-    def test_matrix_level_policy_wins_over_default(self, rng):
-        x = rng.integers(-128, 128, size=(2, 16))
-        w = rng.integers(-128, 128, size=(3, 16))
-        matrix = ProgrammedMatrix(w, SLC, policy=REFERENCE)
-        # Dispatch must not blow up and must match the fast default result.
-        np.testing.assert_array_equal(matrix.gemv(x), matrix.gemv(x, policy=FAST))
+
+_SURFACE_X = np.random.default_rng(21).integers(-128, 128, size=(3, 24))
+_SURFACE_W = np.random.default_rng(22).integers(-128, 128, size=(5, 24))
+
+
+def _operands(n: int) -> list[DynamicOperand]:
+    """``n`` noisy bitline-grown operands holding ``_SURFACE_W``'s rows."""
+    operands = [DynamicOperand(8, 24, grow="bitlines", noise_sigma=0.05) for _ in range(n)]
+    for op in operands:
+        op.append(_SURFACE_W)
+    return operands
+
+
+def _crossbar_layer(index: int) -> HybridLinear:
+    """A calibrated-noise crossbar layer, 24 -> 10 through rank 6."""
+    rng = np.random.default_rng(30 + index)
+    return HybridLinear(
+        LayerPlan(
+            name=f"blocks.0.w{index}",
+            a_matrix=rng.normal(size=(6, 24)) / np.sqrt(24),
+            b_matrix=rng.normal(size=(10, 6)) / np.sqrt(6),
+            bias=None,
+            protected_ranks=np.arange(6) < 2,
+            sigma_gradients=rng.random(6),
+        ),
+        mode="crossbar",
+    )
+
+
+#: One GEMV run per surface that reads programmed cells.
+GEMV_SURFACES = {
+    "ProgrammedMatrix": lambda: ProgrammedMatrix(_SURFACE_W, MLC2, noise_sigma=0.05).gemv(_SURFACE_X),
+    "MappedMatrix": lambda: MappedMatrix(_SURFACE_W, MLC2).gemv(_SURFACE_X),
+    "DynamicOperand": lambda: _operands(1)[0].gemv(_SURFACE_X),
+    "PlaneBank": lambda: PlaneBank(_operands(2)).gemv(np.stack([_SURFACE_X, _SURFACE_X])),
+    "HybridLinear": lambda: _crossbar_layer(0).forward(_SURFACE_X / 128.0),
+    "SiblingGroup": lambda: SiblingGroup([_crossbar_layer(0), _crossbar_layer(1)])(_SURFACE_X / 128.0),
+}
+
+
+class TestPolicyReachesEverySurface:
+    @pytest.mark.parametrize("surface", sorted(GEMV_SURFACES))
+    @pytest.mark.parametrize("mode", ["reference", "fast"])
+    def test_process_wide_policy_picks_the_kernel(self, surface, mode, monkeypatch):
+        """The context alone routes every surface to the spec or the fast kernel."""
+        calls = {"reference_gemv": 0, "fast_gemv": 0}
+
+        def counted(name):
+            original = getattr(kernels, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(kernels, name, wrapper)
+
+        counted("reference_gemv")
+        counted("fast_gemv")
+        with kernel_policy(KernelPolicy(mode=mode)):
+            GEMV_SURFACES[surface]()
+        assert (calls["reference_gemv"] > 0) == (mode == "reference")
+        assert (calls["fast_gemv"] > 0) == (mode == "fast")
 
 
 class TestProgrammedMemoryLayout:
@@ -162,8 +233,8 @@ def _zero_planes(x: np.ndarray, input_bits: int = 8) -> int:
 def _assert_matches_reference(matrix, x: np.ndarray) -> GemvStats:
     """Fast ≡ reference bitwise, in outputs and every GemvStats field."""
     ref_stats, fast_stats = GemvStats(), GemvStats()
-    ref = matrix.gemv(x, stats=ref_stats, policy=REFERENCE)
-    fast = matrix.gemv(x, stats=fast_stats, policy=FAST)
+    ref = _gemv(matrix, x, stats=ref_stats, policy=REFERENCE)
+    fast = _gemv(matrix, x, stats=fast_stats, policy=FAST)
     np.testing.assert_array_equal(fast, ref)
     assert fast_stats == ref_stats  # every hardware counter
     assert fast_stats.saturated_conversions == ref_stats.saturated_conversions
@@ -277,8 +348,8 @@ class TestWideInputs:
             config=CrossbarConfig(rows=rows),
         )
         ref_stats, fast_stats = GemvStats(), GemvStats()
-        ref = matrix.gemv(x, input_bits, stats=ref_stats, policy=REFERENCE)
-        fast = matrix.gemv(x, input_bits, stats=fast_stats, policy=FAST)
+        ref = _gemv(matrix, x, input_bits, stats=ref_stats, policy=REFERENCE)
+        fast = _gemv(matrix, x, input_bits, stats=fast_stats, policy=FAST)
         np.testing.assert_array_equal(fast, ref)
         assert fast_stats == ref_stats
         # Narrow tiles convert per pattern: always the 2-wordline tail, and
@@ -362,8 +433,8 @@ class TestClipFreeTiles:
 
 
 def _assert_matches_reference_output(matrix, x: np.ndarray) -> np.ndarray:
-    fast = matrix.gemv(x, policy=FAST)
-    np.testing.assert_array_equal(fast, matrix.gemv(x, policy=REFERENCE))
+    fast = _gemv(matrix, x, policy=FAST)
+    np.testing.assert_array_equal(fast, _gemv(matrix, x, policy=REFERENCE))
     return fast
 
 
@@ -379,7 +450,7 @@ class TestTileCacheInvalidation:
         w = rng.integers(-128, 128, size=(16, 70))
         x = rng.integers(-128, 128, size=(8, 70))
         matrix = ProgrammedMatrix(w, MLC2, noise_sigma=0.05, rng=rng, backend=backend)
-        before = matrix.gemv(x, policy=FAST)
+        before = _gemv(matrix, x, policy=FAST)
         backend.advance(seconds=30 * 86_400.0)
         after = _assert_matches_reference_output(matrix, x)
         assert not np.array_equal(before, after)
@@ -389,7 +460,7 @@ class TestTileCacheInvalidation:
         w = rng.integers(-128, 128, size=(16, 70))
         x = rng.integers(-128, 128, size=(8, 70))
         matrix = ProgrammedMatrix(w, MLC2, noise_sigma=0.08, rng=rng)
-        before = matrix.gemv(x, policy=FAST)
+        before = _gemv(matrix, x, policy=FAST)
         cached = matrix.float_planes()
         matrix.reprogram()
         assert matrix.float_planes() is not cached
@@ -446,8 +517,8 @@ class TestTileCacheInvalidation:
         x = rng.integers(-128, 0, size=(17, 70))
         ref_stats, fast_stats = GemvStats(), GemvStats()
         np.testing.assert_array_equal(
-            op.gemv(x, stats=fast_stats, policy=FAST),
-            op.gemv(x, stats=ref_stats, policy=REFERENCE),
+            _gemv(op, x, stats=fast_stats, policy=FAST),
+            _gemv(op, x, stats=ref_stats, policy=REFERENCE),
         )
         assert fast_stats == ref_stats
         assert fast_stats.saturated_conversions > 0
@@ -467,7 +538,7 @@ class TestTileCacheInvalidation:
             width = op.length if grow == "wordlines" else op.width
             x = np.random.default_rng(op.length).integers(-128, 128, size=(5, width))
             np.testing.assert_array_equal(
-                op.gemv(x, policy=FAST), op.gemv(x, policy=REFERENCE)
+                _gemv(op, x, policy=FAST), _gemv(op, x, policy=REFERENCE)
             )
 
         op.append(rng.integers(-128, 128, size=(12, 16)))

@@ -330,14 +330,26 @@ class TestTokenBudgetAdmission:
             engine.submit(rng.integers(0, 40, size=8), 8)
 
 
-class TestSlotPoolIntegration:
-    def test_cache_released_between_busy_periods(self, model, rng):
+class TestSharedCache:
+    def test_busy_periods_reuse_one_cache(self, model, rng, monkeypatch):
+        """The scheduler allocates its shared cache on the first admission
+        only; each later busy period resets and reuses it."""
+        prompts = [rng.integers(0, 40, size=size) for size in (6, 3, 5)]
+        expected = [model.generate(prompt, 2)[len(prompt) :].tolist() for prompt in prompts]
         engine = ServingEngine(model, max_batch_size=4)
-        for _ in range(3):
-            engine.serve([rng.integers(0, 40, size=4)], max_new_tokens=2)
-            assert engine.slot_pool.in_flight == 0  # returned on drain
-        assert engine.slot_pool.stats.misses == 1
-        assert engine.slot_pool.stats.hits == 2  # buffers reused across periods
+        allocations = []
+        new_cache = model.new_cache
+
+        def counted(batch):
+            allocations.append(batch)
+            return new_cache(batch)
+
+        monkeypatch.setattr(model, "new_cache", counted)
+        for prompt, tokens in zip(prompts, expected):
+            (result,) = engine.serve([prompt], max_new_tokens=2)
+            assert result.tokens.tolist() == tokens
+            assert engine.in_flight == 0
+        assert allocations == [4]
 
     def test_pim_deployed_continuous_serving_counts_traffic(self, rng):
         config = TransformerConfig(

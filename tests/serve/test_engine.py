@@ -1,4 +1,4 @@
-"""Tests for the batched serving engine and its KV-cache slot pool."""
+"""Tests for the batched serving engine."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import DecoderLM, TransformerConfig
-from repro.serve import CacheSlotPool, ServingEngine
+from repro.serve import ServingEngine
 
 
 @pytest.fixture
@@ -155,32 +155,6 @@ class TestStats:
         engine.serve([rng.integers(0, 40, size=4)], max_new_tokens=2)
         assert not engine.is_pim_deployed()
         assert engine.gemv_stats().adc_conversions == 0
-
-
-class TestSlotPool:
-    def test_hits_after_first_batch(self, model, rng):
-        engine = ServingEngine(model, max_batch_size=2)
-        for _ in range(3):
-            engine.serve([rng.integers(0, 40, size=4), rng.integers(0, 40, size=4)], 2)
-        pool = engine.slot_pool.stats
-        assert pool.misses == 1
-        assert pool.hits == 2
-
-    def test_eviction_when_full(self, model):
-        pool = CacheSlotPool(model, max_slots=1)
-        a = pool.acquire(1)
-        b = pool.acquire(2)
-        pool.release(a)
-        pool.release(b)  # evicts a (LRU)
-        assert pool.stats.evictions == 1
-        assert pool.free_slots == 1
-        # batch-2 slot survived; batch-1 must be re-allocated
-        pool.acquire(2)
-        assert pool.stats.hits == 1
-
-    def test_rejects_bad_max_slots(self, model):
-        with pytest.raises(ValueError):
-            CacheSlotPool(model, max_slots=0)
 
 
 class TestPimDeployment:

@@ -21,7 +21,7 @@ import pytest
 import repro.rram.kernels as kernels
 from repro.dist import DeviceMesh
 from repro.nn import DecoderLM, TransformerConfig
-from repro.rram import KernelPolicy, ProgrammedMatrix, SimBackend
+from repro.rram import KernelPolicy, ProgrammedMatrix, SimBackend, kernel_policy
 from repro.rram.backend import CrossbarBackend
 from repro.rram.noise import DEFAULT_NOISE
 from repro.serve import ServingEngine
@@ -130,13 +130,12 @@ class TestKernelCalls:
         per-read stack construction, and the tokens of the per-operand
         spec (the ``reference`` policy reads every operand on its own)."""
 
-        def serve(policy, count: bool):
+        def serve(count: bool):
             engine = _engine(
                 mesh=DeviceMesh(num_chips=2),
                 tensor_parallel=2,
                 attention="analog",
                 backend=SimBackend(),
-                policy=policy,
             )
             rng = np.random.default_rng(11)
             ids = [engine.submit(rng.integers(0, VOCAB, size=3), 6) for _ in range(ROWS)]
@@ -162,4 +161,6 @@ class TestKernelCalls:
             engine.run_until_idle()
             return [engine.pop_result(i).tokens.tolist() for i in ids]
 
-        assert serve(None, count=True) == serve(KernelPolicy(mode="reference"), count=False)
+        fast = serve(count=True)
+        with kernel_policy(KernelPolicy(mode="reference")):
+            assert serve(count=False) == fast

@@ -1,8 +1,8 @@
-"""Churn tests for the slot machinery under the continuous scheduler.
+"""Churn tests for the row slots under the continuous scheduler.
 
-`CacheSlotPool` and `RowSlotManager` accounting must stay consistent — no
-leaked slots, no double checkouts, eviction/compaction counters matching
-an independent oracle — across 1k randomized admit/retire cycles.
+`RowSlotManager` accounting must stay consistent — no leaked slots, no
+double checkouts, compaction counters matching an independent oracle —
+across 1k randomized admit/retire cycles.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.nn import DecoderLM, TransformerConfig
-from repro.serve import CacheSlotPool, RowSlotManager
+from repro.serve import RowSlotManager
 
 
 @pytest.fixture
@@ -90,51 +90,10 @@ class TestRowSlotManagerChurn:
             RowSlotManager(0)
 
 
-class TestCacheSlotPoolChurn:
-    def test_randomized_acquire_release_cycles(self, model):
-        """1k randomized acquire/release cycles: hit/miss/eviction counters
-        match an oracle, in-flight tracking never drifts, no cache is ever
-        handed out twice concurrently."""
-        rng = np.random.default_rng(7)
-        pool = CacheSlotPool(model, max_slots=3)
-        held = []
-        acquires = expected_evictions = 0
-        for _ in range(1000):
-            if not held or (len(held) < 6 and rng.random() < 0.5):
-                cache = pool.acquire(int(rng.integers(1, 5)))
-                # Never the same object twice while checked out.
-                assert all(cache is not other for other in held)
-                assert cache.max_length == 0  # always handed out reset
-                held.append(cache)
-                acquires += 1
-            else:
-                cache = held.pop(int(rng.integers(0, len(held))))
-                if pool.free_slots == pool.max_slots:
-                    expected_evictions += 1
-                pool.release(cache)
-            assert pool.in_flight == len(held)
-            assert pool.free_slots <= pool.max_slots
-            assert pool.stats.hits + pool.stats.misses == acquires
-            assert pool.stats.evictions == expected_evictions
-        for cache in held:  # drain: every checkout is returned
-            pool.release(cache)
-        assert pool.in_flight == 0
-
-    def test_double_release_raises(self, model):
-        pool = CacheSlotPool(model, max_slots=2)
-        cache = pool.acquire(1)
-        pool.release(cache)
-        with pytest.raises(ValueError):
-            pool.release(cache)
-
-    def test_release_of_foreign_cache_raises(self, model):
-        pool = CacheSlotPool(model, max_slots=2)
-        with pytest.raises(ValueError):
-            pool.release(model.new_cache(1))
-
+class TestEngineChurn:
     def test_engine_churn_leaves_no_leaks(self, model, rng):
         """End-to-end: continuous serving over many tiny busy periods keeps
-        pool + row-slot accounting balanced."""
+        row-slot accounting balanced."""
         from repro.serve import ServingEngine
 
         engine = ServingEngine(model, max_batch_size=3)
@@ -142,7 +101,6 @@ class TestCacheSlotPoolChurn:
             n = int(rng.integers(1, 5))
             prompts = [rng.integers(0, 16, size=int(rng.integers(1, 6))) for _ in range(n)]
             engine.serve(prompts, max_new_tokens=int(rng.integers(1, 5)))
-            assert engine.slot_pool.in_flight == 0
             assert engine.in_flight == 0
         slots = engine._continuous.slots
         assert slots.stats.checkouts == slots.stats.retirements
