@@ -18,18 +18,31 @@ from __future__ import annotations
 
 from repro.arch.config import DEFAULT_HARDWARE, HardwareConfig
 from repro.models.configs import ModelSpec
+from repro.rram.cell import CELL_TYPES
+from repro.rram.crossbar import CrossbarConfig
+from repro.rram.mapping import array_footprint
 from repro.svd.decompose import hard_threshold_rank
 
-__all__ = ["HyFlexPimLatencyModel"]
+__all__ = ["HyFlexPimLatencyModel", "gemv_wave_ns"]
 
 #: Dependent GEMV stages per token per layer: the QKV projections share
 #: waves (their A-factors read the same input), then proj, FFN1, FFN2 —
 #: each a factored (A then B) pair.
 GEMV_STAGES_PER_LAYER = 4 * 2
 
+_CELLS_BY_BITS = {cell.bits: cell for cell in CELL_TYPES.values()}
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+
+def gemv_wave_ns(input_bits: int, conversion_window_ns: float) -> float:
+    """Pipelined latency of one bit-serial GEMV wave (Section 5.4), in ns.
+
+    Each input-bit cycle the crossbar reads while the previous cycle's
+    bitline samples convert in the shared ADC, one conversion window per
+    cycle, plus one window to drain the ADC pipeline.  Row tiles sit on
+    different arrays with their own ADCs, so they convert concurrently and
+    do not lengthen the wave.
+    """
+    return (input_bits + 1) * conversion_window_ns
 
 
 class HyFlexPimLatencyModel:
@@ -41,6 +54,7 @@ class HyFlexPimLatencyModel:
         attention_time_factor: float = 1.0,
     ) -> None:
         self.hw = hardware or DEFAULT_HARDWARE
+        self._array = CrossbarConfig(rows=self.hw.array_rows, cols=self.hw.array_cols)
         #: >1 models baselines with slower attention (e.g. ASADI's FP32).
         self.attention_time_factor = attention_time_factor
 
@@ -48,10 +62,9 @@ class HyFlexPimLatencyModel:
     # Array demand
     # ------------------------------------------------------------------
     def _arrays_for(self, out_f: int, in_f: int, cell_bits: int) -> int:
-        slices = _ceil_div(self.hw.weight_bits, cell_bits)
-        row_tiles = _ceil_div(in_f, self.hw.array_rows)
-        col_tiles = _ceil_div(out_f * slices, self.hw.array_cols)
-        return row_tiles * col_tiles
+        """:func:`~repro.rram.mapping.array_footprint` on this hardware's arrays."""
+        cell = _CELLS_BY_BITS[cell_bits]
+        return array_footprint(out_f, in_f, cell, self._array, self.hw.weight_bits)
 
     def layer_array_demand(self, spec: ModelSpec, slc_rate: float) -> int:
         """Analog arrays one hybrid factored layer occupies."""
@@ -81,7 +94,8 @@ class HyFlexPimLatencyModel:
     # Stage latency
     # ------------------------------------------------------------------
     def gemv_wave_s(self) -> float:
-        return (self.hw.input_bits + 1) * self.hw.conversion_window_ns * 1e-9
+        """Seconds for one bit-serial GEMV wave (:func:`gemv_wave_ns`)."""
+        return gemv_wave_ns(self.hw.input_bits, self.hw.conversion_window_ns) * 1e-9
 
     # ------------------------------------------------------------------
     # Throughput

@@ -32,7 +32,7 @@ from repro.arch.interconnect import (
     hidden_vector_handoff_cycles,
     partial_sum_aggregation_cycles,
 )
-from repro.arch.latency import GEMV_STAGES_PER_LAYER
+from repro.arch.latency import GEMV_STAGES_PER_LAYER, HyFlexPimLatencyModel
 from repro.dist.plan import ShardPlan
 
 __all__ = ["HardwareProjection"]
@@ -57,8 +57,7 @@ class HardwareProjection:
     # ------------------------------------------------------------------
     def gemv_wave_s(self) -> float:
         """Seconds for one bit-serial GEMV wave across an array."""
-        hw = self.hardware
-        return (hw.input_bits + 1) * hw.conversion_window_ns * 1e-9
+        return HyFlexPimLatencyModel(self.hardware).gemv_wave_s()
 
     def oci_aggregation_s(self) -> float:
         """Per-layer partial-sum aggregation cost of tensor parallelism."""

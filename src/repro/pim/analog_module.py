@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.arch.latency import gemv_wave_ns
 from repro.rram.cell import CellType
 from repro.rram.crossbar import CrossbarConfig
 from repro.rram.mapping import array_footprint
@@ -83,12 +84,5 @@ class AnalogPimModule:
         return self.arrays_used / self.config.num_arrays
 
     def gemv_latency_ns(self, input_bits: int = 8) -> float:
-        """Pipelined latency of one GEMV wave (Section 5.4).
-
-        Each input-bit cycle the crossbar reads while the previous cycle's
-        128 bitline samples convert in the shared ADC — 100 ns per wave.
-        Row tiles sit on different arrays with their own ADCs, so they
-        convert concurrently and do not lengthen the wave.
-        """
-        waves = input_bits + 1  # +1 to drain the ADC pipeline
-        return waves * self.config.conversion_window_ns
+        """Pipelined latency of one GEMV wave (:func:`~repro.arch.latency.gemv_wave_ns`)."""
+        return gemv_wave_ns(input_bits, self.config.conversion_window_ns)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import abc
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +136,9 @@ class CrossbarBackend(abc.ABC):
     def __init__(self, ledger: WearLedger | None = None) -> None:
         """Create the backend with an optional shared wear ledger."""
         self.ledger = ledger if ledger is not None else WearLedger()
-        self._tiles: list[ProgrammedTile] = []
+        # Held weakly, so a tile whose matrix or operand is dropped is freed.
+        self._tiles: weakref.WeakValueDictionary[int, ProgrammedTile] = weakref.WeakValueDictionary()
+        self._tile_ids = itertools.count()
         self._now_s = 0.0
         self._epoch = 0
 
@@ -185,14 +188,14 @@ class CrossbarBackend(abc.ABC):
         lands in the ledger.
         """
         tile = ProgrammedTile(
-            tile_id=len(self._tiles),
+            tile_id=next(self._tile_ids),
             ideal_levels=ideal_levels,
             cell=cell,
             noise_sigma=float(noise_sigma),
             rng=rng,
         )
         self._program_tile(tile)
-        self._tiles.append(tile)
+        self._tiles[tile.tile_id] = tile
         self.ledger.record_program(
             tile.tile_id, tile.num_cells, cell.write_pulses, reprogram=False
         )
@@ -318,17 +321,22 @@ class CrossbarBackend(abc.ABC):
     def health_report(self) -> dict:
         """Deployment-health snapshot: clock, tiles, wear and write totals.
 
-        Subclasses extend this with their mechanism-specific fields (stuck
-        cell fraction, worst drift factor, ...).  The report is
-        JSON-serializable — studies drop it straight into result payloads.
+        ``tiles``, ``cells`` and the wear fractions cover the live tiles,
+        those a matrix or operand still holds; the write counts
+        (``programs``, ``reprograms``, ...) cover every tile ever
+        programmed.  Subclasses extend this with their mechanism-specific
+        fields (stuck cell fraction, worst drift factor, ...).  The report
+        is JSON-serializable — studies drop it straight into result
+        payloads.
         """
-        wear = [self.wear_fraction(t) for t in self._tiles]
+        tiles = list(self._tiles.values())
+        wear = [self.wear_fraction(t) for t in tiles]
         return {
             "backend": self.name,
             "time_s": self._now_s,
             "epoch": self._epoch,
-            "tiles": len(self._tiles),
-            "cells": int(sum(t.num_cells for t in self._tiles)),
+            "tiles": len(tiles),
+            "cells": int(sum(t.num_cells for t in tiles)),
             "programs": self.ledger.programs,
             "reprograms": self.ledger.reprograms,
             "dynamic_writes": self.ledger.dynamic_writes,
@@ -527,13 +535,14 @@ class FaultySimBackend(CrossbarBackend):
         return tile.base_planes is None
 
     def stuck_cell_fraction(self) -> float:
-        """Fraction of all programmed cells pinned by stuck-at defects."""
-        total = sum(t.num_cells for t in self._tiles)
+        """Fraction of the live tiles' cells pinned by stuck-at defects."""
+        tiles = list(self._tiles.values())
+        total = sum(t.num_cells for t in tiles)
         if not total:
             return 0.0
         stuck = sum(
             int(t.stuck_off.sum()) + int(t.stuck_on.sum())
-            for t in self._tiles
+            for t in tiles
             if t.stuck_off is not None
         )
         return stuck / total
@@ -542,7 +551,7 @@ class FaultySimBackend(CrossbarBackend):
         """Base report plus fault-mechanism telemetry (drift, stuck, temp)."""
         report = super().health_report()
         oldest = min(
-            (t.programmed_at_s for t in self._tiles), default=self._now_s
+            (t.programmed_at_s for t in self._tiles.values()), default=self._now_s
         )
         report.update(
             {

@@ -39,7 +39,7 @@ from repro.quant.quantizer import int_to_bits
 from repro.rram.adc import SarAdc, required_adc_bits
 from repro.rram.backend import CrossbarBackend, resolve_backend
 from repro.rram.cell import CellType
-from repro.rram.kernels import clip_free_flags, run_gemv
+from repro.rram.kernels import GemvStack, clip_free_flags, run_gemv_stack
 
 __all__ = [
     "CrossbarConfig",
@@ -245,7 +245,7 @@ class ProgrammedMatrix:
         self.backend = resolve_backend(backend)
         self._tile = self.backend.program(self.slices.values, cell, self.noise_sigma, rng)
         self.adc = adc or SarAdc(bits=required_adc_bits(self.config.rows, cell.bits))
-        self._dense_weights_t: np.ndarray | None = None
+        self._stack: GemvStack | None = None
         self._epoch_cache: dict = {}
         self._epoch_cache_key: int | None = None
 
@@ -330,20 +330,6 @@ class ProgrammedMatrix:
             lambda: np.asarray(self.planes.reshape(self.in_features, -1), dtype=np.float32),
         )
 
-    @property
-    def dense_weights_t(self) -> np.ndarray:
-        """``W.T`` as float64, recombined from the integer slices (lazy).
-
-        Only materialized by the fast kernel's noiseless shortcut; it is
-        ``num_slices`` times smaller than the slice planes.
-        """
-        if self._dense_weights_t is None:
-            recombined = (
-                self.slices.values.astype(np.float64) @ self.slices.slice_factors.astype(np.float64)
-            )
-            self._dense_weights_t = recombined - self.slices.offset
-        return self._dense_weights_t
-
     def gemv(
         self,
         input_codes: np.ndarray,
@@ -353,11 +339,14 @@ class ProgrammedMatrix:
         """Bit-serial ``x @ W.T`` against the programmed cells (signed ints).
 
         The process-wide kernel policy (:mod:`repro.rram.kernels`) picks
-        the kernel.
+        the kernel.  The read runs as a one-member
+        :class:`~repro.rram.kernels.GemvStack`, kept so its plan is built
+        once per backend epoch.
         """
-        return run_gemv(
-            self, checked_gemv_inputs(input_codes, input_bits, self), input_bits, stats=stats
-        )
+        codes = checked_gemv_inputs(input_codes, input_bits, self)
+        if self._stack is None:
+            self._stack = GemvStack([(self,)])
+        return run_gemv_stack(self._stack, codes[None], input_bits, (stats,))[0]
 
 
 def checked_gemv_inputs(

@@ -29,13 +29,15 @@ The mechanics:
   place, and a backend epoch change rebuilds it.  :meth:`PlaneBank.gemv`
   reads a run of members in one kernel call over the bank's valid window,
   each member exactly as its own :meth:`DynamicOperand.gemv` would;
-- a single operand's GEMV runs against a zero-copy *view* of its valid
-  region ``[0, length)``, which exposes the full programmed-matrix
-  duck-type surface (planes, slices, ADC, clip-free tiles, float planes),
-  so the ``reference`` and ``fast`` kernels both apply, including the
+- a single operand's fast GEMV reads its valid region ``[0, length)``
+  as a one-member window, the same stack a bank read is, so both share
+  one plan (:meth:`~repro.rram.kernels.StackLayout.plan`), including the
   exact noiseless shortcut when every tile of the valid region is
-  provably clip-free.  The ``reference`` policy reads banked operands
-  through their views too: the view is the spec the bank is held to.
+  provably clip-free;
+- the ``reference`` policy reads every operand, banked or not, through
+  a zero-copy *view* of its valid region that carries only what
+  :func:`~repro.rram.kernels.reference_gemv` reads (planes, slices,
+  config, ADC and shape): the view is the spec the window is held to.
 
 ``grow`` selects the physical growth axis.  ``"wordlines"`` appends input
 rows (the AV operand: attention probabilities stream over the wordlines,
@@ -57,15 +59,7 @@ from repro.rram.crossbar import (
     checked_gemv_inputs,
     offset_slices,
 )
-from repro.rram.kernels import (
-    StackLayout,
-    check_exact_sums,
-    clip_free_flags,
-    clip_free_mask,
-    get_default_kernel_policy,
-    run_gemv,
-    run_gemv_stack,
-)
+from repro.rram.kernels import StackLayout, clip_free_mask, run_gemv_stack
 
 __all__ = ["DynamicOperand", "PlaneBank", "write_operands"]
 
@@ -75,10 +69,10 @@ _GROW_AXES = ("wordlines", "bitlines")
 class _DynamicView:
     """Zero-copy view of a dynamic operand's valid region ``[0, length)``.
 
-    Implements the duck-type surface the GEMV kernels consume from
-    :class:`~repro.rram.crossbar.ProgrammedMatrix` (planes, slices, config,
-    ADC, noiselessness, clip-free tiles, dense weights, float planes), so
-    a single operand is kernel-compatible without forking kernel code.
+    The surface :func:`~repro.rram.kernels.reference_gemv` reads of a
+    :class:`~repro.rram.crossbar.ProgrammedMatrix` (planes, slices,
+    config, ADC and shape), so the spec reads an operand with no forked
+    kernel code; fast reads go through a :class:`_Window` instead.
     Everything is derived from the tile on each read.
     """
 
@@ -108,34 +102,6 @@ class _DynamicView:
     def planes(self) -> np.ndarray:
         """Effective cell planes of the valid region, ``(in, out, n_s)``."""
         return self._op._valid_region(self._op.backend.planes(self._op._tile))
-
-    @property
-    def is_noiseless(self) -> bool:
-        """True when reads return the exact integer levels (ideal backend)."""
-        return self._op.backend.is_ideal(self._op._tile)
-
-    def clip_free_tiles(self) -> tuple[bool, ...]:
-        """Per-row-tile clip-freedom of the valid region (see static twin).
-
-        Derived only for noiseless cells, over the *valid* levels.  Noisy
-        cells report every tile as unproven: an operand is read about once
-        per append, too rarely for the check to pay, so its tiles keep the
-        ADC's clip.
-        """
-        if not self.is_noiseless:
-            return (False,) * -(-self.in_features // self.config.rows)
-        return clip_free_flags(self.slices.values, self.config.rows, self.adc.full_scale)
-
-    @property
-    def dense_weights_t(self) -> np.ndarray:
-        """``W.T`` of the valid region as float64 (the exact-shortcut operand)."""
-        slices = self.slices
-        factors = slices.slice_factors.astype(np.float64)
-        return slices.values.astype(np.float64) @ factors - self._op.offset
-
-    def float_planes(self) -> np.ndarray:
-        """Valid-region cells as float32 ``(in, out*n_s)`` (see static twin)."""
-        return np.ascontiguousarray(self.planes, dtype=np.float32).reshape(self.in_features, -1)
 
 
 class DynamicOperand:
@@ -286,18 +252,17 @@ class DynamicOperand:
         ``width`` columns for a bitline-grown one; the result's trailing
         dimension is the other of the two.  Runs the standard kernel stack
         (``reference`` / ``fast`` by the process-wide policy) against the
-        region view, so noise, ADC clipping and op counts behave exactly as
-        for static weights.
+        region, so noise, ADC clipping and op counts behave exactly as for
+        static weights: a one-member :class:`_Window`, the stack a
+        :class:`PlaneBank` reads.
         """
         if self.length == 0:
             raise ValueError("cannot GEMV an empty dynamic operand")
         view = _DynamicView(self)
-        return run_gemv(
-            view,
-            checked_gemv_inputs(input_codes, input_bits, view, operand="operand"),
-            input_bits,
-            stats=stats if stats is not None else self.stats,
-        )
+        codes = checked_gemv_inputs(input_codes, input_bits, view, operand="operand")
+        window = _Window([self], np.array([self.length]), view.planes[None])
+        sink = stats if stats is not None else self.stats
+        return run_gemv_stack(window, codes[None], input_bits, (sink,))[0]
 
     # -- health -------------------------------------------------------------
     @property
@@ -464,9 +429,9 @@ class PlaneBank:
         ``(n, batch, out)`` int64, member ``i`` equal to its operand's
         :meth:`DynamicOperand.gemv` of ``input_codes[i, :, :in_i]`` in its
         first ``out_i`` columns and zero past them.  Each member's
-        ``stats`` sink collects its counts.  Under the process-wide
-        ``reference`` policy each operand is read through its own view
-        (the spec); every other policy reads the bank.
+        ``stats`` sink collects its counts.  The fast kernel reads the
+        bank's cells; the process-wide ``reference`` policy reads each
+        operand through its own view (the spec).
         """
         if self.epoch != self.backend.epoch:
             self._rebuild()
@@ -487,61 +452,46 @@ class PlaneBank:
         offset_inputs = codes + 2 ** (input_bits - 1)
         if offset_inputs.min(initial=0) < 0 or offset_inputs.max(initial=0) >= 2**input_bits:
             raise ValueError(f"input codes exceed the signed {input_bits}-bit range")
-        if get_default_kernel_policy().mode == "reference":
-            stack = [_DynamicView(op) for op in operands]
-        else:
-            stack = _BankWindow(self, members, lengths)
-        return run_gemv_stack(stack, codes, input_bits, [op.stats for op in operands])
+        window = _Window(operands, lengths, self.cells[members])
+        return run_gemv_stack(window, codes, input_bits, [op.stats for op in operands])
 
 
-class _BankWindow(StackLayout):
-    """A run of bank members' valid window, laid out as a one-call stack.
+class _Window(StackLayout):
+    """Operands' valid regions, laid out as a one-call stack.
 
-    One constituent per member: member ``i``'s matrix is its operand's
-    valid region, ``(length_i, width)`` for wordline growth and
-    ``(width, length_i)`` for bitline growth.
+    One constituent per operand: operand ``i``'s matrix is its valid
+    region, ``(length_i, width)`` for wordline growth and ``(width,
+    length_i)`` for bitline growth.  ``cells[i]`` holds its effective
+    cells in the tile's ``(in, out, n_s)`` layout, zero past the region
+    (a :class:`PlaneBank`'s members, or one operand's region).  Noiseless
+    cells prove their row tiles clip-free; noisy ones prove none, so their
+    tiles keep the ADC's clip.
     """
 
-    def __init__(self, bank: PlaneBank, members: slice, lengths: np.ndarray) -> None:
-        first = bank.operands[0]
-        n = len(lengths)
+    def __init__(self, operands: list[DynamicOperand], lengths: np.ndarray, cells: np.ndarray) -> None:
+        first = operands[0]
+        n = len(operands)
         sizes = lengths.tolist()
         widths = [first.width] * n
         ins, outs = (sizes, widths) if first.grow == "wordlines" else (widths, sizes)
-        self.full_scale = first.adc.full_scale
-        geometry = [(first.num_slices, first.cell.bits, self.full_scale)]
+        geometry = [(first.num_slices, first.cell.bits, first.adc.full_scale)]
         super().__init__(
             1, ins, outs, [first.offset] * n, geometry, first.config.rows, [first.config.cols] * n
         )
+        self.operands = operands
         self.noiseless = first.backend.is_ideal(first._tile)
-        self.matrices = bank.operands[members]  # the constituents
-        self.window = bank.cells[members, : self.in_width, : self.out_width]
+        self.cells = cells[:, : self.in_width, : self.out_width]
 
-    def plan(self) -> tuple:
-        """As :meth:`StackLayout.plan`, derived from the window at once.
+    @property
+    def matrices(self) -> list[_DynamicView]:
+        """The operands' views: the constituents the reference policy reads."""
+        return [_DynamicView(op) for op in self.operands]
 
-        Noisy cells prove no tile clip-free (as a single operand's view)
-        and are checked by :func:`~repro.rram.kernels.check_exact_sums`;
-        noiseless cells are checked per member and row tile together.
-        """
-        n = self.window.shape[0]
-        flat = self.window.reshape(n, self.in_width, self.columns)
-        own = np.arange(max(self.tiles)) < np.asarray(self.tiles)[:, None]  # (n, tiles)
-        free = np.zeros_like(own)
+    def _plan_inputs(self) -> tuple[np.ndarray, bool, np.ndarray]:
+        n = len(self.operands)
+        cells = np.asarray(self.cells.reshape(n, self.in_width, self.columns), dtype=np.float32)
         if self.noiseless:
-            free = own & clip_free_mask(flat, self.rows, self.full_scale)
-        unproven = own & ~free
-        clip_free_counts = tuple(free.sum(axis=1).tolist())
-        if self.noiseless and not unproven.any():
-            # The exact shortcut's W.T: recombined slices less the offsets,
-            # which are zero on padded outputs; padded inputs read zeros.
-            operand = self.window @ self.segments[0][3] - self.offsets
-            empty = ((),) * own.shape[1]
-            return True, empty, empty, clip_free_counts, operand
-        check_exact_sums(flat, self.rows, self.full_scale)
-        span = self.slots[0]
-        clips = tuple((span,) if column.any() else () for column in unproven.T)
-        counts = tuple(
-            tuple((k, k) + span for k in np.flatnonzero(column).tolist()) for column in unproven.T
-        )
-        return False, clips, counts, clip_free_counts, flat
+            clip_free = clip_free_mask(cells, self.rows, self.full_scale)
+        else:
+            clip_free = np.zeros((n, max(self.tiles)), dtype=bool)
+        return cells, self.noiseless, clip_free

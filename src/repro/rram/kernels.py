@@ -30,8 +30,8 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
       zero-padded, exactly, to the widest member; stats stay per member
       (:func:`run_gemv_stack` dispatches a stack; analog attention runs
       every ``(row, head)`` KV tile of a step as one, over a plane bank's
-      valid window — every kind of stack shares one
-      :class:`StackLayout`);
+      valid window, and a lone dynamic operand is a one-member window —
+      every kind of stack shares one :class:`StackLayout`);
     * a member may also hold several matrices that read its input side
       by side along the outputs (a :class:`GemvStack` column axis, e.g.
       every A-factor of a block's Q/K/V shards, SLC beside MLC): each
@@ -43,8 +43,9 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
       slice recombination, whose values reach ``2**27``, runs in float64;
     * only ADC work that can change a code runs.  A row tile whose
       effective cells are all non-negative and whose rounded column sums
-      stay below the full-scale code (:func:`clip_free_flags`, cached per
-      matrix next to its float32 cells) is **clip-free**: no 0/1 input can
+      stay below the full-scale code (:func:`clip_free_mask`; a static
+      matrix caches its :func:`clip_free_flags` next to its float32
+      cells) is **clip-free**: no 0/1 input can
       push a bitline past that column sum, so its conversion is the round
       alone, with no clip and no saturation count (in a stack, per
       matrix's columns).  A **narrow** tile,
@@ -63,7 +64,13 @@ pipeline plus the :class:`KernelPolicy` that selects between them:
       whole pipeline provably reduces to the exact integer GEMV
       ``x @ W.T`` (see the :mod:`repro.rram.crossbar` docstring) and is
       short-circuited to one dense matmul while still reporting identical
-      statistics.
+      statistics;
+    * one plan, :meth:`StackLayout.plan`, decides all of this for every
+      kind of stack from its float32 cells, their noiselessness and a
+      per-(constituent, row tile) clip-free mask: the exact shortcut's
+      ``W.T`` (the cells' slices recombined, less the weight offsets),
+      each tile's clip ranges and saturation counts, and the
+      :func:`check_exact_sums` call.
 
 Both kernels compute every bitline sum the ADC can resolve exactly, so
 their codes — and their integer outputs — agree bitwise; the equivalence
@@ -82,7 +89,7 @@ float64; the fast kernel in float32, exact by the *grid argument*:
   clips to full scale on either kernel (its tile is never clip-free);
 * a tile holding a negative cell must keep ``Σ|c| < 2**8`` on every
   column, and so must every tile read by an ADC whose full scale reaches
-  ``2**8`` (:func:`check_exact_sums`, run where a plan is built).
+  ``2**8`` (:func:`check_exact_sums`, run by :meth:`StackLayout.plan`).
 
 ``gemm`` is a legacy alias of ``fast``: policies naming it stay valid and
 run :func:`fast_gemv`.
@@ -126,7 +133,6 @@ __all__ = [
     "clip_free_mask",
     "reference_gemv",
     "fast_gemv",
-    "run_gemv",
     "run_gemv_stack",
 ]
 
@@ -436,18 +442,37 @@ def _table_layout(
     return slots, weights
 
 
-def _stacked(blocks: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
-    """``(n,) + shape`` stack of 2-D blocks, each zero-padded to ``shape``.
+def _stacked(members: list[list[np.ndarray]], shape: tuple[int, int]) -> np.ndarray:
+    """``(n,) + shape`` stack: each member's blocks side by side, zero-padded to ``shape``.
 
     A lone block that already has ``shape`` is returned as a view.  The
     stack takes the first block's dtype.
     """
-    if len(blocks) == 1 and blocks[0].shape == shape:
-        return blocks[0][None]
-    stack = np.zeros((len(blocks),) + shape, dtype=blocks[0].dtype)
-    for member, block in zip(stack, blocks):
-        member[: block.shape[0], : block.shape[1]] = block
+    first = members[0][0]
+    if len(members) == 1 and len(members[0]) == 1 and first.shape == shape:
+        return first[None]
+    stack = np.zeros((len(members),) + shape, dtype=first.dtype)
+    for out, blocks in zip(stack, members):
+        start = 0
+        for block in blocks:
+            out[: block.shape[0], start : start + block.shape[1]] = block
+            start += block.shape[1]
     return stack
+
+
+def _recombine(values: np.ndarray, segments: list[tuple]) -> np.ndarray:
+    """float64 ``(n, rows, out)`` of ``(n, rows, columns)`` slices and their place values."""
+    n, rows = values.shape[:2]
+    if len(segments) == 1:
+        num_slices, place = segments[0][2:]
+        return (values.reshape(-1, num_slices) @ place).reshape(n, rows, -1)
+    return np.concatenate(
+        [
+            values[:, :, first:last].reshape(n, rows, -1, num_slices) @ place
+            for first, last, num_slices, place in segments
+        ],
+        axis=2,
+    )
 
 
 class StackLayout:
@@ -461,7 +486,12 @@ class StackLayout:
     cell_bits, full_scale)`` and it is as wide as its widest constituent.
     Narrower constituents are zero-padded, which only lone-constituent
     members may be.  Output ``o`` of slot ``j`` is column ``o`` plus the
-    widths of slots ``0..j-1``.  Subclasses supply the cells (:meth:`plan`).
+    widths of slots ``0..j-1``.
+
+    :meth:`plan` turns the cells into what a read computes, the same way
+    for every kind of stack.  A subclass supplies only those cells, whether
+    they are noiseless and which of their row tiles are clip-free
+    (:meth:`_plan_inputs`).
     """
 
     def __init__(
@@ -530,24 +560,62 @@ class StackLayout:
                 table += np.where(inside, shifts[:, j : j + 1], 0)
             self.offsets = table[:, None, :]
 
+    def _plan_inputs(self) -> tuple[np.ndarray, bool, np.ndarray]:
+        """``(cells, noiseless, clip_free)``, what :meth:`plan` is derived from.
+
+        The stacked float32 cells ``(n, in, columns)``, whether they are the
+        exact integer levels, and bool ``(constituents, max(tiles))``: True
+        where a constituent's own row tile cannot clip.
+        """
+        raise NotImplementedError
+
     def plan(self) -> tuple:
         """``(exact, clips, counts, clip_free_counts, operand)`` of the current cells.
 
         ``exact``: every tile of every constituent is clip-free and every
         cell noiseless, so the dense shortcut applies and ``operand`` is
-        the stacked float64 ``W.T`` ``(n, in, out)``; otherwise ``operand``
-        is the stacked float32 cells ``(n, in, columns)``, whose row slices
-        are the tiles, checked by :func:`check_exact_sums`.  Per row tile,
+        the stacked float64 ``W.T`` ``(n, in, out)``, the cells' slices
+        recombined less the weight offsets; otherwise ``operand`` is the
+        stacked float32 cells ``(n, in, columns)``, whose row slices are
+        the tiles, checked by :func:`check_exact_sums`.  Per row tile,
         ``clips`` lists merged ``(first, last, full_scale)`` column ranges
-        of slots some constituent cannot prove clip-free
-        (:func:`clip_free_mask`), and ``counts`` lists
-        ``(constituent, member, first, last, full_scale)`` for each such
-        constituent, whose saturations are counted over its own columns.
-        A clip-free column never reaches full scale, so clipping it is a
-        no-op and its count is provably 0.  ``clip_free_counts`` holds each
-        constituent's number of clip-free tiles.
+        of slots some constituent cannot prove clip-free, and ``counts``
+        lists ``(constituent, member, first, last, full_scale)`` for each
+        such constituent, whose saturations are counted over its own
+        columns.  A clip-free column never reaches full scale, so clipping
+        it is a no-op and its count is provably 0.  ``clip_free_counts``
+        holds each constituent's number of clip-free tiles.
         """
-        raise NotImplementedError
+        cells, noiseless, clip_free = self._plan_inputs()
+        tiles = max(self.tiles)
+        own = np.arange(tiles) < np.asarray(self.tiles)[:, None]  # (constituents, tiles)
+        free = own & clip_free
+        unproven = own & ~free
+        clip_free_counts = tuple(free.sum(axis=1).tolist())
+        if noiseless and not unproven.any():
+            # Padded outputs recombine zero cells less a zero offset; padded
+            # inputs read zero codes, so their rows add nothing.
+            operand = _recombine(cells, self.segments) - self.offsets
+            empty = ((),) * tiles
+            return True, empty, empty, clip_free_counts, operand
+        check_exact_sums(cells, self.rows, self.full_scale)
+        per = self.per_member
+        slots = unproven.reshape(-1, per, tiles).any(axis=0)  # (per, tiles)
+        clips = []
+        for column in slots.T:
+            ranges: list[tuple[int, int, int]] = []
+            for j in np.flatnonzero(column).tolist():
+                first, last, full_scale = self.slots[j]
+                if ranges and ranges[-1][1:] == (first, full_scale):
+                    ranges[-1] = (ranges[-1][0], last, full_scale)
+                else:
+                    ranges.append(self.slots[j])
+            clips.append(tuple(ranges))
+        counts = tuple(
+            tuple((k, k // per) + self.slots[k % per] for k in np.flatnonzero(column).tolist())
+            for column in unproven.T
+        )
+        return False, tuple(clips), counts, clip_free_counts, cells
 
 
 class GemvStack(StackLayout):
@@ -566,30 +634,26 @@ class GemvStack(StackLayout):
     ``o`` of constituent ``j`` is column ``o`` plus the widths of
     constituents ``0..j-1``.
 
-    The layout (:class:`StackLayout`) is derived once.
-    The :meth:`plan` (stacked float32 cells or the dense weights of the
-    noiseless shortcut, plus the per-tile ADC work) is cached against
-    every constituent's backend epoch, so an ``advance()`` or
-    ``reprogram()`` that reaches any constituent rebuilds it.  With
-    ``cache=False`` it is derived on every call, for views whose cells
-    change by other means (a dynamic operand read on its own).
+    The layout (:class:`StackLayout`) is derived once.  The plan reads each
+    matrix's float32 cells and clip-free flags, both cached per backend
+    epoch (:meth:`~repro.rram.crossbar.ProgrammedMatrix.float_planes`,
+    :meth:`~repro.rram.crossbar.ProgrammedMatrix.clip_free_tiles`), and
+    :meth:`plan` is cached against every constituent's backend epoch, so an
+    ``advance()`` or ``reprogram()`` that reaches any constituent rebuilds
+    it.
     """
 
-    def __init__(self, members, cache: bool = True) -> None:
+    def __init__(self, members) -> None:
         self.members = tuple(tuple(member) for member in members)
         if not self.members or not all(self.members):
             raise ValueError("a GemvStack needs at least one non-empty member")
         per = len(self.members[0])
         self.matrices = tuple(c for member in self.members for c in member)
-        self.slices = [c.slices for c in self.matrices]  # built afresh by dynamic views
         rows = self.matrices[0].config.rows
 
         def geometry(k: int) -> tuple[int, int, int]:
-            return (
-                self.slices[k].num_slices,
-                self.slices[k].cell.bits,
-                self.matrices[k].adc.full_scale,
-            )
+            c = self.matrices[k]
+            return (c.slices.num_slices, c.slices.cell.bits, c.adc.full_scale)
 
         if any(len(member) != per for member in self.members) or any(
             geometry(k) != geometry(k % per)
@@ -605,56 +669,30 @@ class GemvStack(StackLayout):
             per,
             [c.in_features for c in self.matrices],
             [c.out_features for c in self.matrices],
-            [s.offset for s in self.slices],
+            [c.slices.offset for c in self.matrices],
             [geometry(j) for j in range(per)],
             rows,
             [c.config.cols for c in self.matrices],
         )
-        self._cache = cache
         self._cache_key: tuple[int, ...] | None = None
         self._plan: tuple = ()
 
+    def _plan_inputs(self) -> tuple[np.ndarray, bool, np.ndarray]:
+        clip_free = np.zeros((self.constituents, max(self.tiles)), dtype=bool)
+        for k, c in enumerate(self.matrices):
+            flags = c.clip_free_tiles()
+            clip_free[k, : len(flags)] = flags
+        noiseless = all([c.is_noiseless for c in self.matrices])
+        blocks = [[c.float_planes() for c in member] for member in self.members]
+        return _stacked(blocks, (self.in_width, self.columns)), noiseless, clip_free
+
     def plan(self) -> tuple:
         """As :meth:`StackLayout.plan`, cached until any constituent's backend epoch moves."""
-        if not self._cache:
-            return self._build_plan()
         key = tuple([m.backend.epoch for m in self.matrices])
         if key != self._cache_key:
-            self._plan = self._build_plan()
+            self._plan = super().plan()
             self._cache_key = key
         return self._plan
-
-    def _blocks(self, block) -> list[np.ndarray]:
-        """Per member, its constituents' ``block(matrix)`` side by side."""
-        return [
-            np.concatenate([block(c) for c in member], axis=1) if len(member) > 1 else block(member[0])
-            for member in self.members
-        ]
-
-    def _build_plan(self) -> tuple:
-        flags = [c.clip_free_tiles() for c in self.matrices]
-        exact = all(map(all, flags)) and all([c.is_noiseless for c in self.matrices])
-        if exact:
-            blocks = self._blocks(lambda c: c.dense_weights_t)
-            operand = _stacked(blocks, (self.in_width, self.out_width))
-        else:
-            blocks = self._blocks(lambda c: c.float_planes())
-            operand = _stacked(blocks, (self.in_width, self.columns))
-            check_exact_sums(operand, self.rows, self.full_scale)
-        per = self.per_member
-        clips, counts = [], []
-        for tile in range(max(self.tiles)):
-            unproven = [k for k, f in enumerate(flags) if tile < len(f) and not f[tile]]
-            ranges: list[list[int]] = []
-            for j in sorted({k % per for k in unproven}):
-                first, last, full_scale = self.slots[j]
-                if ranges and ranges[-1][1:] == [first, full_scale]:
-                    ranges[-1][1] = last
-                else:
-                    ranges.append([first, last, full_scale])
-            clips.append(tuple(tuple(r) for r in ranges))
-            counts.append(tuple((k, k // per) + self.slots[k % per] for k in unproven))
-        return exact, tuple(clips), tuple(counts), tuple(sum(f) for f in flags), operand
 
 
 def fast_gemv(
@@ -801,25 +839,14 @@ def fast_gemv(
         _, bit_w = _kept_bit_weights(input_bits, union, digital)
         shifted = (bit_w @ codes.reshape(n, len(kept), -1)).reshape(n, batch, -1)
         acc = shifted if acc is None else acc + shifted
-    acc = acc.astype(np.float64, copy=False)
-    if len(stack.segments) == 1:
-        num_slices, place = stack.segments[0][2:]
-        combined = (acc.reshape(-1, num_slices) @ place).reshape(n, batch, -1)
-    else:
-        combined = np.concatenate(
-            [
-                acc[:, :, first:last].reshape(n, batch, -1, num_slices) @ place
-                for first, last, num_slices, place in stack.segments
-            ],
-            axis=2,
-        )
+    combined = _recombine(acc.astype(np.float64, copy=False), stack.segments)
     # Removal of the weight offset: x @ (W + 128).T = x @ W.T + 128 * sum(x).
     return combined.astype(np.int64) - stack.offsets * input_codes.sum(axis=2, keepdims=True)
 
 
 def _one_per_member(matrices: "Sequence[ProgrammedMatrix]") -> GemvStack:
-    """An uncached stack with one matrix per member."""
-    return GemvStack([(m,) for m in matrices], cache=False)
+    """A stack with one matrix per member."""
+    return GemvStack([(m,) for m in matrices])
 
 
 def run_gemv_stack(
@@ -849,13 +876,3 @@ def run_gemv_stack(
             matrix, input_codes[i, :, : matrix.in_features], input_bits, sinks[k]
         )
     return out
-
-
-def run_gemv(
-    matrix: "ProgrammedMatrix",
-    input_codes: np.ndarray,
-    input_bits: int,
-    stats: "GemvStats | None" = None,
-) -> np.ndarray:
-    """Dispatch one validated GEMV: a one-member :func:`run_gemv_stack`."""
-    return run_gemv_stack((matrix,), input_codes[None], input_bits, (stats,))[0]

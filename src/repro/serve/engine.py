@@ -104,9 +104,10 @@ class ServingStats:
     #: Requests cut short by their SLO deadline (queued expiry or decode
     #: preemption) — see :class:`~repro.serve.requests.GenerationRequest`.
     preempted: int = 0
-    #: Batched-decode fast-path accounting, read off :meth:`ServingEngine.gemv_stats`:
-    #: activation bit-planes the fast kernel packed (``GemvStats.planes_packed``)
-    #: and rows it ran bit-serially (``GemvStats.fused_rows``).
+    #: Batched-decode fast-path accounting, read off :meth:`ServingEngine.gemv_stats`
+    #: whenever :attr:`ServingEngine.stats` is read: activation bit-planes the
+    #: fast kernel packed (``GemvStats.planes_packed``) and rows it ran
+    #: bit-serially (``GemvStats.fused_rows``).
     planes_packed: int = 0
     #: Always 0: nothing reuses packed planes.  Kept until the next
     #: benchmark change, whose harness still reads it.
@@ -332,7 +333,7 @@ class ServingEngine:
         self.eos_id = eos_id
         self.clock = clock
         self.max_tokens = max_tokens
-        self.stats = ServingStats()
+        self._stats = ServingStats()
         self._continuous = ContinuousScheduler(
             model, max_batch_size, clock=clock, rng=rng, eos_id=eos_id, max_tokens=max_tokens
         )
@@ -627,11 +628,8 @@ class ServingEngine:
             return []
         started = self.clock()
         results = scheduler.step(self._queue)
-        self.stats.iterations += 1
-        self.stats.decode_wall_s += self.clock() - started
-        gemv = self.gemv_stats()
-        self.stats.planes_packed = gemv.planes_packed
-        self.stats.fused_rows = gemv.fused_rows
+        self._stats.iterations += 1
+        self._stats.decode_wall_s += self.clock() - started
         if self._projection is not None:
             # Batched decode ships the whole step's hidden vectors across
             # each chip boundary in one fused launch per boundary (case 3),
@@ -651,6 +649,18 @@ class ServingEngine:
                 self._completed.pop(next(iter(self._completed)))
         self._maybe_recalibrate()
         return results
+
+    @property
+    def stats(self) -> ServingStats:
+        """The engine's :class:`ServingStats`.
+
+        ``planes_packed`` and ``fused_rows`` are read off :meth:`gemv_stats`
+        here, when the stats are read, not merged on every step.
+        """
+        gemv = self.gemv_stats()
+        self._stats.planes_packed = gemv.planes_packed
+        self._stats.fused_rows = gemv.fused_rows
+        return self._stats
 
     def pop_result(self, request_id: int) -> RequestResult | None:
         """Claim (and forget) a completed request's result, if any.
@@ -703,26 +713,26 @@ class ServingEngine:
     # ------------------------------------------------------------------
     def _record_results(self, results: list[RequestResult]) -> None:
         for result in results:
-            self.stats.requests_completed += 1
-            self.stats.tokens_generated += int(result.tokens.size)
-            self.stats.latencies_s.append(result.latency_s)
-            self.stats.ttfts_s.append(result.ttft_s)
-            self.stats.tpots_s.append(result.tpot_s)
-            self.stats.batch_sizes.append(result.batch_size)
-            self.stats.queued_s.append(result.queued_s)
+            self._stats.requests_completed += 1
+            self._stats.tokens_generated += int(result.tokens.size)
+            self._stats.latencies_s.append(result.latency_s)
+            self._stats.ttfts_s.append(result.ttft_s)
+            self._stats.tpots_s.append(result.tpot_s)
+            self._stats.batch_sizes.append(result.batch_size)
+            self._stats.queued_s.append(result.queued_s)
             if result.tokens.size:
                 # Queued-expiry results never saw a first token; only
                 # served requests contribute an engine-side TTFT sample.
-                self.stats.service_ttfts_s.append(result.service_ttft_s)
+                self._stats.service_ttfts_s.append(result.service_ttft_s)
             if result.preempted:
-                self.stats.preempted += 1
+                self._stats.preempted += 1
             if self._projection is not None:
                 prompt_len = int(result.prompt.shape[0])
                 generated = int(result.tokens.size)
                 result.projected_latency_s = self._projection.request_latency_s(
                     prompt_len, generated
                 )
-                self.stats.projected_busy_s += self._projection.request_busy_s(
+                self._stats.projected_busy_s += self._projection.request_busy_s(
                     prompt_len, generated
                 )
 
@@ -754,7 +764,7 @@ class ServingEngine:
             for name, layer in self._hybrid_layers.items()
         }
         if errors:
-            self.stats.drift_probes += 1
+            self._stats.drift_probes += 1
         return errors
 
     def recalibrate(self, force: bool = False) -> dict:
@@ -792,7 +802,7 @@ class ServingEngine:
             return summary
         summary["triggered"] = True
         self._probe_baseline = None
-        self.stats.recalibrations += 1
+        self._stats.recalibrations += 1
         if policy.reprogram:
             reprogrammed = sum(
                 1
@@ -800,7 +810,7 @@ class ServingEngine:
                 if layer.reprogram() > 0
             )
             summary["layers_reprogrammed"] = reprogrammed
-            self.stats.layers_reprogrammed += reprogrammed
+            self._stats.layers_reprogrammed += reprogrammed
         if policy.recalibrate_scales and self._calibration_prompts is not None:
             prompts = self._calibration_prompts
             self.model.eval()
@@ -882,8 +892,8 @@ class ServingEngine:
         if self._projection is None:
             return None
         report = self._projection.report()
-        report["projected_tokens_per_s"] = round(self.stats.projected_tokens_per_s, 1)
-        report["tokens_generated"] = self.stats.tokens_generated
+        report["projected_tokens_per_s"] = round(self._stats.projected_tokens_per_s, 1)
+        report["tokens_generated"] = self._stats.tokens_generated
         report["endurance"] = self.endurance_report()
         return report
 

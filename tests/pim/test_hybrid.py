@@ -255,6 +255,31 @@ class TestProgramOnce:
         layer(Tensor(rng.normal(size=(2, 32))))
         assert backend.health_report()["programs"] == 4
 
+    def test_redeployed_layer_frees_its_first_tiles(self, rng):
+        """Tiles no layer holds are freed; the ledger keeps counting them."""
+        import gc
+        import weakref
+
+        from repro.dist import DeviceMesh
+
+        layer, backend = self._layer(rng)
+        x = Tensor(rng.normal(size=(3, 32)))
+        layer(x)
+        first = [
+            weakref.ref(m._programmed._tile)
+            for split in layer.program()
+            for m in (split.slc_a, split.mlc_a, split.slc_b, split.mlc_b)
+            if m is not None
+        ]
+        assert len(first) == backend.health_report()["tiles"] == 4
+        layer.deploy(DeviceMesh(), tensor_parallel=2)
+        layer(x)
+        gc.collect()
+        assert all(ref() is None for ref in first)
+        report = backend.health_report()
+        assert report["tiles"] == self._fragments(layer) > 4
+        assert report["programs"] == 4 + self._fragments(layer)
+
     def test_deploy_then_forward_programs_each_fragment_once(self, rng):
         from repro.dist import DeviceMesh
 

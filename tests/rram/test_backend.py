@@ -161,10 +161,11 @@ class TestBackendPlumbing:
 
     def test_health_report_shape(self):
         backend = SimBackend()
-        ProgrammedMatrix(np.ones((2, 4)), SLC, noise_sigma=0.0, backend=backend)
+        matrix = ProgrammedMatrix(np.ones((2, 4)), SLC, noise_sigma=0.0, backend=backend)
         report = backend.health_report()
         assert report["backend"] == "sim"
         assert report["tiles"] == 1
+        assert report["cells"] == matrix.slices.values.size
         assert report["programs"] == 1
         assert report["reprograms"] == 0
         assert report["total_write_pulses"] == 2 * 4 * 8  # cells x SLC pulses
@@ -294,10 +295,11 @@ class TestFaultySimBackend:
     def test_health_report_includes_fault_fields(self):
         fault = FaultModel(stuck_off_rate=0.01, drift_nu=0.05, temperature_c=60.0)
         backend = FaultySimBackend(fault=fault, seed=2)
-        self._matrix(backend)
+        matrix = self._matrix(backend)
         backend.advance(seconds=86_400.0)
         report = backend.health_report()
         assert report["backend"] == "faulty-sim"
+        assert report["cells"] == matrix.slices.values.size
         assert report["stuck_cell_fraction"] > 0.0
         assert 0.0 < report["worst_drift_factor"] < 1.0
         assert report["temperature_c"] == 60.0

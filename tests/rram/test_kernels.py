@@ -504,7 +504,7 @@ class TestTileCacheInvalidation:
         def not_derived(*args):
             raise AssertionError("noisy dynamic operand derived clip-free flags")
 
-        monkeypatch.setattr(dynamic, "clip_free_flags", not_derived)
+        monkeypatch.setattr(dynamic, "clip_free_mask", not_derived)
         rng = np.random.default_rng(9)
         op = DynamicOperand(
             80,
