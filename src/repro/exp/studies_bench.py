@@ -579,6 +579,10 @@ def _run_continuous_trace(
             [r.latency_s for r in done],
             [r.batch_size for r in done],
         )
+        # Admissions that share a step prefill as one pack: fewer forwards
+        # than requests whenever the trace's prompts pack.
+        payload["requests"] = len(done)
+        payload["prefill_forwards"] = engine.stats.prefill_forwards
         if best_payload is None or payload["tok_s"] > best_payload["tok_s"]:
             best_payload = payload
         if rep == 0:

@@ -13,8 +13,9 @@ import math
 
 import numpy as np
 
+from repro.nn.kv_cache import PackedLayer
 from repro.nn.modules import Dropout, Linear, Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, concatenate
 
 __all__ = ["AnalogAttention", "MultiHeadAttention", "causal_mask"]
 
@@ -85,8 +86,9 @@ class MultiHeadAttention(Module):
     ) -> Tensor:
         """Run self-attention over ``x`` of shape (batch, seq, d_model).
 
-        ``attention_mask`` is an optional boolean array broadcastable to
-        (batch, 1, seq, kv_len); True entries are blocked.
+        Projections, then the attention core (:meth:`_attend`), then
+        ``w_proj``.  ``attention_mask`` is an optional boolean array
+        broadcastable to (batch, 1, seq, kv_len); True entries are blocked.
 
         ``cache`` is an optional per-layer KV-cache slot (see
         :meth:`repro.nn.kv_cache.KVCache.layer`): Q/K/V are computed only for
@@ -100,9 +102,34 @@ class MultiHeadAttention(Module):
         mask must already include ``cache.key_padding_mask(...)`` (as
         :class:`~repro.nn.transformer.DecoderLM` does, computing it once and
         sharing it across all layers instead of rebuilding it per block).
+
+        ``cache`` may instead be a :class:`~repro.nn.kv_cache.PackedLayer`
+        (one layer of a prefill pack, ``batch == 1``): the projections and
+        ``w_proj`` run once over every prompt's positions, and the core
+        runs once per prompt, over exactly that prompt's positions, on its
+        own row's slot — so each prompt's context is the one it would get
+        alone.
         """
-        batch, seq, _ = x.shape
-        q, k, v = (self._split_heads(t, batch, seq) for t in self._project_qkv(x))
+        q, k, v = self._project_qkv(x)
+        if isinstance(cache, PackedLayer):
+            context = concatenate(
+                [
+                    self._attend(q[:, start:stop], k[:, start:stop], v[:, start:stop], None, slot)
+                    for start, stop, slot in cache.segments
+                ],
+                axis=1,
+            )
+        else:
+            context = self._attend(q, k, v, attention_mask, cache)
+        return self.w_proj(context)
+
+    def _attend(
+        self, q: Tensor, k: Tensor, v: Tensor, attention_mask: np.ndarray | None, cache
+    ) -> Tensor:
+        """The attention core: projected ``(batch, seq, d_model)`` Q/K/V to
+        the merged context, appending K/V to ``cache`` when given."""
+        batch, seq, _ = q.shape
+        q, k, v = (self._split_heads(t, batch, seq) for t in (q, k, v))
 
         kv_len = seq
         if cache is not None:
@@ -121,8 +148,7 @@ class MultiHeadAttention(Module):
         probs = self.attn_dropout(probs)
 
         context = probs @ v  # (B, H, seq, d_head)
-        context = context.transpose((0, 2, 1, 3)).reshape(batch, seq, self.d_model)
-        return self.w_proj(context)
+        return context.transpose((0, 2, 1, 3)).reshape(batch, seq, self.d_model)
 
     def _project_qkv(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """Q, K and V projections of ``x``.
@@ -219,13 +245,10 @@ class AnalogAttention(MultiHeadAttention):
         attn.attn_dropout = host.attn_dropout
         return attn
 
-    def forward(
-        self,
-        x: Tensor,
-        attention_mask: np.ndarray | None = None,
-        cache=None,
+    def _attend(
+        self, q: Tensor, k: Tensor, v: Tensor, attention_mask: np.ndarray | None, cache
     ) -> Tensor:
-        """Host-path attention, or crossbar GEMVs when the cache is analog.
+        """Host-path core, or crossbar GEMVs when the cache is analog.
 
         The analog path is selected only for causal attention over a cache
         slot exposing the analog handle bundle.  ``attention_mask`` is
@@ -238,10 +261,11 @@ class AnalogAttention(MultiHeadAttention):
         """
         handles = getattr(cache, "analog", None) if cache is not None else None
         if handles is None or not self.causal:
-            return super().forward(x, attention_mask=attention_mask, cache=cache)
+            return super()._attend(q, k, v, attention_mask, cache)
 
-        batch, seq, _ = x.shape
-        q, k, v = (self._split_heads(t, batch, seq) for t in self._project_qkv(x))
+        batch, seq, _ = q.shape
+        dtype = q.data.dtype
+        q, k, v = (self._split_heads(t, batch, seq) for t in (q, k, v))
         # Committed per-row lengths (append does not advance them).
         lengths = np.asarray(handles.lengths, dtype=np.int64).copy()
         cache.append(k.data, v.data)  # host mirror + operand columns/rows
@@ -288,4 +312,4 @@ class AnalogAttention(MultiHeadAttention):
         ).reshape(batch, heads, seq, self.d_head)
         context = np.asarray(ctx_int, dtype=np.float64) * p_scales[:, :, None, None]
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
-        return self.w_proj(Tensor(merged.astype(x.data.dtype)))
+        return Tensor(merged.astype(dtype))

@@ -24,6 +24,10 @@ request prefill into its own row while other rows are mid-decode;
 :meth:`copy_row` relocates a row's valid prefix (swap-with-last
 compaction when a finished request retires); :meth:`clear_row` retires a
 row by invalidating its prefix without touching the buffers.
+
+A *prefill pack* fills several empty rows in one model forward:
+:class:`PackedLayer` is one layer's view of it, pairing each prompt's
+span of the packed positions with its own row's layer slot.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from repro.nn.tensor import get_default_dtype
 
-__all__ = ["KVCache"]
+__all__ = ["KVCache", "PackedLayer"]
 
 
 class KVCache:
@@ -192,8 +196,8 @@ class KVCache:
         total = self.max_length + t_new
         return k_buf[:, :, :total], v_buf[:, :, :total]
 
-    def advance(self, t_new: int) -> None:
-        """Commit ``t_new`` appended tokens on every row."""
+    def advance(self, t_new: int | np.ndarray) -> None:
+        """Commit ``t_new`` appended tokens on every row (or per row, as an array)."""
         self.lengths += t_new
 
     def set_lengths(self, lengths: np.ndarray) -> None:
@@ -253,3 +257,19 @@ class _LayerSlot:
 
     def key_padding_mask(self, total: int) -> np.ndarray | None:
         return self.cache.key_padding_mask(total)
+
+
+class PackedLayer:
+    """One layer's view of a prefill pack (what attention modules see).
+
+    A pack runs several prompts, concatenated along the sequence axis,
+    through one forward into consecutive empty cache rows.  ``segments``
+    holds ``(start, stop, slot)`` per prompt: its span of the packed
+    positions and the layer slot of its own one-row view, so attention
+    reads and writes exactly that prompt's K/V on exactly its row.
+    """
+
+    __slots__ = ("segments",)
+
+    def __init__(self, segments: list[tuple[int, int, _LayerSlot]]) -> None:
+        self.segments = segments

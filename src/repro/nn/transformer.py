@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.nn.attention import MultiHeadAttention
-from repro.nn.kv_cache import KVCache
+from repro.nn.kv_cache import KVCache, PackedLayer
 from repro.nn.modules import (
     Dropout,
     Embedding,
@@ -221,7 +221,12 @@ class DecoderLM(_TransformerBase):
         self.final_norm = LayerNorm(config.d_model)
         self.lm_head = Linear(config.d_model, config.vocab_size, bias=False, rng=rng)
 
-    def forward(self, token_ids: np.ndarray, cache: KVCache | None = None) -> Tensor:
+    def forward(
+        self,
+        token_ids: np.ndarray,
+        cache: KVCache | None = None,
+        lengths: np.ndarray | None = None,
+    ) -> Tensor:
         """Return next-token logits of shape (batch, seq, vocab).
 
         Without ``cache`` this is the full-context forward over all ``seq``
@@ -234,15 +239,31 @@ class DecoderLM(_TransformerBase):
         correctly.  The two paths produce identical logits for the new
         tokens up to floating-point reassociation (verified in tests at the
         active compute dtype).
+
+        With ``lengths`` the call is a prefill pack (see :meth:`prefill`):
+        ``token_ids`` is ``(1, sum(lengths))``, the prompts concatenated,
+        ``cache`` holds one empty row per prompt, and the result is
+        ``(len(lengths), 1, vocab)``, each prompt's last-position logits.
         """
         token_ids = np.asarray(token_ids)
         _, seq = token_ids.shape
-        if cache is None:
+        pack = None
+        if lengths is not None:
+            lengths = np.asarray(lengths, dtype=np.int64)
+            if int(lengths.max()) > self.config.max_seq_len:
+                raise ValueError(
+                    f"prompt length {int(lengths.max())} exceeds max {self.config.max_seq_len}"
+                )
+            stops = np.cumsum(lengths)
+            rows = [cache.row_view(r) for r in range(len(lengths))]
+            pack = list(zip(stops - lengths, stops, rows))
+            positions: np.ndarray = np.concatenate([np.arange(n) for n in lengths])[None, :]
+        elif cache is None:
             if seq > self.config.max_seq_len:
                 raise ValueError(
                     f"sequence length {seq} exceeds max {self.config.max_seq_len}"
                 )
-            positions: np.ndarray = np.arange(seq)
+            positions = np.arange(seq)
         else:
             if cache.max_length + seq > self.config.max_seq_len:
                 raise ValueError(
@@ -255,21 +276,25 @@ class DecoderLM(_TransformerBase):
             positions = cache.lengths[:, None] + np.arange(seq)[None, :]
         x = self.token_embedding(token_ids) + self.position_embedding(positions)
         x = self.embed_dropout(x)
-        # The ragged key-validity mask depends only on the cache lengths, so
-        # compute it once here and share it across every layer.
-        attention_mask = (
-            None if cache is None else cache.key_padding_mask(cache.max_length + seq)
-        )
+        attention_mask = None
+        if cache is not None and pack is None:
+            # The ragged key-validity mask depends only on the cache lengths,
+            # so compute it once here and share it across every layer.
+            attention_mask = cache.key_padding_mask(cache.max_length + seq)
         for i, block in enumerate(self.blocks):
-            x = block(
-                x,
-                attention_mask=attention_mask,
-                cache=None if cache is None else cache.layer(i),
-            )
+            if pack is not None:
+                layer = PackedLayer([(start, stop, row.layer(i)) for start, stop, row in pack])
+            else:
+                layer = None if cache is None else cache.layer(i)
+            x = block(x, attention_mask=attention_mask, cache=layer)
+        if pack is not None:
+            # Only each prompt's last position is read: one (1, d_model) row
+            # per prompt, as a prompt prefilled alone would present it.
+            x = x[0, stops - 1].reshape(len(lengths), 1, -1)
         x = self.final_norm(x)
         logits = self.lm_head(x)
         if cache is not None:
-            cache.advance(seq)
+            cache.advance(seq if lengths is None else lengths)
         return logits
 
     def new_cache(self, batch: int, capacity: int | None = None) -> KVCache:
@@ -290,22 +315,50 @@ class DecoderLM(_TransformerBase):
             capacity=min(capacity or self.config.max_seq_len, self.config.max_seq_len),
         )
 
-    def prefill(self, tokens: np.ndarray, cache: KVCache) -> np.ndarray:
-        """Run an aligned prompt through ``cache``; return last-position logits.
+    def prefill(
+        self, tokens: np.ndarray, cache: KVCache, lengths: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Prefill a pack of prompts into empty cache rows; return each
+        prompt's last-position logits.
 
-        ``tokens`` is ``(B, L)`` (or ``(L,)``, treated as one row) of
-        *exact-length* prompts for a cache whose rows are empty.  This is
-        the admission path of the continuous scheduler: one request
-        prefills into its own row view of a live shared cache while other
-        rows are mid-decode.  Returns ``(B, vocab)`` logits for the last
-        prompt position — exactly the logits :meth:`generate` uses to
-        select the first generated token, so a scheduler built on this
-        emits token-for-token what one-shot generation emits.
+        ``tokens`` is 1-D: the pack's prompts concatenated, prompt ``i``
+        being the next ``lengths[i]`` tokens (``lengths`` defaults to one
+        prompt of every token).  ``cache`` holds one empty row per prompt,
+        typically a contiguous row view of a live shared cache whose other
+        rows are mid-decode; this is the admission path of the continuous
+        scheduler.  Returns ``(len(lengths), vocab)`` logits — exactly the
+        logits :meth:`generate` uses to select the first generated token,
+        so a scheduler built on this emits token-for-token what one-shot
+        generation emits.
+
+        The pack runs as one :meth:`forward`.  Embeddings, LayerNorms, the
+        static projections and the FFN see only the pack's real prompt
+        positions, with no padding; attention runs per prompt, over exactly
+        its own positions and on its own row, so only real tokens are
+        written to the cache and softmax reduces over exactly the widths
+        it would alone; the final norm and the LM head read one row per
+        prompt.  Each of those is row-wise, so a prompt's logits equal its
+        solo prefill's bit for bit wherever the row-wise products are
+        exact (crossbar layers with frozen activation scales).  A host
+        float BLAS product may round differently at another height (it
+        picks its kernel by matrix size), which moves a logit by an ulp or
+        so.  Layers that scale activations per call (uncalibrated) see the
+        whole pack, as batched decode already does.
         """
-        tokens = np.atleast_2d(np.asarray(tokens))
+        tokens = np.asarray(tokens)
+        if tokens.ndim != 1:
+            raise ValueError("prefill takes the pack's prompts concatenated into one 1-D array")
+        lengths = np.array([tokens.size] if lengths is None else lengths, dtype=np.int64)
+        if lengths.shape != (cache.batch,) or int(lengths.sum()) != tokens.size:
+            raise ValueError(
+                f"pack lengths {lengths.tolist()} must give one prompt per cache row "
+                f"({cache.batch}) and cover {tokens.size} tokens"
+            )
+        if lengths.min() < 1:
+            raise ValueError("every prompt in a pack needs at least one token")
         if int(cache.lengths.max(initial=0)) != 0:
             raise ValueError("prefill requires empty cache rows (reset or cleared)")
-        return self.forward(tokens, cache=cache).data[:, -1]
+        return self.forward(tokens[None, :], cache=cache, lengths=lengths).data[:, -1]
 
     def select_tokens(
         self, logits: np.ndarray, rng: np.random.Generator | None

@@ -251,16 +251,13 @@ class ReferenceQuantizedAttention(AnalogAttention):
     minted and nothing touches a backend.
     """
 
-    def forward(self, x, attention_mask=None, cache=None):
-        """Quantized host attention mirroring the analog execution order."""
+    def _attend(self, q, k, v, attention_mask, cache):
+        """Quantized host core mirroring the analog execution order."""
         if cache is None or not self.causal:
-            return MultiHeadAttention.forward(
-                self, x, attention_mask=attention_mask, cache=cache
-            )
-        batch, seq, _ = x.shape
-        q = self._split_heads(self.w_q(x), batch, seq)
-        k = self._split_heads(self.w_k(x), batch, seq)
-        v = self._split_heads(self.w_v(x), batch, seq)
+            return MultiHeadAttention._attend(self, q, k, v, attention_mask, cache)
+        batch, seq, _ = q.shape
+        dtype = q.data.dtype
+        q, k, v = (self._split_heads(t, batch, seq) for t in (q, k, v))
         kv = cache.cache
         lengths = np.asarray(kv.lengths, dtype=np.int64).copy()
         cache.append(k.data, v.data)
@@ -294,4 +291,4 @@ class ReferenceQuantizedAttention(AnalogAttention):
                 ctx_int = p_codes @ v_codes
                 context[r, h] = np.asarray(ctx_int, dtype=np.float64) * p_scale
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
-        return self.w_proj(Tensor(merged.astype(x.data.dtype)))
+        return Tensor(merged.astype(dtype))

@@ -696,16 +696,15 @@ class GemvStack(StackLayout):
 
 
 def fast_gemv(
-    matrices: "StackLayout | Sequence[ProgrammedMatrix]",
+    stack: StackLayout,
     input_codes: np.ndarray,
     input_bits: int,
     stats: "Sequence[GemvStats | None] | None" = None,
 ) -> np.ndarray:
     """Optimized bit-serial GEMV over a stack.
 
-    ``matrices`` is a :class:`StackLayout` (a :class:`GemvStack`, or a
-    plane bank's window), or a sequence of matrices each forming a
-    one-matrix member.  ``input_codes`` is ``(n, batch, in)`` with ``in``
+    ``stack`` is a :class:`StackLayout`: a :class:`GemvStack`, or a
+    plane bank's window.  ``input_codes`` is ``(n, batch, in)`` with ``in``
     the widest member's ``in_features`` and zeros past each member's own.
     Returns ``(n, batch, out)`` int64, each constituent's outputs in its
     columns, zeros past its own.  ``stats`` holds one (possibly shared,
@@ -737,7 +736,6 @@ def fast_gemv(
     input patterns (``2**w``) as bit-rows (``kept_bits*batch``) converts
     each pattern once.
     """
-    stack = matrices if isinstance(matrices, StackLayout) else _one_per_member(matrices)
     n, batch, in_width = input_codes.shape
     per = stack.per_member
     sinks = stats or (None,) * stack.constituents
@@ -844,13 +842,8 @@ def fast_gemv(
     return combined.astype(np.int64) - stack.offsets * input_codes.sum(axis=2, keepdims=True)
 
 
-def _one_per_member(matrices: "Sequence[ProgrammedMatrix]") -> GemvStack:
-    """A stack with one matrix per member."""
-    return GemvStack([(m,) for m in matrices])
-
-
 def run_gemv_stack(
-    matrices: "StackLayout | Sequence[ProgrammedMatrix]",
+    stack: StackLayout,
     input_codes: np.ndarray,
     input_bits: int,
     stats: "Sequence[GemvStats | None] | None" = None,
@@ -860,10 +853,8 @@ def run_gemv_stack(
     Shapes as :func:`fast_gemv`.  ``"reference"`` runs
     :func:`reference_gemv` on each constituent of each member with the
     member's own inputs, the spec the stacked fast kernel is tested
-    against; it reads the matrices themselves, so it takes a
-    :class:`GemvStack` or a sequence of matrices.
+    against; it reads the stack's matrices themselves.
     """
-    stack = matrices if isinstance(matrices, StackLayout) else _one_per_member(matrices)
     if _default_policy.mode != "reference":
         return fast_gemv(stack, input_codes, input_bits, stats)
     n, batch, _ = input_codes.shape

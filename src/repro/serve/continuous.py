@@ -28,11 +28,25 @@ and an optional ``max_tokens`` budget bounding the total KV positions
 (prompt + full budget) reserved by in-flight requests.  The head of the
 queue never jumps; if it does not fit, admission waits for retirements.
 
+Admitted requests prefill in *packs*: consecutive admissions whose
+prompt tokens sum to at most the model's ``max_seq_len`` share one
+:meth:`~repro.nn.transformer.DecoderLM.prefill` forward into their
+contiguous rows (a pack always holds at least one request; zero-budget
+requests complete without one).  A wave of short prompts thus pays one
+forward's fixed cost, not one per request, and the rows already decoding
+wait behind one forward instead of several.  The pack's static layers
+run once over its real prompt positions — no padding, so only real
+tokens reach the KV cells — while attention stays per request, over
+exactly its own prompt on its own row, so each request's first-token
+logits are its solo prefill's (bit for bit where the row-wise products
+are exact).  A queue head whose deadline passes while a pack prefills
+expires before the next pack forms.
+
 Per-request outputs are token-for-token identical to one-shot
-``DecoderLM.generate`` for greedy decoding: prefill runs the same
-full-prompt forward, token selection goes through the same
-``select_tokens``, and the ragged cached forward is the same code path
-``generate`` uses (verified bitwise in the golden-trace tests).
+``DecoderLM.generate`` for greedy decoding: prefill attends over exactly
+each prompt, token selection goes through the same ``select_tokens``,
+and the ragged cached forward is the same code path ``generate`` uses
+(verified in the golden-trace tests).
 """
 
 from __future__ import annotations
@@ -98,6 +112,7 @@ class ContinuousScheduler:
         self._reserved_tokens = 0  # sum of token_need over live rows
         self.last_decode_rows = 0  # rows advanced by the latest step()
         self.last_prefill_tokens = 0  # prompt tokens prefilled by the latest step()
+        self.last_prefill_forwards = 0  # prefill forwards (packs) run by the latest step()
 
     # ------------------------------------------------------------------
     @property
@@ -122,6 +137,7 @@ class ContinuousScheduler:
         completed: list[RequestResult] = []
         self.last_decode_rows = 0
         self.last_prefill_tokens = 0
+        self.last_prefill_forwards = 0
         # Module.eval() walks the whole module tree, so skip it when the
         # model is already in eval mode (the served steady state).
         was_training = self.model.training
@@ -194,9 +210,33 @@ class ContinuousScheduler:
         return self._reserved_tokens + request.token_need <= self.max_tokens
 
     def _admit(self, queue: list[GenerationRequest], completed: list[RequestResult]) -> None:
+        """Admit queued requests pack by pack, one prefill forward per pack."""
         self._expire_queued(queue, completed)
+        while pack := self._take_pack(queue, completed):
+            self._prefill(pack)
+            self._expire_queued(queue, completed)
+
+    def _take_pack(
+        self, queue: list[GenerationRequest], completed: list[RequestResult]
+    ) -> list[_RowState]:
+        """Pop the next pack: admissible requests whose prompts fit one forward.
+
+        Requests are popped in FIFO order while a row is free and the head
+        fits ``max_tokens``, as long as the pack's prompt tokens stay within
+        the model's ``max_seq_len`` (a pack is never taller than the
+        tallest prompt one request may bring, and its first request always
+        fits).  Each popped request checks out the next row, so a pack's
+        rows are contiguous.  Zero-budget requests complete on the spot
+        and never enter a pack.
+        """
+        pack: list[_RowState] = []
+        budget = self.model.config.max_seq_len
+        used = 0
         while queue and self.slots.free > 0 and self._fits(queue[0]):
-            request = queue.pop(0)
+            request = queue[0]
+            if request.max_new_tokens > 0 and used + request.prompt.size > budget:
+                break
+            queue.pop(0)
             admitted_at = self.clock()
             if request.max_new_tokens == 0:
                 completed.append(self._empty_result(request, admitted_at))
@@ -214,15 +254,26 @@ class ContinuousScheduler:
                 remaining=request.max_new_tokens,
             )
             self._rows[row] = state
-            # Prefill through a zero-copy row view: other rows' K/V and
-            # lengths are untouched while this request joins mid-flight.
-            view = self._cache.row_view(row)
-            view.reset()
-            logits = self.model.prefill(request.prompt, view)
-            token = self.model.select_tokens(logits, self.rng)
-            self.last_prefill_tokens += int(request.prompt.size)
-            self._emit(state, int(token[0]))
-            self._expire_queued(queue, completed)
+            pack.append(state)
+            used += request.prompt.size
+        return pack
+
+    def _prefill(self, pack: list[_RowState]) -> None:
+        """Prefill a pack through a zero-copy view of its rows; emit first tokens.
+
+        Other rows' K/V and lengths are untouched while the pack joins
+        mid-flight.
+        """
+        view = self._cache.rows_view(pack[0].row, pack[-1].row + 1)
+        view.reset()
+        prompts = [state.request.prompt for state in pack]
+        lengths = [prompt.size for prompt in prompts]
+        logits = self.model.prefill(np.concatenate(prompts), view, lengths)
+        tokens = self.model.select_tokens(logits, self.rng)
+        self.last_prefill_tokens += sum(lengths)
+        self.last_prefill_forwards += 1
+        for state, token in zip(pack, tokens):
+            self._emit(state, int(token))
 
     def _empty_result(self, request: GenerationRequest, admitted_at: float) -> RequestResult:
         finished_at = self.clock()

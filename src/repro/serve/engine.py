@@ -104,6 +104,9 @@ class ServingStats:
     #: Requests cut short by their SLO deadline (queued expiry or decode
     #: preemption) — see :class:`~repro.serve.requests.GenerationRequest`.
     preempted: int = 0
+    #: Admission prefill forwards: one per pack of admitted prompts, so
+    #: fewer than the requests admitted whenever admissions share a step.
+    prefill_forwards: int = 0
     #: Batched-decode fast-path accounting, read off :meth:`ServingEngine.gemv_stats`
     #: whenever :attr:`ServingEngine.stats` is read: activation bit-planes the
     #: fast kernel packed (``GemvStats.planes_packed``) and rows it ran
@@ -200,6 +203,7 @@ class ServingStats:
             "recalibrations": self.recalibrations,
             "layers_reprogrammed": self.layers_reprogrammed,
             "preempted": self.preempted,
+            "prefill_forwards": self.prefill_forwards,
             "planes_packed": self.planes_packed,
             "pack_reuses": self.pack_reuses,
             "fused_rows": self.fused_rows,
@@ -539,6 +543,11 @@ class ServingEngine:
         prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
         if prompt.size == 0:
             raise ValueError("prompt must contain at least one token")
+        vocab = self.model.config.vocab_size
+        if prompt.min() < 0 or prompt.max() >= vocab:
+            # Caught here, not by the embedding inside step(): by then the
+            # request holds a row and would sink its whole prefill pack.
+            raise ValueError(f"prompt token ids must lie in [0, {vocab})")
         if max_new_tokens < 0:
             raise ValueError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
         capacity = self.model.config.max_seq_len
@@ -629,6 +638,7 @@ class ServingEngine:
         started = self.clock()
         results = scheduler.step(self._queue)
         self._stats.iterations += 1
+        self._stats.prefill_forwards += scheduler.last_prefill_forwards
         self._stats.decode_wall_s += self.clock() - started
         if self._projection is not None:
             # Batched decode ships the whole step's hidden vectors across

@@ -380,6 +380,31 @@ class TestPrefill:
         for layer, k in enumerate(cache.keys):  # row 0 untouched
             np.testing.assert_array_equal(k[0], before[layer][0])
 
+    def test_pack_fills_one_row_per_prompt(self, lm_config, rng):
+        model = DecoderLM(lm_config)
+        prompts = [rng.integers(0, 50, size=n) for n in (3, 6, 1)]
+        cache = model.new_cache(4)
+        logits = model.prefill(np.concatenate(prompts), cache.rows_view(1, 4), [3, 6, 1])
+        assert logits.shape == (3, 50)
+        np.testing.assert_array_equal(cache.lengths, [0, 3, 6, 1])
+        for i, prompt in enumerate(prompts):
+            full = model.forward(prompt[None, :]).data[0, -1]
+            np.testing.assert_allclose(logits[i], full, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "tokens, rows, lengths",
+        [
+            (np.zeros((2, 3), dtype=int), 2, None),  # aligned batch: concatenate instead
+            (np.zeros(6, dtype=int), 2, [3, 2]),  # lengths miss a token
+            (np.zeros(6, dtype=int), 3, [3, 3]),  # a row without a prompt
+            (np.zeros(6, dtype=int), 2, [6, 0]),  # an empty prompt
+        ],
+    )
+    def test_malformed_pack_rejected(self, lm_config, tokens, rows, lengths):
+        model = DecoderLM(lm_config)
+        with pytest.raises(ValueError):
+            model.prefill(tokens, model.new_cache(rows), lengths)
+
     def test_prefill_requires_empty_rows(self, lm_config, rng):
         model = DecoderLM(lm_config)
         cache = model.new_cache(1)

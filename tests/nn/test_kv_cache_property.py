@@ -14,6 +14,12 @@ many interleavings) and against a crossbar-deployed model under both
 GEMV kernel modes (``KernelPolicy(mode="reference"/"fast")``), where
 frozen activation calibration plus noiseless cells make the incremental
 and full-context paths agree exactly.
+
+A ragged prefill pack prefilled into the next rows of a live cache must
+return, per prompt, its solo prefill's logits and leave the cache as
+solo prefills would: bitwise on the crossbar-deployed model, whose
+row-wise products are exact integers, and to float rounding on the host
+model, whose BLAS picks its GEMM kernel by matrix height.
 """
 
 from __future__ import annotations
@@ -268,3 +274,68 @@ class TestKernelModes:
             with kernel_policy(KernelPolicy(mode=mode)):
                 outs[mode] = model.generate(prompt, 6)
         np.testing.assert_array_equal(outs["reference"], outs["fast"])
+
+
+def _check_pack(model, live_prompts, pack_prompts, tol: float) -> None:
+    """Prefill ``live_prompts`` one per row and decode one step, then
+    prefill ``pack_prompts`` as one pack into the next rows: the live rows
+    stay untouched, and each packed prompt's logits and K/V match its solo
+    prefill within ``tol`` (0: bitwise)."""
+    n = len(live_prompts)
+    cache = model.new_cache(n + len(pack_prompts))
+    with no_grad():
+        for row, prompt in enumerate(live_prompts):
+            model.prefill(np.array(prompt), cache.row_view(row))
+        if n:
+            model.forward(np.zeros((n, 1), dtype=np.int64), cache=cache.rows_view(0, n))
+        before = [k[:n].copy() for k in cache.keys]
+        logits = model.prefill(
+            np.concatenate([np.array(p) for p in pack_prompts]),
+            cache.rows_view(n, n + len(pack_prompts)),
+            [len(p) for p in pack_prompts],
+        )
+    np.testing.assert_array_equal(cache.lengths[:n], [len(p) + 1 for p in live_prompts])
+    for layer, k in enumerate(cache.keys):
+        np.testing.assert_array_equal(k[:n], before[layer])
+    for i, prompt in enumerate(pack_prompts):
+        solo_cache = model.new_cache(1)
+        with no_grad():
+            solo = model.prefill(np.array(prompt), solo_cache)[0]
+        row, length = n + i, len(prompt)
+        assert cache.lengths[row] == length
+        np.testing.assert_allclose(logits[i], solo, rtol=tol, atol=tol)
+        for buffers, solo_buffers in ((cache.keys, solo_cache.keys), (cache.values, solo_cache.values)):
+            for buf, solo_buf in zip(buffers, solo_buffers):
+                np.testing.assert_allclose(
+                    buf[row, :, :length], solo_buf[0, :, :length], rtol=tol, atol=tol
+                )
+
+
+def _pack_strategy(vocab: int, max_prompt: int, max_prompts: int):
+    prompt = st.lists(st.integers(0, vocab - 1), min_size=1, max_size=max_prompt)
+    return st.lists(prompt, min_size=0, max_size=2), st.lists(
+        prompt, min_size=1, max_size=max_prompts
+    )
+
+
+@pytest.fixture(scope="module")
+def deployed_model() -> DecoderLM:
+    """One deployment shared by every hypothesis example (deploying is slow)."""
+    return _deployed_model()
+
+
+class TestPackedPrefill:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_ragged_pack_matches_solo_prefills_bitwise(self, deployed_model, data):
+        """Crossbar-deployed, noiseless: each prompt of a ragged pack gets
+        its solo prefill's logits and K/V bit for bit."""
+        live, pack = (data.draw(s) for s in _pack_strategy(16, 6, 3))
+        with kernel_policy(KernelPolicy(mode="fast")):
+            _check_pack(deployed_model, live, pack, tol=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_host_ragged_pack_matches_solo_prefills(self, data):
+        live, pack = (data.draw(s) for s in _pack_strategy(VOCAB, 6, 4))
+        _check_pack(_host_model().eval(), live, pack, tol=1e-12)

@@ -28,8 +28,8 @@ from repro.rram import (
     kernel_policy,
 )
 from repro.rram.cell import CELL_TYPES
+from repro.rram.kernels import GemvStack, reference_gemv
 from repro.rram.kernels import fast_gemv as stacked_fast_gemv
-from repro.rram.kernels import reference_gemv
 
 CELLS = ["SLC", "MLC2", "MLC3", "MLC4"]
 #: (batch, in_features, out_features): single tile, tile-spanning, ragged.
@@ -38,7 +38,7 @@ SHAPES = [(1, 16, 4), (5, 70, 33), (3, 200, 7)]
 
 def fast_gemv(matrix, inputs, input_bits, stats=None):
     """One matrix through the stacked fast kernel, as a one-member stack."""
-    return stacked_fast_gemv((matrix,), inputs[None], input_bits, (stats,))[0]
+    return stacked_fast_gemv(GemvStack([(matrix,)]), inputs[None], input_bits, (stats,))[0]
 
 
 def _config_for(cell_name: str) -> CrossbarConfig:

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from repro.nn import DecoderLM, TransformerConfig
+from repro.nn.tensor import no_grad
+from repro.rram import KernelPolicy, kernel_policy
 from repro.rram.backend import SimBackend
-from repro.rram.noise import NoiseSpec
+from repro.rram.noise import DEFAULT_NOISE, NoiseSpec
 from repro.serve import ServingEngine
 from repro.svd.pipeline import LayerPlan
 from repro.pim import CrossbarAttentionExecutor, ReferenceQuantizedAttention
@@ -59,14 +61,14 @@ def _plans(lm: DecoderLM) -> dict[str, LayerPlan]:
     return plans
 
 
-def _engine(attention: str, **kwargs) -> ServingEngine:
+def _engine(attention: str, noise: NoiseSpec | None = None, **kwargs) -> ServingEngine:
     lm = _lm()
     calib = np.random.default_rng(7).integers(0, VOCAB, size=(2, 6))
     return ServingEngine.deploy(
         lm,
         _plans(lm),
         calibration_prompts=calib,
-        noise=NoiseSpec.noiseless(),
+        noise=noise or NoiseSpec.noiseless(),
         mode="crossbar",
         backend=SimBackend(),
         attention=attention,
@@ -160,6 +162,73 @@ class TestAccounting:
         assert engine.hardware_report() is None  # unsharded contract
 
 
+def _pack_logits(model: DecoderLM, prompts) -> np.ndarray:
+    """Every prompt prefilled as one pack into a fresh cache."""
+    with no_grad():
+        return model.prefill(
+            np.concatenate(prompts), model.new_cache(len(prompts)), [len(p) for p in prompts]
+        )
+
+
+def _solo_logits(model: DecoderLM, prompts) -> np.ndarray:
+    """Each prompt prefilled alone into its own fresh cache."""
+    with no_grad():
+        return np.concatenate([model.prefill(p, model.new_cache(1)) for p in prompts])
+
+
+def _kv_accounting(engine: ServingEngine) -> tuple[int, ...]:
+    ex = engine.attention_executor
+    wear = ex.wear_report()
+    return (
+        ex.kv_tokens_written,
+        engine.gemv_stats().cells_initial_programmed,
+        wear["dynamic_writes"],
+        wear["dynamic_write_pulses"],
+    )
+
+
+class TestPackedPrefill:
+    """A prefill pack returns each prompt's solo prefill logits bitwise and
+    writes exactly the K/V cells the solo prefills write."""
+
+    PROMPT_LENGTHS = (5, 1, 7, 3)
+
+    @pytest.mark.parametrize("mode", ["reference", "fast"])
+    @pytest.mark.parametrize(
+        "attention, noise",
+        [("host", None), ("host", DEFAULT_NOISE), ("analog", None)],
+        ids=["host-noiseless", "host-noisy", "analog-noiseless"],
+    )
+    def test_pack_matches_solo_prefill_bitwise(self, mode, attention, noise):
+        model = _engine(attention, noise=noise).model
+        model.eval()
+        prompts = _prompts(23, self.PROMPT_LENGTHS)
+        with kernel_policy(KernelPolicy(mode=mode)):
+            np.testing.assert_array_equal(
+                _pack_logits(model, prompts), _solo_logits(model, prompts)
+            )
+
+    def test_analog_pack_matches_reference_solo_bitwise(self):
+        analog = _engine("analog").model
+        reference = _reference_engine().model
+        for model in (analog, reference):
+            model.eval()
+        prompts = _prompts(29, self.PROMPT_LENGTHS)
+        np.testing.assert_array_equal(
+            _pack_logits(analog, prompts), _solo_logits(reference, prompts)
+        )
+
+    def test_pack_kv_accounting_equals_solo_sum(self):
+        prompts = _prompts(31, self.PROMPT_LENGTHS)
+        packed, solo = _engine("analog"), _engine("analog")
+        for engine in (packed, solo):
+            engine.model.eval()
+        _pack_logits(packed.model, prompts)
+        _solo_logits(solo.model, prompts)
+        assert _kv_accounting(packed) == _kv_accounting(solo)
+        assert packed.attention_executor.kv_tokens_written == sum(self.PROMPT_LENGTHS)
+
+
 class TestShardedAnalog:
     def test_mesh_deploy_records_kv_traffic_and_endurance(self):
         from repro.dist import DeviceMesh
@@ -186,15 +255,16 @@ class TestNoisyShardedGoldenTrace:
     """Pins a noisy, TP-2, 2-chip analog serving run end to end.
 
     Every K/V operand draws its programming noise from the executor's one
-    shared generator, so the order in which a step writes operands (row,
-    then head, then K before V) decides every noisy read.  The digest
+    shared generator, so the order in which a forward writes operands
+    (layer, then row, then head, then K before V; a prefill pack's rows
+    are its prompts) decides every noisy read.  The digest
     covers the served tokens, every ``compare=True`` ``GemvStats`` field,
     the mesh traffic ledger and the wear-ledger totals, so a change to
     that order, to a noise draw or to any counted crossbar operation
     trips it.
     """
 
-    GOLDEN_SHA256 = "66662c189f8cf05cdeb82bfff945e3ccf7270931a02d27decce278ff4f1a6d23"
+    GOLDEN_SHA256 = "a3c5b1cc4d67d0cb76900fecbd1a6459728ebf04da29f8dc5d16c14b36498781"
 
     @staticmethod
     def _run() -> dict:

@@ -93,6 +93,22 @@ class TestRoutes:
         )
         assert status == 400 and "warp" in body["error"]
 
+    def test_out_of_vocabulary_token_400_then_serves(self, server, rng):
+        status, body = api_request(
+            server.host,
+            server.port,
+            "/v1/generate",
+            {"prompt": [1, VOCAB, 2], "max_new_tokens": 2},
+        )
+        assert status == 400 and "token ids" in body["error"]
+        status, body = api_request(
+            server.host,
+            server.port,
+            "/v1/generate",
+            {"prompt": _prompt(rng), "max_new_tokens": 2},
+        )
+        assert status == 200 and len(body["tokens"]) == 2
+
     def test_stats_reports_engine_counters(self, server, rng):
         status, _ = api_request(
             server.host,

@@ -2,8 +2,9 @@
 
 Covers the golden-trace equivalence (continuous ≡ per-request one-shot
 generate, across GEMV kernel modes), deterministic fake-clock admission
-edges (every engine timestamp rides the injectable clock), TTFT/TPOT
-accounting, streaming callbacks and the max_tokens admission budget.
+edges (every engine timestamp rides the injectable clock), prefill-pack
+boundaries, TTFT/TPOT accounting, streaming callbacks and the max_tokens
+admission budget.
 """
 
 from __future__ import annotations
@@ -256,6 +257,71 @@ class TestFakeClockAdmission:
         assert result.tpot_s == 0.5  # (6 - 5) / (3 - 1)
         assert result.queued_s == 5.0
         assert engine.stats.mean_ttft_s == 5.0
+
+
+class TestPackedAdmission:
+    """Admissions of one step prefill in packs of at most ``max_seq_len``
+    prompt tokens (32 here), one forward per pack."""
+
+    @staticmethod
+    def _spy_packs(model, monkeypatch, clock=None, tick=0.0) -> list[list[int]]:
+        """Record each prefill forward's prompt lengths; advance ``clock``
+        by ``tick`` per forward."""
+        packs: list[list[int]] = []
+        real_prefill = model.prefill
+
+        def prefill_spy(tokens, cache, lengths=None):
+            packs.append(list(lengths))
+            if clock is not None:
+                clock.now += tick
+            return real_prefill(tokens, cache, lengths)
+
+        monkeypatch.setattr(model, "prefill", prefill_spy)
+        return packs
+
+    def _serve(self, model, monkeypatch, rng, lengths, budgets, **engine_kwargs):
+        engine = ServingEngine(model, max_batch_size=4, clock=FakeClock(), **engine_kwargs)
+        packs = self._spy_packs(model, monkeypatch)
+        prompts = [rng.integers(0, 40, size=n) for n in lengths]
+        ids = [engine.submit(p, b) for p, b in zip(prompts, budgets)]
+        results = {r.request_id: r for r in engine.step(force=True)}
+        results.update({r.request_id: r for r in engine.run_until_idle()})
+        for rid, prompt, budget in zip(ids, prompts, budgets):
+            solo = model.generate(prompt, budget)[len(prompt) :] if budget else []
+            np.testing.assert_array_equal(results[rid].tokens, solo)
+        assert engine.stats.prefill_forwards == len(packs)
+        return packs
+
+    def test_prompts_summing_to_max_seq_len_run_as_one_forward(self, model, monkeypatch, rng):
+        packs = self._serve(model, monkeypatch, rng, (8, 8, 8, 8), (3, 3, 3, 3))
+        assert packs == [[8, 8, 8, 8]]
+
+    def test_one_more_token_splits_the_pack(self, model, monkeypatch, rng):
+        packs = self._serve(model, monkeypatch, rng, (8, 8, 8, 9), (3, 3, 3, 3))
+        assert packs == [[8, 8, 8], [9]]
+
+    def test_prompt_longer_than_half_prefills_alone(self, model, monkeypatch, rng):
+        packs = self._serve(model, monkeypatch, rng, (17, 17, 17), (2, 2, 2))
+        assert packs == [[17], [17], [17]]
+
+    def test_zero_budget_requests_never_enter_a_pack(self, model, monkeypatch, rng):
+        packs = self._serve(model, monkeypatch, rng, (4, 5, 6, 7), (0, 3, 0, 3))
+        assert packs == [[5, 7]]
+
+    def test_head_expiring_between_packs_expires_as_before(self, model, monkeypatch, rng):
+        """The first pack's forward moves the clock past the next head's
+        deadline: that head expires unserved instead of forming a pack."""
+        clock = FakeClock()
+        engine = ServingEngine(model, max_batch_size=4, clock=clock)
+        packs = self._spy_packs(model, monkeypatch, clock=clock, tick=1.0)
+        first = engine.submit(rng.integers(0, 40, size=20), 2)
+        late = engine.submit(rng.integers(0, 40, size=20), 2, deadline_s=0.5)
+        after = engine.submit(rng.integers(0, 40, size=6), 2)
+        results = {r.request_id: r for r in engine.step(force=True)}
+        assert results[late].preempted and results[late].tokens.size == 0
+        assert packs == [[20], [6]]
+        results.update({r.request_id: r for r in engine.run_until_idle()})
+        assert results[first].tokens.size == 2 and results[after].tokens.size == 2
 
 
 class TestLatencyStats:

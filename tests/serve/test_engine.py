@@ -45,6 +45,20 @@ class TestSubmitValidation:
         with pytest.raises(ValueError):
             engine.submit(rng.integers(0, 40, size=30), 10)
 
+    @pytest.mark.parametrize("bad_id", [-1, 40])
+    def test_rejects_token_ids_outside_the_vocabulary(self, model, rng, bad_id):
+        """An out-of-vocabulary id is refused at submit, before it takes a
+        row; the engine keeps serving the good request beside it."""
+        engine = ServingEngine(model, max_batch_size=2)
+        good = rng.integers(0, 40, size=4)
+        rid = engine.submit(good, 3)
+        with pytest.raises(ValueError, match="token ids"):
+            engine.submit(np.array([3, bad_id, 5]), 3)
+        [result] = engine.run_until_idle()
+        assert result.request_id == rid
+        np.testing.assert_array_equal(result.tokens, model.generate(good, 3)[4:])
+        assert engine.in_flight == 0 and not engine.busy
+
     def test_ids_are_unique_and_ordered(self, model, rng):
         engine = ServingEngine(model)
         ids = [engine.submit(rng.integers(0, 40, size=4), 2) for _ in range(3)]
