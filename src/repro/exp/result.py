@@ -51,16 +51,6 @@ class Result:
             "key": self.key,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Result":
-        return cls(
-            spec=ExperimentSpec.from_dict(payload["spec"]),
-            value=payload.get("value"),
-            elapsed_s=float(payload.get("elapsed_s", 0.0)),
-            cached=bool(payload.get("cached", False)),
-            key=str(payload.get("key", "")),
-        )
-
 
 @dataclass
 class Series:
@@ -105,12 +95,6 @@ class Series:
         if path is not None:
             Path(path).write_text(text + "\n", encoding="utf-8")
         return text
-
-    @classmethod
-    def from_json(cls, text_or_path: str | Path) -> "Series":
-        path = Path(text_or_path) if not str(text_or_path).lstrip().startswith("[") else None
-        text = path.read_text(encoding="utf-8") if path is not None else str(text_or_path)
-        return cls(results=[Result.from_dict(item) for item in json.loads(text)])
 
     def to_csv(self, path: str | Path | None = None) -> str:
         """Flat CSV: one row per point, params + scalar value fields.

@@ -99,12 +99,6 @@ class ExperimentSpec:
             }
         )
 
-    def with_params(self, **overrides: Any) -> "ExperimentSpec":
-        merged = {**self.params, **overrides}
-        return ExperimentSpec(
-            experiment=self.experiment, params=merged, seed=self.seed, tags=self.tags
-        )
-
     def sweep(self, **grid: Sequence[Any]) -> "SweepSpec":
         """Lift this spec into a sweep over the given parameter grid."""
         return SweepSpec(

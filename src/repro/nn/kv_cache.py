@@ -14,7 +14,9 @@ from O(L²) full-context recompute into O(L) incremental work.
 The cache is batched and supports *ragged* rows (per-row valid lengths),
 which is what the serving engine (:mod:`repro.serve`) needs to batch
 requests whose prompts differ in length: rows append at their own write
-positions and expose a key-validity mask for attention.
+positions and expose a key-validity mask for attention.  Rows become
+ragged only through writes of real tokens (a prefill pack, below, or
+per-row decode appends); nothing shortens a row except retiring it.
 
 For iteration-level (continuous) batching the cache additionally supports
 *row-level* operations on a live cache: :meth:`rows_view` /
@@ -199,22 +201,6 @@ class KVCache:
     def advance(self, t_new: int | np.ndarray) -> None:
         """Commit ``t_new`` appended tokens on every row (or per row, as an array)."""
         self.lengths += t_new
-
-    def set_lengths(self, lengths: np.ndarray) -> None:
-        """Override per-row valid lengths (ragged right-padded prefill).
-
-        After prefilling a right-padded prompt batch, the pad positions of
-        short rows hold garbage K/V; shrinking those rows' lengths masks the
-        garbage out of attention and lets subsequent appends overwrite it.
-        """
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.shape != (self.batch,):
-            raise ValueError(f"lengths must have shape ({self.batch},), got {lengths.shape}")
-        if lengths.min(initial=0) < 0 or lengths.max(initial=0) > self.capacity:
-            raise ValueError("lengths out of range for cache capacity")
-        # In-place write (not rebinding) so row views created via
-        # rows_view() stay coherent with the parent cache.
-        self.lengths[...] = lengths
 
     def key_padding_mask(self, total: int) -> np.ndarray | None:
         """Boolean (B, total) mask, True where a key slot is *invalid*.

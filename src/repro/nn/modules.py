@@ -69,10 +69,6 @@ class Module:
         for _, module in self.named_modules():
             yield module
 
-    def num_parameters(self) -> int:
-        """Total number of scalar learnable parameters."""
-        return sum(p.size for p in self.parameters())
-
     # -- gradient & mode management ----------------------------------------
     def zero_grad(self) -> None:
         for param in self.parameters():

@@ -413,15 +413,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def sigmoid(self) -> "Tensor":
-        out_data = _special.expit(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
     def relu(self) -> "Tensor":
         mask = self.data > 0
 

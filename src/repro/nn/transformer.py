@@ -235,7 +235,7 @@ class DecoderLM(_TransformerBase):
         appended to the per-layer caches, and attention runs over the cached
         prefix — O(L) work per emitted token instead of O(L²).  The cache's
         per-row lengths supply both the position-embedding offsets and the
-        key-validity masks, so ragged (right-padded) batches decode
+        key-validity masks, so rows of different lengths decode together
         correctly.  The two paths produce identical logits for the new
         tokens up to floating-point reassociation (verified in tests at the
         active compute dtype).
@@ -391,14 +391,19 @@ class DecoderLM(_TransformerBase):
             prompts.  A 1-D prompt returns a 1-D output (back-compat).
         max_new_tokens:
             Token budget — a scalar, or a ``(B,)`` array of per-row budgets.
-            A row stops decoding (and costs nothing further) once its own
-            budget is spent; the output is sized for the largest budget and
-            short rows pad the tail with ``pad_id``.
+            A row stops emitting once its own budget is spent; the output is
+            sized for the largest budget and short rows pad the tail with
+            ``pad_id``.  A finished row is not free: it stays in the batch
+            and every later decode forward still runs it, fed token id 0,
+            until the longest budget is spent.  On a crossbar KV cache those
+            feeds are written to cells (and counted as wear) like real tokens.
         rng:
             None for greedy decoding; a Generator samples from the softmax.
         prompt_lengths:
             Optional ``(B,)`` valid-token counts for ragged prompts; rows
-            continue generation right after their own prompt.
+            continue generation right after their own prompt.  The cached
+            path prefills the valid tokens alone, as one :meth:`prefill`
+            pack, so no pad position is computed or cached.
         use_cache:
             True (default) runs the KV-cached incremental path; False keeps
             the naive full-context recompute (the O(L²) baseline measured by
@@ -477,12 +482,10 @@ class DecoderLM(_TransformerBase):
         if not active.any():
             return
         cache = self.new_cache(batch, capacity=prompt_len + max_budget)
-        # Prefill: one full forward over the (right-padded) prompts.  Pad
-        # positions only ever serve as causally-blocked keys, so the plain
-        # causal mask suffices; their cached K/V are invalidated below.
-        logits = self.forward(out[:, :prompt_len], cache=cache).data
-        cache.set_lengths(cur)
-        step_logits = logits[np.arange(batch), cur - 1]
+        # Prefill: one pack of the real prompt tokens, so no pad position
+        # is computed or written to the cache.
+        prompts = np.concatenate([out[i, : cur[i]] for i in range(batch)])
+        step_logits = self.prefill(prompts, cache, cur.copy())
         for step in range(max_budget):
             next_tokens = self.select_tokens(step_logits, rng)
             next_tokens = np.where(active, next_tokens, 0)
@@ -493,8 +496,8 @@ class DecoderLM(_TransformerBase):
             active &= budgets > step + 1  # per-row budgets spend independently
             if not active.any():
                 break
-            # Feed the emitted token (pad for finished rows — their logits
-            # are never read again, but the batch stays rectangular).
+            # Feed the emitted token (token id 0 for finished rows: their
+            # logits are never read again, but the batch stays rectangular).
             step_logits = self.forward(next_tokens[:, None], cache=cache).data[:, -1]
 
     def _generate_naive(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arch.latency import gemv_wave_ns
 from repro.rram.cell import CellType
 from repro.rram.crossbar import CrossbarConfig
 from repro.rram.mapping import array_footprint
@@ -32,15 +31,6 @@ class AnalogModuleConfig:
     array: CrossbarConfig = field(default_factory=CrossbarConfig)
     adc_sample_rate_hz: float = 1.28e9  # one ADC per array, 1.28 GSps
     conversion_window_ns: float = 100.0  # 128 bitlines converted per 100 ns
-
-    @property
-    def cells_per_array(self) -> int:
-        """Cells in one crossbar array."""
-        return self.array.rows * self.array.cols
-
-    def slc_capacity_bytes(self) -> int:
-        """Module capacity with every array in SLC mode."""
-        return self.num_arrays * self.cells_per_array // 8
 
 
 class AnalogPimModule:
@@ -82,7 +72,3 @@ class AnalogPimModule:
     def utilization(self) -> float:
         """Fraction of the module's arrays holding weights."""
         return self.arrays_used / self.config.num_arrays
-
-    def gemv_latency_ns(self, input_bits: int = 8) -> float:
-        """Pipelined latency of one GEMV wave (:func:`~repro.arch.latency.gemv_wave_ns`)."""
-        return gemv_wave_ns(input_bits, self.config.conversion_window_ns)

@@ -125,20 +125,6 @@ class HyFlexPimChip:
         return self.assignments
 
     # -- chip-level queries -------------------------------------------------
-    def pus_used(self) -> int:
-        """Distinct processing units holding at least one block."""
-        return len({i for a in self.assignments for i in a.pu_indices})
-
     def arrays_used(self) -> int:
         """Arrays reserved across every processing unit."""
         return sum(pu.arrays_used() for pu in self.processing_units)
-
-    def analog_utilization(self) -> float:
-        """Fraction of the chip's analog arrays holding weights."""
-        total = self.config.num_processing_units * self.config.pu.total_analog_arrays
-        return self.arrays_used() / total
-
-    def transfer_latency_cycles(self, num_bytes: int, clock_ghz: float = 1.0) -> float:
-        """Inter-PU transfer latency over the OCI at the given core clock."""
-        seconds = num_bytes / (self.config.inner_bus_gbps * 1e9)
-        return seconds * clock_ghz * 1e9

@@ -80,11 +80,6 @@ class DigitalPimModule:
 
     # -- storage ------------------------------------------------------------
     @property
-    def stored_bytes(self) -> int:
-        """Bytes of real-time operands currently held."""
-        return self._stored_bytes
-
-    @property
     def free_bytes(self) -> int:
         """Bytes still available for real-time operands."""
         return self.config.capacity_bytes - self._stored_bytes
@@ -99,12 +94,6 @@ class DigitalPimModule:
             )
         self._stored_bytes += num_bytes
         self.stats.bytes_written += num_bytes
-
-    def release(self, num_bytes: int) -> None:
-        """Free operand storage after a stage completes."""
-        if num_bytes > self._stored_bytes:
-            raise ValueError("releasing more bytes than stored")
-        self._stored_bytes -= num_bytes
 
     # -- compute --------------------------------------------------------------
     def matmul_int(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -134,21 +123,10 @@ class DigitalPimModule:
         """``Q @ Kᵀ`` (the paper's first dynamic product, INT8 x INT8)."""
         return self.matmul_int(q, np.asarray(k).T)
 
-    def attention_context(self, probs_int: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``S @ V`` with the score operand already integer-quantized."""
-        return self.matmul_int(probs_int, v)
-
     def softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         """Softmax on the in-module SFU (FP16 pipeline)."""
         before = self.sfu.stats.cycles
         out = self.sfu.softmax(x, axis=axis)
-        self.stats.sfu_cycles += self.sfu.stats.cycles - before
-        return out
-
-    def layernorm(self, x: np.ndarray, weight=None, bias=None, eps: float = 1e-5) -> np.ndarray:
-        """LayerNorm on the SFU, charging its cycles to this module."""
-        before = self.sfu.stats.cycles
-        out = self.sfu.layernorm(x, weight=weight, bias=bias, eps=eps)
         self.stats.sfu_cycles += self.sfu.stats.cycles - before
         return out
 

@@ -330,11 +330,6 @@ class HybridLinear(Module):
         return self._splits
 
     @property
-    def is_sharded(self) -> bool:
-        """Whether :meth:`deploy` placed this layer on a mesh."""
-        return self._mesh is not None
-
-    @property
     def num_shards(self) -> int:
         """Number of tensor-parallel rank shards the layer runs as."""
         return len(self._rank_slices)
@@ -379,12 +374,6 @@ class HybridLinear(Module):
         ``_ACTIVATION_BITS`` width used by the crossbar quantize calls."""
         qmax = 2 ** (_ACTIVATION_BITS - 1) - 1
         return QuantParams(scale=max(absmax, 1e-12) / qmax, num_bits=_ACTIVATION_BITS)
-
-    def clear_calibration(self) -> None:
-        """Drop frozen activation scales (back to per-call rescaling)."""
-        self._calibrating = False
-        self._x_params = None
-        self._h_params = None
 
     @property
     def is_calibrated(self) -> bool:

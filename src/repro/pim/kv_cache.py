@@ -32,10 +32,9 @@ compaction contract the continuous scheduler depends on:
   pulses, matching how a row-slot indirection table would relocate a
   stream on hardware.  The analog content of ``src`` is undefined until
   the scheduler's immediately following :meth:`clear_row`;
-- :meth:`clear_row`, :meth:`set_lengths` and :meth:`reset` truncate the
-  affected operands logically (no cell writes; their bank members are
-  zeroed past the new length); recycled rows are overwritten by later
-  appends and accounted as re-programs in
+- :meth:`clear_row` and :meth:`reset` truncate the affected operands
+  logically (no cell writes; their bank members are zeroed); recycled
+  rows are overwritten by later appends and accounted as re-programs in
   :class:`~repro.rram.crossbar.GemvStats`.
 
 Every cell write flows through the backend's partial-region primitive and
@@ -267,32 +266,21 @@ class CrossbarKVCache(KVCache):
     def clear_row(self, row: int) -> None:
         """Retire one row: host prefix invalidated, operands truncated."""
         super().clear_row(row)
-        self._truncate_row(row, 0)
-
-    def set_lengths(self, lengths: np.ndarray) -> None:
-        """Override per-row lengths and truncate operands to match.
-
-        Shrinking (ragged right-padded prefill) logically drops the pad
-        positions' K/V from the operands; later appends overwrite them
-        (accounted as re-programs).
-        """
-        super().set_lengths(lengths)
-        for r in range(self.batch):
-            self._truncate_row(r, int(self.lengths[r]))
+        self._truncate_row(row)
 
     def reset(self) -> None:
         """Forget all cached tokens of this view's rows, operands included."""
         super().reset()
         for r in range(self.batch):
-            self._truncate_row(r, 0)
+            self._truncate_row(r)
 
-    def _truncate_row(self, row: int, length: int) -> None:
+    def _truncate_row(self, row: int) -> None:
         first = (self._row0 + row) * self.num_heads
         store = self._store
         for banks in (store.k_banks, store.v_banks):
             for bank in banks:
                 for op in bank.operands[first : first + self.num_heads]:
-                    op.truncate(length)
+                    op.truncate()
 
     def __repr__(self) -> str:
         return (

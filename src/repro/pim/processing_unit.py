@@ -33,11 +33,6 @@ class ProcessingUnitConfig:
     digital: DigitalModuleConfig = field(default_factory=DigitalModuleConfig)
 
     @property
-    def total_analog_arrays(self) -> int:
-        """Crossbar arrays across all analog modules."""
-        return self.num_analog_modules * self.analog.num_arrays
-
-    @property
     def digital_capacity_bytes(self) -> int:
         """Bytes of dynamic-operand storage across all digital modules."""
         return self.num_digital_modules * self.digital.capacity_bytes
@@ -142,10 +137,6 @@ class ProcessingUnit:
     def arrays_free(self) -> int:
         """Arrays still unreserved across the PU's analog modules."""
         return sum(m.arrays_free for m in self.analog_modules)
-
-    def analog_utilization(self) -> float:
-        """Fraction of the PU's analog arrays holding weights."""
-        return self.arrays_used() / self.config.total_analog_arrays
 
     def can_fit_layer(self, plan: LayerPlan, mlc_cell: CellType = MLC2) -> bool:
         """Whole-PU feasibility check (ignores per-module fragmentation); see :meth:`_fragments`."""

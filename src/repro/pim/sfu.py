@@ -1,7 +1,8 @@
 """Special Function Unit: pipelined non-linear operators (Section 3.1).
 
-The digital PIM module hosts an SFU that evaluates Softmax, LayerNorm and
-GELU with a fixed repertoire of pipelined floating-point primitives: max
+The digital PIM module hosts an SFU that evaluates the non-linearities
+(the paper lists Softmax, LayerNorm and GELU; Softmax and GELU are modelled
+here) with a fixed repertoire of pipelined floating-point primitives: max
 search, subtraction, exponentiation *via Taylor series*, addition, division,
 multiplication and square root.  Results are FP16-rounded between pipeline
 stages (the paper computes non-linearities in FP16) and converted back to
@@ -101,27 +102,6 @@ class SpecialFunctionUnit:
         out = self._round(exps / total)
         # Stages: max search, subtract, taylor_terms, accumulate, divide.
         self.stats.charge(x.size, stages=self.config.taylor_terms + 4, config=self.config)
-        return out
-
-    def layernorm(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray | None = None,
-        bias: np.ndarray | None = None,
-        eps: float = 1e-5,
-    ) -> np.ndarray:
-        """mean → subtract → square → mean → sqrt → divide (+ affine)."""
-        x = np.asarray(x, dtype=np.float64)
-        mean = self._round(x.mean(axis=-1, keepdims=True))
-        centered = self._round(x - mean)
-        var = self._round((centered**2).mean(axis=-1, keepdims=True))
-        denom = self._round(np.sqrt(var + eps))
-        out = self._round(centered / denom)
-        if weight is not None:
-            out = self._round(out * np.asarray(weight, dtype=np.float64))
-        if bias is not None:
-            out = self._round(out + np.asarray(bias, dtype=np.float64))
-        self.stats.charge(x.size, stages=7, config=self.config)
         return out
 
     def gelu(self, x: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ multiplexer and sample-and-hold bank.  Precision follows the rule
 for ``R`` crossbar rows and ``w`` bits per cell: 6 b for SLC and 7 b for MLC
 at R = 64.  The 7-b design runs as a 6-b converter by bypassing the MSB
 capacitor (C7), with <1 % area/energy overhead versus a dedicated 6-b ADC.
-Per the survey cited in the paper, each extra bit doubles conversion energy;
-MLC halves the number of conversions, so total ADC energy is unchanged.
+Per the survey cited in the paper, each extra bit doubles conversion energy
+(:mod:`repro.arch.energy` prices a 7-b conversion at twice a 6-b one); MLC
+halves the number of conversions, so total ADC energy is unchanged.
 """
 
 from __future__ import annotations
@@ -53,21 +54,8 @@ class SarAdc:
         """Largest code the converter can emit (2^bits - 1)."""
         return 2**self.bits - 1
 
-    @property
-    def bypassed_capacitors(self) -> int:
-        """MSB capacitors skipped in reduced-precision mode (Fig. 8(b))."""
-        return self.max_bits - self.bits
-
     def convert(self, analog_sums: np.ndarray) -> np.ndarray:
         """Quantize analog level-sums to integer codes (round, clip, floor at 0)."""
         codes = np.rint(np.asarray(analog_sums, dtype=float))
         np.clip(codes, 0, self.full_scale, out=codes)
         return codes.astype(np.int64)
-
-    def relative_energy(self) -> float:
-        """Energy per conversion relative to a 6-b conversion (doubles per bit)."""
-        return 2.0 ** (self.bits - 6)
-
-    def reconfigure(self, bits: int) -> "SarAdc":
-        """Same physical ADC at a different precision (SLC<->MLC switch)."""
-        return SarAdc(bits=bits, max_bits=self.max_bits)

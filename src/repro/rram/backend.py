@@ -144,11 +144,6 @@ class CrossbarBackend(abc.ABC):
 
     # -- lifetime clock -----------------------------------------------------
     @property
-    def now_s(self) -> float:
-        """Current device-lifetime clock in seconds since backend creation."""
-        return self._now_s
-
-    @property
     def epoch(self) -> int:
         """Monotonic counter bumped by every ``advance``/``reprogram``."""
         return self._epoch
@@ -219,27 +214,6 @@ class CrossbarBackend(abc.ABC):
         self.ledger.record_program(
             tile.tile_id, tile.num_cells, tile.cell.write_pulses, reprogram=True
         )
-
-    def program_region(
-        self,
-        tile: ProgrammedTile,
-        row_slice: slice,
-        col_slice: slice,
-        levels: np.ndarray,
-    ) -> None:
-        """Write ``levels`` into a sub-region of ``tile`` in place.
-
-        The one-tile case of :meth:`program_regions`; ``levels`` must have
-        the region's shape.
-        """
-        if levels.ndim != 3:
-            raise ValueError(f"levels must be 3-D (rows, cols, slices), got {levels.ndim}-D")
-        region = tile.ideal_levels[row_slice, col_slice, :]
-        if region.shape != levels.shape:
-            raise ValueError(
-                f"region shape {region.shape} does not match levels shape {levels.shape}"
-            )
-        self.program_regions([tile], [(row_slice, col_slice)], levels)
 
     def program_regions(
         self,

@@ -27,21 +27,6 @@ class RramDeviceParams:
     reset_voltage: float = 3.63
     endurance_cycles: float = 1e8  # typical RRAM endurance (Grossi et al.)
 
-    @property
-    def r_off_ohm(self) -> float:
-        """High-resistance-state resistance (R_on x on/off ratio)."""
-        return self.r_on_ohm * self.on_off_ratio
-
-    @property
-    def g_min_siemens(self) -> float:
-        """Conductance of the fully-off cell (1 / R_off)."""
-        return 1.0 / self.r_off_ohm
-
-    @property
-    def g_max_siemens(self) -> float:
-        """Conductance of the fully-on cell (1 / R_on)."""
-        return 1.0 / self.r_on_ohm
-
 
 @dataclass(frozen=True)
 class CellType:
@@ -66,11 +51,6 @@ class CellType:
     def max_level(self) -> int:
         """Highest programmable level index."""
         return self.levels - 1
-
-    def conductance_levels(self, device: RramDeviceParams | None = None) -> np.ndarray:
-        """Evenly spaced conductances (Siemens) for each storable level."""
-        device = device or RramDeviceParams()
-        return np.linspace(device.g_min_siemens, device.g_max_siemens, self.levels)
 
     def validate_levels(self, levels: np.ndarray) -> None:
         """Raise ``ValueError`` if any level is outside this cell's range."""

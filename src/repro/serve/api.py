@@ -47,10 +47,10 @@ so the handler thread and driver thread never race.  Handlers never hold
 ``pool.submit`` poll (and fire token callbacks) on the submitting thread,
 so the callbacks write straight to their captured queue instead.
 
-The module also ships the blocking socket clients the tests and the
-open-loop benchmark use (:func:`api_request`, :func:`stream_generate`) —
-measured TTFT is *client-observed* (first SSE event arrival), not an
-engine-side estimate.
+The module also ships the blocking streaming client the open-loop
+benchmark uses (:func:`stream_generate`) — measured TTFT is
+*client-observed* (first SSE event arrival), not an engine-side
+estimate.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["AdmissionPolicy", "ApiServer", "api_request", "stream_generate"]
+__all__ = ["AdmissionPolicy", "ApiServer", "stream_generate"]
 
 #: Largest request body the server reads; a longer ``Content-Length`` is
 #: answered 413 without reading the body.
@@ -459,39 +459,8 @@ class ApiServer:
 
 
 # ----------------------------------------------------------------------
-# Blocking clients (tests + open-loop load generator)
+# Blocking client (open-loop load generator)
 # ----------------------------------------------------------------------
-def _read_http_response(sock: socket.socket) -> tuple[int, bytes]:
-    data = b""
-    while True:
-        chunk = sock.recv(65536)
-        if not chunk:
-            break
-        data += chunk
-    head, _, body = data.partition(b"\r\n\r\n")
-    status = int(head.split()[1])
-    return status, body
-
-
-def api_request(host: str, port: int, path: str, payload: dict | None = None,
-                timeout_s: float = 30.0) -> tuple[int, dict]:
-    """One blocking JSON request: ``(status, parsed body)``.
-
-    GET when ``payload`` is None, POST otherwise.
-    """
-    body = b"" if payload is None else json.dumps(payload).encode()
-    method = "GET" if payload is None else "POST"
-    head = (
-        f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
-        f"Connection: close\r\n\r\n"
-    )
-    with socket.create_connection((host, port), timeout=timeout_s) as sock:
-        sock.sendall(head.encode() + body)
-        status, raw = _read_http_response(sock)
-    return status, json.loads(raw.decode() or "{}")
-
-
 def stream_generate(host: str, port: int, payload: dict,
                     timeout_s: float = 60.0) -> dict:
     """POST ``/v1/generate`` with ``stream: true``; parse the SSE stream.

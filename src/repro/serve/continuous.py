@@ -120,11 +120,6 @@ class ContinuousScheduler:
         """Requests currently decoding (occupying cache rows)."""
         return self.slots.n_live
 
-    @property
-    def reserved_tokens(self) -> int:
-        """KV positions (prompt + full budget) reserved by live rows."""
-        return self._reserved_tokens
-
     def step(self, queue: list[GenerationRequest]) -> list[RequestResult]:
         """One scheduler iteration: admit, decode one token per row, retire.
 

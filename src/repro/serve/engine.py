@@ -941,7 +941,3 @@ class ServingEngine:
     def hybrid_layers(self) -> dict[str, HybridLinear]:
         """Name -> deployed hybrid layer (copy; attach order preserved)."""
         return dict(self._hybrid_layers)
-
-    def is_pim_deployed(self) -> bool:
-        """Whether hybrid SLC/MLC layers are attached to the model."""
-        return bool(self._hybrid_layers)

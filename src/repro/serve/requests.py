@@ -80,9 +80,6 @@ class RequestResult:
         Time to first token as the *engine* spent it — admission until the
         first token (``ttft_s - queued_s``).  This is the prefill cost the
         hardware models care about, independent of queue depth.
-    ``service_s``
-        Admission until completion (``latency_s - queued_s``): the decode
-        service time proper.
     ``tpot_s``
         Time per output token after the first — ``(completion - first
         token) / (n - 1)`` (0 for single-token results).
@@ -112,16 +109,6 @@ class RequestResult:
     preempted: bool = False
 
     @property
-    def service_s(self) -> float:
-        """Admission-to-completion service time (excludes queueing delay)."""
-        return self.latency_s - self.queued_s
-
-    @property
     def service_ttft_s(self) -> float:
         """Admission-to-first-token time (``ttft_s`` minus admission wait)."""
         return self.ttft_s - self.queued_s
-
-    @property
-    def full_sequence(self) -> np.ndarray:
-        """Prompt and generated tokens as one contiguous sequence."""
-        return np.concatenate([self.prompt, self.tokens])

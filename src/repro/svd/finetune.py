@@ -32,26 +32,12 @@ class FinetuneResult:
     sigma_gradients: dict[str, np.ndarray]  # layer name -> mean |dL/dsigma|
     steps: int
 
-    @property
-    def final_loss(self) -> float:
-        return self.epoch_losses[-1]
-
 
 @dataclass
 class GradientSnapshot:
     """Per-layer gradient magnitudes from a single evaluation pass (Fig. 11)."""
 
     per_layer: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def concentration(self, top_fraction: float = 0.1) -> dict[str, float]:
-        """Share of total gradient mass carried by the top ``top_fraction`` ranks."""
-        out = {}
-        for name, grads in self.per_layer.items():
-            n_top = max(1, int(round(len(grads) * top_fraction)))
-            sorted_desc = np.sort(grads)[::-1]
-            total = sorted_desc.sum()
-            out[name] = float(sorted_desc[:n_top].sum() / total) if total > 0 else 0.0
-        return out
 
 
 def task_loss(task_type: str) -> Callable[[Tensor, np.ndarray], Tensor]:

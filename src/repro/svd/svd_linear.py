@@ -112,10 +112,6 @@ class SVDLinear(Module):
         """Inference matrices ``A = Σ·Vt`` (k×in) and ``B = U`` (out×k)."""
         return merge_sigma(self.factors())
 
-    def effective_weight(self) -> np.ndarray:
-        """Dense weight currently represented: ``U diag(σ) Vᵀ``."""
-        return (self.u.data * self.sigma.data) @ self.vt.data
-
     def __repr__(self) -> str:
         return (
             f"SVDLinear(in={self.in_features}, out={self.out_features}, "

@@ -54,15 +54,11 @@ class TestExport:
     def test_json_roundtrip(self, tmp_path):
         series = toy_series()
         path = tmp_path / "series.json"
-        series.to_json(path)
-        restored = Series.from_json(path)
-        assert len(restored) == 2
-        assert restored.values("total") == series.values("total")
-        assert restored[0].spec == series[0].spec
-
-    def test_from_json_accepts_text(self):
-        text = toy_series().to_json()
-        assert Series.from_json(text).values("total") == [4.0, 6.0]
+        text = series.to_json(path)
+        restored = json.loads(path.read_text(encoding="utf-8"))
+        assert restored == json.loads(text) == [r.to_dict() for r in series]
+        assert [item["value"]["total"] for item in restored] == series.values("total")
+        assert ExperimentSpec.from_dict(restored[0]["spec"]) == series[0].spec
 
     def test_csv_shape(self):
         rows = list(csv.reader(io.StringIO(toy_series().to_csv())))

@@ -50,12 +50,6 @@ class TestExperimentSpec:
         b = ExperimentSpec("fig12", params={"workload": "mrpc"})
         assert a.content_key() != b.content_key()
 
-    def test_with_params_merges(self):
-        spec = ExperimentSpec("fig12", params={"workload": "sst2", "epochs": 5})
-        merged = spec.with_params(epochs=1)
-        assert merged.params == {"workload": "sst2", "epochs": 1}
-        assert spec.params["epochs"] == 5  # original untouched
-
     def test_roundtrip_dict(self):
         spec = ExperimentSpec("fig13", params={"task": "cola"}, seed=9, tags=("ci",))
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec

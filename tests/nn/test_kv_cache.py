@@ -73,13 +73,13 @@ class TestKVCache:
         cache = KVCache(num_layers=1, batch=2, num_heads=1, head_dim=2, capacity=8)
         cache.append(0, np.zeros((2, 1, 4, 2)), np.zeros((2, 1, 4, 2)))
         cache.advance(4)
-        cache.set_lengths(np.array([4, 2]))
+        cache.lengths[...] = np.array([4, 2])
         with pytest.raises(ValueError):
             cache.append(0, np.zeros((2, 1, 2, 2)), np.zeros((2, 1, 2, 2)))
 
     def test_ragged_scatter_writes_at_row_offsets(self):
         cache = KVCache(num_layers=1, batch=2, num_heads=1, head_dim=2, capacity=8)
-        cache.set_lengths(np.array([3, 1]))
+        cache.lengths[...] = np.array([3, 1])
         k = np.arange(4.0).reshape(2, 1, 1, 2)
         cache.append(0, k, k)
         np.testing.assert_array_equal(cache.keys[0][0, 0, 3], [0.0, 1.0])
@@ -87,7 +87,7 @@ class TestKVCache:
 
     def test_key_padding_mask(self):
         cache = KVCache(num_layers=1, batch=2, num_heads=1, head_dim=2, capacity=8)
-        cache.set_lengths(np.array([4, 2]))
+        cache.lengths[...] = np.array([4, 2])
         mask = cache.key_padding_mask(5)  # after a 1-token append
         np.testing.assert_array_equal(
             mask, [[False] * 5, [False, False, False, True, True]]
@@ -95,7 +95,7 @@ class TestKVCache:
 
     def test_aligned_rows_need_no_mask(self):
         cache = KVCache(num_layers=1, batch=2, num_heads=1, head_dim=2, capacity=8)
-        cache.set_lengths(np.array([3, 3]))
+        cache.lengths[...] = np.array([3, 3])
         assert cache.key_padding_mask(4) is None
 
     def test_reset_reuses_buffers(self):
@@ -310,7 +310,7 @@ class TestRowLevelOps:
 
     def test_row_view_prefills_one_row_of_a_live_cache(self):
         cache = KVCache(num_layers=1, batch=3, num_heads=1, head_dim=2, capacity=8)
-        cache.set_lengths(np.array([4, 0, 2]))  # rows 0/2 mid-decode
+        cache.lengths[...] = np.array([4, 0, 2])  # rows 0/2 mid-decode
         view = cache.row_view(1)
         view.append(0, np.full((1, 1, 3, 2), 7.0), np.full((1, 1, 3, 2), 7.0))
         view.advance(3)
@@ -318,10 +318,10 @@ class TestRowLevelOps:
         assert cache.keys[0][1, 0, 2, 0] == 7.0
         assert cache.keys[0][0].max() == 0.0  # neighbours untouched
 
-    def test_set_lengths_keeps_views_coherent(self):
+    def test_length_writes_keep_views_coherent(self):
         cache = KVCache(num_layers=1, batch=2, num_heads=1, head_dim=2, capacity=8)
         view = cache.rows_view(0, 2)
-        cache.set_lengths(np.array([3, 1]))
+        cache.lengths[...] = np.array([3, 1])
         np.testing.assert_array_equal(view.lengths, [3, 1])
         view.reset()
         assert cache.max_length == 0
@@ -331,7 +331,7 @@ class TestRowLevelOps:
         k = np.arange(6.0).reshape(1, 1, 3, 2)
         cache.row_view(2).append(0, k, 2 * k)
         cache.row_view(2).append(1, 3 * k, 4 * k)
-        cache.set_lengths(np.array([0, 0, 3]))
+        cache.lengths[...] = np.array([0, 0, 3])
         cache.copy_row(2, 0)
         np.testing.assert_array_equal(cache.lengths, [3, 0, 3])
         np.testing.assert_array_equal(cache.keys[0][0, :, :3], k[0])
@@ -354,7 +354,7 @@ class TestRowLevelOps:
     def test_view_of_view_addresses_parent_rows(self):
         cache = KVCache(num_layers=1, batch=4, num_heads=1, head_dim=2, capacity=4)
         inner = cache.rows_view(1, 4).rows_view(1, 3)  # parent rows 2..3
-        inner.set_lengths(np.array([2, 1]))
+        inner.lengths[...] = np.array([2, 1])
         np.testing.assert_array_equal(cache.lengths, [0, 0, 2, 1])
 
 

@@ -121,10 +121,6 @@ class TestModuleProtocol:
         assert "layers.2.bias" in names
         assert len(names) == 4
 
-    def test_num_parameters(self):
-        model = Linear(10, 5)
-        assert model.num_parameters() == 10 * 5 + 5
-
     def test_zero_grad_clears(self, rng):
         layer = Linear(3, 2, rng=rng)
         layer(Tensor(rng.normal(size=(1, 3)))).sum().backward()

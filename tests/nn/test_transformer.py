@@ -131,6 +131,76 @@ class TestDecoderLM:
         b = model.generate(np.array([1]), 5, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "lengths, budgets",
+        [((1,), 5), ((7, 2), 4), ((3, 3, 3), (1, 4, 2)), ((1, 6, 4), (5, 0, 3))],
+        ids=["single", "ragged", "even-staggered", "ragged-staggered"],
+    )
+    def test_cached_matches_naive_generate(self, tiny_config, rng, lengths, budgets):
+        """The packed prefill plus cached decode emits the executable
+        spec's tokens: the naive full-context recompute."""
+        model = DecoderLM(tiny_config)
+        padded = np.zeros((len(lengths), max(lengths)), dtype=np.int64)
+        for row, n in zip(padded, lengths):
+            row[:n] = rng.integers(1, 30, size=n)
+        cached = model.generate(padded, np.array(budgets), prompt_lengths=lengths)
+        naive = model.generate(
+            padded, np.array(budgets), prompt_lengths=lengths, use_cache=False
+        )
+        np.testing.assert_array_equal(cached, naive)
+
+    def test_generate_prefills_one_pack_of_real_tokens(self, tiny_config, rng, monkeypatch):
+        """One prefill for the whole batch, of the unpadded prompts, even
+        when the pack is longer than ``max_seq_len``; no padded forward
+        runs, and every later forward feeds one token per row."""
+        model = DecoderLM(tiny_config)
+        lengths = np.array([9, 2, 8])  # 19 tokens > max_seq_len 12
+        padded = np.zeros((3, 9), dtype=np.int64)
+        for row, n in zip(padded, lengths):
+            row[:n] = rng.integers(1, 30, size=n)
+        packs, fed = [], []
+        prefill, forward = model.prefill, model.forward
+
+        def prefill_spy(tokens, cache, row_lengths, *args, **kwargs):
+            packs.append((np.array(tokens), np.array(row_lengths)))
+            return prefill(tokens, cache, row_lengths, *args, **kwargs)
+
+        def forward_spy(token_ids, *args, **kwargs):
+            fed.append(np.asarray(token_ids).shape)
+            return forward(token_ids, *args, **kwargs)
+
+        monkeypatch.setattr(model, "prefill", prefill_spy)
+        monkeypatch.setattr(model, "forward", forward_spy)
+        model.generate(padded, 3, prompt_lengths=lengths)
+        assert len(packs) == 1
+        tokens, row_lengths = packs[0]
+        np.testing.assert_array_equal(row_lengths, lengths)
+        np.testing.assert_array_equal(
+            tokens, np.concatenate([row[:n] for row, n in zip(padded, lengths)])
+        )
+        # The pack's own forward, then two one-token decode feeds.
+        assert fed == [(1, int(lengths.sum())), (3, 1), (3, 1)]
+
+    def test_generate_cache_holds_only_fed_tokens(self, tiny_config, rng, monkeypatch):
+        """Each row's cache ends holding its prompt and every emitted token
+        but the last (emitted, never fed back): no pad position."""
+        model = DecoderLM(tiny_config)
+        lengths = np.array([5, 1, 3])
+        padded = np.zeros((3, 5), dtype=np.int64)
+        for row, n in zip(padded, lengths):
+            row[:n] = rng.integers(1, 30, size=n)
+        caches = []
+        new_cache = model.new_cache
+
+        def new_cache_spy(*args, **kwargs):
+            caches.append(new_cache(*args, **kwargs))
+            return caches[-1]
+
+        monkeypatch.setattr(model, "new_cache", new_cache_spy)
+        model.generate(padded, 4, prompt_lengths=lengths)
+        (cache,) = caches
+        np.testing.assert_array_equal(cache.lengths, lengths + 4 - 1)
+
     def test_lm_loss_decreases_with_training(self, tiny_config, rng):
         from repro.nn import AdamW
 

@@ -154,26 +154,19 @@ class TestCacheContract:
         mine, parent = view.layer(1), cache.layer(1)
         assert _operand(mine.v_bank, mine, 1, 1) is _operand(parent.v_bank, parent, 2, 1)
 
-    def test_set_lengths_reset_and_recycling(self):
+    def test_reset_and_recycling(self):
         rng = np.random.default_rng(5)
         ex = CrossbarAttentionExecutor(backend=SimBackend())
         cache = ex.make_cache(1, 1, HEADS, HEAD_DIM, CAPACITY)
         kv = rng.normal(size=(1, HEADS, 6, HEAD_DIM))
         cache.append(0, kv, kv)
         cache.advance(6)
-        cache.set_lengths(np.array([4]))
-        assert cache.layer(0).k_bank.operands[0].length == 4
+        assert cache.layer(0).k_bank.operands[0].length == 6
         cache.reset()
         assert cache.layer(0).v_bank.operands[0].length == 0
         before = ex.stats.cells_reprogrammed
         cache.append(0, kv[:, :, :2], kv[:, :, :2])
         assert ex.stats.cells_reprogrammed > before
-
-    def test_set_lengths_cannot_extend_past_written_tokens(self):
-        ex = CrossbarAttentionExecutor(backend=SimBackend())
-        cache = ex.make_cache(1, 1, HEADS, HEAD_DIM, CAPACITY)
-        with pytest.raises(ValueError):
-            cache.set_lengths(np.array([3]))
 
     def test_requires_executor(self):
         with pytest.raises(ValueError, match="executor"):

@@ -332,12 +332,12 @@ class TestActivationCalibration:
         # derived from the same range.
         x = calib[:4]
         calibrated_out = layer(Tensor(x)).data
-        layer.clear_calibration()
-        assert not layer.is_calibrated
-        # After clearing, the per-call path rescales from the (smaller)
-        # batch range, so outputs may differ — but both stay close to the
-        # float reference.
-        percall_out = layer(Tensor(x)).data
+        percall = HybridLinear(plan, noise=NoiseSpec.noiseless(), mode="crossbar")
+        assert not percall.is_calibrated
+        # Uncalibrated, the per-call path rescales from the (smaller) batch
+        # range, so outputs may differ — but both stay close to the float
+        # reference.
+        percall_out = percall(Tensor(x)).data
         ref = reference_output(plan, x)
         for out in (calibrated_out, percall_out):
             rel = np.abs(out - ref).mean() / np.abs(ref).mean()

@@ -10,7 +10,7 @@ before value) and read on its own through
 
 A hypothesis state machine drives both through random interleavings of
 appends (one token and several), row compaction copies, row clears,
-length overrides, resets, row views and device-clock advances, on a noisy
+resets, row views and device-clock advances, on a noisy
 and a noiseless :class:`~repro.rram.SimBackend` and on a drifting
 :class:`~repro.rram.FaultySimBackend`.  After every step, the K and V
 reads of every layer, the shared :class:`~repro.rram.GemvStats` and the
@@ -81,16 +81,13 @@ class _PerOperandTwin:
         for ops in self.k + self.v:
             ops[a], ops[b] = ops[b], ops[a]
 
-    def truncate(self, row: int, length: int) -> None:
+    def clear(self, row: int) -> None:
         for ops in self.k + self.v:
             for op in ops[row]:
-                op.truncate(length)
+                op.truncate()
 
     def length(self, row: int) -> int:
         return self.k[0][row][0].length
-
-    def written(self, row: int) -> int:
-        return min(op.written for ops in self.k + self.v for op in ops[row])
 
 
 class PlaneBankMachine(RuleBasedStateMachine):
@@ -151,26 +148,14 @@ class PlaneBankMachine(RuleBasedStateMachine):
         start, stop = self._window(data)
         row = data.draw(st.integers(start, stop - 1), label="row")
         self._view(start, stop).clear_row(row - start)
-        self.twin.truncate(row, 0)
-
-    @rule(data=st.data())
-    def set_lengths(self, data) -> None:
-        start, stop = self._window(data)
-        # Host and operand lengths agree only on rows no copy left stale.
-        rows = range(start, stop)
-        if any(self.cache.lengths[r] != self.twin.length(r) for r in rows):
-            return
-        lengths = [data.draw(st.integers(0, self.twin.written(r)), label=f"len{r}") for r in rows]
-        self._view(start, stop).set_lengths(np.array(lengths))
-        for row, length in zip(rows, lengths):
-            self.twin.truncate(row, length)
+        self.twin.clear(row)
 
     @rule(data=st.data())
     def reset(self, data) -> None:
         start, stop = self._window(data)
         self._view(start, stop).reset()
         for row in range(start, stop):
-            self.twin.truncate(row, 0)
+            self.twin.clear(row)
 
     @rule(days=st.integers(1, 60))
     def advance(self, days: int) -> None:

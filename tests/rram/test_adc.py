@@ -46,25 +46,6 @@ class TestSarAdc:
         with pytest.raises(ValueError):
             SarAdc(bits=8, max_bits=7)
 
-    def test_reconfigure_preserves_hardware(self):
-        adc = SarAdc(bits=7)
-        low = adc.reconfigure(6)
-        assert low.bits == 6
-        assert low.max_bits == 7
-        assert low.bypassed_capacitors == 1
-
-    def test_energy_doubles_per_bit(self):
-        assert SarAdc(bits=7).relative_energy() == 2 * SarAdc(bits=6).relative_energy()
-
-    def test_mlc_total_adc_energy_matches_slc(self):
-        """Paper Section 3.2: MLC halves conversions but doubles per-conversion
-        energy, so total ADC energy is unchanged."""
-        slc_adc, mlc_adc = SarAdc(bits=6), SarAdc(bits=7)
-        conversions_slc, conversions_mlc = 8, 4  # per 8-bit weight
-        total_slc = conversions_slc * slc_adc.relative_energy()
-        total_mlc = conversions_mlc * mlc_adc.relative_energy()
-        assert total_slc == total_mlc
-
     @given(st.integers(1, 7), st.lists(st.floats(-10, 300, allow_nan=False), min_size=1, max_size=32))
     @settings(max_examples=60, deadline=None)
     def test_codes_always_in_range_property(self, bits, values):

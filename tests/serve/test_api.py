@@ -14,6 +14,7 @@ unhealthy; a client that stalls mid-header gets a 408.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
@@ -25,9 +26,40 @@ import pytest
 from repro.nn import DecoderLM, TransformerConfig
 from repro.serve import AdmissionPolicy, ApiServer, ReplicaPool, ServingEngine
 from repro.serve import api
-from repro.serve.api import MAX_BODY_BYTES, api_request, stream_generate
+from repro.serve.api import MAX_BODY_BYTES, stream_generate
 
 VOCAB = 48
+
+
+def _read_http_response(sock: socket.socket) -> tuple[int, bytes]:
+    data = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status = int(head.split()[1])
+    return status, body
+
+
+def api_request(host: str, port: int, path: str, payload: dict | None = None,
+                timeout_s: float = 30.0) -> tuple[int, dict]:
+    """One blocking JSON request: ``(status, parsed body)``.
+
+    GET when ``payload`` is None, POST otherwise.
+    """
+    body = b"" if payload is None else json.dumps(payload).encode()
+    method = "GET" if payload is None else "POST"
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        f"Connection: close\r\n\r\n"
+    )
+    with socket.create_connection((host, port), timeout=timeout_s) as sock:
+        sock.sendall(head.encode() + body)
+        status, raw = _read_http_response(sock)
+    return status, json.loads(raw.decode() or "{}")
 
 
 def _model(seed: int = 0) -> DecoderLM:

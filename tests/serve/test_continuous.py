@@ -194,7 +194,7 @@ class TestContinuousSemantics:
         assert churn.retirements == 10
         assert churn.compaction_moves > 0  # mid-prefix retirements happened
         assert engine._continuous.live == 0
-        assert engine._continuous.reserved_tokens == 0
+        assert engine._continuous._reserved_tokens == 0
 
 
 class TestFakeClockAdmission:
@@ -281,13 +281,17 @@ class TestPackedAdmission:
 
     def _serve(self, model, monkeypatch, rng, lengths, budgets, **engine_kwargs):
         engine = ServingEngine(model, max_batch_size=4, clock=FakeClock(), **engine_kwargs)
-        packs = self._spy_packs(model, monkeypatch)
         prompts = [rng.integers(0, 40, size=n) for n in lengths]
+        # Solo references first: generate prefills by pack too, and the spy
+        # must count the engine's packs alone.
+        solos = [
+            model.generate(p, b)[len(p) :] if b else [] for p, b in zip(prompts, budgets)
+        ]
+        packs = self._spy_packs(model, monkeypatch)
         ids = [engine.submit(p, b) for p, b in zip(prompts, budgets)]
         results = {r.request_id: r for r in engine.step(force=True)}
         results.update({r.request_id: r for r in engine.run_until_idle()})
-        for rid, prompt, budget in zip(ids, prompts, budgets):
-            solo = model.generate(prompt, budget)[len(prompt) :] if budget else []
+        for rid, solo in zip(ids, solos):
             np.testing.assert_array_equal(results[rid].tokens, solo)
         assert engine.stats.prefill_forwards == len(packs)
         return packs

@@ -132,7 +132,7 @@ class TestServedOutputs:
         for prompt, result in zip(prompts, results):
             solo = model.generate(prompt, 6)
             np.testing.assert_array_equal(result.tokens, solo[len(prompt) :])
-            np.testing.assert_array_equal(result.full_sequence, solo)
+            np.testing.assert_array_equal(np.concatenate([prompt, result.tokens]), solo)
 
     def test_eos_truncates_result(self, model, rng):
         prompt = rng.integers(0, 40, size=5)
@@ -167,7 +167,7 @@ class TestStats:
     def test_gemv_stats_zero_without_pim(self, model, rng):
         engine = ServingEngine(model)
         engine.serve([rng.integers(0, 40, size=4)], max_new_tokens=2)
-        assert not engine.is_pim_deployed()
+        assert not engine.hybrid_layers
         assert engine.gemv_stats().adc_conversions == 0
 
 
@@ -196,7 +196,7 @@ class TestPimDeployment:
             mode="crossbar",
             max_batch_size=2,
         )
-        assert engine.is_pim_deployed()
+        assert engine.hybrid_layers
         assert all(layer.is_calibrated for layer in engine.hybrid_layers.values())
         results = engine.serve([corpus.train.inputs[0][:5]], max_new_tokens=3)
         assert results[0].tokens.size == 3
@@ -231,7 +231,7 @@ class TestPimDeployment:
         engine = ServingEngine.deploy(
             lm, plans, calibration_prompts=rng.integers(0, 40, size=(2, 6)), mode="fast"
         )
-        assert engine.is_pim_deployed()
+        assert engine.hybrid_layers
         assert not any(layer.is_calibrated for layer in engine.hybrid_layers.values())
         [result] = engine.serve([rng.integers(0, 40, size=4)], max_new_tokens=2)
         assert result.tokens.size == 2
@@ -274,9 +274,9 @@ class TestReviewRegressions:
         calls = {"n": 0}
         original = type(model).forward
 
-        def counting(self_, token_ids, cache=None):
+        def counting(self_, token_ids, cache=None, lengths=None):
             calls["n"] += 1
-            return original(self_, token_ids, cache=cache)
+            return original(self_, token_ids, cache=cache, lengths=lengths)
 
         type(model).forward = counting
         try:

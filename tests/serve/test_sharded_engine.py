@@ -66,7 +66,7 @@ class TestShardedDeployment:
         engine = deploy(model, plans, calib, ways=4)
         assert engine.shard_plan is not None
         assert engine.shard_plan.tensor_parallel == 4
-        assert all(layer.is_sharded for layer in engine.hybrid_layers.values())
+        assert all(layer.num_shards == 4 for layer in engine.hybrid_layers.values())
         assert all(layer.is_calibrated for layer in engine.hybrid_layers.values())
 
     def test_tokens_bitwise_equal_across_mesh_widths(self, model, plans, rng):

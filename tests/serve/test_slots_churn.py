@@ -104,4 +104,4 @@ class TestEngineChurn:
             assert engine.in_flight == 0
         slots = engine._continuous.slots
         assert slots.stats.checkouts == slots.stats.retirements
-        assert engine._continuous.reserved_tokens == 0
+        assert engine._continuous._reserved_tokens == 0

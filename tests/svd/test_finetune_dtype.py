@@ -94,7 +94,7 @@ class TestFinetuneConvergenceTolerance:
         f32 = self._run(task_and_config, "float32")
         assert f64.epoch_losses[-1] < f64.epoch_losses[0]
         assert f32.epoch_losses[-1] < f32.epoch_losses[0]
-        assert f32.final_loss == pytest.approx(f64.final_loss, rel=0.05)
+        assert f32.epoch_losses[-1] == pytest.approx(f64.epoch_losses[-1], rel=0.05)
         # Gradient-redistribution signal survives the precision switch: the
         # same ranks dominate |dL/dsigma| in both runs.
         for name, grads64 in f64.sigma_gradients.items():

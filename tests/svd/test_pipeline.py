@@ -104,16 +104,6 @@ class TestGradientSnapshot:
         for key in state_before:
             np.testing.assert_array_equal(state_before[key], state_after[key])
 
-    def test_concentration_metric_bounds(self, task_and_model):
-        data, config = task_and_model
-        model = EncoderClassifier(config)
-        apply_svd(model)
-        snap = sigma_gradient_snapshot(model, data.test, "classification", max_batches=2)
-        conc = snap.concentration(0.1)
-        assert conc
-        for value in conc.values():
-            assert 0.0 <= value <= 1.0
-
 
 class TestPipeline:
     @pytest.fixture(scope="class")
