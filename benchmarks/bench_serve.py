@@ -10,7 +10,8 @@ continuous (iteration-level) scheduling.  The payload is written to
 file CI uploads as an artifact and gates on: cached decode must never be
 slower than the naive recompute on the large point, and continuous
 scheduling must achieve >= 1.3x the static baseline's tokens/s with
-strictly lower mean TTFT on the mixed trace.
+strictly lower mean TTFT on the mixed trace, and its admissions must
+share prefill forwards (fewer forwards than requests).
 """
 
 from __future__ import annotations
@@ -91,3 +92,8 @@ def test_bench_serve(benchmark, print_header, fresh_runner):
     assert large["speedup"] >= 5.0, large
     assert trace["speedup"] >= 1.3, trace
     assert trace["continuous"]["mean_ttft_s"] < trace["static"]["mean_ttft_s"], trace
+    # Packing gate: the trace's short prompts admitted in one step share
+    # one prefill forward, so a fallback to per-request prefill shows up
+    # as forwards == requests.
+    continuous = trace["continuous"]
+    assert continuous["prefill_forwards"] < continuous["requests"], continuous

@@ -79,7 +79,7 @@ def _pool_point(config, requests, replicas: int, processes: bool) -> dict[str, A
     from repro.serve import ReplicaPool, ServingEngine
 
     def factory(index: int) -> ServingEngine:
-        return ServingEngine(DecoderLM(config), max_batch_size=8, max_wait_s=0.0)
+        return ServingEngine(DecoderLM(config), max_batch_size=8)
 
     with ReplicaPool(
         factory, replicas=replicas, router="least_outstanding_tokens", processes=processes
@@ -125,7 +125,7 @@ def _engine_capacity_tok_s(config, requests) -> float:
     from repro.nn import DecoderLM
     from repro.serve import ServingEngine
 
-    engine = ServingEngine(DecoderLM(config), max_batch_size=8, max_wait_s=0.0)
+    engine = ServingEngine(DecoderLM(config), max_batch_size=8)
     start = time.perf_counter()
     results = engine.serve([p for p, _ in requests], max_new_tokens=requests[0][1])
     wall_s = time.perf_counter() - start
@@ -194,7 +194,7 @@ def _api_streaming(config, params: dict[str, Any], rng: np.random.Generator) -> 
     capacity_tok_s = _engine_capacity_tok_s(config, requests)
     capacity_req_s = capacity_tok_s / new_tokens
 
-    engine = ServingEngine(DecoderLM(config), max_batch_size=8, max_wait_s=0.0)
+    engine = ServingEngine(DecoderLM(config), max_batch_size=8)
     server = ApiServer(engine, policy=AdmissionPolicy(max_queue_depth=256))
     server.start_in_thread()
     try:

@@ -484,13 +484,13 @@ def _serve_point(
 
 
 def _engine_throughput(model, params: dict[str, Any], rng: np.random.Generator) -> dict[str, Any]:
-    """Dynamic-batching throughput over a ragged request stream."""
+    """Continuous-batching throughput over a ragged request stream."""
     from repro.serve import ServingEngine
 
     num_requests = int(params.get("engine_requests", 24))
     max_batch = int(params.get("engine_max_batch", 8))
     new_tokens = int(params.get("engine_new_tokens", 24))
-    engine = ServingEngine(model, max_batch_size=max_batch, max_wait_s=0.0)
+    engine = ServingEngine(model, max_batch_size=max_batch)
     max_prompt = max(1, model.config.max_seq_len - new_tokens)
     low = min(4, max_prompt)
     prompts = [
@@ -551,43 +551,35 @@ def _trace_payload(
 
 
 def _run_continuous_trace(
-    model, trace, max_batch: int, reps: int
+    model, trace, max_batch: int
 ) -> tuple[dict[str, Any], list[np.ndarray]]:
-    """Submit the whole trace up front and drain; wall-clocked end to end.
+    """Submit the whole trace up front to a fresh engine and drain it.
 
-    Best-of-``reps`` (fresh engine per rep) so the CI gate compares the
-    two batching policies' structural behaviour, not one noisy run on a
-    shared runner.
+    Wall-clocked end to end; returns the payload and each request's
+    tokens in trace order.
     """
     from repro.serve import ServingEngine
 
-    best_payload: dict[str, Any] | None = None
-    ordered: list[np.ndarray] = []
-    for rep in range(max(1, reps)):
-        engine = ServingEngine(model, max_batch_size=max_batch, max_wait_s=0.0)
-        ids = [engine.submit(prompt, budget) for prompt, budget in trace]
-        start = time.perf_counter()
-        results = {r.request_id: r for r in engine.run_until_idle()}
-        wall_s = time.perf_counter() - start
-        done = [results[rid] for rid in ids]
-        payload = _trace_payload(
-            "continuous",
-            sum(int(r.tokens.size) for r in done),
-            wall_s,
-            [r.ttft_s for r in done],
-            [r.tpot_s for r in done],
-            [r.latency_s for r in done],
-            [r.batch_size for r in done],
-        )
-        # Admissions that share a step prefill as one pack: fewer forwards
-        # than requests whenever the trace's prompts pack.
-        payload["requests"] = len(done)
-        payload["prefill_forwards"] = engine.stats.prefill_forwards
-        if best_payload is None or payload["tok_s"] > best_payload["tok_s"]:
-            best_payload = payload
-        if rep == 0:
-            ordered = [r.tokens for r in done]  # parity-checked by caller
-    return best_payload, ordered
+    engine = ServingEngine(model, max_batch_size=max_batch)
+    ids = [engine.submit(prompt, budget) for prompt, budget in trace]
+    start = time.perf_counter()
+    results = {r.request_id: r for r in engine.run_until_idle()}
+    wall_s = time.perf_counter() - start
+    done = [results[rid] for rid in ids]
+    payload = _trace_payload(
+        "continuous",
+        sum(int(r.tokens.size) for r in done),
+        wall_s,
+        [r.ttft_s for r in done],
+        [r.tpot_s for r in done],
+        [r.latency_s for r in done],
+        [r.batch_size for r in done],
+    )
+    # Admissions that share a step prefill as one pack: fewer forwards
+    # than requests whenever the trace's prompts pack.
+    payload["requests"] = len(done)
+    payload["prefill_forwards"] = engine.stats.prefill_forwards
+    return payload, [r.tokens for r in done]
 
 
 def _static_batches(model, trace, max_batch: int) -> list[list[int]]:
@@ -611,48 +603,38 @@ def _static_batches(model, trace, max_batch: int) -> list[list[int]]:
 
 
 def _run_static_trace(
-    model, trace, max_batch: int, reps: int
+    model, trace, max_batch: int
 ) -> tuple[dict[str, Any], list[np.ndarray]]:
     """Static-batching baseline: one batched ``generate`` per FIFO batch.
 
     Each batch decodes to completion (per-row budgets, ragged prompts,
     KV cache) before the next starts, so a request's tokens reach the
     caller only when its whole batch finishes: its TTFT and latency are
-    both batch completion minus trace start.  Best-of-``reps`` like the
-    continuous run.
+    both batch completion minus trace start.  Returns the payload and
+    each request's tokens in trace order.
     """
-    batches = _static_batches(model, trace, max_batch)
-    best_payload: dict[str, Any] | None = None
-    ordered: list[np.ndarray] = []
-    for rep in range(max(1, reps)):
-        outputs: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(trace)
-        ttfts, tpots, sizes = [], [], []
-        start = time.perf_counter()
-        for batch in batches:
-            lengths = np.array([len(trace[i][0]) for i in batch], dtype=np.int64)
-            budgets = np.array([trace[i][1] for i in batch], dtype=np.int64)
-            prompts = np.zeros((len(batch), int(lengths.max())), dtype=np.int64)
-            for row, i in enumerate(batch):
-                prompts[row, : lengths[row]] = trace[i][0]
-            began = time.perf_counter()
-            out = model.generate(
-                prompts, budgets, prompt_lengths=lengths, use_cache=True
-            )
-            finished = time.perf_counter()
-            for row, i in enumerate(batch):
-                outputs[i] = out[row, lengths[row] : lengths[row] + budgets[row]]
-                ttfts.append(finished - start)
-                tpots.append((finished - began) / max(1, int(budgets[row])))
-                sizes.append(len(batch))
-        wall_s = time.perf_counter() - start
-        payload = _trace_payload(
-            "static", sum(int(o.size) for o in outputs), wall_s, ttfts, tpots, ttfts, sizes
-        )
-        if best_payload is None or payload["tok_s"] > best_payload["tok_s"]:
-            best_payload = payload
-        if rep == 0:
-            ordered = outputs
-    return best_payload, ordered
+    outputs: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(trace)
+    ttfts, tpots, sizes = [], [], []
+    start = time.perf_counter()
+    for batch in _static_batches(model, trace, max_batch):
+        lengths = np.array([len(trace[i][0]) for i in batch], dtype=np.int64)
+        budgets = np.array([trace[i][1] for i in batch], dtype=np.int64)
+        prompts = np.zeros((len(batch), int(lengths.max())), dtype=np.int64)
+        for row, i in enumerate(batch):
+            prompts[row, : lengths[row]] = trace[i][0]
+        began = time.perf_counter()
+        out = model.generate(prompts, budgets, prompt_lengths=lengths, use_cache=True)
+        finished = time.perf_counter()
+        for row, i in enumerate(batch):
+            outputs[i] = out[row, lengths[row] : lengths[row] + budgets[row]]
+            ttfts.append(finished - start)
+            tpots.append((finished - began) / max(1, int(budgets[row])))
+            sizes.append(len(batch))
+    wall_s = time.perf_counter() - start
+    payload = _trace_payload(
+        "static", sum(int(o.size) for o in outputs), wall_s, ttfts, tpots, ttfts, sizes
+    )
+    return payload, outputs
 
 
 def _trace_comparison(model, params: dict[str, Any], seed: int) -> dict[str, Any]:
@@ -660,8 +642,11 @@ def _trace_comparison(model, params: dict[str, Any], seed: int) -> dict[str, Any
 
     The static row is the study-local baseline of
     :func:`_run_static_trace`; the continuous row is the serving engine.
-    Correctness rides along: both must emit, per request, exactly what a
-    one-shot ``DecoderLM.generate`` emits for that prompt and budget.
+    Each side keeps its best of ``trace_reps`` runs, and the runs
+    alternate (static, continuous, static, ...) so a slow stretch of a
+    shared host slows both sides rather than one.  Correctness rides
+    along: both must emit, per request, exactly what a one-shot
+    ``DecoderLM.generate`` emits for that prompt and budget.
     """
     num_requests = int(params.get("trace_requests", 24))
     max_batch = int(params.get("trace_max_batch", 8))
@@ -669,13 +654,20 @@ def _trace_comparison(model, params: dict[str, Any], seed: int) -> dict[str, Any
     rng = np.random.default_rng(seed + 1)
     trace = _mixed_trace(model, num_requests, rng)
 
-    static, static_tokens = _run_static_trace(model, trace, max_batch, reps)
-    continuous, continuous_tokens = _run_continuous_trace(model, trace, max_batch, reps)
+    best: dict[str, dict[str, Any]] = {}
+    outputs: dict[str, list[np.ndarray]] = {}
+    for _ in range(max(1, reps)):
+        for label, run in (("static", _run_static_trace), ("continuous", _run_continuous_trace)):
+            payload, tokens = run(model, trace, max_batch)
+            outputs.setdefault(label, tokens)  # the first run's, parity-checked below
+            if label not in best or payload["tok_s"] > best[label]["tok_s"]:
+                best[label] = payload
+    static, continuous = best["static"], best["continuous"]
 
     for i, (prompt, budget) in enumerate(trace):
         solo = model.generate(prompt, budget)[len(prompt) :]
-        for label, tokens in (("static", static_tokens[i]), ("continuous", continuous_tokens[i])):
-            if not np.array_equal(tokens, solo):
+        for label, tokens in outputs.items():
+            if not np.array_equal(tokens[i], solo):
                 raise AssertionError(
                     f"{label} scheduling diverged from one-shot generate on "
                     f"trace request {i} (prompt_len={len(prompt)}, budget={budget})"

@@ -21,7 +21,6 @@ from repro.serve.replica import (
     ShmRing,
 )
 from repro.serve.requests import GenerationRequest, RequestResult, TokenCallback
-from repro.serve.slots import RowSlotManager, RowSlotStats
 
 __all__ = [
     "AdmissionPolicy",
@@ -34,8 +33,6 @@ __all__ = [
     "ReplicaPool",
     "RequestResult",
     "RoundRobinRouter",
-    "RowSlotManager",
-    "RowSlotStats",
     "ServingEngine",
     "ServingStats",
     "SessionAffinityRouter",

@@ -222,7 +222,7 @@ class ApiServer:
                     worked = bool(self.target.poll())
                     self._collect_done()
                 elif self.target.busy:
-                    self.target.step(force=True)
+                    self.target.step()
                     self._collect_done()
                     worked = True
                 if not worked:

@@ -18,15 +18,15 @@ re-forms the in-flight batch on *every decode step*:
 All rows live in ONE shared :class:`~repro.nn.kv_cache.KVCache` of
 ``max_batch_size`` rows, allocated on the first admission and reset
 whenever a busy period starts, so its buffers serve every busy period of
-the scheduler's life.  Live rows always occupy the
-contiguous prefix ``[0, n_live)`` (managed by
-:class:`~repro.serve.slots.RowSlotManager`), so the decode forward runs
-over a zero-copy ``rows_view`` — no per-iteration reallocation.
+the scheduler's life.  Live rows always occupy the contiguous prefix
+``[0, live)`` — a retiring middle row is refilled by the last live row —
+so the decode forward runs over a zero-copy ``rows_view``, with no
+per-iteration reallocation.
 
-Admission policy: strict FIFO under two limits — ``max_batch_size`` rows,
-and an optional ``max_tokens`` budget bounding the total KV positions
-(prompt + full budget) reserved by in-flight requests.  The head of the
-queue never jumps; if it does not fit, admission waits for retirements.
+Admission rule: strict FIFO while a row is free and the pack (below)
+still fits the model's ``max_seq_len``.  The queue head never jumps.  The
+cache is sized once, like the paper's deploy-time KV arrays, so no
+per-request position budget applies.
 
 Admitted requests prefill in *packs*: consecutive admissions whose
 prompt tokens sum to at most the model's ``max_seq_len`` share one
@@ -60,7 +60,6 @@ from repro.nn.kv_cache import KVCache
 from repro.nn.tensor import no_grad
 from repro.nn.transformer import DecoderLM
 from repro.serve.requests import GenerationRequest, RequestResult
-from repro.serve.slots import RowSlotManager
 
 __all__ = ["ContinuousScheduler"]
 
@@ -86,7 +85,7 @@ class ContinuousScheduler:
     Driven by :meth:`ServingEngine.step`; one :meth:`step` call performs
     one scheduler iteration.  The engine owns the request queue, the
     result retention buffer and the stats; the scheduler owns the shared
-    cache, the row slots and the per-row decode state.
+    cache, the live-row count and the per-row decode state.
     """
 
     def __init__(
@@ -96,30 +95,21 @@ class ContinuousScheduler:
         clock: Callable[[], float],
         rng: np.random.Generator | None = None,
         eos_id: int | None = None,
-        max_tokens: int | None = None,
     ) -> None:
-        if max_tokens is not None and max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
         self.model = model
         self.max_batch_size = max_batch_size
         self.clock = clock
         self.rng = rng
         self.eos_id = eos_id
-        self.max_tokens = max_tokens
-        self.slots = RowSlotManager(max_batch_size)
+        self.live = 0  # rows [0, live) hold in-flight requests
+        self.compaction_moves = 0  # swap-with-last moves applied on retire
         self._rows: list[_RowState | None] = [None] * max_batch_size
         self._cache: KVCache | None = None
-        self._reserved_tokens = 0  # sum of token_need over live rows
         self.last_decode_rows = 0  # rows advanced by the latest step()
         self.last_prefill_tokens = 0  # prompt tokens prefilled by the latest step()
         self.last_prefill_forwards = 0  # prefill forwards (packs) run by the latest step()
 
     # ------------------------------------------------------------------
-    @property
-    def live(self) -> int:
-        """Requests currently decoding (occupying cache rows)."""
-        return self.slots.n_live
-
     def step(self, queue: list[GenerationRequest]) -> list[RequestResult]:
         """One scheduler iteration: admit, decode one token per row, retire.
 
@@ -195,15 +185,6 @@ class ContinuousScheduler:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def _fits(self, request: GenerationRequest) -> bool:
-        if self.max_tokens is None or self.live == 0:
-            # An empty scheduler always admits the head — otherwise a
-            # request whose reservation alone exceeds max_tokens could
-            # deadlock the queue (submit() rejects those up front; this is
-            # defense in depth).
-            return True
-        return self._reserved_tokens + request.token_need <= self.max_tokens
-
     def _admit(self, queue: list[GenerationRequest], completed: list[RequestResult]) -> None:
         """Admit queued requests pack by pack, one prefill forward per pack."""
         self._expire_queued(queue, completed)
@@ -214,20 +195,19 @@ class ContinuousScheduler:
     def _take_pack(
         self, queue: list[GenerationRequest], completed: list[RequestResult]
     ) -> list[_RowState]:
-        """Pop the next pack: admissible requests whose prompts fit one forward.
+        """Pop the next pack: queued requests whose prompts fit one forward.
 
-        Requests are popped in FIFO order while a row is free and the head
-        fits ``max_tokens``, as long as the pack's prompt tokens stay within
-        the model's ``max_seq_len`` (a pack is never taller than the
-        tallest prompt one request may bring, and its first request always
-        fits).  Each popped request checks out the next row, so a pack's
-        rows are contiguous.  Zero-budget requests complete on the spot
-        and never enter a pack.
+        Requests are popped in FIFO order while a row is free and the
+        pack's prompt tokens stay within the model's ``max_seq_len`` (a
+        pack is never taller than the tallest prompt one request may
+        bring, so its first request always fits).  Each popped request
+        takes the next row, ``live``, so a pack's rows are contiguous.
+        Zero-budget requests complete on the spot and never enter a pack.
         """
         pack: list[_RowState] = []
         budget = self.model.config.max_seq_len
         used = 0
-        while queue and self.slots.free > 0 and self._fits(queue[0]):
+        while queue and self.live < self.max_batch_size:
             request = queue[0]
             if request.max_new_tokens > 0 and used + request.prompt.size > budget:
                 break
@@ -240,8 +220,8 @@ class ContinuousScheduler:
                 self._cache = self.model.new_cache(self.max_batch_size)
             elif self.live == 0:  # a busy period starts
                 self._cache.reset()
-            row = self.slots.checkout()
-            self._reserved_tokens += request.token_need
+            row = self.live
+            self.live += 1
             state = _RowState(
                 request=request,
                 row=row,
@@ -345,14 +325,15 @@ class ContinuousScheduler:
 
     def _retire_row(self, state: _RowState) -> None:
         row = state.row
-        self._reserved_tokens -= state.request.token_need
-        moved_src = self.slots.retire(row)
-        if moved_src is None:
+        self.live -= 1
+        moved_src = self.live
+        if row == moved_src:
             self._rows[row] = None
             self._cache.clear_row(row)
             return
         # Swap-with-last compaction: relocate the old last live row into
         # the freed slot so live rows stay a contiguous prefix.
+        self.compaction_moves += 1
         self._cache.copy_row(moved_src, row)
         mover = self._rows[moved_src]
         mover.row = row

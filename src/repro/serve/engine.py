@@ -22,11 +22,10 @@ drifts with, per-call rescaling.
 
 Design notes
 ------------
-- Requests enter a FIFO queue via :meth:`ServingEngine.submit`; work starts
-  when ``max_batch_size`` requests are waiting, when the oldest request has
-  waited ``max_wait_s``, or when the caller forces a drain.  Once rows are
-  live any queued request is admitted the moment a row frees up (subject
-  to the optional ``max_tokens`` budget).
+- Requests enter a FIFO queue via :meth:`ServingEngine.submit`; every
+  :meth:`~ServingEngine.step` admits them in order while a cache row is
+  free and the prefill pack still fits ``max_seq_len``.  Nothing waits to
+  fill a batch: a queued request starts at the next step.
 - Prompts of different lengths decode together via the ragged KV-cache
   path; each request stops at its own budget (or ``eos_id``).
 - The scheduler allocates one ``max_batch_size``-row KV cache on its
@@ -107,6 +106,10 @@ class ServingStats:
     #: Admission prefill forwards: one per pack of admitted prompts, so
     #: fewer than the requests admitted whenever admissions share a step.
     prefill_forwards: int = 0
+    #: Swap-with-last row moves that kept the live rows a contiguous
+    #: prefix (one per mid-prefix retirement); read off the scheduler
+    #: whenever :attr:`ServingEngine.stats` is read.
+    compaction_moves: int = 0
     #: Batched-decode fast-path accounting, read off :meth:`ServingEngine.gemv_stats`
     #: whenever :attr:`ServingEngine.stats` is read: activation bit-planes the
     #: fast kernel packed (``GemvStats.planes_packed``) and rows it ran
@@ -204,6 +207,7 @@ class ServingStats:
             "layers_reprogrammed": self.layers_reprogrammed,
             "preempted": self.preempted,
             "prefill_forwards": self.prefill_forwards,
+            "compaction_moves": self.compaction_moves,
             "planes_packed": self.planes_packed,
             "pack_reuses": self.pack_reuses,
             "fused_rows": self.fused_rows,
@@ -280,7 +284,11 @@ class RecalibrationPolicy:
 
 
 class ServingEngine:
-    """Dynamic-batching front-end over one (PIM-deployed) decoder.
+    """Continuous-batching front-end over one (PIM-deployed) decoder.
+
+    Queued requests are admitted at every :meth:`step` in FIFO order
+    (within a priority class) while a cache row is free and the prefill
+    pack still fits the model's ``max_seq_len``.
 
     Parameters
     ----------
@@ -291,18 +299,6 @@ class ServingEngine:
     max_batch_size:
         Upper bound on requests decoded together (cache rows of the
         scheduler).
-    max_wait_s:
-        Batching knob: an idle engine starts work once its oldest request
-        has waited this long (or ``max_batch_size`` are queued).  ``0``
-        serves whatever is queued immediately (latency-optimal); larger
-        values trade queueing latency for fuller batches.  This only gates
-        *starting from idle* — once rows are live, new requests join the
-        moment a row frees up.
-    max_tokens:
-        Optional admission token budget: total KV positions (prompt + full
-        budget) reserved by in-flight requests never exceeds this.
-        ``None`` = bounded by ``max_batch_size`` and the model's
-        ``max_seq_len`` alone.
     rng:
         Optional sampling Generator shared by all requests; None = greedy.
     eos_id:
@@ -317,29 +313,23 @@ class ServingEngine:
         self,
         model: DecoderLM,
         max_batch_size: int = 8,
-        max_wait_s: float = 0.0,
         rng: np.random.Generator | None = None,
         eos_id: int | None = None,
         clock: Callable[[], float] = time.perf_counter,
-        max_tokens: int | None = None,
         shard_plan=None,
         recalibration: RecalibrationPolicy | None = None,
         calibration_prompts: np.ndarray | None = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         self.model = model
         self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
         self.rng = rng
         self.eos_id = eos_id
         self.clock = clock
-        self.max_tokens = max_tokens
         self._stats = ServingStats()
         self._continuous = ContinuousScheduler(
-            model, max_batch_size, clock=clock, rng=rng, eos_id=eos_id, max_tokens=max_tokens
+            model, max_batch_size, clock=clock, rng=rng, eos_id=eos_id
         )
         self._queue: list[GenerationRequest] = []
         # Completed-but-unclaimed results, bounded FIFO: oldest unclaimed
@@ -556,11 +546,6 @@ class ServingEngine:
                 f"request needs {prompt.size + max_new_tokens} positions, "
                 f"model max_seq_len is {capacity}"
             )
-        if self.max_tokens is not None and prompt.size + max_new_tokens > self.max_tokens:
-            raise ValueError(
-                f"request reserves {prompt.size + max_new_tokens} tokens, "
-                f"over the engine's max_tokens budget {self.max_tokens}"
-            )
         if deadline_s is not None and deadline_s < 0:
             raise ValueError(f"deadline_s must be >= 0, got {deadline_s}")
         submitted_at = self.clock()
@@ -611,29 +596,20 @@ class ServingEngine:
         """Requests currently decoding (scheduler rows)."""
         return self._continuous.live
 
-    def _batch_ready(self) -> bool:
-        if not self._queue:
-            return False
-        if len(self._queue) >= self.max_batch_size:
-            return True
-        return (self.clock() - self._queue[0].submitted_at) >= self.max_wait_s
-
     def step(self, force: bool = False) -> list[RequestResult]:
-        """Advance the engine by one scheduler iteration, if it is time.
+        """Advance the engine by one scheduler iteration, if there is work.
 
-        One iteration admits from the queue, decodes one token on every
-        live row and retires finished rows.  An idle engine starts only
-        once the batching policy says so; ``force`` starts work on a
-        partial queue regardless of ``max_wait_s`` (used by
-        :meth:`run_until_idle`).  Returns the requests completed by this
-        call ([] when nothing ran or nothing finished); results are also
-        retained for :meth:`pop_result` until popped.
+        One iteration admits from the queue (FIFO while a row is free and
+        the pack fits ``max_seq_len``), decodes one token on every live
+        row and retires finished rows.  It runs whenever a request is
+        queued or decoding.  ``force`` is accepted and ignored, because
+        ``perfbench``'s harness still passes it.  Returns the requests
+        completed by this call ([] when nothing ran or nothing finished);
+        results are also retained for :meth:`pop_result` until popped.
         """
         self._drain_ingress()
         scheduler = self._continuous
-        if scheduler.live == 0 and (
-            not self._queue or not (force or self._batch_ready())
-        ):
+        if scheduler.live == 0 and not self._queue:
             return []
         started = self.clock()
         results = scheduler.step(self._queue)
@@ -664,9 +640,11 @@ class ServingEngine:
     def stats(self) -> ServingStats:
         """The engine's :class:`ServingStats`.
 
-        ``planes_packed`` and ``fused_rows`` are read off :meth:`gemv_stats`
-        here, when the stats are read, not merged on every step.
+        ``planes_packed`` and ``fused_rows`` are read off :meth:`gemv_stats`,
+        and ``compaction_moves`` off the scheduler, here, when the stats are
+        read, not merged on every step.
         """
+        self._stats.compaction_moves = self._continuous.compaction_moves
         gemv = self.gemv_stats()
         self._stats.planes_packed = gemv.planes_packed
         self._stats.fused_rows = gemv.fused_rows
@@ -696,7 +674,7 @@ class ServingEngine:
         """
         results: list[RequestResult] = []
         while self.busy:
-            results.extend(self.step(force=True))
+            results.extend(self.step())
         return results
 
     def serve(
@@ -711,7 +689,7 @@ class ServingEngine:
         wanted = set(ids)
         collected: dict[int, RequestResult] = {}
         while self.busy:
-            for result in self.step(force=True):
+            for result in self.step():
                 if result.request_id in wanted:
                     # Claim eagerly: collecting from step()'s return keeps
                     # serve() immune to result-buffer eviction on huge runs.

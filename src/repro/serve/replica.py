@@ -28,7 +28,10 @@ tokens already streamed, with the rest of the budget, so no token is
 delivered twice.  A request whose stream already ended (budget spent, or
 a token the worker flagged as its engine's ``eos_id``) completes in the
 pool.  A request that has already been sent to every replica is not sent
-again: it resolves with an error result (:attr:`PoolResult.error`).
+again: it resolves with an error result (:attr:`PoolResult.error`).  A
+request the replica's engine refuses at submit (say, a token id outside
+the vocabulary) resolves with an error too, and the replica keeps
+serving.
 
 ``processes=False`` runs every replica in-process but through the *same*
 ring serialization, router and requeue code — the fast path the
@@ -60,6 +63,7 @@ KIND_REQUEST = 1
 KIND_TOKEN = 2
 KIND_DONE = 3
 KIND_SHUTDOWN = 4
+KIND_REJECTED = 5  # the replica's engine refused the request; reason follows
 
 _HEADER_WORDS = 2  # [head, tail] cursors, in words past the header
 
@@ -246,12 +250,19 @@ def _serve_rings_once(engine, inbox: ShmRing, outbox: ShmRing) -> bool:
             while not outbox.push([KIND_TOKEN, rid, token, int(token == eos_id)]):
                 time.sleep(0.0002)
 
-        engine_rid = engine.submit(prompt, max_new, on_token=stream)
+        try:
+            engine_rid = engine.submit(prompt, max_new, on_token=stream)
+        except ValueError as exc:
+            # Only this request fails; the worker keeps serving the rest.
+            reason = list(str(exc).encode()[:256])
+            while not outbox.push([KIND_REJECTED, req_id, *reason]):
+                time.sleep(0.0002)
+            continue
         engine._ring_ids = getattr(engine, "_ring_ids", {})
         engine._ring_ids[engine_rid] = req_id
     if engine.busy:
         ring_ids = getattr(engine, "_ring_ids", {})
-        for result in engine.step(force=True):
+        for result in engine.step():
             rid = ring_ids.pop(result.request_id, result.request_id)
             engine.pop_result(result.request_id)
             record = [
@@ -287,7 +298,7 @@ def _replica_worker(engine_factory, index: int, inbox: ShmRing, outbox: ShmRing)
 def _drain_results(engine, outbox: ShmRing) -> None:
     """Step once and flush completed results to the outbox (shutdown path)."""
     ring_ids = getattr(engine, "_ring_ids", {})
-    for result in engine.step(force=True):
+    for result in engine.step():
         rid = ring_ids.pop(result.request_id, result.request_id)
         engine.pop_result(result.request_id)
         record = [
@@ -565,6 +576,13 @@ class ReplicaPool:
                         )
                         self._results[entry.request_id] = result
                         completed.append(result)
+                    elif kind == KIND_REJECTED:
+                        entry = self._outstanding.get(record[1])
+                        if entry is not None:
+                            reason = bytes(record[2:]).decode(errors="replace")
+                            self._finish_locally(
+                                entry, f"replica {index} rejected the request: {reason}"
+                            )
             self._detect_dead()
             completed.extend(self._resolved)
             self._resolved = []
@@ -599,9 +617,10 @@ class ReplicaPool:
             self._send(entry)
 
     def _finish_locally(self, entry: _Outstanding, error: str | None = None) -> None:
-        """Resolve a request whose replica died, with the tokens it streamed.
+        """Resolve a request its replica cannot finish, with the tokens it streamed.
 
-        Served in full when its stream had ended, or failed with ``error``.
+        The replica died or refused the request.  Served in full when its
+        stream had ended, or failed with ``error``.
         Timings are the pool's: from submission to the first and last
         streamed token.  The replica's queueing is not observable here, so
         ``queued_s`` is 0.

@@ -49,16 +49,6 @@ class GenerationRequest:
     priority: int = 0
     deadline_at: float | None = None
 
-    @property
-    def prompt_len(self) -> int:
-        """Number of prompt tokens."""
-        return int(self.prompt.shape[0])
-
-    @property
-    def token_need(self) -> int:
-        """KV positions this request reserves (prompt + full budget)."""
-        return self.prompt_len + self.max_new_tokens
-
 
 @dataclass
 class RequestResult:

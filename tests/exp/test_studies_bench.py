@@ -186,7 +186,7 @@ class TestBenchServe:
         batches = _static_batches(model, trace, max_batch)
         assert [i for batch in batches for i in batch] == list(range(len(trace)))
         assert max(len(batch) for batch in batches) <= max_batch
-        payload, outputs = _run_static_trace(model, trace, max_batch, reps=1)
+        payload, outputs = _run_static_trace(model, trace, max_batch)
         for (prompt, budget), tokens in zip(trace, outputs):
             np.testing.assert_array_equal(
                 tokens, model.generate(prompt, budget)[len(prompt) :]

@@ -35,7 +35,6 @@ from repro.nn import DecoderLM, TransformerConfig
 from repro.nn.tensor import no_grad
 from repro.pim.hybrid import attach_hybrid_layers, calibrate_activations
 from repro.rram import KernelPolicy, kernel_policy
-from repro.serve import RowSlotManager
 from repro.svd.pipeline import LayerPlan
 
 VOCAB = 24
@@ -108,23 +107,21 @@ class RowHarness:
         self.model = model
         self.model.eval()
         self.cache = model.new_cache(batch)
-        self.slots = RowSlotManager(batch)
+        self.batch = batch
+        self.live = 0  # rows [0, live) hold live histories
         self.histories: list[list[int] | None] = [None] * batch
         self.atol = atol
 
     @property
-    def live(self) -> int:
-        return self.slots.n_live
-
-    @property
     def free(self) -> int:
-        return self.slots.free
+        return self.batch - self.live
 
     def row_len(self, index: int) -> int:
         return len(self.histories[index])
 
     def admit(self, prompt: list[int]) -> None:
-        row = self.slots.checkout()
+        row = self.live
+        self.live += 1
         view = self.cache.row_view(row)
         with no_grad():
             logits = self.model.prefill(np.array(prompt, dtype=np.int64), view)
@@ -144,8 +141,10 @@ class RowHarness:
             self._assert_matches(logits[i], self.histories[i], f"decode row {i}")
 
     def retire(self, row: int) -> None:
-        moved_src = self.slots.retire(row)
-        if moved_src is None:
+        assert 0 <= row < self.live
+        self.live -= 1
+        moved_src = self.live
+        if row == moved_src:
             self.histories[row] = None
             self.cache.clear_row(row)
         else:

@@ -354,7 +354,7 @@ class TestNoisyShardedGoldenTrace:
                 )
             },
             "attention_wear": ex.wear_report(),
-            "compaction_moves": engine._continuous.slots.stats.compaction_moves,
+            "compaction_moves": engine.stats.compaction_moves,
         }
 
     def test_noisy_tp2_analog_serving_is_pinned(self):

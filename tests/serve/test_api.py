@@ -78,7 +78,7 @@ def _model(seed: int = 0) -> DecoderLM:
 
 @pytest.fixture
 def server():
-    engine = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+    engine = ServingEngine(_model(), max_batch_size=4)
     srv = ApiServer(
         engine,
         policy=AdmissionPolicy(priority_classes={"interactive": 10, "batch": 0}),
@@ -230,7 +230,7 @@ class TestDriverSupervision:
         """An exception escaping ``step`` on the serving thread fails both
         in-flight requests — 500 JSON and an SSE error event — and from
         then on ``/healthz`` and ``/v1/generate`` answer 503."""
-        engine = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+        engine = ServingEngine(_model(), max_batch_size=4)
 
         def step(force: bool = False) -> list:
             if engine.pending >= 2:  # both requests are in flight
@@ -277,7 +277,7 @@ class TestDriverSupervision:
         fails the waiting request with a 500 and leaves the server
         unhealthy."""
         pool = ReplicaPool(
-            lambda index: ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0),
+            lambda index: ServingEngine(_model(), max_batch_size=4),
             replicas=1,
             processes=False,
         )
@@ -351,7 +351,7 @@ class TestGenerate:
 
 class TestAdmission:
     def test_queue_depth_bound_returns_503(self, rng):
-        engine = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+        engine = ServingEngine(_model(), max_batch_size=4)
         server = ApiServer(engine, policy=AdmissionPolicy(max_queue_depth=0))
         server.start_in_thread()
         try:
@@ -368,7 +368,7 @@ class TestAdmission:
             server.stop_in_thread()
 
     def test_streaming_client_surfaces_503(self, rng):
-        engine = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+        engine = ServingEngine(_model(), max_batch_size=4)
         server = ApiServer(engine, policy=AdmissionPolicy(max_queue_depth=0))
         server.start_in_thread()
         try:
@@ -382,7 +382,7 @@ class TestAdmission:
             server.stop_in_thread()
 
     def test_default_deadline_applies_when_request_names_none(self, rng):
-        engine = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+        engine = ServingEngine(_model(), max_batch_size=4)
         server = ApiServer(engine, policy=AdmissionPolicy(default_deadline_s=0.0))
         server.start_in_thread()
         try:
@@ -472,7 +472,7 @@ class TestSubmitTimeCallbacks:
 class TestPoolTarget:
     def test_server_over_inline_pool(self, rng):
         pool = ReplicaPool(
-            lambda index: ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0),
+            lambda index: ServingEngine(_model(), max_batch_size=4),
             replicas=2,
             processes=False,
         )
@@ -499,7 +499,7 @@ class TestPoolTarget:
 
     def test_healthz_fails_once_every_replica_is_dead(self):
         pool = ReplicaPool(
-            lambda index: ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0),
+            lambda index: ServingEngine(_model(), max_batch_size=4),
             replicas=1,
             processes=False,
         )
@@ -520,7 +520,7 @@ class TestPoolTarget:
         """A pool request that resolves with an error (its only replica
         died) is answered 500 with that error; the driver keeps running."""
         pool = ReplicaPool(
-            lambda index: ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0),
+            lambda index: ServingEngine(_model(), max_batch_size=4),
             replicas=1,
             processes=False,
         )

@@ -138,13 +138,18 @@ def _solo(model: DecoderLM, trace) -> list[list[int]]:
 
 class TestServedTokens:
     @pytest.mark.parametrize("max_batch", [1, 2, 3, 4])
-    @pytest.mark.parametrize("max_tokens", [None, 24, 40])
-    def test_admission_shapes_match_solo_generate(self, max_batch, max_tokens):
-        """Whatever batch widths the row and token budgets produce, each
-        request gets exactly its one-shot ``generate`` tokens."""
+    @pytest.mark.parametrize("order", ["submitted", "reversed", "longest_first"])
+    def test_admission_shapes_match_solo_generate(self, max_batch, order):
+        """Whatever batch widths and prefill packs the row count and the
+        arrival order produce, each request gets exactly its one-shot
+        ``generate`` tokens."""
         model = _model(num_layers=2)
         trace = _trace()
-        engine = ServingEngine(model, max_batch_size=max_batch, max_tokens=max_tokens)
+        if order == "reversed":
+            trace = trace[::-1]
+        elif order == "longest_first":
+            trace = sorted(trace, key=lambda request: -request[0].size)
+        engine = ServingEngine(model, max_batch_size=max_batch)
         assert _served(engine, trace) == _solo(model, trace)
         assert engine.stats.requests_completed == len(trace)
 
@@ -159,7 +164,7 @@ class TestServedTokens:
         ids = [engine.submit(prompt, budget) for prompt, budget in trace]
         widths, results = [], {}
         while engine.busy:
-            for result in engine.step(force=True):
+            for result in engine.step():
                 results[result.request_id] = result
             widths.append(engine._continuous.last_decode_rows)
         assert [results[rid].tokens.tolist() for rid in ids] == _solo(model, trace)
@@ -195,7 +200,7 @@ class TestInterleavedServing:
         submitted, finished = [], {}
         for op in ops:
             if op == "step":
-                for result in engine.step(force=True):
+                for result in engine.step():
                     finished[result.request_id] = result
             else:
                 length, budget, seed = op

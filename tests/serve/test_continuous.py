@@ -2,9 +2,8 @@
 
 Covers the golden-trace equivalence (continuous ≡ per-request one-shot
 generate, across GEMV kernel modes), deterministic fake-clock admission
-edges (every engine timestamp rides the injectable clock), prefill-pack
-boundaries, TTFT/TPOT accounting, streaming callbacks and the max_tokens
-admission budget.
+and timing (every engine timestamp rides the injectable clock), prefill-pack
+boundaries, TTFT/TPOT accounting and streaming callbacks.
 """
 
 from __future__ import annotations
@@ -143,7 +142,7 @@ class TestContinuousSemantics:
         # Fill both rows, decode until the short request retires.
         results: dict[int, object] = {}
         while short_a not in results:
-            for r in engine.step(force=True):
+            for r in engine.step():
                 results[r.request_id] = r
         assert engine.in_flight == 1  # long request still decoding
         # A request submitted now joins mid-flight (no batch boundary).
@@ -164,7 +163,7 @@ class TestContinuousSemantics:
         engine = ServingEngine(model, max_batch_size=2)
         a = engine.submit(rng.integers(0, 40, size=24), 8)
         b = engine.submit(rng.integers(0, 40, size=4), 28)
-        engine.step(force=True)
+        engine.step()
         assert engine.in_flight == 2  # admitted together; a static batch would split
         results = {r.request_id: r for r in engine.run_until_idle()}
         assert results[a].tokens.size == 8
@@ -189,56 +188,55 @@ class TestContinuousSemantics:
         for rid, prompt, budget in zip(ids, prompts, budgets):
             solo = model.generate(prompt, budget)
             np.testing.assert_array_equal(results[rid].tokens, solo[len(prompt) :])
-        churn = engine._continuous.slots.stats
-        assert churn.checkouts == 10
-        assert churn.retirements == 10
-        assert churn.compaction_moves > 0  # mid-prefix retirements happened
+        assert engine.stats.compaction_moves > 0  # mid-prefix retirements happened
         assert engine._continuous.live == 0
-        assert engine._continuous._reserved_tokens == 0
 
 
 class TestFakeClockAdmission:
-    def test_idle_engine_respects_max_wait_edge(self, model, rng):
-        """Admission edge: strictly below max_wait_s nothing starts; at
-        exactly max_wait_s the oldest request is admitted."""
+    def test_idle_engine_starts_without_the_clock_moving(self, model, rng):
+        """A lone queued request is admitted by the next step, with the
+        clock never advanced: nothing waits for a batch to fill."""
         clock = FakeClock()
-        engine = ServingEngine(model, max_batch_size=4, max_wait_s=1.0, clock=clock)
-        engine.submit(rng.integers(0, 40, size=4), 3)
+        engine = ServingEngine(model, max_batch_size=4, clock=clock)
+        rid = engine.submit(rng.integers(0, 40, size=4), 3)
+        assert engine.step() == []  # prefill + one decode: 2 of 3 tokens
+        assert engine.in_flight == 1 and engine.pending == 0
+        [result] = engine.step()
+        assert result.request_id == rid
+        assert result.queued_s == 0.0 and result.ttft_s == 0.0
+
+    def test_queue_beyond_free_rows_waits_for_a_retirement(self, model, rng):
+        """Admission stops at the row count; the rest of the queue joins
+        at the step a row retires, clock unmoved."""
+        clock = FakeClock()
+        engine = ServingEngine(model, max_batch_size=2, clock=clock)
+        first = [engine.submit(rng.integers(0, 40, size=4), 3) for _ in range(2)]
+        third = engine.submit(rng.integers(0, 40, size=4), 3)
         assert engine.step() == []
-        assert engine.in_flight == 0
-        clock.now = 0.999999
-        assert engine.step() == []
-        clock.now = 1.0  # inclusive edge: waited >= max_wait_s
+        assert engine.in_flight == 2 and engine.pending == 1
+        done = engine.step()  # both rows retire; the third admits next
+        assert sorted(r.request_id for r in done) == first
+        assert engine.in_flight == 0 and engine.pending == 1
         engine.step()
-        assert engine.in_flight == 1
+        assert engine.in_flight == 1 and engine.pending == 0
+        [result] = engine.run_until_idle()
+        assert result.request_id == third and result.tokens.size == 3
 
-    def test_full_queue_starts_without_waiting(self, model, rng):
-        clock = FakeClock()
-        engine = ServingEngine(
-            model, max_batch_size=2, max_wait_s=100.0, clock=clock
-        )
-        engine.submit(rng.integers(0, 40, size=4), 4)
-        assert engine.step() == []
-        engine.submit(rng.integers(0, 40, size=4), 4)
-        engine.step()  # queue reached max_batch_size -> start immediately
-        assert engine.in_flight == 2
-
-    def test_mid_flight_join_ignores_max_wait(self, model, rng):
+    def test_mid_flight_join_without_clock_advance(self, model, rng):
         """Once rows are live, a fresh request joins the moment a row is
-        free — max_wait_s only gates starting from idle."""
+        free, with the clock where it was."""
         clock = FakeClock()
-        engine = ServingEngine(
-            model, max_batch_size=2, max_wait_s=100.0, clock=clock
-        )
+        engine = ServingEngine(model, max_batch_size=2, clock=clock)
         engine.submit(rng.integers(0, 40, size=4), 6)
-        clock.now = 100.0  # let the first request start
+        clock.now = 100.0
         engine.step()
         assert engine.in_flight == 1
         late = engine.submit(rng.integers(0, 40, size=4), 4)
-        engine.step()  # clock has NOT advanced past 100 + max_wait
+        engine.step()
         assert engine.in_flight == 2
         results = {r.request_id: r for r in engine.run_until_idle()}
         assert results[late].tokens.size == 4
+        assert results[late].queued_s == 0.0
 
     def test_all_timing_rides_the_injected_clock(self, model, rng):
         """submitted_at / TTFT / latency are deterministic functions of the
@@ -248,7 +246,7 @@ class TestFakeClockAdmission:
         rid = engine.submit(rng.integers(0, 40, size=4), 3)
         assert engine._ingress[0].submitted_at == 0.0
         clock.now = 5.0
-        engine.step(force=True)  # prefill + tokens 1 and 2 at t=5
+        engine.step()  # prefill + tokens 1 and 2 at t=5
         clock.now = 6.0
         [result] = engine.run_until_idle()  # third token at t=6
         assert result.request_id == rid
@@ -289,7 +287,7 @@ class TestPackedAdmission:
         ]
         packs = self._spy_packs(model, monkeypatch)
         ids = [engine.submit(p, b) for p, b in zip(prompts, budgets)]
-        results = {r.request_id: r for r in engine.step(force=True)}
+        results = {r.request_id: r for r in engine.step()}
         results.update({r.request_id: r for r in engine.run_until_idle()})
         for rid, solo in zip(ids, solos):
             np.testing.assert_array_equal(results[rid].tokens, solo)
@@ -308,6 +306,18 @@ class TestPackedAdmission:
         packs = self._serve(model, monkeypatch, rng, (17, 17, 17), (2, 2, 2))
         assert packs == [[17], [17], [17]]
 
+    def test_head_of_line_keeps_fifo(self, model, monkeypatch, rng):
+        """A head that does not fit the open pack closes it; the small
+        request behind it would fit but does not jump the queue."""
+        packs = self._serve(model, monkeypatch, rng, (20, 20, 4), (3, 3, 3))
+        assert packs == [[20], [20, 4]]
+
+    def test_rows_bound_the_wave_before_the_pack_does(self, model, monkeypatch, rng):
+        """Six short prompts fit one pack, but four rows take four; the
+        other two pack together once the rows retire."""
+        packs = self._serve(model, monkeypatch, rng, (2,) * 6, (3,) * 6)
+        assert packs == [[2, 2, 2, 2], [2, 2]]
+
     def test_zero_budget_requests_never_enter_a_pack(self, model, monkeypatch, rng):
         packs = self._serve(model, monkeypatch, rng, (4, 5, 6, 7), (0, 3, 0, 3))
         assert packs == [[5, 7]]
@@ -321,7 +331,7 @@ class TestPackedAdmission:
         first = engine.submit(rng.integers(0, 40, size=20), 2)
         late = engine.submit(rng.integers(0, 40, size=20), 2, deadline_s=0.5)
         after = engine.submit(rng.integers(0, 40, size=6), 2)
-        results = {r.request_id: r for r in engine.step(force=True)}
+        results = {r.request_id: r for r in engine.step()}
         assert results[late].preempted and results[late].tokens.size == 0
         assert packs == [[20], [6]]
         results.update({r.request_id: r for r in engine.run_until_idle()})
@@ -360,44 +370,11 @@ class TestStreamingCallbacks:
         engine = ServingEngine(model)
         seen: list[int] = []
         engine.submit(rng.integers(0, 40, size=4), 8, on_token=lambda r, t: seen.append(t))
-        engine.step(force=True)
+        engine.step()
         assert len(seen) >= 1  # first token already out
         assert engine.in_flight == 1  # …but the request is not done
         [result] = engine.run_until_idle()
         assert seen == result.tokens.tolist()
-
-
-class TestTokenBudgetAdmission:
-    def test_budget_limits_concurrency(self, model, rng):
-        """max_tokens bounds reserved KV positions; the third request waits
-        even though a row is free."""
-        engine = ServingEngine(model, max_batch_size=4, max_tokens=20)
-        for _ in range(3):
-            engine.submit(rng.integers(0, 40, size=4), 6)  # 10 tokens each
-        engine.step(force=True)
-        assert engine.in_flight == 2  # 2 x 10 <= 20; a third would overflow
-        assert engine.pending == 1
-        results = engine.run_until_idle()
-        assert len(results) == 3
-        assert all(r.tokens.size == 6 for r in results)
-
-    def test_head_of_line_keeps_fifo(self, model, rng):
-        """A big head request never lets smaller later ones jump the queue."""
-        engine = ServingEngine(model, max_batch_size=4, max_tokens=24)
-        small_a = engine.submit(rng.integers(0, 40, size=4), 6)  # 10
-        big = engine.submit(rng.integers(0, 40, size=8), 12)  # 20: must wait
-        small_b = engine.submit(rng.integers(0, 40, size=4), 2)  # 6: fits, but FIFO
-        engine.step(force=True)
-        assert engine.in_flight == 1  # only small_a; big blocks the line
-        results = {r.request_id: r for r in engine.run_until_idle()}
-        assert results[big].tokens.size == 12
-        assert results[small_a].tokens.size == 6
-        assert results[small_b].tokens.size == 2
-
-    def test_submit_rejects_request_over_budget(self, model, rng):
-        engine = ServingEngine(model, max_batch_size=4, max_tokens=10)
-        with pytest.raises(ValueError):
-            engine.submit(rng.integers(0, 40, size=8), 8)
 
 
 class TestSharedCache:
@@ -478,7 +455,7 @@ class TestEvalModeToggle:
         engine = ServingEngine(model, max_batch_size=2)
         engine.submit(rng.integers(0, 40, size=4), 3)
         calls = self._count_mode_calls(monkeypatch)
-        engine.step(force=True)
+        engine.step()
         assert calls == {"eval": 0, "train": 0}
         assert not model.training
 
@@ -497,7 +474,7 @@ class TestEvalModeToggle:
         engine = ServingEngine(model, max_batch_size=2)
         engine.submit(rng.integers(0, 40, size=4), 3)
         calls = self._count_mode_calls(monkeypatch)
-        engine.step(force=True)
+        engine.step()
         assert modes == [False]  # admission prefill ran in eval mode
         assert calls["eval"] == 1
         assert model.training  # restored after the step

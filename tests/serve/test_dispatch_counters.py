@@ -76,7 +76,7 @@ def _prompt(seed: int, length: int) -> np.ndarray:
 
 class TestServingStatsCounters:
     def test_fast_kernel_reports_dispatch_counters(self):
-        engine = _engine(max_wait_s=0.0)
+        engine = _engine()
         for i in range(3):
             engine.submit(_prompt(i, 3 + i), 4)
         engine.run_until_idle()

@@ -66,46 +66,50 @@ class TestSubmitValidation:
         assert engine.pending == 3
 
     @pytest.mark.parametrize(
-        "option, value", [("scheduler", "static"), ("pipeline", 2), ("plane_cache", True)]
+        "option, value",
+        [
+            ("scheduler", "static"),
+            ("pipeline", 2),
+            ("plane_cache", True),
+            ("max_wait_s", 0.0),
+            ("max_tokens", 24),
+        ],
     )
     def test_removed_serving_forks_are_rejected(self, model, option, value):
         """Continuous decode is the only serving path: the static
-        scheduler, the pipelined executor and the plane cache have no
-        constructor option left to select them."""
+        scheduler, the pipelined executor, the plane cache, the batching
+        delay and the token budget have no constructor option left."""
         with pytest.raises(TypeError, match=option):
             ServingEngine(model, **{option: value})
 
 
 class TestDynamicBatching:
-    """``max_wait_s`` and a full queue gate starting work from idle.
+    """Every step admits what is queued; nothing waits to fill a batch.
 
     One step admits (prefill emits the first token) and decodes one more
     token, so a 2-token request completes within the step that admits it.
     """
 
-    def test_full_batch_runs_immediately(self, model, rng):
+    def test_partial_queue_starts_at_the_next_step(self, model, rng):
         clock = FakeClock()
-        engine = ServingEngine(model, max_batch_size=2, max_wait_s=10.0, clock=clock)
-        engine.submit(rng.integers(0, 40, size=4), 2)
-        assert engine.step() == []  # partial batch, wait budget not exhausted
-        assert engine.in_flight == 0
-        engine.submit(rng.integers(0, 40, size=4), 2)
-        results = engine.step()  # max_batch reached -> start now
-        assert len(results) == 2
-        assert all(r.batch_size == 2 for r in results)
+        engine = ServingEngine(model, max_batch_size=4, clock=clock)
+        rid = engine.submit(rng.integers(0, 40, size=4), 2)
+        [result] = engine.step()  # one queued request, clock unmoved
+        assert result.request_id == rid
+        assert result.batch_size == 1 and result.queued_s == 0.0
+        assert engine.step() == []  # idle engine: nothing to do
 
-    def test_max_wait_cuts_partial_batch(self, model, rng):
+    def test_full_batch_runs_in_one_step(self, model, rng):
         clock = FakeClock()
-        engine = ServingEngine(model, max_batch_size=4, max_wait_s=1.0, clock=clock)
-        engine.submit(rng.integers(0, 40, size=4), 2)
-        assert engine.step() == []
-        clock.now = 1.5  # oldest request has now waited past max_wait_s
+        engine = ServingEngine(model, max_batch_size=2, clock=clock)
+        ids = [engine.submit(rng.integers(0, 40, size=4), 2) for _ in range(2)]
         results = engine.step()
-        assert len(results) == 1
-        assert results[0].batch_size == 1
+        assert sorted(r.request_id for r in results) == ids
+        assert all(r.batch_size == 2 for r in results)
+        assert engine.pending == 0 and engine.in_flight == 0
 
     def test_run_until_idle_drains_everything(self, model, rng):
-        engine = ServingEngine(model, max_batch_size=3, max_wait_s=100.0)
+        engine = ServingEngine(model, max_batch_size=3)
         for _ in range(7):
             engine.submit(rng.integers(0, 40, size=5), 3)
         results = engine.run_until_idle()
@@ -118,7 +122,7 @@ class TestDynamicBatching:
     def test_queue_is_fifo(self, model, rng):
         engine = ServingEngine(model, max_batch_size=2)
         ids = [engine.submit(rng.integers(0, 40, size=4), 2) for _ in range(4)]
-        first = engine.step(force=True)
+        first = engine.step()
         assert sorted(r.request_id for r in first) == ids[:2]
         assert engine.pending == 2
 

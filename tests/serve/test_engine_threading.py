@@ -48,12 +48,12 @@ class TestConcurrentSubmit:
             for i in range(per_producer)
         }
         # Serial reference: same prompts, one engine, no threads.
-        reference = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+        reference = ServingEngine(_model(), max_batch_size=4)
         ref_ids = {key: reference.submit(prompt, budget) for key, prompt in prompts.items()}
         ref = {r.request_id: r for r in reference.run_until_idle()}
         expected = {key: ref[rid].tokens for key, rid in ref_ids.items()}
 
-        engine = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+        engine = ServingEngine(_model(), max_batch_size=4)
         ids: dict[tuple[int, int], int] = {}
         ids_lock = threading.Lock()
         stop = threading.Event()
@@ -63,7 +63,7 @@ class TestConcurrentSubmit:
             try:
                 while not stop.is_set() or engine.busy:
                     if engine.busy:
-                        engine.step(force=True)
+                        engine.step()
             except BaseException as exc:  # surfaced after join
                 errors.append(exc)
 
@@ -99,7 +99,7 @@ class TestConcurrentSubmit:
 
     def test_pop_result_races_with_stepper(self, rng):
         """Consumers polling pop_result concurrently with the stepper."""
-        engine = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+        engine = ServingEngine(_model(), max_batch_size=4)
         rids = [engine.submit(rng.integers(0, VOCAB, size=4), 3) for _ in range(8)]
         claimed: dict[int, np.ndarray] = {}
         claimed_lock = threading.Lock()
@@ -118,7 +118,7 @@ class TestConcurrentSubmit:
         for t in consumers:
             t.start()
         while engine.busy:
-            engine.step(force=True)
+            engine.step()
         done.set()
         for t in consumers:
             t.join(timeout=60.0)
@@ -131,14 +131,14 @@ class TestLatencySplit:
     def test_queued_vs_service_split(self):
         clock_now = [0.0]
         engine = ServingEngine(
-            _model(), max_batch_size=1, max_wait_s=0.0, clock=lambda: clock_now[0]
+            _model(), max_batch_size=1, clock=lambda: clock_now[0]
         )
         first = engine.submit(np.arange(4) % VOCAB, 2)
         second = engine.submit(np.arange(4) % VOCAB, 2)
         # max_batch_size=1: the second request queues behind the first.
         while engine.pop_result(second) is None:
             clock_now[0] += 1.0
-            engine.step(force=True)
+            engine.step()
             engine.pop_result(first)
         stats = engine.stats
         assert stats.mean_queued_s > 0.0
@@ -153,12 +153,12 @@ class TestLatencySplit:
     def test_result_carries_split_properties(self):
         clock_now = [0.0]
         engine = ServingEngine(
-            _model(), max_batch_size=4, max_wait_s=0.0, clock=lambda: clock_now[0]
+            _model(), max_batch_size=4, clock=lambda: clock_now[0]
         )
         rid = engine.submit(np.arange(4) % VOCAB, 3)
         while True:
             clock_now[0] += 0.5
-            engine.step(force=True)
+            engine.step()
             result = engine.pop_result(rid)
             if result is not None:
                 break
@@ -168,11 +168,11 @@ class TestLatencySplit:
     def test_preempted_counter_in_stats(self):
         clock_now = [0.0]
         engine = ServingEngine(
-            _model(), max_batch_size=4, max_wait_s=0.0, clock=lambda: clock_now[0]
+            _model(), max_batch_size=4, clock=lambda: clock_now[0]
         )
         engine.submit(np.arange(4) % VOCAB, 8, deadline_s=1.0)
         clock_now[0] = 10.0  # decode starts after the deadline passed
         while engine.busy:
-            engine.step(force=True)
+            engine.step()
         assert engine.stats.preempted == 1
         assert engine.stats.as_dict()["preempted"] == 1

@@ -48,7 +48,7 @@ def _model(seed: int = 0) -> DecoderLM:
 
 
 def _factory(index: int) -> ServingEngine:
-    return ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+    return ServingEngine(_model(), max_batch_size=4)
 
 
 class TestShmRing:
@@ -175,7 +175,7 @@ class TestInlineEquivalence:
             for i in range(n)
         ]
 
-        reference = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+        reference = ServingEngine(_model(), max_batch_size=4)
         ref_ids = [
             reference.submit(np.array(p, dtype=np.int64), b)
             for p, b in zip(prompts, budgets)
@@ -214,7 +214,7 @@ class TestThreadSafety:
         pop raised 'dictionary changed size during iteration'.
         """
         prompts = [rng.integers(0, VOCAB, size=int(n)) for n in rng.integers(2, 8, size=40)]
-        reference = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+        reference = ServingEngine(_model(), max_batch_size=4)
         ref_ids = [reference.submit(p, 4) for p in prompts]
         ref = {r.request_id: r for r in reference.run_until_idle()}
         expected = [ref[rid].tokens for rid in ref_ids]
@@ -256,7 +256,7 @@ class TestThreadSafety:
 class TestProcessPool:
     def test_fork_workers_match_single_engine(self, rng):
         prompts = [rng.integers(0, VOCAB, size=int(n)) for n in rng.integers(2, 8, size=5)]
-        reference = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+        reference = ServingEngine(_model(), max_batch_size=4)
         ref_ids = [reference.submit(p, 6) for p in prompts]
         ref = {r.request_id: r for r in reference.run_until_idle()}
         expected = [ref[rid].tokens for rid in ref_ids]
@@ -270,7 +270,7 @@ class TestProcessPool:
 
     def test_kill_replica_requeues_onto_survivor(self, rng):
         prompts = [rng.integers(0, VOCAB, size=4) for _ in range(4)]
-        reference = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0)
+        reference = ServingEngine(_model(), max_batch_size=4)
         ref_ids = [reference.submit(p, 5) for p in prompts]
         ref = {r.request_id: r for r in reference.run_until_idle()}
 
@@ -321,7 +321,7 @@ class TestProcessPool:
         gives it, the ones requeued off dying replicas included."""
         poison = np.array([1, 2, 3, 4, 5])
         others = [rng.integers(6, VOCAB, size=int(n)) for n in rng.integers(2, 6, size=6)]
-        reference = ServingEngine(_model(), max_batch_size=8, max_wait_s=0.0)
+        reference = ServingEngine(_model(), max_batch_size=8)
         ref_ids = [reference.submit(p, 3) for p in others]
         ref = {r.request_id: r.tokens.tolist() for r in reference.run_until_idle()}
         landings: list[int] = []
@@ -377,7 +377,7 @@ class TestProcessPool:
 
     @staticmethod
     def _expected(prompt, budget, **engine_kwargs) -> list[int]:
-        engine = ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0, **engine_kwargs)
+        engine = ServingEngine(_model(), max_batch_size=4, **engine_kwargs)
         engine.submit(prompt, budget)
         [result] = engine.run_until_idle()
         return result.tokens.tolist()
@@ -414,7 +414,7 @@ class TestProcessPool:
         eos = free[stop]
 
         def factory(index: int) -> ServingEngine:
-            return ServingEngine(_model(), max_batch_size=4, max_wait_s=0.0, eos_id=eos)
+            return ServingEngine(_model(), max_batch_size=4, eos_id=eos)
 
         streamed: list[int] = []
         with ReplicaPool(factory, replicas=2, processes=False) as pool:
@@ -440,6 +440,27 @@ class TestProcessPool:
         finally:
             for ring in pool.inboxes + pool.outboxes:
                 ring.close(unlink=True)
+
+    @pytest.mark.parametrize("processes", [True, False], ids=["processes", "inline"])
+    def test_refused_request_fails_alone(self, rng, processes):
+        """A request the replica's engine refuses at submit (a token id
+        outside the vocabulary) resolves once with the refusal; no replica
+        dies, nothing is requeued, and both replicas go on serving."""
+        prompts = [rng.integers(0, VOCAB, size=5) for _ in range(2)]
+        expected = [self._expected(prompt, 4) for prompt in prompts]
+        with ReplicaPool(_factory, replicas=2, processes=processes) as pool:
+            bad = pool.submit(np.array([1000]), 3)
+            [refused] = pool.drain(timeout_s=60.0)
+            assert refused.request_id == bad and refused.tokens.size == 0
+            assert refused.error == (
+                f"replica 0 rejected the request: prompt token ids must lie in [0, {VOCAB})"
+            )
+            ids = [pool.submit(prompt, 4) for prompt in prompts]  # replicas 1, 0
+            results = {r.request_id: r for r in pool.drain(timeout_s=60.0)}
+            assert pool._alive == [True, True] and pool.requeues == 0
+        for rid, tokens in zip(ids, expected):
+            assert results[rid].error is None
+            assert results[rid].tokens.tolist() == tokens
 
     def test_validation(self):
         with pytest.raises(ValueError):
